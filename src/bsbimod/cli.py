@@ -27,6 +27,10 @@ class CheckFailure(AssertionError):
     pass
 
 
+class UsageError(ValueError):
+    """Bad command-line input; exits with code 2."""
+
+
 # -- input parsing -----------------------------------------------------------
 
 def parse_expr(text: str, n: Optional[int] = None) -> ReflExpr:
@@ -141,8 +145,12 @@ def cmd_membership(args) -> int:
         g = FnOnSub.from_json(json.load(fh))
     Phi = None
     if args.phi:
-        keep = {tuple(int(c) for c in b) for b in args.phi.split(",")}
-        Phi = g.domain.restrict(keep)
+        names = [b.strip() for b in args.phi.split(",")]
+        domain = {_bits_str(b) for b in g.domain.members}
+        unknown = [b for b in names if b not in domain]
+        if unknown:
+            raise UsageError(f"--phi: not in the domain: {', '.join(unknown)}")
+        Phi = g.domain.restrict(tuple(map(int, b)) for b in names)
     ok, cert = membership(g, args.variant, Phi)
     print("member" if ok else "not a member")
     if cert is not None:
@@ -471,6 +479,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (AssertionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

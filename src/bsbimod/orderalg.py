@@ -6,7 +6,7 @@ extraction for non-free outcomes.
 """
 
 __all__ = [
-    "ClosenessCert", "StepFamily", "AlgoResult",
+    "ClosenessCert", "StepFamily", "AlgoResult", "InvariantError",
     "closeness", "algorithm1", "algorithm2", "chain_run", "step_generator",
     "balanced_order", "acyclic_rank", "residual_constraints",
 ]
@@ -19,8 +19,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .polyring import Polynomial, GradedRank
 from .coxeter import Permutation, Reflection, ReflExpr
 from .subexpr import (Subexpr, SubSet, SubGraph, enumerate_sub, graph,
-                      components, frozen_set, unfrozen_set, con_component,
-                      balance, _even_subsets, _all_subsets)
+                      components, con_component, balance, _even_subsets,
+                      _all_subsets, _indices, _mask, _positions)
 from .locmod import FnOnSub, nabla_X, indicator, membership
 
 Bits = Tuple[int, ...]
@@ -53,43 +53,28 @@ class AlgoResult:
     last_additions: List[Tuple[FrozenSet[Bits], Bits, int]] = field(default_factory=list)
 
 
-def _phi_p(sub: SubSet, phi_bits: FrozenSet[Bits], eps: Subexpr,
-           Mp: Tuple[int, ...]) -> List[Tuple[int, ...]]:
-    """Phi_p(eps) = all X inside M_p(eps) whose unfrozen set sits inside
-    Phi u {eps}; the unfrozen set of X is {f_Y eps : Y even inside X}."""
-    allowed = set(phi_bits) | {eps.bits}
-    sub_members = set(sub.members)
-    out = []
-    for r in range(len(Mp) + 1):
-        for X in combinations(Mp, r):
-            ok = True
-            for Y in _even_subsets(X):
-                fb = eps.fold(Y).bits
-                if fb not in sub_members or fb not in allowed:
-                    ok = False
-                    break
-            if ok:
-                out.append(X)
-    return out
+class InvariantError(AssertionError):
+    """A broken internal invariant.  Raised explicitly, so the check also
+    runs under `python -O`."""
 
 
-def _candidates_plain(F: List[Tuple[int, ...]], np: int) -> List[Tuple[int, ...]]:
+def _candidates_plain(F: List[int], np: int, Mp: Tuple[int, ...]
+                      ) -> List[Tuple[int, ...]]:
     """Subsets cotransversal to F: size np-1, contained in a maximum member
     Z with every X in F satisfying |X \\ Z| <= 1, and containing the core
-    union of X cap Z over X not inside Z."""
+    union of X cap Z over X not inside Z.  F holds submasks of M_p."""
     out = set()
     for Z in F:
-        if len(Z) != np:
+        if Z.bit_count() != np:
             continue
-        Zs = set(Z)
-        if any(len(set(X) - Zs) > 1 for X in F):
+        if any((X & ~Z).bit_count() > 1 for X in F):
             continue
-        core = set()
+        core = 0
         for X in F:
-            if not set(X) <= Zs:
-                core |= set(X) & Zs
-        for drop in Zs - core:
-            out.add(tuple(sorted(Zs - {drop})))
+            if X & ~Z:
+                core |= X & Z
+        for b in _indices(Z & ~core):
+            out.add(_positions(Mp, Z & ~(1 << b)))
     return sorted(out)
 
 
@@ -105,18 +90,26 @@ def closeness(sub: SubSet, Phi, eps: Subexpr, mode: str = "plain"
     every p with M_p nonempty; condition (b)/(b'): the frozen set (or its
     connected component through eps) avoids Phi.  Returns the first valid
     certificate in canonical order, or None.
+
+    Phi_p(eps) is the set of X inside M_p(eps) whose unfrozen set
+    {f_Y eps : Y even inside X} lies in Phi u {eps}; it is read from the
+    cached analysis of `sub`, as is the graph the con mode searches.
     """
+    an = sub.analysis()
+    i = an.require(eps)
     phi_bits = frozenset(tuple(b) for b in
                          (Phi.members if isinstance(Phi, SubSet) else Phi))
     if eps.bits in phi_bits:
         raise ValueError("eps must not lie in Phi")
-    allM = sorted(eps.all_M().items(), key=lambda kv: (kv[0].i, kv[0].j))
+    phi = an.mask_of(phi_bits)
+    allowed = phi | 1 << i
     per_p_choices = []
-    for p, Mp in allM:
-        F = _phi_p(sub, phi_bits, eps, Mp)
-        np = max(len(X) for X in F)
+    for p, Mp, reach in an.reach(i):
+        F = [S for S, r in enumerate(reach)
+             if r is not None and not r & ~allowed]
+        np = max(S.bit_count() for S in F)
         if mode == "plain":
-            cands = _candidates_plain(F, np)
+            cands = _candidates_plain(F, np, Mp)
         else:
             cands = _candidates_con(Mp, np)
         if not cands:
@@ -125,11 +118,10 @@ def closeness(sub: SubSet, Phi, eps: Subexpr, mode: str = "plain"
 
     for combo in product(*(c[3] for c in per_p_choices)):
         Y = tuple(sorted(set().union(*map(set, combo)))) if combo else ()
-        if mode == "plain":
-            reach = frozen_set(sub, eps, Y)
-        else:
-            reach = con_component(sub, eps, Y)
-        if any(b in phi_bits for b in reach.members):
+        reach = an.frozen(i, _mask(Y))
+        if mode == "con" and reach & phi:
+            reach = an.component(i, reach)
+        if reach & phi:
             continue
         per_p = tuple((p, Mp, np, Yp)
                       for (p, Mp, np, _), Yp in zip(per_p_choices, combo))
@@ -151,6 +143,7 @@ def _run_family_algorithm(t: ReflExpr, w: Permutation, mode: str,
                           max_family: Optional[int] = None,
                           greedy: bool = False) -> AlgoResult:
     sub = enumerate_sub(t, w)
+    subexprs = sub.subexprs()
     msub = len(sub)
     trace: List[Dict[FrozenSet[Bits], GradedRank]] = [
         {frozenset(): GradedRank.constant(0)}]
@@ -161,10 +154,10 @@ def _run_family_algorithm(t: ReflExpr, w: Permutation, mode: str,
         nxt: Dict[FrozenSet[Bits], GradedRank] = {}
         incs: Dict[FrozenSet[Bits], set] = {}
         for phi, P in sorted(trace[k].items(), key=lambda kv: sorted(kv[0])):
-            for bits in sub.members:
+            for eps in subexprs:
+                bits = eps.bits
                 if bits in phi:
                     continue
-                eps = Subexpr(t, bits)
                 cert = closeness(sub, phi, eps, mode)
                 if cert is None:
                     continue
@@ -172,8 +165,10 @@ def _run_family_algorithm(t: ReflExpr, w: Permutation, mode: str,
                 newP = P + GradedRank.v_power(-cert.dist)
                 if newphi in nxt:
                     # equal families must carry equal graded ranks
-                    assert nxt[newphi] == newP, \
-                        f"rank mismatch at {sorted(newphi)}: {nxt[newphi]} vs {newP}"
+                    if nxt[newphi] != newP:
+                        raise InvariantError(
+                            f"rank mismatch at {sorted(newphi)}: "
+                            f"{nxt[newphi]} vs {newP}")
                 else:
                     nxt[newphi] = newP
                 incs.setdefault(newphi, set()).add(cert.dist)

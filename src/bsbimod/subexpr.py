@@ -4,12 +4,18 @@ M_p, folding, enumeration of Sub(t) and Sub(t, w), relative cardinality,
 the per-reflection equivalence classes, the graphs Gr(Phi), frozen and
 unfrozen subexpression sets, and balancedness.
 
+A `SubSet` is analysed once, on first use (`SubSet.analysis`): member
+indices and bit masks, each member's `all_M`, the members reached by its
+even folds, and the adjacency of its full graph.  The graph, frozen-set and
+connected-component functions, and closeness in `orderalg`, read from that
+analysis as integer bitmasks over member indices.
+
 A subexpression is a 0/1 sequence bound to its reflection expression; two
 subexpressions over different expressions are never equal.
 """
 
 __all__ = [
-    "Subexpr", "SubSet", "SubGraph", "CAP",
+    "Subexpr", "SubSet", "SubAnalysis", "SubGraph", "CAP",
     "rel_card", "enumerate_sub", "equiv_class", "graph", "components",
     "frozen_set", "unfrozen_set", "con_component", "balance", "balanced_set",
     "ENUM_IMPLEMENTATION",
@@ -153,6 +159,14 @@ class SubSet:
     def subexprs(self) -> Tuple[Subexpr, ...]:
         return tuple(Subexpr(self.expr, b) for b in self.members)
 
+    def analysis(self) -> "SubAnalysis":
+        """The analysis of this set, built on first use and cached here."""
+        cached = getattr(self, "_analysis_cache", None)
+        if cached is None:
+            cached = SubAnalysis(self)
+            object.__setattr__(self, "_analysis_cache", cached)
+        return cached
+
     def restrict(self, bits_set) -> "SubSet":
         keep = {tuple(b) for b in bits_set}
         return SubSet(self.expr, self.target,
@@ -168,6 +182,139 @@ class SubSet:
     def __repr__(self) -> str:
         body = ",".join("".join(map(str, b)) for b in self.members)
         return f"SubSet[{body}]"
+
+
+def _mask(positions: Sequence[int]) -> int:
+    """A set of positions as an integer: position i is bit i - 1."""
+    out = 0
+    for i in positions:
+        out |= 1 << (i - 1)
+    return out
+
+
+def _positions(Mp: Sequence[int], S: int) -> Tuple[int, ...]:
+    """The positions of Mp picked by the submask S (bit b picks Mp[b])."""
+    return tuple(x for b, x in enumerate(Mp) if S >> b & 1)
+
+
+def _indices(mask: int):
+    """The indices of the set bits of mask, increasing."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class SubAnalysis:
+    """
+    A set of subexpressions analysed once.  Member i is `members[i]`, with
+    position mask `masks[i]`; `index` maps bits back to i.  Sets of members
+    are bitmasks over member indices.
+
+    `per_p[i]` lists (p, M_p, folds) over the nonempty M_p(eps) of member
+    eps = i, sorted by p.  A subset of M_p is a submask S, whose bit b picks
+    M_p[b].  folds[S], for even |S|, is the index of f_S eps, or -1 when
+    that fold leaves the set (-1 for odd |S|).
+
+    `adj[i]` is the mask of the neighbours of member i in the graph of the
+    whole set.  The graph on a subset Phi is the subgraph induced on Phi,
+    because whether two members are joined depends on those two alone.
+    """
+
+    def __init__(self, sub: SubSet):
+        self.expr = sub.expr
+        self.members = sub.members
+        self.masks = tuple(_mask([i + 1 for i, b in enumerate(bits) if b])
+                           for bits in sub.members)
+        self.index = {bits: i for i, bits in enumerate(sub.members)}
+        by_mask = {mk: i for i, mk in enumerate(self.masks)}
+        adj = [0] * len(self.members)
+        per_p = []
+        for i, bits in enumerate(self.members):
+            rows = []
+            allM = Subexpr(self.expr, bits).all_M()
+            for p, Mp in sorted(allM.items(), key=lambda kv: (kv[0].i, kv[0].j)):
+                size = 1 << len(Mp)
+                pos = [0] * size
+                folds = [-1] * size
+                for S in range(1, size):
+                    low = S & -S
+                    pos[S] = pos[S ^ low] | 1 << (Mp[low.bit_length() - 1] - 1)
+                    if S.bit_count() % 2:
+                        continue
+                    j = folds[S] = by_mask.get(self.masks[i] ^ pos[S], -1)
+                    if j >= 0:
+                        adj[i] |= 1 << j
+                        adj[j] |= 1 << i
+                folds[0] = i
+                rows.append((p, Mp, tuple(folds)))
+            per_p.append(tuple(rows))
+        self.per_p = tuple(per_p)
+        self.adj = tuple(adj)
+        self._reach: Dict[int, tuple] = {}
+
+    def reach(self, i: int) -> tuple:
+        """(p, M_p, reach) over the rows of `per_p[i]`, built on first use:
+        reach[S] is the mask of the members f_Y eps over even Y inside S, or
+        None when one of them leaves the set."""
+        rows = self._reach.get(i)
+        if rows is None:
+            outside = 1 << len(self.members)   # marks a fold leaving the set
+            rows = []
+            for p, Mp, folds in self.per_p[i]:
+                reach = [0 if S.bit_count() % 2 else
+                         outside if j < 0 else 1 << j
+                         for S, j in enumerate(folds)]
+                for b in range(len(Mp)):       # OR over the subsets of S
+                    bit = 1 << b
+                    for S in range(len(reach)):
+                        if S & bit:
+                            reach[S] |= reach[S ^ bit]
+                rows.append((p, Mp, tuple(None if r & outside else r
+                                          for r in reach)))
+            rows = self._reach[i] = tuple(rows)
+        return rows
+
+    def require(self, eps: Subexpr) -> int:
+        """The index of eps; ValueError if eps is not a member."""
+        i = self.index.get(eps.bits) if eps.expr == self.expr else None
+        if i is None:
+            raise ValueError(f"{eps!r} is not in Sub(t, w)")
+        return i
+
+    def mask_of(self, bits_set) -> int:
+        """The members among bits_set, as a mask; non-members are ignored."""
+        out = 0
+        for bits in bits_set:
+            i = self.index.get(tuple(bits))
+            if i is not None:
+                out |= 1 << i
+        return out
+
+    def bits_of(self, mask: int) -> Tuple[Bits, ...]:
+        return tuple(self.members[i] for i in _indices(mask))
+
+    def frozen(self, i: int, X: int) -> int:
+        """The members agreeing with member i at the positions of mask X;
+        with X = ~mask, the members differing from it only inside mask."""
+        mi = self.masks[i]
+        out = 0
+        for j, mj in enumerate(self.masks):
+            if not (mi ^ mj) & X:
+                out |= 1 << j
+        return out
+
+    def component(self, i: int, within: int) -> int:
+        """The connected component of member i in the graph induced on the
+        members of `within`, which must contain i."""
+        comp = frontier = 1 << i
+        while frontier:
+            nxt = 0
+            for j in _indices(frontier):
+                nxt |= self.adj[j]
+            frontier = nxt & within & ~comp
+            comp |= frontier
+        return comp
 
 
 @dataclass(frozen=True)
@@ -257,19 +404,15 @@ def equiv_class(eps: Subexpr, p: Reflection, target_restricted: bool) -> SubSet:
 def graph(Phi: SubSet) -> SubGraph:
     """Gr(Phi): edges {eps, delta} with delta = f_Y eps, Y an even subset of
     some M_p(eps) with |Y| >= 2, both endpoints in Phi."""
-    members = set(Phi.members)
+    an = Phi.analysis()
     edges: Dict[Tuple[Bits, Bits], Tuple[Reflection, Tuple[int, ...]]] = {}
-    for bits in Phi.members:
-        eps = Subexpr(Phi.expr, bits)
-        for p, Mp in sorted(eps.all_M().items(), key=lambda kv: (kv[0].i, kv[0].j)):
-            if len(Mp) < 2:
-                continue
-            for Y in _even_subsets(Mp):
-                if len(Y) < 2:
+    for bits, rows in zip(an.members, an.per_p):
+        for p, Mp, folds in rows:
+            for S, j in enumerate(folds):
+                if j < 0 or not S:
                     continue
-                other = eps.fold(Y).bits
-                if other == bits or other not in members:
-                    continue
+                Y = _positions(Mp, S)
+                other = an.members[j]
                 key = (min(bits, other), max(bits, other))
                 if key not in edges or (p.i, p.j, Y) < (
                         edges[key][0].i, edges[key][0].j, edges[key][1]):
@@ -301,39 +444,33 @@ def components(G: SubGraph) -> Tuple[Tuple[Bits, ...], ...]:
     return tuple(sorted(comps, key=lambda c: c[0]))
 
 
-def _require_member(sub: SubSet, eps: Subexpr):
-    if eps.bits not in set(sub.members):
-        raise ValueError("subexpression not in the given set")
+def _checked_mask(sub: SubSet, X: Sequence[int]) -> int:
+    if any(not 1 <= x <= len(sub.expr) for x in X):
+        raise ValueError(f"positions {tuple(X)} not in 1..{len(sub.expr)}")
+    return _mask(X)
 
 
 def frozen_set(sub: SubSet, eps: Subexpr, X: Sequence[int]) -> SubSet:
     """Sub^X(t, w, eps): members agreeing with eps at every position of X."""
-    _require_member(sub, eps)
-    Xs = set(X)
-    keep = [b for b in sub.members
-            if all(b[i - 1] == eps.bits[i - 1] for i in Xs)]
-    return SubSet(sub.expr, sub.target, tuple(keep))
+    an = sub.analysis()
+    keep = an.frozen(an.require(eps), _checked_mask(sub, X))
+    return SubSet(sub.expr, sub.target, an.bits_of(keep))
 
 
 def unfrozen_set(sub: SubSet, eps: Subexpr, X: Sequence[int]) -> SubSet:
     """Sub_X(t, w, eps): members differing from eps only inside X."""
-    _require_member(sub, eps)
-    Xs = set(X)
-    keep = [b for b in sub.members
-            if all(i in Xs for i in range(1, len(b) + 1)
-                   if b[i - 1] != eps.bits[i - 1])]
-    return SubSet(sub.expr, sub.target, tuple(keep))
+    an = sub.analysis()
+    keep = an.frozen(an.require(eps), ~_checked_mask(sub, X))
+    return SubSet(sub.expr, sub.target, an.bits_of(keep))
 
 
 def con_component(sub: SubSet, eps: Subexpr, Y: Sequence[int]) -> SubSet:
     """Sub^Y_con(t, w, eps): the connected component of the frozen set
     containing eps, in the graph induced on the frozen set."""
-    frozen = frozen_set(sub, eps, Y)
-    G = graph(frozen)
-    for comp in components(G):
-        if eps.bits in comp:
-            return SubSet(sub.expr, sub.target, comp)
-    raise AssertionError("eps not found in its own frozen set")
+    an = sub.analysis()
+    i = an.require(eps)
+    comp = an.component(i, an.frozen(i, _checked_mask(sub, Y)))
+    return SubSet(sub.expr, sub.target, tuple(sorted(an.bits_of(comp))))
 
 
 def balance(eps: Subexpr):

@@ -1,0 +1,118 @@
+"""
+Differential tests: the analysis-backed graph, frozen sets, connected
+components, closeness and family growth against the brute-force reference
+implementations in `oracle.py`.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from bsbimod import orderalg
+from bsbimod.coxeter import Reflection, ReflExpr
+from bsbimod.subexpr import (Subexpr, enumerate_sub, graph, frozen_set,
+                             unfrozen_set, con_component)
+from bsbimod.orderalg import closeness, algorithm1, algorithm2
+import oracle
+from conftest import random_expr
+
+
+@st.composite
+def sub_sets(draw, max_len=7):
+    """Sub(t, w) for a random S_3/S_4 expression t, with w the target of a
+    random subexpression, so that the set is never empty."""
+    n = draw(st.sampled_from([3, 4]))
+    m = draw(st.integers(1, max_len))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
+                          .filter(lambda ab: ab[0] != ab[1]),
+                          min_size=m, max_size=m))
+    t = ReflExpr(n, tuple(Reflection(min(a, b), max(a, b), n)
+                          for a, b in pairs))
+    bits = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    return enumerate_sub(t, Subexpr(t, bits).target())
+
+
+@st.composite
+def closeness_cases(draw):
+    """(Sub(t, w), Phi, eps) with Phi a random subset and eps outside it."""
+    sub = draw(sub_sets())
+    eps_bits = draw(st.sampled_from(sub.members))
+    phi = frozenset(b for b in sub.members
+                    if b != eps_bits and draw(st.booleans()))
+    return sub, phi, Subexpr(sub.expr, eps_bits)
+
+
+positions = st.sets(st.integers(1, 7))
+
+
+class TestAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(closeness_cases(), st.sampled_from(["plain", "con"]))
+    def test_closeness(self, case, mode):
+        sub, phi, eps = case
+        assert closeness(sub, phi, eps, mode) == \
+            oracle.closeness(sub, phi, eps, mode)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sub_sets(), st.data())
+    def test_sets_and_components(self, sub, data):
+        eps = Subexpr(sub.expr, data.draw(st.sampled_from(sub.members)))
+        X = sorted(x for x in data.draw(positions) if x <= len(eps))
+        assert frozen_set(sub, eps, X) == oracle.frozen_set(sub, eps, X)
+        assert unfrozen_set(sub, eps, X) == oracle.unfrozen_set(sub, eps, X)
+        assert con_component(sub, eps, X) == oracle.con_component(sub, eps, X)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sub_sets(), st.data())
+    def test_graph_of_subsets(self, sub, data):
+        assert graph(sub) == oracle.graph(sub)
+        keep = [b for b in sub.members if data.draw(st.booleans())]
+        Phi = sub.restrict(keep)
+        assert graph(Phi) == oracle.graph(Phi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sub_sets(max_len=5))
+    def test_graph_of_all_subexpressions(self, sub):
+        full = enumerate_sub(sub.expr, "all")
+        assert graph(full) == oracle.graph(full)
+
+    def test_family_growth(self, monkeypatch):
+        rng = random.Random(20261018)
+        cases = []
+        while len(cases) < 12:
+            t = random_expr(rng, 4, rng.randint(5, 8))
+            bits = tuple(rng.randint(0, 1) for _ in range(len(t)))
+            w = Subexpr(t, bits).target()
+            if 3 <= len(enumerate_sub(t, w)) <= 10:
+                cases.append((t, w))
+        fast = [(algorithm1(t, w), algorithm2(t, w)) for t, w in cases]
+        monkeypatch.setattr(orderalg, "closeness", oracle.closeness)
+        slow = [(algorithm1(t, w), algorithm2(t, w)) for t, w in cases]
+        assert fast == slow
+
+
+class TestAnalysis:
+    def test_cached_per_instance(self):
+        t = ReflExpr(3, tuple(Reflection(1, 2, 3) for _ in range(4)))
+        sub = enumerate_sub(t, "all")
+        assert getattr(sub, "_analysis_cache", None) is None  # lazy
+        assert sub.analysis() is sub.analysis()
+        assert enumerate_sub(t, "all").analysis() is not sub.analysis()
+
+    def test_fold_reach_marks_leaving_folds(self):
+        # t = (1,2)(1,2): M_p(00) = (1, 2) and f_{1,2} 00 = 11, which lies in
+        # Sub(t) but not in the subset {00, 01}
+        t = ReflExpr(2, (Reflection(1, 2, 2), Reflection(1, 2, 2)))
+        sub = enumerate_sub(t, "all")
+        an = sub.analysis()
+        i, j = an.index[(0, 0)], an.index[(1, 1)]
+        (p, Mp, folds), = an.per_p[i]
+        (_, _, reach), = an.reach(i)
+        assert Mp == (1, 2) and folds[0b11] == j
+        assert reach[0b11] == (1 << i) | (1 << j)
+        part = sub.restrict([(0, 0), (0, 1)]).analysis()
+        k = part.index[(0, 0)]
+        (_, _, folds), = part.per_p[k]
+        (_, _, reach), = part.reach(k)
+        assert folds[0b11] == -1 and reach[0b11] is None
+        assert reach[0b01] == 1 << k

@@ -5,7 +5,9 @@ import pytest
 from bsbimod import cli
 from bsbimod.coxeter import Reflection, ReflExpr
 from bsbimod.polyring import Polynomial
-from bsbimod.locmod import res_tensor
+from bsbimod.coxeter import Permutation
+from bsbimod.locmod import indicator, res_tensor
+from bsbimod.subexpr import enumerate_sub
 
 
 EX2 = "(1,3)(2,4)(1,2)(3,4)(1,4)(2,3)"
@@ -74,6 +76,19 @@ class TestMembershipExpress:
         assert rc == 0
         obj = json.loads(out_path.read_text())
         assert set(obj.keys()) == {"DD", "DN", "ND", "NN"}
+
+    def test_phi_outside_domain_is_usage_error(self, capsys, tmp_path):
+        t = cli.parse_expr("(1,2)(2,3)(1,2)(1,3)(1,2)(2,3)")
+        sub = enumerate_sub(t, Permutation.identity(3))
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(indicator(sub, ()).to_json()))
+        args = ["membership", "--fn", str(path), "--variant", "XwPhi"]
+        rc, out = run(capsys, args + ["--phi", "000000,001010"])
+        assert rc == 0 and out.startswith("member")
+        rc = cli.main(args + ["--phi", "000000,101010,01x"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert "not in the domain: 101010, 01x" in err
 
     def test_missing_file(self, capsys):
         rc, _ = run(capsys, ["membership", "--fn", "/nonexistent.json"])

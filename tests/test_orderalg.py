@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -10,6 +14,9 @@ from bsbimod.orderalg import (closeness, step_generator, algorithm1,
                               acyclic_rank, residual_constraints)
 from bsbimod.locmod import membership
 from conftest import random_expr, reachable_targets
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def two_solution_expr():
@@ -42,6 +49,14 @@ class TestCloseness:
         zero = (0,) * 6
         with pytest.raises(ValueError):
             closeness(sub, frozenset({zero}), Subexpr(t, zero))
+
+    def test_rejects_non_member(self):
+        t = two_solution_expr()
+        sub = enumerate_sub(t, Permutation.identity(4))
+        outside = Subexpr(t, (1, 0, 0, 0, 0, 0))
+        with pytest.raises(ValueError, match=r"Subexpr\(100000\) is not in "
+                                             r"Sub\(t, w\)"):
+            closeness(sub, frozenset(), outside)
 
     def test_step_generator_membership(self):
         t = two_solution_expr()
@@ -86,6 +101,36 @@ class TestAlgorithms:
         res = algorithm2(t, Permutation.identity(3), greedy=True)
         assert res.outcome == "completed"
         assert res.P == GradedRank({0: 1, -2: 3, -4: 1})
+
+
+class TestRankInvariant:
+    def test_checked_under_optimize(self):
+        # certificates whose distances grow with every call give two paths
+        # to the same family two different ranks
+        script = textwrap.dedent("""
+            import dataclasses, itertools, sys
+            from bsbimod import orderalg
+            from bsbimod.cli import parse_expr
+            from bsbimod.coxeter import Permutation
+            assert not __debug__
+            real, calls = orderalg.closeness, itertools.count()
+            def skewed(*args):
+                cert = real(*args)
+                return cert and dataclasses.replace(
+                    cert, dist=cert.dist + 2 * next(calls))
+            orderalg.closeness = skewed
+            t = parse_expr("(1,3)(2,4)(1,2)(3,4)(1,4)(2,3)")
+            try:
+                orderalg.algorithm2(t, Permutation.identity(4))
+            except orderalg.InvariantError as exc:
+                assert isinstance(exc, AssertionError)
+                print("rank mismatch:", exc)
+            """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.startswith("rank mismatch: rank mismatch at")
 
 
 class TestChainRun:

@@ -171,6 +171,15 @@ class TestFrozenSets:
         for b in unf.members:
             assert all(b[i] == eps.bits[i] for i in range(2, 5))
 
+    def test_positions_out_of_range(self):
+        t = make_sequence("D", (1, 2, 3), 3)
+        sub = enumerate_sub(t, Permutation.identity(3))
+        eps = Subexpr(t, sub.members[0])
+        for fn in (frozen_set, unfrozen_set, con_component):
+            for X in ((0,), (len(t) + 1,)):
+                with pytest.raises(ValueError, match="not in 1.."):
+                    fn(sub, eps, X)
+
     def test_con_component_within_frozen(self):
         t = make_sequence("D", (1, 2, 3), 3)
         sub = enumerate_sub(t, Permutation.identity(3))
