@@ -2,7 +2,7 @@
 Command-line front end: enumeration, graphs, membership and basis tooling,
 the two family-growth algorithms, the balanced and acyclic shortcuts, the
 string-module calculator, the D-sequence reports, and the built-in
-verification suite.  All outputs are deterministic for a fixed seed.
+verification suite.  All outputs are deterministic.
 """
 
 __all__ = ["main"]
@@ -43,12 +43,15 @@ def parse_expr(text: str, n: Optional[int] = None) -> ReflExpr:
         pass
     pairs = re.findall(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", text)
     if not pairs:
-        raise ValueError(f"cannot read reflection expression from {text!r}")
+        raise UsageError(f"cannot read reflection expression from {text!r}")
     pairs = [(int(a), int(b)) for a, b in pairs]
     if n is None:
         n = max(max(p) for p in pairs)
-    return ReflExpr(n, tuple(Reflection(min(a, b), max(a, b), n)
-                             for a, b in pairs))
+    try:
+        return ReflExpr(n, tuple(Reflection(min(a, b), max(a, b), n)
+                                 for a, b in pairs))
+    except ValueError as exc:
+        raise UsageError(f"bad reflection expression {text!r}: {exc}")
 
 
 def parse_perm(text: str, n: int):
@@ -56,9 +59,12 @@ def parse_perm(text: str, n: int):
         return "all"
     if text in ("id", "1"):
         return Permutation.identity(n)
-    images = tuple(int(x) for x in re.split(r"[,\s]+", text.strip()) if x)
+    try:
+        images = tuple(int(x) for x in re.split(r"[,\s]+", text.strip()) if x)
+    except ValueError:
+        images = ()
     if sorted(images) != list(range(1, n + 1)):
-        raise ValueError(f"{text!r} is not a permutation of 1..{n}")
+        raise UsageError(f"{text!r} is not a permutation of 1..{n}")
     return Permutation(images)
 
 
@@ -71,14 +77,14 @@ def parse_root(text: str, n: int) -> Polynomial:
     out = Polynomial.zero(n)
     for m in _TERM.finditer(text.replace(" ", "")):
         if m.start() != pos:
-            raise ValueError(f"cannot parse root {text!r}")
+            raise UsageError(f"cannot parse root {text!r}")
         pos = m.end()
         coeff = Fraction(int(m.group(2) or 1))
         if m.group(1) == "-":
             coeff = -coeff
         out = out + Polynomial.var(n, int(m.group(3))).scale(coeff)
     if pos != len(text.replace(" ", "")):
-        raise ValueError(f"cannot parse root {text!r}")
+        raise UsageError(f"cannot parse root {text!r}")
     return out
 
 
@@ -250,7 +256,8 @@ def cmd_st(args) -> int:
         amb_n = args.ambient or 0
         if not amb_n:
             # infer the ambient variable count from the roots
-            probe = max(int(x) for x in re.findall(r"e(\d+)", args.roots))
+            probe = max((int(x) for x in re.findall(r"e(\d+)", args.roots)),
+                        default=0)
             amb_n = probe
         roots = parse_roots(args.roots, amb_n)
         n_roots, _, _ = strmod.coordinate_change(roots)
@@ -311,8 +318,7 @@ def cmd_dseq(args) -> int:
         obj = {"n": n, "k": table.k, "i": list(table.i),
                "outcome": report["outcome"], "step": report["step"],
                "P": report["P"].to_json(),
-               "structure_checks": {k: bool(v) for k, v in checks.items()},
-               "seed": args.seed}
+               "structure_checks": {k: bool(v) for k, v in checks.items()}}
         if report["outcome"] == "premature":
             obj["residual_roots"] = [r.to_json()
                                      for r in report["residual_roots"]]
@@ -387,10 +393,6 @@ def _add_common(p, expr=False, target=False):
         p.add_argument("--target", default="all",
                        help="one-line permutation, 'id', or 'all'")
     p.add_argument("--json", default=None, metavar="OUT")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=0,
-                   help="parallelism bound (0 = auto); results do not "
-                        "depend on it")
 
 
 def build_parser() -> argparse.ArgumentParser:

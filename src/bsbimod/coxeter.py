@@ -124,10 +124,6 @@ class Reflection:
         return f"({self.i},{self.j})"
 
 
-def root_of(t: Reflection) -> Polynomial:
-    return t.root()
-
-
 @dataclass(frozen=True)
 class ReflExpr:
     """A finite sequence of reflections in a fixed S_n."""

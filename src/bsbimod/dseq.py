@@ -15,7 +15,7 @@ __all__ = [
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .polyring import Polynomial, GradedRank
+from .polyring import Polynomial, GradedRank, InvariantError
 from .coxeter import (Permutation, Reflection, ReflExpr, make_sequence,
                       shift, reverse, fold_expr)
 from .subexpr import Subexpr, enumerate_sub, graph, components, con_component
@@ -322,17 +322,19 @@ def dichotomy_report(n: int, k: int = 0, i: Optional[Sequence[int]] = None) -> d
     report: dict = {"n": n, "k": k, "i": table.i, "outcome": res.outcome,
                     "step": res.step}
     if n == 3:
-        assert res.outcome == "completed", res.outcome
-        assert res.P == GradedRank({0: 1, -2: 3, -4: 1}), str(res.P)
+        if res.outcome != "completed":
+            raise InvariantError(res.outcome)
+        if res.P != GradedRank({0: 1, -2: 3, -4: 1}):
+            raise InvariantError(str(res.P))
         report["P"] = res.P
         return report
 
-    assert res.outcome == "premature" and res.step == n + 1, \
-        (res.outcome, res.step)
+    if not (res.outcome == "premature" and res.step == n + 1):
+        raise InvariantError((res.outcome, res.step))
     survivors = res.trace[res.step]
     expected_P = GradedRank({0: 1, -2: n})
-    assert all(P == expected_P for P in survivors.values()), \
-        [str(P) for P in survivors.values()]
+    if not all(P == expected_P for P in survivors.values()):
+        raise InvariantError([str(P) for P in survivors.values()])
     report["P"] = expected_P
 
     # residual constraints: string pattern on n-1 independent roots, and the
@@ -356,7 +358,8 @@ def dichotomy_report(n: int, k: int = 0, i: Optional[Sequence[int]] = None) -> d
         else:
             matched_chords.append(match)
         last_roots = list(rr.roots)
-    assert pattern_ok, "residual is not the expected string pattern"
+    if not pattern_ok:
+        raise InvariantError("residual is not the expected string pattern")
     report["residual_roots"] = last_roots
 
     # string module on those roots: pd = n-3; dual resolution two-term
@@ -364,9 +367,12 @@ def dichotomy_report(n: int, k: int = 0, i: Optional[Sequence[int]] = None) -> d
     gens = strmod.st_generators(n_roots, extra=t.n - n_roots)
     _, order = strmod.st_ambient(n_roots, extra=t.n - n_roots)
     p, degs = strmod.pd(gens, order)
-    assert p == n - 3, (p, n - 3)
+    if p != n - 3:
+        raise InvariantError((p, n - 3))
     report["pd_string"] = p
     dual = strmod.dual_toolkit(n_roots, extra=t.n - n_roots)
-    assert dual["shape_ok"] and dual["kernel_is_w"] and dual["theta_groebner"]
+    if not (dual["shape_ok"] and dual["kernel_is_w"]
+            and dual["theta_groebner"]):
+        raise InvariantError("the dual string module has the wrong shape")
     report["dual"] = dual
     return report

@@ -20,8 +20,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from .polyring import (Polynomial, RationalFn, act, exact_div,
                        divisible_by_power, NotDivisible)
 from .coxeter import Permutation, Reflection, ReflExpr, truncate
-from .subexpr import (Subexpr, SubSet, enumerate_sub, rel_card,
-                      _even_subsets, _all_subsets)
+from .subexpr import Subexpr, SubSet, enumerate_sub, _fold_terms
 
 Bits = Tuple[int, ...]
 
@@ -151,43 +150,29 @@ def res_tensor(t: ReflExpr, a: Sequence[Polynomial]) -> FnOnSub:
     return FnOnSub(dom, values)
 
 
+def _signed_sum(g: FnOnSub, terms) -> Polynomial:
+    """The sum of sign * g(member j) over (j, sign) in terms."""
+    members = g.domain.members
+    out = Polynomial.zero(g.domain.expr.n)
+    for j, sign in terms:
+        value = g.values[members[j]]
+        out = out + value if sign > 0 else out - value
+    return out
+
+
 def sigma(g: FnOnSub, eps: Subexpr, X: Sequence[int], variant: str = "full"
           ) -> Polynomial:
     """Sigma_X^eps(g) = sum over Y subset X of (-1)^{|Y|_X} g(f_Y eps),
     over all subsets ("full") or only even ones ("even")."""
-    X = sorted(set(X))
-    if X:
-        ps = {eps.refl_at(x) for x in X}
-        if len(ps) > 1:
-            raise ValueError("X must lie inside a single M_p(eps)")
-    gen = _all_subsets(X) if variant == "full" else _even_subsets(X)
-    out = Polynomial.zero(eps.expr.n)
-    for Y in gen:
-        term = g(eps.fold(Y))
-        if rel_card(Y, X) % 2:
-            term = -term
-        out = out + term
-    return out
-
-
-def _condition_stream(g: FnOnSub, variant: str):
-    """Yield (eps, p, X) with X a nonempty subset of M_p(eps), deduplicated
-    across the =._p class action, in lexicographic order."""
-    seen = set()
-    for bits in g.domain.members:
-        eps = Subexpr(g.domain.expr, bits)
-        for p, Mp in sorted(eps.all_M().items(), key=lambda kv: (kv[0].i, kv[0].j)):
-            for X in _all_subsets(Mp):
-                if not X:
-                    continue
-                folds = (_all_subsets(X) if variant == "full"
-                         else _even_subsets(X))
-                rep = min(eps.fold(Y).bits for Y in folds)
-                key = (p, X, rep)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield eps, p, X
+    an = g.domain.analysis()
+    i, X = an.require(eps), set(X)
+    if not X:
+        return g(eps)
+    for _, Mp, folds in an.per_p[i]:
+        if X <= set(Mp):
+            S = sum(1 << b for b, x in enumerate(Mp) if x in X)
+            return _signed_sum(g, _fold_terms(folds, S, variant != "full"))
+    raise ValueError("X must lie inside a single M_p(eps)")
 
 
 def membership(g: FnOnSub, kind: str, Phi: Optional[SubSet] = None):
@@ -222,13 +207,13 @@ def membership(g: FnOnSub, kind: str, Phi: Optional[SubSet] = None):
             if not g.values[tuple(bits)].is_zero():
                 return False, (Subexpr(g.domain.expr, bits), "vanish", None)
 
-    for eps, p, X in _condition_stream(g, variant):
+    an = g.domain.analysis()
+    for i, p, X, terms in an.conditions(variant == "even"):
         k = len(X) + excess
         if k <= 0:
             continue
-        val = sigma(g, eps, X, variant)
-        if not divisible_by_power(val, p.root(), k):
-            return False, (eps, p, X)
+        if not divisible_by_power(_signed_sum(g, terms), p.root(), k):
+            return False, (Subexpr(g.domain.expr, an.members[i]), p, X)
     return True, None
 
 

@@ -16,11 +16,11 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .polyring import Polynomial, GradedRank
+from .polyring import Polynomial, GradedRank, InvariantError
 from .coxeter import Permutation, Reflection, ReflExpr
 from .subexpr import (Subexpr, SubSet, SubGraph, enumerate_sub, graph,
-                      components, con_component, balance, _even_subsets,
-                      _all_subsets, _indices, _mask, _positions)
+                      components, con_component, balance, _indices, _mask,
+                      _positions)
 from .locmod import FnOnSub, nabla_X, indicator, membership
 
 Bits = Tuple[int, ...]
@@ -51,11 +51,6 @@ class AlgoResult:
     # increments[k] maps Phi (at step k) -> set of cdists used to reach it
     increments: List[Dict[FrozenSet[Bits], set]] = field(default_factory=list)
     last_additions: List[Tuple[FrozenSet[Bits], Bits, int]] = field(default_factory=list)
-
-
-class InvariantError(AssertionError):
-    """A broken internal invariant.  Raised explicitly, so the check also
-    runs under `python -O`."""
 
 
 def _candidates_plain(F: List[int], np: int, Mp: Tuple[int, ...]
@@ -393,39 +388,20 @@ def residual_constraints(t: ReflExpr, w: Permutation, Phi) -> ResidualReport:
                          (Phi.members if isinstance(Phi, SubSet) else Phi))
     free = tuple(b for b in sub.members if b not in phi_bits)
 
-    seen = set()
+    an = sub.analysis()
+    phi = an.mask_of(phi_bits)
     congs: List[Congruence] = []
-    for bits in sub.members:
-        eps = Subexpr(t, bits)
-        for p, Mp in sorted(eps.all_M().items(), key=lambda kv: (kv[0].i, kv[0].j)):
-            for X in _all_subsets(Mp):
-                if len(X) < 2:
-                    continue
-                rep = min(eps.fold(Y).bits for Y in _even_subsets(X))
-                key = (p, X, rep)
-                if key in seen:
-                    continue
-                seen.add(key)
-                terms = []
-                from .subexpr import rel_card
-                for Y in _even_subsets(X):
-                    fb = eps.fold(Y).bits
-                    sign = -1 if rel_card(Y, X) % 2 else 1
-                    if fb not in phi_bits:
-                        terms.append((fb, sign))
-                if not terms:
-                    continue
-                power = len(X) - 1
-                members = tuple(tb for tb, _ in terms)
-                signs = tuple(s for _, s in terms)
-                if len(terms) == 1:
-                    kind = "zero"
-                elif len(terms) == 2:
-                    kind = "pair"
-                else:
-                    kind = "multi"
-                congs.append(Congruence(kind, members, signs, p.root(),
-                                        power, (bits, p, X)))
+    for i, p, X, terms in an.conditions(even=True):
+        if len(X) < 2:
+            continue
+        kept = [(j, sign) for j, sign in terms if not phi >> j & 1]
+        if not kept:
+            continue
+        members = tuple(an.members[j] for j, _ in kept)
+        signs = tuple(sign for _, sign in kept)
+        kind = {1: "zero", 2: "pair"}.get(len(kept), "multi")
+        congs.append(Congruence(kind, members, signs, p.root(),
+                                len(X) - 1, (an.members[i], p, X)))
 
     # -- string-module pattern detection
     pattern, roots, path, independent = _detect_string(free, congs)

@@ -15,7 +15,7 @@ e1 + e2
 """
 
 __all__ = [
-    "Polynomial", "RationalFn", "GradedRank", "NotDivisible",
+    "Polynomial", "RationalFn", "GradedRank", "NotDivisible", "InvariantError",
     "act", "exact_div", "divisible_by_power", "demazure", "wp",
 ]
 
@@ -27,6 +27,11 @@ Scalar = Union[int, Fraction]
 
 class NotDivisible(Exception):
     """Raised when an exact polynomial division fails."""
+
+
+class InvariantError(AssertionError):
+    """A broken internal invariant.  Raised explicitly, so the check also
+    runs under `python -O`."""
 
 
 def _glex_key(item):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .polyring import Polynomial, GradedRank
+from .polyring import Polynomial, GradedRank, InvariantError
 
 Mono = Tuple[int, ...]
 
@@ -284,7 +284,9 @@ def syzygies(gb: GroebnerBasis, n_gens: int) -> List[FreeModElem]:
             mj, uj = _mono_sub(lcm, ej), Fraction(1) / cj
             s = G[i].mono_mul(mi, ui) - G[j].mono_mul(mj, uj)
             quots, rem = reduce_elem(s, G, order)
-            assert rem.is_zero(), "completed basis failed to reduce an S-pair"
+            if not rem.is_zero():
+                raise InvariantError(
+                    "completed basis failed to reduce an S-pair")
             # syzygy of G: ui E_i - uj E_j - sum quots_k E_k
             coeffs = [Polynomial.zero(n) for _ in G]
             coeffs[i] = coeffs[i] + Polynomial(n, {mi: ui})

@@ -6,16 +6,17 @@ unfrozen subexpression sets, and balancedness.
 
 A `SubSet` is analysed once, on first use (`SubSet.analysis`): member
 indices and bit masks, each member's `all_M`, the members reached by its
-even folds, and the adjacency of its full graph.  The graph, frozen-set and
-connected-component functions, and closeness in `orderalg`, read from that
-analysis as integer bitmasks over member indices.
+folds, and the adjacency of its full graph.  The graph, frozen-set and
+connected-component functions, closeness in `orderalg`, and the divisibility
+conditions that membership and the residual constraints check, read from
+that analysis as integer bitmasks over member indices.
 
 A subexpression is a 0/1 sequence bound to its reflection expression; two
 subexpressions over different expressions are never equal.
 """
 
 __all__ = [
-    "Subexpr", "SubSet", "SubAnalysis", "SubGraph", "CAP",
+    "Subexpr", "SubSet", "SubAnalysis", "SubGraph", "CAP", "GRAPH_CAP",
     "rel_card", "enumerate_sub", "equiv_class", "graph", "components",
     "frozen_set", "unfrozen_set", "con_component", "balance", "balanced_set",
     "ENUM_IMPLEMENTATION",
@@ -27,14 +28,10 @@ from typing import Dict, FrozenSet, Optional, Sequence, Tuple, Union
 from .polyring import Polynomial, act
 from .coxeter import Permutation, Reflection, ReflExpr
 
-try:  # compiled kernel with pure-Python fallback
-    from . import _enumcore as _enum
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _enumpure as _enum
-
-ENUM_IMPLEMENTATION = _enum.IMPLEMENTATION
+ENUM_IMPLEMENTATION = "python"
 
 CAP = 24  # enumeration cap on the expression length
+GRAPH_CAP = 1024  # cap on the vertices of a graph
 
 Bits = Tuple[int, ...]
 
@@ -205,6 +202,23 @@ def _indices(mask: int):
         mask ^= low
 
 
+def _fold_terms(folds: Sequence[int], S: int, even: bool
+               ) -> Tuple[Tuple[int, int], ...]:
+    """(j, sign) over the submasks Y of S, increasing and even only if
+    `even`: j is folds[Y] and sign is (-1)^{|Y|_S}.  ValueError if a fold
+    leaves the set."""
+    odd = sum(1 << b for b in list(_indices(S))[::-2])  # from the top
+    out = []
+    for Y in range(S + 1):
+        if Y & ~S or even and Y.bit_count() % 2:
+            continue
+        j = folds[Y]
+        if j < 0:
+            raise ValueError("a fold of the subexpression leaves the set")
+        out.append((j, -1 if (Y & odd).bit_count() % 2 else 1))
+    return tuple(out)
+
+
 class SubAnalysis:
     """
     A set of subexpressions analysed once.  Member i is `members[i]`, with
@@ -213,12 +227,14 @@ class SubAnalysis:
 
     `per_p[i]` lists (p, M_p, folds) over the nonempty M_p(eps) of member
     eps = i, sorted by p.  A subset of M_p is a submask S, whose bit b picks
-    M_p[b].  folds[S], for even |S|, is the index of f_S eps, or -1 when
-    that fold leaves the set (-1 for odd |S|).
+    M_p[b].  folds[S] is the index of f_S eps, or -1 when that fold leaves
+    the set.  Odd folds change the target, so they leave Sub(t, w); on
+    Sub(t) they stay, and the full-variant conditions read them.
 
     `adj[i]` is the mask of the neighbours of member i in the graph of the
-    whole set.  The graph on a subset Phi is the subgraph induced on Phi,
-    because whether two members are joined depends on those two alone.
+    whole set, whose edges are the even folds.  The graph on a subset Phi
+    is the subgraph induced on Phi, because whether two members are joined
+    depends on those two alone.  `reach` and `graph` read even folds only.
     """
 
     def __init__(self, sub: SubSet):
@@ -240,10 +256,8 @@ class SubAnalysis:
                 for S in range(1, size):
                     low = S & -S
                     pos[S] = pos[S ^ low] | 1 << (Mp[low.bit_length() - 1] - 1)
-                    if S.bit_count() % 2:
-                        continue
                     j = folds[S] = by_mask.get(self.masks[i] ^ pos[S], -1)
-                    if j >= 0:
+                    if j >= 0 and not S.bit_count() % 2:
                         adj[i] |= 1 << j
                         adj[j] |= 1 << i
                 folds[0] = i
@@ -274,6 +288,22 @@ class SubAnalysis:
                                           for r in reach)))
             rows = self._reach[i] = tuple(rows)
         return rows
+
+    def conditions(self, even: bool):
+        """(i, p, X, terms) for the conditions Sigma_X^eps, eps = member i,
+        X a nonempty subset of M_p(eps): members in order, then p, then X as
+        increasing submasks.  Only the first (eps, X) of those whose folds
+        by subsets of X give the same members is kept."""
+        seen = set()
+        for i, rows in enumerate(self.per_p):
+            for p, Mp, folds in rows:
+                for S in range(1, len(folds)):
+                    terms = _fold_terms(folds, S, even)
+                    X = _positions(Mp, S)
+                    key = (p, X, min(j for j, _ in terms))
+                    if key not in seen:
+                        seen.add(key)
+                        yield i, p, X, terms
 
     def require(self, eps: Subexpr) -> int:
         """The index of eps; ValueError if eps is not a member."""
@@ -355,6 +385,67 @@ def rel_card(Y, X) -> int:
     return sum(1 for pos, x in enumerate(X, start=1) if pos % 2 == 1 and x in Y)
 
 
+def _target_masks(n: int, trans, target) -> list:
+    """
+    The bitmasks, increasing, whose subproduct of `trans` is `target`;
+    position i in 1..m is bit m - i, so numeric order on masks is
+    lexicographic order on bit tuples.  `trans` lists 0-based (i, j) pairs
+    and `target` is a 0-based one-line image tuple.
+
+    A depth-first scan over the 2^m bit choices, pruned with suffix
+    reachability: the prefix u extends to the target iff u^{-1} w is a
+    product of some subset of the remaining transpositions.
+    """
+    m = len(trans)
+    identity = tuple(range(n))
+
+    # reachable[i] = set of products of subsets of trans[i:], as tuples
+    reachable = [None] * (m + 1)
+    reachable[m] = {identity}
+    for i in range(m - 1, -1, -1):
+        a, b = trans[i]
+        prev = reachable[i + 1]
+        cur = set(prev)
+        for s in prev:
+            # left-multiply by the transposition (a b): swap the values a, b
+            lst = list(s)
+            for x in range(n):
+                if lst[x] == a:
+                    lst[x] = b
+                elif lst[x] == b:
+                    lst[x] = a
+            cur.add(tuple(lst))
+        reachable[i] = cur
+
+    out = []
+    prefix = list(range(n))  # running prefix product, one-line
+
+    def residual():
+        # (prefix^{-1} target) as a tuple
+        inv = [0] * n
+        for x in range(n):
+            inv[prefix[x]] = x
+        return tuple(inv[target[x]] for x in range(n))
+
+    def dfs(i, mask):
+        if i == m:
+            if residual() == identity:
+                out.append(mask)
+            return
+        if residual() not in reachable[i]:
+            return
+        # bit 0 first for lexicographic output order
+        dfs(i + 1, mask)
+        a, b = trans[i]
+        # right-multiply the prefix by (a b): swap the entries at a and b
+        prefix[a], prefix[b] = prefix[b], prefix[a]
+        dfs(i + 1, mask | (1 << (m - 1 - i)))
+        prefix[a], prefix[b] = prefix[b], prefix[a]
+
+    dfs(0, 0)
+    return out
+
+
 def enumerate_sub(t: ReflExpr, w: Union[Permutation, str, None] = "all",
                   cap: int = CAP) -> SubSet:
     """Sub(t) (w = "all"/None) or Sub(t, w), canonically (lexicographically)
@@ -370,7 +461,7 @@ def enumerate_sub(t: ReflExpr, w: Union[Permutation, str, None] = "all",
         raise TypeError("target must be a Permutation or 'all'")
     trans = [(r.i - 1, r.j - 1) for r in t.entries]
     target = tuple(v - 1 for v in w.images)
-    masks = _enum.target_masks(t.n, trans, target)
+    masks = _target_masks(t.n, trans, target)
     members = tuple(tuple((mask >> (m - 1 - i)) & 1 for i in range(m))
                     for mask in masks)
     return SubSet(t, w, members)
@@ -403,13 +494,17 @@ def equiv_class(eps: Subexpr, p: Reflection, target_restricted: bool) -> SubSet:
 
 def graph(Phi: SubSet) -> SubGraph:
     """Gr(Phi): edges {eps, delta} with delta = f_Y eps, Y an even subset of
-    some M_p(eps) with |Y| >= 2, both endpoints in Phi."""
+    some M_p(eps) with |Y| >= 2, both endpoints in Phi.  ValueError if Phi
+    has more than GRAPH_CAP members."""
+    if len(Phi) > GRAPH_CAP:
+        raise ValueError(f"graph on {len(Phi)} vertices exceeds the cap "
+                         f"GRAPH_CAP = {GRAPH_CAP}")
     an = Phi.analysis()
     edges: Dict[Tuple[Bits, Bits], Tuple[Reflection, Tuple[int, ...]]] = {}
     for bits, rows in zip(an.members, an.per_p):
         for p, Mp, folds in rows:
             for S, j in enumerate(folds):
-                if j < 0 or not S:
+                if j < 0 or not S or S.bit_count() % 2:
                     continue
                 Y = _positions(Mp, S)
                 other = an.members[j]

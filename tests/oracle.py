@@ -1,17 +1,23 @@
 """
 Brute-force reference implementations of the subexpression graph, frozen
-sets, connected components and closeness.  They fold `Subexpr` objects and
-rebuild graphs on every call, as the library did before it read these from
-the cached `SubSet.analysis()`; the differential tests compare the two.
+sets, connected components, closeness, the divisibility conditions behind
+membership and sigma, and the residual constraints.  They fold `Subexpr`
+objects and rebuild graphs on every call, as the library did before it read
+these from the cached `SubSet.analysis()`; the differential tests compare
+the two.
 """
 
 from itertools import combinations, product
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from bsbimod.coxeter import Reflection
-from bsbimod.orderalg import ClosenessCert
+from bsbimod.locmod import FnOnSub
+from bsbimod.orderalg import (ClosenessCert, Congruence, ResidualReport,
+                              _detect_string)
+from bsbimod.polyring import Polynomial, divisible_by_power
 from bsbimod.subexpr import (Subexpr, SubSet, SubGraph, components,
-                             _even_subsets)
+                             enumerate_sub, rel_card, _even_subsets,
+                             _all_subsets)
 
 Bits = Tuple[int, ...]
 
@@ -130,3 +136,98 @@ def closeness(sub: SubSet, Phi, eps: Subexpr, mode: str = "plain"):
                       for (p, Mp, np, _), Yp in zip(per_p_choices, combo))
         return ClosenessCert(Y=Y, per_p=per_p, dist=2 * len(Y), mode=mode)
     return None
+
+
+def sigma(g: FnOnSub, eps: Subexpr, X: Sequence[int], variant: str = "full"
+          ) -> Polynomial:
+    X = sorted(set(X))
+    if X:
+        ps = {eps.refl_at(x) for x in X}
+        if len(ps) > 1:
+            raise ValueError("X must lie inside a single M_p(eps)")
+    gen = _all_subsets(X) if variant == "full" else _even_subsets(X)
+    out = Polynomial.zero(eps.expr.n)
+    for Y in gen:
+        term = g(eps.fold(Y))
+        if rel_card(Y, X) % 2:
+            term = -term
+        out = out + term
+    return out
+
+
+def condition_stream(g: FnOnSub, variant: str):
+    """(eps, p, X) with X a nonempty subset of M_p(eps), deduplicated across
+    the =._p class action, in lexicographic order."""
+    seen = set()
+    for bits in g.domain.members:
+        eps = Subexpr(g.domain.expr, bits)
+        for p, Mp in sorted(eps.all_M().items(), key=lambda kv: (kv[0].i, kv[0].j)):
+            for X in _all_subsets(Mp):
+                if not X:
+                    continue
+                folds = (_all_subsets(X) if variant == "full"
+                         else _even_subsets(X))
+                rep = min(eps.fold(Y).bits for Y in folds)
+                key = (p, X, rep)
+                if key in seen:
+                    continue
+                seen.add(key)
+                yield eps, p, X
+
+
+def membership(g: FnOnSub, kind: str, Phi=None):
+    variant = "full" if kind == "X(t)" else "even"
+    excess = -1 if kind in ("Xw", "XwPhi") else 0
+    if kind == "XwPhi":
+        for bits in Phi.members:
+            if not g.values[tuple(bits)].is_zero():
+                return False, (Subexpr(g.domain.expr, bits), "vanish", None)
+    for eps, p, X in condition_stream(g, variant):
+        k = len(X) + excess
+        if k <= 0:
+            continue
+        val = sigma(g, eps, X, variant)
+        if not divisible_by_power(val, p.root(), k):
+            return False, (eps, p, X)
+    return True, None
+
+
+def residual_constraints(t, w, Phi) -> ResidualReport:
+    sub = enumerate_sub(t, w)
+    phi_bits = frozenset(tuple(b) for b in
+                         (Phi.members if isinstance(Phi, SubSet) else Phi))
+    free = tuple(b for b in sub.members if b not in phi_bits)
+    seen = set()
+    congs: List[Congruence] = []
+    for bits in sub.members:
+        eps = Subexpr(t, bits)
+        for p, Mp in sorted(eps.all_M().items(), key=lambda kv: (kv[0].i, kv[0].j)):
+            for X in _all_subsets(Mp):
+                if len(X) < 2:
+                    continue
+                rep = min(eps.fold(Y).bits for Y in _even_subsets(X))
+                key = (p, X, rep)
+                if key in seen:
+                    continue
+                seen.add(key)
+                terms = []
+                for Y in _even_subsets(X):
+                    fb = eps.fold(Y).bits
+                    sign = -1 if rel_card(Y, X) % 2 else 1
+                    if fb not in phi_bits:
+                        terms.append((fb, sign))
+                if not terms:
+                    continue
+                power = len(X) - 1
+                members = tuple(tb for tb, _ in terms)
+                signs = tuple(s for _, s in terms)
+                if len(terms) == 1:
+                    kind = "zero"
+                elif len(terms) == 2:
+                    kind = "pair"
+                else:
+                    kind = "multi"
+                congs.append(Congruence(kind, members, signs, p.root(),
+                                        power, (bits, p, X)))
+    pattern, roots, path, independent = _detect_string(free, congs)
+    return ResidualReport(free, tuple(congs), pattern, roots, path, independent)

@@ -1,18 +1,23 @@
 """
 Differential tests: the analysis-backed graph, frozen sets, connected
-components, closeness and family growth against the brute-force reference
-implementations in `oracle.py`.
+components, closeness, family growth, membership, sigma and residual
+constraints against the brute-force reference implementations in
+`oracle.py`.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bsbimod import orderalg
 from bsbimod.coxeter import Reflection, ReflExpr
+from bsbimod.locmod import FnOnSub, membership, res_tensor, sigma
+from bsbimod.polyring import Polynomial
 from bsbimod.subexpr import (Subexpr, enumerate_sub, graph, frozen_set,
                              unfrozen_set, con_component)
-from bsbimod.orderalg import closeness, algorithm1, algorithm2
+from bsbimod.orderalg import (closeness, algorithm1, algorithm2,
+                              residual_constraints)
 import oracle
 from conftest import random_expr
 
@@ -43,6 +48,36 @@ def closeness_cases(draw):
 
 
 positions = st.sets(st.integers(1, 7))
+
+
+@st.composite
+def linear_forms(draw, n):
+    """e_a + c e_b with c in -2..2, or the constant 1."""
+    a, b = draw(st.integers(1, n)), draw(st.integers(1, n))
+    if a == b:
+        return Polynomial.one(n)
+    return Polynomial.var(n, a) + Polynomial.var(n, b).scale(
+        draw(st.integers(-2, 2)))
+
+
+@st.composite
+def functions(draw, sub):
+    """A random function on sub: the localization of a random pure tensor
+    (which meets many conditions), zero on a random part of sub, plus a
+    random linear form at a few members."""
+    t, n = sub.expr, sub.expr.n
+    g = res_tensor(t, draw(st.lists(linear_forms(n), min_size=len(t) + 1,
+                                    max_size=len(t) + 1)))
+    values = {}
+    for b in sub.members:
+        choice = draw(st.integers(0, 5))
+        if choice == 0:
+            values[b] = Polynomial.zero(n)
+        elif choice == 1:
+            values[b] = g.values[b] + draw(linear_forms(n))
+        else:
+            values[b] = g.values[b]
+    return FnOnSub(sub, values)
 
 
 class TestAgainstOracle:
@@ -91,6 +126,46 @@ class TestAgainstOracle:
         assert fast == slow
 
 
+class TestConditionsAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(sub_sets(max_len=6), st.sampled_from(["X(t)", "Xw", "X^w", "XwPhi"]),
+           st.data())
+    def test_membership(self, sub, kind, data):
+        if kind == "X(t)":
+            sub = enumerate_sub(sub.expr, "all")
+        g = data.draw(functions(sub))
+        Phi = None
+        if kind == "XwPhi":
+            # mostly where g vanishes, so the divisibility conditions run
+            Phi = sub.restrict(b for b in sub.members
+                               if data.draw(st.booleans())
+                               and (g.values[b].is_zero()
+                                    or data.draw(st.integers(0, 4)) == 0))
+        assert membership(g, kind, Phi) == oracle.membership(g, kind, Phi)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sub_sets(max_len=6), st.booleans(), st.data())
+    def test_sigma(self, sub, on_all, data):
+        # on Sub(t) both variants, and the full one reads odd folds
+        if on_all:
+            sub = enumerate_sub(sub.expr, "all")
+        variants = ["full", "even"] if on_all else ["even"]
+        g = data.draw(functions(sub))
+        eps = Subexpr(sub.expr, data.draw(st.sampled_from(sub.members)))
+        Mp = data.draw(st.sampled_from(sorted(eps.all_M().values())))
+        X = sorted(x for x in Mp if data.draw(st.booleans()))
+        for variant in variants:
+            assert sigma(g, eps, X, variant) == \
+                oracle.sigma(g, eps, X, variant)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sub_sets(), st.data())
+    def test_residual_constraints(self, sub, data):
+        phi = frozenset(b for b in sub.members if data.draw(st.booleans()))
+        got = residual_constraints(sub.expr, sub.target, phi)
+        assert got == oracle.residual_constraints(sub.expr, sub.target, phi)
+
+
 class TestAnalysis:
     def test_cached_per_instance(self):
         t = ReflExpr(3, tuple(Reflection(1, 2, 3) for _ in range(4)))
@@ -109,6 +184,9 @@ class TestAnalysis:
         (p, Mp, folds), = an.per_p[i]
         (_, _, reach), = an.reach(i)
         assert Mp == (1, 2) and folds[0b11] == j
+        # odd folds stay in Sub(t) and are recorded, but reach skips them
+        assert folds[0b01] == an.index[(1, 0)]
+        assert reach[0b01] == 1 << i
         assert reach[0b11] == (1 << i) | (1 << j)
         part = sub.restrict([(0, 0), (0, 1)]).analysis()
         k = part.index[(0, 0)]
@@ -116,3 +194,13 @@ class TestAnalysis:
         (_, _, reach), = part.reach(k)
         assert folds[0b11] == -1 and reach[0b11] is None
         assert reach[0b01] == 1 << k
+
+    def test_sigma_needs_one_position_set(self):
+        # t = (1,2)(2,3): M_(1,2)(00) = (1,) and M_(2,3)(00) = (2,)
+        t = ReflExpr(3, (Reflection(1, 2, 3), Reflection(2, 3, 3)))
+        g = res_tensor(t, [Polynomial.one(3)] * 3)
+        eps = Subexpr(t, (0, 0))
+        assert sigma(g, eps, [1]) == Polynomial.zero(3)
+        for X in ([1, 2], [3]):
+            with pytest.raises(ValueError, match="single M_p"):
+                sigma(g, eps, X)

@@ -166,3 +166,19 @@ class TestUsage:
         with pytest.raises(SystemExit) as ei:
             cli.main(["frobnicate"])
         assert ei.value.code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["enumerate", "--expr", "(1,2)(2,3)", "--target", "3,3,1"],
+        ["enumerate", "--expr", "(2,2)"],
+        ["enumerate", "--expr", "xyz"],
+        ["st", "pd", "--roots", "e1-q2"],
+    ])
+    def test_bad_input_exits_2(self, capsys, args):
+        rc = cli.main(args)
+        assert rc == 2 and capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--seed", "--workers"])
+    def test_removed_options(self, flag):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(["enumerate", "--expr", "(1,2)", flag, "1"])
+        assert ei.value.code == 2

@@ -1,3 +1,5 @@
+import ast
+import glob
 import os
 import random
 import subprocess
@@ -131,6 +133,24 @@ class TestRankInvariant:
         out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.startswith("rank mismatch: rank mismatch at")
+
+
+    def test_no_assert_in_library_code(self):
+        # `python -O` strips assert statements, so library invariants raise
+        # InvariantError instead
+        found = []
+        for path in sorted(glob.glob(os.path.join(SRC, "bsbimod", "*.py"))):
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            found += [f"{os.path.basename(path)}:{node.lineno}"
+                      for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert found == []
+
+    def test_one_invariant_error(self):
+        from bsbimod import orderalg, polyring, strmod, dseq
+        assert orderalg.InvariantError is polyring.InvariantError
+        assert strmod.InvariantError is dseq.InvariantError \
+            is polyring.InvariantError
 
 
 class TestChainRun:

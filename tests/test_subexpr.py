@@ -27,7 +27,7 @@ def brute_force_sub(t, w):
 
 class TestEnumeration:
     def test_kernel_selected(self):
-        assert ENUM_IMPLEMENTATION in ("cython", "python")
+        assert ENUM_IMPLEMENTATION == "python"
 
     def test_against_brute_force(self, rng):
         for _ in range(25):
@@ -158,6 +158,14 @@ class TestGraph:
         sub = enumerate_sub(t, Permutation.identity(n))
         G = graph(sub)
         assert len(G.edges) == 0 and len(components(G)) == 2
+
+
+    def test_vertex_cap(self):
+        t = ReflExpr(2, (Reflection(1, 2, 2),) * 11)
+        sub = enumerate_sub(t, "all")
+        with pytest.raises(ValueError, match="GRAPH_CAP = 1024"):
+            graph(sub)
+        assert getattr(sub, "_analysis_cache", None) is None
 
 
 class TestFrozenSets:
