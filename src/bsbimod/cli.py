@@ -134,9 +134,8 @@ def cmd_graph(args) -> int:
     w = parse_perm(args.target, t.n)
     sub = enumerate_sub(t, w)
     G = graph(sub)
-    comps = components(G)
     print(f"vertices: {len(sub)}  edges: {len(G.edges)}  "
-          f"components: {len(comps)}")
+          f"components: {len(components(sub))}")
     _emit_dot(G.to_dot(), args.dot)
     if args.json:
         _emit_json({"vertices": [_bits_str(b) for b in sub.members],
@@ -161,7 +160,7 @@ def cmd_membership(args) -> int:
     print("member" if ok else "not a member")
     if cert is not None:
         eps, p, X = cert
-        print(f"witness: eps={_bits_str(eps)} p={p} X={X}")
+        print(f"witness: eps={_bits_str(eps.bits)} p={p} X={X}")
     if args.json:
         _emit_json({"variant": args.variant, "member": ok}, args.json)
     return 0 if ok else 1

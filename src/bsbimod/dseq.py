@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .polyring import Polynomial, GradedRank, InvariantError
 from .coxeter import (Permutation, Reflection, ReflExpr, make_sequence,
                       shift, reverse, fold_expr)
-from .subexpr import Subexpr, enumerate_sub, graph, components, con_component
+from .subexpr import Subexpr, enumerate_sub, components, con_component
 from .orderalg import algorithm2, residual_constraints, _roots_independent
 from . import strmod
 
@@ -284,12 +284,9 @@ def structure_checks(table: SolutionTable) -> dict:
                 ok = False
     rep["frozen_components"] = ok
 
-    # the graph is one (2n-1)-cycle
-    G = graph(sub)
-    rep["cycle"] = (len(sub) == N and len(G.edges) == N
-                    and len(components(G)) == 1
-                    and all(sum(1 for a, b, _, _ in G.edges if v in (a, b)) == 2
-                            for v in sub.members))
+    # the graph is one (2n-1)-cycle: connected, every vertex of degree 2
+    rep["cycle"] = (len(sub) == N and len(components(sub)) == 1
+                    and all(a.bit_count() == 2 for a in sub.analysis().adj))
 
     # linear independence of alpha^{1+A}..alpha^{n-1+A}
     ok = True
@@ -339,6 +336,7 @@ def dichotomy_report(n: int, k: int = 0, i: Optional[Sequence[int]] = None) -> d
 
     # residual constraints: string pattern on n-1 independent roots, and the
     # roots are alpha^A, ..., alpha^{n-2+A} for some chord A
+    sub = enumerate_sub(t, w)
     alpha_sets = []
     for A in table.label_first:
         alpha_sets.append((A, sorted(str(table.alpha[A + j])
@@ -346,7 +344,7 @@ def dichotomy_report(n: int, k: int = 0, i: Optional[Sequence[int]] = None) -> d
     pattern_ok = True
     matched_chords = []
     for phi in survivors:
-        rr = residual_constraints(t, w, phi)
+        rr = residual_constraints(sub, phi)
         if not (rr.is_string_pattern and rr.independent
                 and len(rr.roots) == n - 1):
             pattern_ok = False

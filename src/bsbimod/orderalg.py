@@ -6,7 +6,7 @@ extraction for non-free outcomes.
 """
 
 __all__ = [
-    "ClosenessCert", "StepFamily", "AlgoResult", "InvariantError",
+    "ClosenessCert", "AlgoResult", "InvariantError",
     "closeness", "algorithm1", "algorithm2", "chain_run", "step_generator",
     "balanced_order", "acyclic_rank", "residual_constraints",
 ]
@@ -18,10 +18,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .polyring import Polynomial, GradedRank, InvariantError
 from .coxeter import Permutation, Reflection, ReflExpr
-from .subexpr import (Subexpr, SubSet, SubGraph, enumerate_sub, graph,
-                      components, con_component, balance, _indices, _mask,
-                      _positions)
-from .locmod import FnOnSub, nabla_X, indicator, membership
+from .subexpr import (Subexpr, SubSet, SubAnalysis, enumerate_sub, components,
+                      con_component, balance, _indices, _mask, _positions)
+from .locmod import FnOnSub, nabla_X, indicator
 
 Bits = Tuple[int, ...]
 
@@ -34,12 +33,6 @@ class ClosenessCert:
     per_p: Tuple[Tuple[Reflection, Tuple[int, ...], int, Tuple[int, ...]], ...]
     dist: int
     mode: str
-
-
-@dataclass(frozen=True)
-class StepFamily:
-    step: int
-    entries: Tuple[Tuple[FrozenSet[Bits], GradedRank], ...]
 
 
 @dataclass
@@ -275,20 +268,18 @@ def balanced_order(t: ReflExpr, w: Permutation):
 
 # -- acyclic case ------------------------------------------------------------
 
-def _find_cycle(G: SubGraph):
-    adj: Dict[Bits, list] = {b: [] for b in G.vertices.members}
-    for a, b, _, _ in G.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    parent: Dict[Bits, Optional[Bits]] = {}
-    for start in G.vertices.members:
+def _find_cycle(an: SubAnalysis) -> Optional[List[Bits]]:
+    """A cycle of the graph of the analysed set, or None: a depth-first
+    search from each unvisited member, neighbours in index order."""
+    parent: Dict[int, Optional[int]] = {}
+    for start in range(len(an.members)):
         if start in parent:
             continue
         parent[start] = None
         stack = [(start, None)]
         while stack:
             v, par = stack.pop()
-            for u in adj[v]:
+            for u in _indices(an.adj[v]):
                 if u == par:
                     continue
                 if u in parent:
@@ -302,7 +293,8 @@ def _find_cycle(G: SubGraph):
                     common = set(path_v) & set(path_u)
                     iv = next(i for i, x in enumerate(path_v) if x in common)
                     iu = next(i for i, x in enumerate(path_u) if x in common)
-                    return path_v[:iv + 1] + list(reversed(path_u[:iu]))
+                    cycle = path_v[:iv + 1] + list(reversed(path_u[:iu]))
+                    return [an.members[x] for x in cycle]
                 parent[u] = v
                 stack.append((u, v))
     return None
@@ -314,12 +306,10 @@ def acyclic_rank(t: ReflExpr, w: Permutation):
     sub = enumerate_sub(t, w)
     if len(sub) == 0:
         raise ValueError("empty Sub(t, w)")
-    G = graph(sub)
-    comps = components(G)
-    m, l = len(sub), len(comps)
-    if len(G.edges) != m - l:
-        cycle = _find_cycle(G)
-        return "NotForest", cycle
+    an = sub.analysis()
+    m, l = len(sub), len(components(sub))
+    if sum(a.bit_count() for a in an.adj) // 2 != m - l:
+        return "NotForest", _find_cycle(an)
     return GradedRank({0: l, -2: m - l})
 
 
@@ -376,14 +366,14 @@ def _roots_independent(roots: Sequence[Polynomial]) -> bool:
     return rank == len(roots)
 
 
-def residual_constraints(t: ReflExpr, w: Permutation, Phi) -> ResidualReport:
+def residual_constraints(sub: SubSet, Phi) -> ResidualReport:
     """
     The constraint system cutting out X_w(t, Phi) on the free positions
-    Sub(t,w) \\ Phi, with every binding even-variant divisibility condition
-    reduced to a congruence; detects the string-module pattern (a path of
-    pairwise congruences modulo distinct roots with both ends forced to 0).
+    sub \\ Phi, sub = Sub(t,w), with every binding even-variant
+    divisibility condition reduced to a congruence; detects the
+    string-module pattern (a path of pairwise congruences modulo distinct
+    roots with both ends forced to 0).
     """
-    sub = enumerate_sub(t, w)
     phi_bits = frozenset(tuple(b) for b in
                          (Phi.members if isinstance(Phi, SubSet) else Phi))
     free = tuple(b for b in sub.members if b not in phi_bits)

@@ -16,10 +16,10 @@ subexpressions over different expressions are never equal.
 """
 
 __all__ = [
-    "Subexpr", "SubSet", "SubAnalysis", "SubGraph", "CAP", "GRAPH_CAP",
-    "rel_card", "enumerate_sub", "equiv_class", "graph", "components",
-    "frozen_set", "unfrozen_set", "con_component", "balance", "balanced_set",
-    "ENUM_IMPLEMENTATION",
+    "Subexpr", "SubSet", "SubAnalysis", "SubGraph", "CAP", "ALL_CAP",
+    "GRAPH_CAP", "rel_card", "enumerate_sub", "equiv_class", "graph",
+    "components", "frozen_set", "unfrozen_set", "con_component", "balance",
+    "balanced_set", "ENUM_IMPLEMENTATION",
 ]
 
 from dataclasses import dataclass
@@ -31,6 +31,7 @@ from .coxeter import Permutation, Reflection, ReflExpr
 ENUM_IMPLEMENTATION = "python"
 
 CAP = 24  # enumeration cap on the expression length
+ALL_CAP = 2 ** 20  # cap on the members of Sub(t)
 GRAPH_CAP = 1024  # cap on the vertices of a graph
 
 Bits = Tuple[int, ...]
@@ -354,9 +355,6 @@ class SubGraph:
     vertices: SubSet
     edges: Tuple[Tuple[Bits, Bits, Reflection, Tuple[int, ...]], ...]
 
-    def edge_pairs(self) -> Tuple[Tuple[Bits, Bits], ...]:
-        return tuple((a, b) for a, b, _, _ in self.edges)
-
     def to_dot(self) -> str:
         lines = ["graph sub {"]
         for b in self.vertices.members:
@@ -449,11 +447,15 @@ def _target_masks(n: int, trans, target) -> list:
 def enumerate_sub(t: ReflExpr, w: Union[Permutation, str, None] = "all",
                   cap: int = CAP) -> SubSet:
     """Sub(t) (w = "all"/None) or Sub(t, w), canonically (lexicographically)
-    ordered by bits."""
+    ordered by bits.  ValueError if Sub(t) would have more than ALL_CAP
+    members."""
     m = len(t)
     if m > cap:
         raise ValueError(f"expression length {m} exceeds the cap {cap}")
     if w is None or w == "all":
+        if 2 ** m > ALL_CAP:
+            raise ValueError(f"Sub(t) has 2^{m} members, more than the cap "
+                             f"ALL_CAP = {ALL_CAP}")
         members = tuple(tuple((mask >> (m - 1 - i)) & 1 for i in range(m))
                         for mask in range(2 ** m))
         return SubSet(t, None, members)
@@ -516,27 +518,17 @@ def graph(Phi: SubSet) -> SubGraph:
     return SubGraph(Phi, edge_list)
 
 
-def components(G: SubGraph) -> Tuple[Tuple[Bits, ...], ...]:
-    """Connected components, each sorted, ordered by least member."""
-    adj: Dict[Bits, set] = {b: set() for b in G.vertices.members}
-    for a, b, _, _ in G.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = set()
+def components(Phi: SubSet) -> Tuple[Tuple[Bits, ...], ...]:
+    """The connected components of Gr(Phi), each sorted, ordered by least
+    member."""
+    an = Phi.analysis()
+    left = (1 << len(an.members)) - 1
     comps = []
-    for start in G.vertices.members:
-        if start in seen:
-            continue
-        stack, comp = [start], set()
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(adj[v] - comp)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return tuple(sorted(comps, key=lambda c: c[0]))
+    while left:
+        comp = an.component((left & -left).bit_length() - 1, left)
+        left &= ~comp
+        comps.append(tuple(sorted(an.bits_of(comp))))
+    return tuple(sorted(comps))
 
 
 def _checked_mask(sub: SubSet, X: Sequence[int]) -> int:

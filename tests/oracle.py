@@ -1,23 +1,23 @@
 """
 Brute-force reference implementations of the subexpression graph, frozen
-sets, connected components, closeness, the divisibility conditions behind
-membership and sigma, and the residual constraints.  They fold `Subexpr`
-objects and rebuild graphs on every call, as the library did before it read
+sets, connected components, closeness, the forest rank and its cycle
+witness, the divisibility conditions behind membership and sigma, and the
+residual constraints.  They fold `Subexpr` objects and rebuild graphs and
+edge-list adjacencies on every call, as the library did before it read
 these from the cached `SubSet.analysis()`; the differential tests compare
 the two.
 """
 
 from itertools import combinations, product
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from bsbimod.coxeter import Reflection
 from bsbimod.locmod import FnOnSub
 from bsbimod.orderalg import (ClosenessCert, Congruence, ResidualReport,
                               _detect_string)
-from bsbimod.polyring import Polynomial, divisible_by_power
-from bsbimod.subexpr import (Subexpr, SubSet, SubGraph, components,
-                             enumerate_sub, rel_card, _even_subsets,
-                             _all_subsets)
+from bsbimod.polyring import GradedRank, Polynomial, divisible_by_power
+from bsbimod.subexpr import (Subexpr, SubSet, SubGraph, enumerate_sub,
+                             rel_card, _even_subsets, _all_subsets)
 
 Bits = Tuple[int, ...]
 
@@ -42,6 +42,71 @@ def graph(Phi: SubSet) -> SubGraph:
                     edges[key] = (p, Y)
     edge_list = tuple((a, b, p, Y) for (a, b), (p, Y) in sorted(edges.items()))
     return SubGraph(Phi, edge_list)
+
+
+def components(G: SubGraph) -> Tuple[Tuple[Bits, ...], ...]:
+    adj: Dict[Bits, set] = {b: set() for b in G.vertices.members}
+    for a, b, _, _ in G.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = set()
+    comps = []
+    for start in G.vertices.members:
+        if start in seen:
+            continue
+        stack, comp = [start], set()
+        while stack:
+            v = stack.pop()
+            if v in comp:
+                continue
+            comp.add(v)
+            stack.extend(adj[v] - comp)
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return tuple(sorted(comps, key=lambda c: c[0]))
+
+
+def _find_cycle(G: SubGraph):
+    adj: Dict[Bits, list] = {b: [] for b in G.vertices.members}
+    for a, b, _, _ in G.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent: Dict[Bits, Optional[Bits]] = {}
+    for start in G.vertices.members:
+        if start in parent:
+            continue
+        parent[start] = None
+        stack = [(start, None)]
+        while stack:
+            v, par = stack.pop()
+            for u in adj[v]:
+                if u == par:
+                    continue
+                if u in parent:
+                    path_v = [v]
+                    while parent[path_v[-1]] is not None:
+                        path_v.append(parent[path_v[-1]])
+                    path_u = [u]
+                    while parent[path_u[-1]] is not None:
+                        path_u.append(parent[path_u[-1]])
+                    common = set(path_v) & set(path_u)
+                    iv = next(i for i, x in enumerate(path_v) if x in common)
+                    iu = next(i for i, x in enumerate(path_u) if x in common)
+                    return path_v[:iv + 1] + list(reversed(path_u[:iu]))
+                parent[u] = v
+                stack.append((u, v))
+    return None
+
+
+def acyclic_rank(t, w):
+    sub = enumerate_sub(t, w)
+    if len(sub) == 0:
+        raise ValueError("empty Sub(t, w)")
+    G = graph(sub)
+    m, l = len(sub), len(components(G))
+    if len(G.edges) != m - l:
+        return "NotForest", _find_cycle(G)
+    return GradedRank({0: l, -2: m - l})
 
 
 def _require_member(sub: SubSet, eps: Subexpr):

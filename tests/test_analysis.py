@@ -14,10 +14,10 @@ from bsbimod import orderalg
 from bsbimod.coxeter import Reflection, ReflExpr
 from bsbimod.locmod import FnOnSub, membership, res_tensor, sigma
 from bsbimod.polyring import Polynomial
-from bsbimod.subexpr import (Subexpr, enumerate_sub, graph, frozen_set,
-                             unfrozen_set, con_component)
+from bsbimod.subexpr import (Subexpr, enumerate_sub, graph, components,
+                             frozen_set, unfrozen_set, con_component)
 from bsbimod.orderalg import (closeness, algorithm1, algorithm2,
-                              residual_constraints)
+                              acyclic_rank, residual_constraints)
 import oracle
 from conftest import random_expr
 
@@ -105,6 +105,21 @@ class TestAgainstOracle:
         Phi = sub.restrict(keep)
         assert graph(Phi) == oracle.graph(Phi)
 
+    @settings(max_examples=150, deadline=None)
+    @given(sub_sets(), st.data())
+    def test_components(self, sub, data):
+        assert components(sub) == oracle.components(oracle.graph(sub))
+        keep = [b for b in sub.members if data.draw(st.booleans())]
+        Phi = sub.restrict(keep)
+        assert components(Phi) == oracle.components(oracle.graph(Phi))
+
+    @settings(max_examples=150, deadline=None)
+    @given(sub_sets())
+    def test_acyclic_rank(self, sub):
+        # the same rank, or the same cycle witness
+        assert acyclic_rank(sub.expr, sub.target) == \
+            oracle.acyclic_rank(sub.expr, sub.target)
+
     @settings(max_examples=40, deadline=None)
     @given(sub_sets(max_len=5))
     def test_graph_of_all_subexpressions(self, sub):
@@ -162,7 +177,7 @@ class TestConditionsAgainstOracle:
     @given(sub_sets(), st.data())
     def test_residual_constraints(self, sub, data):
         phi = frozenset(b for b in sub.members if data.draw(st.booleans()))
-        got = residual_constraints(sub.expr, sub.target, phi)
+        got = residual_constraints(sub, phi)
         assert got == oracle.residual_constraints(sub.expr, sub.target, phi)
 
 

@@ -90,6 +90,30 @@ class TestMembershipExpress:
         assert rc == 2 and out == ""
         assert "not in the domain: 101010, 01x" in err
 
+    def test_divisibility_witness(self, capsys, tmp_path):
+        # 1 at 00 only, on Sub((1,2)(1,2)): Sigma_{1}^00 = 1 is not
+        # divisible by the root of (1,2)
+        sub = enumerate_sub(cli.parse_expr("(1,2)(1,2)"), "all")
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(indicator(sub, [(0, 0)]).to_json()))
+        rc, out = run(capsys, ["membership", "--fn", str(path),
+                               "--variant", "X(t)"])
+        assert rc == 1
+        assert out.splitlines() == ["not a member",
+                                    "witness: eps=00 p=(1,2) X=(1,)"]
+
+    def test_vanish_witness(self, capsys, tmp_path):
+        t = cli.parse_expr("(1,2)(2,3)(1,2)(1,3)(1,2)(2,3)")
+        sub = enumerate_sub(t, Permutation.identity(3))
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(indicator(sub, [(0, 0, 1, 0, 1, 0)])
+                                   .to_json()))
+        rc, out = run(capsys, ["membership", "--fn", str(path),
+                               "--variant", "XwPhi", "--phi", "001010"])
+        assert rc == 1
+        assert out.splitlines() == ["not a member",
+                                    "witness: eps=001010 p=vanish X=None"]
+
     def test_missing_file(self, capsys):
         rc, _ = run(capsys, ["membership", "--fn", "/nonexistent.json"])
         assert rc == 1

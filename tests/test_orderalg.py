@@ -216,8 +216,17 @@ class TestAcyclic:
 
     def test_not_forest(self):
         t = make_sequence("D", (1, 2, 3), 3)
-        res = acyclic_rank(t, Permutation.identity(3))
+        w = Permutation.identity(3)
+        res = acyclic_rank(t, w)
         assert res[0] == "NotForest" and len(res[1]) >= 3
+        # the witness is a real cycle: distinct vertices, consecutive ones
+        # joined, and the last joined to the first
+        cycle = res[1]
+        assert len(set(cycle)) == len(cycle)
+        edges = {frozenset((a, b))
+                 for a, b, _, _ in graph(enumerate_sub(t, w)).edges}
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            assert frozenset((a, b)) in edges
 
     def test_matches_algorithm2_on_forests(self, rng):
         checked = 0
@@ -245,7 +254,7 @@ class TestResidual:
         w = Permutation.identity(4)
         res = algorithm2(t, w)
         phi = next(iter(res.trace[res.step]))
-        rr = residual_constraints(t, w, phi)
+        rr = residual_constraints(enumerate_sub(t, w), phi)
         assert rr.is_string_pattern
         assert len(rr.roots) == 3 and rr.independent
         assert len(rr.free) == 2 and len(rr.path) == 2
@@ -254,6 +263,6 @@ class TestResidual:
         t = make_sequence("D", (1, 2, 3), 3)
         w = Permutation.identity(3)
         sub = enumerate_sub(t, w)
-        rr = residual_constraints(t, w, frozenset(sub.members[:2]))
+        rr = residual_constraints(sub, frozenset(sub.members[:2]))
         # whatever the verdict, the report is well-formed
         assert len(rr.free) == len(sub) - 2

@@ -37,6 +37,12 @@ class TestEnumeration:
                 sub = enumerate_sub(t, w)
                 assert list(sub.members) == brute_force_sub(t, w)
 
+    def test_all_refused_above_size_cap(self):
+        # Sub(t) for m = 21 has 2^21 members: refused before any is built
+        t = ReflExpr(2, (Reflection(1, 2, 2),) * 21)
+        with pytest.raises(ValueError, match="ALL_CAP = 1048576"):
+            enumerate_sub(t, "all")
+
     def test_members_sorted_lex(self, rng):
         t = random_expr(rng, 4, 7)
         sub = enumerate_sub(t, "all")
@@ -138,7 +144,7 @@ class TestGraph:
         sub = enumerate_sub(t, Permutation.identity(3))
         G = graph(sub)
         assert len(sub) == 5 and len(G.edges) == 5
-        assert len(components(G)) == 1
+        assert len(components(sub)) == 1
         deg = {b: 0 for b in sub.members}
         for a, b, _, _ in G.edges:
             deg[a] += 1
@@ -157,7 +163,7 @@ class TestGraph:
         t = ReflExpr(n, tuple(Reflection(a, b, n) for a, b in pairs))
         sub = enumerate_sub(t, Permutation.identity(n))
         G = graph(sub)
-        assert len(G.edges) == 0 and len(components(G)) == 2
+        assert len(G.edges) == 0 and len(components(sub)) == 2
 
 
     def test_vertex_cap(self):
