@@ -144,12 +144,12 @@ def chord_label(table: SolutionTable) -> SolutionTable:
     for l, eps in table.rows.items():
         doubled = [(p, M) for p, M in eps.all_M().items() if len(M) == 2]
         if len(doubled) != 2:
-            raise AssertionError(f"row {l}: expected two doubled reflections")
+            raise InvariantError(f"row {l}: expected two doubled reflections")
         data = []
         for p, M in doubled:
             residues = frozenset(x % N for x in M)
             if residues not in chords:
-                raise AssertionError(f"row {l}: positions {M} are not a chord")
+                raise InvariantError(f"row {l}: positions {M} are not a chord")
             data.append((chords[residues], p))
         (C1, p1), (C2, p2) = data
         if (C1 + 1).members() == C2.members():
@@ -157,10 +157,10 @@ def chord_label(table: SolutionTable) -> SolutionTable:
         elif (C2 + 1).members() == C1.members():
             A, p, q = C2, p2, p1
         else:
-            raise AssertionError(f"row {l}: chords are not consecutive")
+            raise InvariantError(f"row {l}: chords are not consecutive")
         B = A + 1
         if A in table.label_first or B in table.label_second:
-            raise AssertionError("labeling is not a bijection")
+            raise InvariantError("labeling is not a bijection")
         table.label_first[A] = l
         table.label_second[B] = l
         table.t_of[A] = p
@@ -169,13 +169,13 @@ def chord_label(table: SolutionTable) -> SolutionTable:
         table.alpha[B] = q.root()
     # both labelings must be bijections onto the rows
     if len(table.label_first) != N or len(table.label_second) != N:
-        raise AssertionError("labeling is not a bijection")
+        raise InvariantError("labeling is not a bijection")
     # f_A e^{A,.} = e^{.,A}
     for A, l in table.label_first.items():
         eps = table.rows[l]
         folded = eps.fold(A.positions())
         if folded.bits != table.e_second(A).bits:
-            raise AssertionError(f"f_A failed at {A}")
+            raise InvariantError(f"f_A failed at {A}")
     return table
 
 
@@ -312,7 +312,7 @@ def dichotomy_report(n: int, k: int = 0, i: Optional[Sequence[int]] = None) -> d
     """
     table = chord_label(e_table(n, k, i))
     if not verify_solutions(table):
-        raise AssertionError("solution table mismatch")
+        raise InvariantError("solution table mismatch")
     t = table.expr
     w = Permutation.identity(t.n)
     res = algorithm2(t, w)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .polyring import (Polynomial, RationalFn, act, exact_div,
-                       divisible_by_power, NotDivisible)
+                       _integer_terms, _root_power_divides)
 from .coxeter import Permutation, Reflection, ReflExpr, truncate
 from .subexpr import Subexpr, SubSet, enumerate_sub, _fold_terms
 
@@ -207,12 +207,19 @@ def membership(g: FnOnSub, kind: str, Phi: Optional[SubSet] = None):
             if not g.values[tuple(bits)].is_zero():
                 return False, (Subexpr(g.domain.expr, bits), "vanish", None)
 
+    # one common denominator for all values: a nonzero scalar does not
+    # change divisibility
+    ints = _integer_terms([g.values[b] for b in g.domain.members])
     an = g.domain.analysis()
     for i, p, X, terms in an.conditions(variant == "even"):
         k = len(X) + excess
         if k <= 0:
             continue
-        if not divisible_by_power(_signed_sum(g, terms), p.root(), k):
+        total: dict = {}
+        for j, sign in terms:
+            for x, c in ints[j].items():
+                total[x] = total.get(x, 0) + sign * c
+        if not _root_power_divides(total, p.i - 1, p.j - 1, k):
             return False, (Subexpr(g.domain.expr, an.members[i]), p, X)
     return True, None
 
@@ -319,7 +326,8 @@ def basis(t: ReflExpr, tree: Optional[DecoTree] = None) -> Dict[Tuple[str, ...],
     The 2^m basis elements, indexed by words L in {D, N}^m read along the
     positions 1..m.  B(L) with last letter Delta is B'(L') followed by the
     copy; with last letter nabla it is B'(L') followed by concentration at
-    the label of the current path.
+    the label of the current path.  All elements share one domain Sub(t),
+    so its analysis is built once for all of them.
     """
     m = len(t)
     if tree is None:
@@ -340,7 +348,8 @@ def basis(t: ReflExpr, tree: Optional[DecoTree] = None) -> Dict[Tuple[str, ...],
             out[L + ("N",)] = conc_up(g, expr, e)
         return out
 
-    return build(t, ())
+    dom = enumerate_sub(t, "all")
+    return {L: FnOnSub(dom, g.values) for L, g in build(t, ()).items()}
 
 
 def nabla_X(eps: Subexpr, X: Sequence[int]) -> FnOnSub:

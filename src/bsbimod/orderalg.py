@@ -213,7 +213,7 @@ def chain_run(t: ReflExpr, w: Permutation, order: Sequence[Subexpr],
     for eps in order:
         cert = closeness(sub, phi, eps, mode)
         if cert is None:
-            raise AssertionError(f"chain step failed at {eps}")
+            raise InvariantError(f"chain step failed at {eps}")
         certs.append(cert)
         P = P + GradedRank.v_power(-cert.dist)
         phi.add(eps.bits)
@@ -256,10 +256,10 @@ def balanced_order(t: ReflExpr, w: Permutation):
     for eps in ordered:
         cert = closeness(sub, phi, eps, "plain")
         if cert is None:
-            raise AssertionError(f"perfect-order step failed at {eps}")
+            raise InvariantError(f"perfect-order step failed at {eps}")
         expected = 2 * len(infos[eps.bits])
         if cert.dist != expected:
-            raise AssertionError(
+            raise InvariantError(
                 f"dist {cert.dist} != 2*#positive {expected} at {eps}")
         dists.append(cert.dist)
         phi.add(eps.bits)

@@ -20,6 +20,7 @@ __all__ = [
 ]
 
 from fractions import Fraction
+from math import comb, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -47,7 +48,8 @@ class Polynomial:
     def __init__(self, n: int, terms: Mapping[tuple, Scalar]):
         clean = {}
         for exp, c in terms.items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
                 clean[tuple(exp)] = c
         self.n = n
@@ -244,17 +246,44 @@ def try_exact_div(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
         return None
 
 
+def _integer_terms(polys: Sequence[Polynomial]) -> list:
+    """The coefficient dicts of `polys`, all scaled by the lcm of their
+    denominators, so that every coefficient is an int."""
+    den = lcm(*(c.denominator for f in polys for c in f.terms.values()))
+    return [{x: c.numerator * (den // c.denominator)
+             for x, c in f.terms.items()} for f in polys]
+
+
+def _root_power_divides(terms: Mapping[tuple, int], a: int, b: int,
+                        k: int) -> bool:
+    """Whether (e_a - e_b)^k divides the polynomial with integer coefficients
+    `terms` (0-based a != b).  Substituting e_a = e_b + s, it does exactly
+    when the coefficients of s^0..s^{k-1} vanish; the s^r coefficient of
+    c*e^x is comb(x_a, r)*c times e^x with x_a -> 0, x_b -> x_b + x_a - r."""
+    sums: dict = {}
+    for x, c in terms.items():
+        xa, xb = x[a], x[b]
+        rest = list(x)
+        rest[a] = 0
+        for r in range(min(k, xa + 1)):
+            rest[b] = xb + xa - r
+            key = (r, tuple(rest))
+            sums[key] = sums.get(key, 0) + comb(xa, r) * c
+    return not any(sums.values())
+
+
 def divisible_by_power(f: Polynomial, alpha: Polynomial, k: int) -> bool:
-    """Whether alpha^k divides f.  Always true for k = 0 or f = 0."""
-    if k <= 0 or f.is_zero():
-        return True
-    cur = f
-    for _ in range(k):
-        q = try_exact_div(cur, alpha)
-        if q is None:
-            return False
-        cur = q
-    return True
+    """Whether alpha^k divides f, for alpha = c*(e_a - e_b) with c a nonzero
+    rational.  Always true for k <= 0 or f = 0; ValueError for any other
+    alpha or a rank mismatch."""
+    f._check(alpha)
+    items = list(alpha.terms.items())
+    if not (len(items) == 2 and items[0][1] == -items[1][1]
+            and all(sum(x) == 1 for x, _ in items)):
+        raise ValueError(f"{alpha} is not a multiple of a root e_a - e_b")
+    (xa, _), (xb, _) = items
+    return _root_power_divides(_integer_terms([f])[0], xa.index(1),
+                               xb.index(1), k)
 
 
 def _transposition_images(n: int, i: int, j: int) -> tuple:

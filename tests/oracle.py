@@ -1,11 +1,12 @@
 """
 Brute-force reference implementations of the subexpression graph, frozen
 sets, connected components, closeness, the forest rank and its cycle
-witness, the divisibility conditions behind membership and sigma, and the
-residual constraints.  They fold `Subexpr` objects and rebuild graphs and
-edge-list adjacencies on every call, as the library did before it read
-these from the cached `SubSet.analysis()`; the differential tests compare
-the two.
+witness, the divisibility conditions behind membership and sigma, the
+residual constraints, and root-power divisibility by repeated exact
+division.  They fold `Subexpr` objects, rebuild graphs and edge-list
+adjacencies and divide polynomials on every call, as the library did before
+it read these from the cached `SubSet.analysis()` and tested divisibility by
+substitution; the differential tests compare the two.
 """
 
 from itertools import combinations, product
@@ -15,7 +16,7 @@ from bsbimod.coxeter import Reflection
 from bsbimod.locmod import FnOnSub
 from bsbimod.orderalg import (ClosenessCert, Congruence, ResidualReport,
                               _detect_string)
-from bsbimod.polyring import GradedRank, Polynomial, divisible_by_power
+from bsbimod.polyring import GradedRank, Polynomial, try_exact_div
 from bsbimod.subexpr import (Subexpr, SubSet, SubGraph, enumerate_sub,
                              rel_card, _even_subsets, _all_subsets)
 
@@ -238,6 +239,19 @@ def condition_stream(g: FnOnSub, variant: str):
                     continue
                 seen.add(key)
                 yield eps, p, X
+
+
+def divisible_by_power(f: Polynomial, alpha: Polynomial, k: int) -> bool:
+    """Whether alpha^k divides f, by k rounds of exact division."""
+    if k <= 0 or f.is_zero():
+        return True
+    cur = f
+    for _ in range(k):
+        q = try_exact_div(cur, alpha)
+        if q is None:
+            return False
+        cur = q
+    return True
 
 
 def membership(g: FnOnSub, kind: str, Phi=None):

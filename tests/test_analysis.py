@@ -6,6 +6,7 @@ constraints against the brute-force reference implementations in
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +158,21 @@ class TestConditionsAgainstOracle:
                                and (g.values[b].is_zero()
                                     or data.draw(st.integers(0, 4)) == 0))
         assert membership(g, kind, Phi) == oracle.membership(g, kind, Phi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sub_sets(max_len=6), st.sampled_from(["X(t)", "Xw", "X^w"]),
+           st.data())
+    def test_membership_fractional(self, sub, kind, data):
+        # values scaled per member by 1/2, -3/2 or 1/3 (or kept), so the
+        # common-denominator scaling meets non-integer coefficients
+        if kind == "X(t)":
+            sub = enumerate_sub(sub.expr, "all")
+        g = data.draw(functions(sub))
+        scales = st.sampled_from([1, Fraction(1, 2), Fraction(-3, 2),
+                                  Fraction(1, 3)])
+        g = FnOnSub(sub, {b: v.scale(data.draw(scales))
+                          for b, v in g.values.items()})
+        assert membership(g, kind) == oracle.membership(g, kind)
 
     @settings(max_examples=150, deadline=None)
     @given(sub_sets(max_len=6), st.booleans(), st.data())

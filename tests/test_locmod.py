@@ -171,6 +171,14 @@ class TestBasis:
             for L, g in B.items():
                 assert membership(g, "X(t)")[0], L
 
+    def test_one_shared_domain(self):
+        # all 2^m elements share one SubSet, so membership analyses it once
+        B = basis(make_sequence("D", (1, 2, 3), 3))
+        dom = B[("D",) * 5].domain
+        assert len(B) == 32
+        assert all(g.domain is dom for g in B.values())
+        assert dom == enumerate_sub(dom.expr, "all")
+
     def test_express_round_trip(self, rng):
         t = small_expr()
         tree = DecoTree.default(2)

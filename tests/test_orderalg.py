@@ -137,13 +137,19 @@ class TestRankInvariant:
 
     def test_no_assert_in_library_code(self):
         # `python -O` strips assert statements, so library invariants raise
-        # InvariantError instead
+        # InvariantError instead, and never a bare AssertionError
+        def bare(node):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
         found = []
         for path in sorted(glob.glob(os.path.join(SRC, "bsbimod", "*.py"))):
             with open(path) as fh:
                 tree = ast.parse(fh.read(), path)
             found += [f"{os.path.basename(path)}:{node.lineno}"
-                      for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)
+                      or isinstance(node, ast.Raise) and bare(node)]
         assert found == []
 
     def test_one_invariant_error(self):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bsbimod.polyring import (Polynomial, RationalFn, GradedRank, NotDivisible,
                               act, exact_div, try_exact_div,
                               divisible_by_power, demazure, wp)
+import oracle
 
 
 def e(i, n=4):
@@ -21,6 +22,34 @@ def random_poly(rng, n=4, terms=3, deg=2):
             mono = mono * e(rng.randint(1, n), n)
         out = out + mono
     return out
+
+
+@st.composite
+def divisibility_cases(draw):
+    """(f, alpha, k): f a random polynomial on n = 3, 4 with denominators
+    1-3, times (e_a - e_b)^j for j = 0..3, sometimes plus noise; alpha is
+    c(e_a - e_b) for c in {1, -1, 2, 1/3}, with a and b in either order."""
+    n = draw(st.sampled_from([3, 4]))
+    a, b = draw(st.lists(st.integers(1, n), min_size=2, max_size=2,
+                         unique=True))
+    root = e(a, n) - e(b, n)
+
+    def poly():
+        out = Polynomial.zero(n)
+        for _ in range(draw(st.integers(0, 4))):
+            exp = tuple(draw(st.lists(st.integers(0, 3), min_size=n,
+                                      max_size=n)))
+            c = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+            out = out + Polynomial(n, {exp: c})
+        return out
+
+    f = poly()
+    for _ in range(draw(st.integers(0, 3))):
+        f = f * root
+    if draw(st.booleans()):
+        f = f + poly()
+    c = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+    return f, root.scale(c), draw(st.integers(0, 5))
 
 
 def random_transposition(rng, n=4):
@@ -85,6 +114,25 @@ class TestDivision:
         assert divisible_by_power(alpha * alpha * e(2), alpha, 2)
         assert not divisible_by_power(alpha * e(2), alpha, 2)
         assert divisible_by_power(Polynomial.zero(4), alpha, 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(divisibility_cases())
+    def test_divisible_by_power_against_oracle(self, case):
+        f, alpha, k = case
+        assert divisible_by_power(f, alpha, k) == \
+            oracle.divisible_by_power(f, alpha, k)
+
+    @pytest.mark.parametrize("alpha", [
+        e(1), e(1) + e(2), e(1) - e(2).scale(2), (e(1) - e(2)) * (e(1) - e(2)),
+        e(1) - Polynomial.one(4), Polynomial.zero(4),
+    ])
+    def test_divisible_by_power_needs_a_root(self, alpha):
+        with pytest.raises(ValueError, match="not a multiple of a root"):
+            divisible_by_power(e(1) * e(2), alpha, 1)
+
+    def test_divisible_by_power_rank_mismatch(self):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            divisible_by_power(e(1, 3), e(1) - e(2), 1)
 
 
 class TestDemazure:
