@@ -295,13 +295,11 @@ def cmd_st(args) -> int:
 def cmd_dseq(args) -> int:
     n = args.n
     perm = tuple(int(x) for x in args.perm.split(",")) if args.perm else None
-    table = dseq.chord_label(dseq.e_table(n, args.k, perm))
-    if not dseq.verify_solutions(table):
-        raise CheckFailure("solution table does not match brute force")
+    report = dseq.dichotomy_report(n, args.k, perm)
+    table = report["table"]
     checks = dseq.structure_checks(table)
     if not checks["ok"]:
         raise CheckFailure(f"structural identity failed: {checks}")
-    report = dseq.dichotomy_report(n, args.k, perm)
     print(f"n={n} k={table.k} i={table.i}")
     print(f"outcome: {report['outcome']} at step {report['step']}")
     print(f"P = {report['P']}")
@@ -311,8 +309,7 @@ def cmd_dseq(args) -> int:
         print(f"pd(string module) = {report['pd_string']}")
         print(f"pd(dual) = {report['dual']['pd']}")
     if args.dot:
-        sub = enumerate_sub(table.expr, Permutation.identity(table.expr.n))
-        _emit_dot(graph(sub).to_dot(), args.dot)
+        _emit_dot(graph(table.sub).to_dot(), args.dot)
     if args.json:
         obj = {"n": n, "k": table.k, "i": list(table.i),
                "outcome": report["outcome"], "step": report["step"],

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .polyring import Polynomial, GradedRank, InvariantError
 from .coxeter import (Permutation, Reflection, ReflExpr, make_sequence,
                       shift, reverse, fold_expr)
-from .subexpr import Subexpr, enumerate_sub, components, con_component
+from .subexpr import Subexpr, SubSet, enumerate_sub, components, con_component
 from .orderalg import algorithm2, residual_constraints, _roots_independent
 from . import strmod
 
@@ -96,6 +96,7 @@ class SolutionTable:
     i: Tuple[int, ...]
     expr: ReflExpr                       # D(i)[k]
     rows: Dict[int, Subexpr]             # l -> e^(l)[k]
+    sub: SubSet                          # Sub(D(i)[k], 1), enumerated
     label_first: Dict[Chord, int] = field(default_factory=dict)   # A -> l with e^{A,.}
     label_second: Dict[Chord, int] = field(default_factory=dict)  # A -> l with e^{.,A}
     t_of: Dict[Chord, Reflection] = field(default_factory=dict)
@@ -124,15 +125,15 @@ def e_table(n: int, k: int = 0, i: Optional[Sequence[int]] = None) -> SolutionTa
     t = shift(make_sequence("D", i, n), k)
     rows = {l: Subexpr(t, _shift_bits(e_base_bits(n, l), k))
             for l in range(2 * n - 1)}
-    return SolutionTable(n, k, i, t, rows)
+    return SolutionTable(n, k, i, t, rows,
+                         enumerate_sub(t, Permutation.identity(t.n)))
 
 
 def verify_solutions(table: SolutionTable) -> bool:
-    """Brute-force Sub(D(i)[k], 1) equals the table rows, cardinality 2n-1."""
-    sub = enumerate_sub(table.expr, Permutation.identity(table.expr.n))
+    """The enumerated Sub(D(i)[k], 1) equals the table rows, cardinality 2n-1."""
     row_bits = {eps.bits for eps in table.rows.values()}
     return (len(row_bits) == 2 * table.n - 1
-            and set(sub.members) == row_bits)
+            and set(table.sub.members) == row_bits)
 
 
 def chord_label(table: SolutionTable) -> SolutionTable:
@@ -265,7 +266,7 @@ def structure_checks(table: SolutionTable) -> dict:
     rep["dotted_closed_forms"] = ok
 
     # frozen connected components (four formulas)
-    sub = enumerate_sub(table.expr, Permutation.identity(table.expr.n))
+    sub = table.sub
     ok = True
     for A in table.label_first:
         A1, A2 = A.endpoints()
@@ -308,7 +309,8 @@ def dichotomy_report(n: int, k: int = 0, i: Optional[Sequence[int]] = None) -> d
     residual constraints form the string-module pattern on n-1 linearly
     independent roots, the string module on those roots has projective
     dimension n-3, and its dual has the two-term resolution
-    0 -> R -> R(2)^{n-1} -> dual -> 0.
+    0 -> R -> R(2)^{n-1} -> dual -> 0.  The chord-labelled solution table
+    is returned under "table".
     """
     table = chord_label(e_table(n, k, i))
     if not verify_solutions(table):
@@ -317,7 +319,7 @@ def dichotomy_report(n: int, k: int = 0, i: Optional[Sequence[int]] = None) -> d
     w = Permutation.identity(t.n)
     res = algorithm2(t, w)
     report: dict = {"n": n, "k": k, "i": table.i, "outcome": res.outcome,
-                    "step": res.step}
+                    "step": res.step, "table": table}
     if n == 3:
         if res.outcome != "completed":
             raise InvariantError(res.outcome)
@@ -336,7 +338,6 @@ def dichotomy_report(n: int, k: int = 0, i: Optional[Sequence[int]] = None) -> d
 
     # residual constraints: string pattern on n-1 independent roots, and the
     # roots are alpha^A, ..., alpha^{n-2+A} for some chord A
-    sub = enumerate_sub(t, w)
     alpha_sets = []
     for A in table.label_first:
         alpha_sets.append((A, sorted(str(table.alpha[A + j])
@@ -344,7 +345,7 @@ def dichotomy_report(n: int, k: int = 0, i: Optional[Sequence[int]] = None) -> d
     pattern_ok = True
     matched_chords = []
     for phi in survivors:
-        rr = residual_constraints(sub, phi)
+        rr = residual_constraints(table.sub, phi)
         if not (rr.is_string_pattern and rr.independent
                 and len(rr.roots) == n - 1):
             pattern_ok = False

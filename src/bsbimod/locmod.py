@@ -1,25 +1,26 @@
 """
 Functions on subexpression sets valued in the polynomial ring: the
 localization image, signed divisibility sums, membership tests for the
-X-modules, the copy/concentration/restriction/divided-difference calculus,
-the Delta/nabla bases with exact coefficient extraction, and the weighted
-inner product.
+X-modules, the copy/restriction/divided-difference calculus behind exact
+coefficient extraction, the Delta/nabla bases in closed form, and the
+weighted inner product.
 """
 
 __all__ = [
     "FnOnSub", "DecoTree",
     "res_tensor", "sigma", "membership",
-    "copy_up", "conc_up", "restrict_down", "divdiff_down",
+    "copy_up", "restrict_down", "divdiff_down",
     "basis", "nabla_X", "mu", "express_in_basis",
     "inner", "pairing_matrix",
 ]
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .polyring import (Polynomial, RationalFn, act, exact_div,
                        _integer_terms, _root_power_divides)
-from .coxeter import Permutation, Reflection, ReflExpr, truncate
+from .coxeter import Permutation, ReflExpr, truncate
 from .subexpr import Subexpr, SubSet, enumerate_sub, _fold_terms
 
 Bits = Tuple[int, ...]
@@ -224,7 +225,7 @@ def membership(g: FnOnSub, kind: str, Phi: Optional[SubSet] = None):
     return True, None
 
 
-# -- copy / concentration / restriction / divided difference ----------------
+# -- copy / restriction / divided difference --------------------------------
 
 def _extend_domain(g: FnOnSub, t: ReflExpr) -> SubSet:
     if truncate(t) != g.domain.expr:
@@ -238,18 +239,6 @@ def copy_up(g: FnOnSub, t: ReflExpr) -> FnOnSub:
     """(g Delta)(eps) = g(eps')."""
     dom = _extend_domain(g, t)
     return FnOnSub(dom, {b: g.values[b[:-1]] for b in dom.members})
-
-
-def conc_up(g: FnOnSub, t: ReflExpr, e: int) -> FnOnSub:
-    """(g nabla_e)(eps) = eps^{->m} g(eps') if eps_m = e, else 0."""
-    dom = _extend_domain(g, t)
-    m = len(t)
-    values = {}
-    for b in dom.members:
-        if b[-1] == e:
-            eps = Subexpr(t, b)
-            values[b] = eps.root_before(m) * g.values[b[:-1]]
-    return FnOnSub(dom, values)
 
 
 def restrict_down(g: FnOnSub, e: int) -> FnOnSub:
@@ -283,7 +272,7 @@ def divdiff_down(g: FnOnSub, e: int) -> FnOnSub:
 @dataclass(frozen=True)
 class DecoTree:
     """
-    The decoration data the basis recursion consumes: a 0/1 label for every
+    The decoration data the basis consumes: a 0/1 label for every
     Delta/nabla path of length < m, where the path records the choices made
     from the last position of the expression downwards.
     """
@@ -293,86 +282,85 @@ class DecoTree:
     def __post_init__(self):
         labels = {tuple(k): int(v) for k, v in dict(self.labels).items()}
         object.__setattr__(self, "labels", labels)
-        for depth in range(self.m):
-            for path in _paths(depth):
-                if path not in labels:
-                    raise ValueError(f"missing label for path {path}")
-                if labels[path] not in (0, 1):
-                    raise ValueError("labels must be 0/1")
+        for path in _paths(self.m):
+            if path not in labels:
+                raise ValueError(f"missing label for path {path}")
+            if labels[path] not in (0, 1):
+                raise ValueError("labels must be 0/1")
 
     @staticmethod
     def default(m: int) -> "DecoTree":
-        labels = {}
-        for depth in range(m):
-            for path in _paths(depth):
-                labels[path] = 0
-        return DecoTree(m, labels)
+        return DecoTree(m, {path: 0 for path in _paths(m)})
 
     def label(self, path: Tuple[str, ...]) -> int:
         return self.labels[tuple(path)]
 
 
-def _paths(depth: int):
-    if depth == 0:
-        yield ()
-        return
-    for rest in _paths(depth - 1):
-        yield ("D",) + rest
-        yield ("N",) + rest
+def _paths(m: int):
+    """Every Delta/nabla path of length < m."""
+    return (path for depth in range(m) for path in product("DN", repeat=depth))
+
+
+def _nabla_product(dom: SubSet, conc: Mapping[int, int]) -> FnOnSub:
+    """The product over positions i in conc of [delta_i = conc[i]] delta^{->i},
+    evaluated at every delta of dom: the closed form of the ladder that
+    concentrates at conc[i] on the positions in conc and copies elsewhere."""
+    t = dom.expr
+    one = Polynomial.one(t.n)
+    values = {}
+    for b in dom.members:
+        if all(b[i - 1] == e for i, e in conc.items()):
+            delta = Subexpr(t, b)
+            val = one
+            for i in conc:
+                val = val * delta.root_before(i)
+            values[b] = val
+    return FnOnSub(dom, values)
 
 
 def basis(t: ReflExpr, tree: Optional[DecoTree] = None) -> Dict[Tuple[str, ...], FnOnSub]:
     """
     The 2^m basis elements, indexed by words L in {D, N}^m read along the
-    positions 1..m.  B(L) with last letter Delta is B'(L') followed by the
-    copy; with last letter nabla it is B'(L') followed by concentration at
-    the label of the current path.  All elements share one domain Sub(t),
-    so its analysis is built once for all of them.
+    positions 1..m.  B(L) copies at every Delta position and concentrates at
+    every nabla position j, at the label e_j(L) of the path
+    (L_m, ..., L_{j+1}): B(L)(delta) is the product over the nabla positions
+    j of [delta_j = e_j(L)] delta^{->j}.  All elements share one domain
+    Sub(t), so its analysis is built once for all of them.
     """
     m = len(t)
     if tree is None:
         tree = DecoTree.default(m)
-
-    def build(expr: ReflExpr, path: Tuple[str, ...]):
-        j = len(expr)
-        if j == 0:
-            dom = enumerate_sub(expr, "all")
-            return {(): unit(dom)}
-        e = tree.label(path)
-        subD = build(truncate(expr), path + ("D",))
-        subN = build(truncate(expr), path + ("N",))
-        out = {}
-        for L, g in subD.items():
-            out[L + ("D",)] = copy_up(g, expr)
-        for L, g in subN.items():
-            out[L + ("N",)] = conc_up(g, expr, e)
-        return out
-
     dom = enumerate_sub(t, "all")
-    return {L: FnOnSub(dom, g.values) for L, g in build(t, ()).items()}
+    out = {}
+    # rev = (L_m, ..., L_1) lists the words in the order of the recursive
+    # construction, and rev[:m - j] is the path above position j
+    for rev in product("DN", repeat=m):
+        L = rev[::-1]
+        out[L] = _nabla_product(dom, {j: tree.label(rev[:m - j])
+                                      for j in range(1, m + 1)
+                                      if L[j - 1] == "N"})
+    return out
 
 
 def nabla_X(eps: Subexpr, X: Sequence[int]) -> FnOnSub:
-    """nabla_eps^X: copy at positions off X, concentration at eps_i on X."""
-    t = eps.expr
-    Xs = set(X)
-    g = unit(enumerate_sub(ReflExpr(t.n, ()), "all"))
-    for i in range(1, len(t) + 1):
-        expr = ReflExpr(t.n, t.entries[:i])
-        if i in Xs:
-            g = conc_up(g, expr, eps.bits[i - 1])
-        else:
-            g = copy_up(g, expr)
-    return g
+    """nabla_eps^X on Sub(t): copy at positions off X, concentration at
+    eps_i on X."""
+    m = len(eps)
+    if not all(1 <= i <= m for i in X):
+        raise ValueError(f"positions must lie in 1..{m}")
+    return _nabla_product(enumerate_sub(eps.expr, "all"),
+                          {i: eps.bits[i - 1] for i in sorted(set(X))})
 
 
 def mu(eps: Subexpr, sub: Optional[SubSet] = None) -> FnOnSub:
-    """mu_eps: nabla at every position, restricted to Sub(t, target(eps));
-    nonzero exactly at eps with value o(eps)."""
+    """mu_eps: nabla at every position, on Sub(t, target(eps)) unless sub is
+    given; nonzero only at eps (when eps lies in the domain), with value
+    o(eps)."""
     if sub is None:
         sub = enumerate_sub(eps.expr, eps.target())
-    full = nabla_X(eps, range(1, len(eps) + 1))
-    return full.restrict_to(sub)
+    elif sub.expr != eps.expr:
+        raise ValueError("sub is a set of subexpressions of another expression")
+    return FnOnSub(sub, {eps.bits: eps.weight()} if eps in sub else {})
 
 
 def express_in_basis(g: FnOnSub, tree: Optional[DecoTree] = None

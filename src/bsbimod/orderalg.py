@@ -20,7 +20,7 @@ from .polyring import Polynomial, GradedRank, InvariantError
 from .coxeter import Permutation, Reflection, ReflExpr
 from .subexpr import (Subexpr, SubSet, SubAnalysis, enumerate_sub, components,
                       con_component, balance, _indices, _mask, _positions)
-from .locmod import FnOnSub, nabla_X, indicator
+from .locmod import FnOnSub, indicator, _nabla_product
 
 Bits = Tuple[int, ...]
 
@@ -120,7 +120,7 @@ def closeness(sub: SubSet, Phi, eps: Subexpr, mode: str = "plain"
 def step_generator(sub: SubSet, Phi, eps: Subexpr, cert: ClosenessCert) -> FnOnSub:
     """The module generator the certificate provides: nabla_eps^Y restricted
     to Sub(t,w), times the indicator of the connected component in con mode."""
-    g = nabla_X(eps, cert.Y).restrict_to(sub)
+    g = _nabla_product(sub, {i: eps.bits[i - 1] for i in cert.Y})
     if cert.mode == "con":
         comp = con_component(sub, eps, cert.Y)
         g = g * indicator(sub, comp.members)

@@ -35,6 +35,13 @@ class InvariantError(AssertionError):
     runs under `python -O`."""
 
 
+def _exact(c) -> Fraction:
+    """c as a Fraction; a float would be stored inexactly, so it is refused."""
+    if isinstance(c, float):
+        raise TypeError(f"float coefficient {c!r}: use an int or a Fraction")
+    return Fraction(c)
+
+
 def _glex_key(item):
     exp, _ = item
     return (sum(exp), exp)
@@ -49,7 +56,7 @@ class Polynomial:
         clean = {}
         for exp, c in terms.items():
             if type(c) is not Fraction:
-                c = Fraction(c)
+                c = _exact(c)
             if c:
                 clean[tuple(exp)] = c
         self.n = n
@@ -64,7 +71,7 @@ class Polynomial:
 
     @staticmethod
     def const(n: int, c: Scalar) -> "Polynomial":
-        return Polynomial(n, {(0,) * n: Fraction(c)})
+        return Polynomial(n, {(0,) * n: c})
 
     @staticmethod
     def one(n: int) -> "Polynomial":
@@ -148,7 +155,8 @@ class Polynomial:
         return Polynomial(self.n, terms)
 
     def scale(self, c: Scalar) -> "Polynomial":
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = _exact(c)
         return Polynomial(self.n, {e: c * v for e, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:

@@ -2,18 +2,21 @@
 Brute-force reference implementations of the subexpression graph, frozen
 sets, connected components, closeness, the forest rank and its cycle
 witness, the divisibility conditions behind membership and sigma, the
-residual constraints, and root-power divisibility by repeated exact
-division.  They fold `Subexpr` objects, rebuild graphs and edge-list
-adjacencies and divide polynomials on every call, as the library did before
-it read these from the cached `SubSet.analysis()` and tested divisibility by
-substitution; the differential tests compare the two.
+residual constraints, root-power divisibility by repeated exact division, and
+the Delta/nabla elements (basis, nabla_X, mu) built by climbing the
+copy/concentration ladder one position at a time.  They fold `Subexpr`
+objects, rebuild graphs and edge-list adjacencies, divide polynomials and
+enumerate a prefix domain per ladder step on every call, as the library did
+before it read these from the cached `SubSet.analysis()`, tested
+divisibility by substitution and evaluated the nabla products in closed
+form; the differential tests compare the two.
 """
 
 from itertools import combinations, product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from bsbimod.coxeter import Reflection
-from bsbimod.locmod import FnOnSub
+from bsbimod.coxeter import Reflection, ReflExpr, truncate
+from bsbimod.locmod import DecoTree, FnOnSub, copy_up, unit, _extend_domain
 from bsbimod.orderalg import (ClosenessCert, Congruence, ResidualReport,
                               _detect_string)
 from bsbimod.polyring import GradedRank, Polynomial, try_exact_div
@@ -310,3 +313,59 @@ def residual_constraints(t, w, Phi) -> ResidualReport:
                                         power, (bits, p, X)))
     pattern, roots, path, independent = _detect_string(free, congs)
     return ResidualReport(free, tuple(congs), pattern, roots, path, independent)
+
+
+def conc_up(g: FnOnSub, t: ReflExpr, e: int) -> FnOnSub:
+    """(g nabla_e)(eps) = eps^{->m} g(eps') if eps_m = e, else 0."""
+    dom = _extend_domain(g, t)
+    m = len(t)
+    values = {}
+    for b in dom.members:
+        if b[-1] == e:
+            eps = Subexpr(t, b)
+            values[b] = eps.root_before(m) * g.values[b[:-1]]
+    return FnOnSub(dom, values)
+
+
+def basis(t: ReflExpr, tree: Optional[DecoTree] = None) -> Dict[Tuple[str, ...], FnOnSub]:
+    """B(L) with last letter Delta is B'(L') followed by the copy; with last
+    letter nabla it is B'(L') followed by concentration at the label of the
+    current path."""
+    if tree is None:
+        tree = DecoTree.default(len(t))
+
+    def build(expr: ReflExpr, path: Tuple[str, ...]):
+        if len(expr) == 0:
+            return {(): unit(enumerate_sub(expr, "all"))}
+        e = tree.label(path)
+        subD = build(truncate(expr), path + ("D",))
+        subN = build(truncate(expr), path + ("N",))
+        out = {}
+        for L, g in subD.items():
+            out[L + ("D",)] = copy_up(g, expr)
+        for L, g in subN.items():
+            out[L + ("N",)] = conc_up(g, expr, e)
+        return out
+
+    return build(t, ())
+
+
+def nabla_X(eps: Subexpr, X: Sequence[int]) -> FnOnSub:
+    """Copy at positions off X, concentration at eps_i on X."""
+    t = eps.expr
+    Xs = set(X)
+    g = unit(enumerate_sub(ReflExpr(t.n, ()), "all"))
+    for i in range(1, len(t) + 1):
+        expr = ReflExpr(t.n, t.entries[:i])
+        if i in Xs:
+            g = conc_up(g, expr, eps.bits[i - 1])
+        else:
+            g = copy_up(g, expr)
+    return g
+
+
+def mu(eps: Subexpr, sub: Optional[SubSet] = None) -> FnOnSub:
+    """nabla at every position, restricted to Sub(t, target(eps))."""
+    if sub is None:
+        sub = enumerate_sub(eps.expr, eps.target())
+    return nabla_X(eps, range(1, len(eps) + 1)).restrict_to(sub)

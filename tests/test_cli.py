@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -177,6 +178,24 @@ class TestDseq:
                              "--dot", str(out_path)])
         assert rc == 0
         assert out_path.read_text().startswith("graph")
+
+    def test_one_enumeration_per_table(self, capsys, monkeypatch):
+        # the solution table's Sub(D(i)[k], 1) serves the solution check,
+        # the structure checks and the residual step; only algorithm2
+        # enumerates it again
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_sub(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("bsbimod")
+                    and getattr(mod, "enumerate_sub", None) is enumerate_sub):
+                monkeypatch.setattr(mod, "enumerate_sub", counted)
+        rc, out = run(capsys, ["dseq", "report", "--n", "5"])
+        assert rc == 0 and "pd(string module) = 2" in out
+        assert len(calls) == 2
 
 
 class TestSelfcheck:

@@ -1,14 +1,19 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bsbimod.coxeter import Permutation, Reflection, ReflExpr, make_sequence
 from bsbimod.polyring import Polynomial, RationalFn, act
-from bsbimod.subexpr import Subexpr, enumerate_sub
+from bsbimod.subexpr import Subexpr, enumerate_sub, con_component
 from bsbimod.locmod import (FnOnSub, unit, indicator, res_tensor, sigma,
-                            membership, copy_up, conc_up, restrict_down,
+                            membership, copy_up, restrict_down,
                             divdiff_down, DecoTree, basis, nabla_X, mu,
                             express_in_basis, inner, pairing_matrix)
+from bsbimod.orderalg import closeness, step_generator
+import oracle
+from oracle import conc_up
 from conftest import random_expr
 
 
@@ -237,3 +242,99 @@ class TestNabla:
         assert g((0, 0)) is not None
         vals = {b: g(b) for b in sub.members}
         assert not all(v.is_zero() for v in vals.values())
+
+
+@st.composite
+def exprs(draw, max_len=6):
+    """A random S_3/S_4 expression of length at most max_len."""
+    n = draw(st.sampled_from([3, 4]))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    entries = draw(st.lists(st.sampled_from(pairs), max_size=max_len))
+    return ReflExpr(n, tuple(Reflection(i, j, n) for i, j in entries))
+
+
+@st.composite
+def trees(draw, m):
+    """A DecoTree with a random 0/1 label on every path of length < m."""
+    paths = [path for depth in range(m)
+             for path in itertools.product("DN", repeat=depth)]
+    return DecoTree(m, {path: draw(st.integers(0, 1)) for path in paths})
+
+
+def draw_member(data, t):
+    return Subexpr(t, tuple(data.draw(st.lists(
+        st.integers(0, 1), min_size=len(t), max_size=len(t)))))
+
+
+class TestNablaAgainstLadder:
+    """The closed-form nabla products against the copy/concentration
+    ladder of the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(exprs(), st.data())
+    def test_basis(self, t, data):
+        tree = data.draw(trees(len(t)))
+        got, want = basis(t, tree), oracle.basis(t, tree)
+        assert list(got) == list(want)
+        for L in want:
+            assert got[L] == want[L], L
+
+    @settings(max_examples=25, deadline=None)
+    @given(exprs(max_len=5), st.data())
+    def test_express_with_random_tree(self, t, data):
+        tree = data.draw(trees(len(t)))
+        assume(any(tree.labels.values()))
+        B = basis(t, tree)
+        n = t.n
+        coeffs = {L: data.draw(st.one_of(
+            st.integers(-3, 3).map(lambda c: Polynomial.const(n, c)),
+            st.integers(1, n).map(lambda i: Polynomial.var(n, i))))
+            for L in B}
+        g = FnOnSub(enumerate_sub(t, "all"), {})
+        for L, c in coeffs.items():
+            g = g + B[L].left_mul(c)
+        assert express_in_basis(g, tree) == coeffs
+
+    @settings(max_examples=100, deadline=None)
+    @given(exprs(), st.data())
+    def test_nabla_X(self, t, data):
+        eps = draw_member(data, t)
+        X = data.draw(st.sets(st.integers(1, len(t)) if len(t) else st.nothing()))
+        assert nabla_X(eps, X) == oracle.nabla_X(eps, X)
+
+    @settings(max_examples=100, deadline=None)
+    @given(exprs(), st.data())
+    def test_mu(self, t, data):
+        eps = draw_member(data, t)
+        assert mu(eps) == oracle.mu(eps)
+        # on a given domain; eps lies outside it unless the targets agree
+        other = draw_member(data, t)
+        sub = enumerate_sub(t, data.draw(st.sampled_from(
+            [other.target(), "all"])))
+        assert mu(eps, sub) == oracle.mu(eps, sub)
+
+    @settings(max_examples=60, deadline=None)
+    @given(exprs(), st.sampled_from(["plain", "con"]), st.data())
+    def test_step_generator(self, t, mode, data):
+        sub = enumerate_sub(t, draw_member(data, t).target())
+        phi = frozenset(b for b in sub.members if data.draw(st.booleans()))
+        for bits in sub.members:
+            if bits in phi:
+                continue
+            eps = Subexpr(t, bits)
+            cert = closeness(sub, phi, eps, mode)
+            if cert is None:
+                continue
+            want = oracle.nabla_X(eps, cert.Y).restrict_to(sub)
+            if mode == "con":
+                comp = con_component(sub, eps, cert.Y)
+                want = want * indicator(sub, comp.members)
+            assert step_generator(sub, phi, eps, cert) == want
+
+    def test_bad_arguments(self):
+        t = small_expr()
+        eps = Subexpr(t, (0, 1))
+        with pytest.raises(ValueError):
+            nabla_X(eps, (3,))
+        with pytest.raises(ValueError):
+            mu(eps, enumerate_sub(ReflExpr(3, t.entries[:1]), "all"))

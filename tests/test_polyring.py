@@ -86,6 +86,25 @@ class TestArithmetic:
             assert Polynomial.from_json(f.to_json()) == f
 
 
+class TestFloatCoefficients:
+    # a float would be stored as its binary expansion, so it is refused
+    def test_init(self):
+        with pytest.raises(TypeError):
+            Polynomial(2, {(1, 0): 0.1})
+
+    def test_const(self):
+        with pytest.raises(TypeError):
+            Polynomial.const(2, 0.1)
+        assert Polynomial.const(2, Fraction(1, 10)).constant_value() == \
+            Fraction(1, 10)
+
+    def test_scale(self):
+        p = Polynomial.var(2, 1)
+        with pytest.raises(TypeError):
+            p.scale(0.1)
+        assert p.scale(3) == Polynomial(2, {(1, 0): 3})
+
+
 class TestAction:
     def test_act_moves_variables(self):
         f = e(1) - e(2)
