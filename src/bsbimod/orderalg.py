@@ -12,11 +12,10 @@ __all__ = [
 ]
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .polyring import Polynomial, GradedRank, InvariantError
+from .polyring import Polynomial, GradedRank, InvariantError, _linear_rows
 from .coxeter import Permutation, Reflection, ReflExpr
 from .subexpr import (Subexpr, SubSet, SubAnalysis, enumerate_sub, components,
                       con_component, balance, _indices, _mask, _positions)
@@ -337,33 +336,8 @@ class ResidualReport:
 
 def _roots_independent(roots: Sequence[Polynomial]) -> bool:
     """Rank check over Q for degree-2 linear forms."""
-    if not roots:
-        return True
-    n = roots[0].n
-    rows = []
-    for r in roots:
-        row = [Fraction(0)] * n
-        for exp, c in r.terms.items():
-            idx = [i for i, k in enumerate(exp) if k]
-            if sum(exp) != 1:
-                raise ValueError("not a linear form")
-            row[idx[0]] = c
-        rows.append(row)
-    # Gaussian elimination
-    rank = 0
-    cols = list(range(n))
-    for col in cols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / pr[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        rank += 1
-    return rank == len(roots)
+    _, pivots = _linear_rows(roots, "not a linear form")
+    return len(pivots) == len(roots)
 
 
 def residual_constraints(sub: SubSet, Phi) -> ResidualReport:

@@ -254,6 +254,36 @@ def try_exact_div(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
         return None
 
 
+def _linear_rows(forms: Sequence[Polynomial], error: str):
+    """The degree-2 linear forms as rows of `Fraction` coefficients, and the
+    pivot columns of their row reduction over Q (one per independent form);
+    raises ValueError(error) on a form that is not linear."""
+    n = forms[0].n if forms else 0
+    rows = []
+    for f in forms:
+        row = [Fraction(0)] * n
+        for exp, c in f.terms.items():
+            if sum(exp) != 1:
+                raise ValueError(error)
+            row[exp.index(1)] = c
+        rows.append(row)
+    mat = [list(r) for r in rows]
+    pivots = []
+    for col in range(n):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        pr = mat[rank]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                f = mat[i][col] / pr[col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], pr)]
+        pivots.append(col)
+    return rows, pivots
+
+
 def _integer_terms(polys: Sequence[Polynomial]) -> list:
     """The coefficient dicts of `polys`, all scaled by the lcm of their
     denominators, so that every coefficient is an int."""
@@ -334,7 +364,7 @@ class RationalFn:
 
     def __init__(self, num: Polynomial, den_factors: Iterable[Polynomial] = (),
                  den_scalar: Scalar = 1):
-        den_scalar = Fraction(den_scalar)
+        den_scalar = _exact(den_scalar)
         if den_scalar == 0:
             raise ZeroDivisionError("zero denominator scalar")
         factors = []
@@ -413,6 +443,9 @@ class GradedRank:
     def __init__(self, coeffs: Mapping[int, int] = ()):
         clean = {}
         for k, c in dict(coeffs).items():
+            if isinstance(c, float) or c != int(c):
+                raise TypeError(f"graded-rank coefficient {c!r} is not an "
+                                "integer")
             if c < 0:
                 raise ValueError("negative graded-rank coefficient")
             if c:

@@ -1,8 +1,11 @@
 """
 Graded free modules over a polynomial ring with position-over-term monomial
-orders: division, Buchberger completion with representation tracking,
-Schreyer syzygies, graded free resolutions with minimization, projective
-dimension, and the string modules St_R(x) together with their duals.
+orders: division, Buchberger completion, graded free resolutions with
+minimization, projective dimension, and the string modules St_R(x) together
+with their duals.  Buchberger reduces each S-pair once, and its reductions
+to zero, written through sparse representations of the basis elements in
+the input generators, are the syzygies each resolution step is free on
+(Schreyer's theorem).
 
 The ring here is F[x_1..x_n, y_1..y_m] in fresh variables (the images of
 the chosen roots under an invertible change of coordinates): variable k of
@@ -19,11 +22,11 @@ __all__ = [
     "minimize_resolution", "resolution_ranks",
 ]
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .polyring import Polynomial, GradedRank, InvariantError
+from .polyring import Polynomial, GradedRank, InvariantError, _linear_rows
 
 Mono = Tuple[int, ...]
 
@@ -191,129 +194,77 @@ def reduce_elem(f: FreeModElem, G: Sequence[FreeModElem], order: ModOrder):
 class GroebnerBasis:
     elements: List[FreeModElem]
     order: ModOrder
-    # representations of the elements in terms of the original generators
-    reps: Optional[List[List[Polynomial]]] = None
     n_new: int = 0   # how many elements were added beyond the input
+    # generators of the syzygies of the input, rows {input index: coefficient}
+    syzygies: List[Dict[int, Polynomial]] = field(default_factory=list)
 
     def leading_monomials(self):
         return [g.leading(self.order)[:2] for g in self.elements]
 
 
-def buchberger(gens: Sequence[FreeModElem], order: ModOrder,
-               track: bool = True) -> GroebnerBasis:
-    """Buchberger completion.  The input generators are kept in the basis;
-    representations of every basis element in the input generators are
-    tracked for syzygy transport."""
-    gens = [g for g in gens]
-    if not gens:
-        return GroebnerBasis([], order, [], 0)
-    n = gens[0].ambient.n_vars
+def _combine(terms, reps) -> Dict[int, Polynomial]:
+    """sum c * reps[k] over the (k, c) in `terms`, zero entries dropped."""
+    row: Dict[int, Polynomial] = {}
+    for k, c in terms:
+        for col, p in reps[k].items():
+            row[col] = row[col] + c * p if col in row else c * p
+    return {col: p for col, p in row.items() if not p.is_zero()}
+
+
+def buchberger(gens: Sequence[FreeModElem], order: ModOrder) -> GroebnerBasis:
+    """
+    Buchberger completion keeping the input generators, which reduces each
+    S-pair s = u_i m_i G_i - u_j m_j G_j once, to s = sum q_k G_k + r.
+    Every element carries its representation in the inputs, a row
+    {input index: coefficient}.  If r = 0, the relation u_i m_i E_i -
+    u_j m_j E_j - sum q_k E_k, written through those rows, is a syzygy of
+    the inputs; otherwise r / lc(r) joins the basis with that relation over
+    lc(r) as its row.  The syzygies so found generate them all (Schreyer's
+    theorem; the relation of a pair that added an element transports to
+    zero, and the inputs are among the basis).
+    """
     nz = [k for k, g in enumerate(gens) if not g.is_zero()]
     G = [gens[k] for k in nz]
-    reps: List[List[Polynomial]] = []
-    for k in nz:
-        row = [Polynomial.zero(n) for _ in gens]
-        row[k] = Polynomial.one(n)
-        reps.append(row)
-
-    def spair_data(i: int, j: int):
-        gi, ei, ci = G[i].leading(order)
-        gj, ej, cj = G[j].leading(order)
-        if gi != gj:
-            return None
-        lcm = _mono_lcm(ei, ej)
-        ui = (_mono_sub(lcm, ei), Fraction(1) / ci)
-        uj = (_mono_sub(lcm, ej), Fraction(1) / cj)
-        return ui, uj
-
+    if not G:
+        return GroebnerBasis([], order)
+    n = G[0].ambient.n_vars
+    reps = [{k: Polynomial.one(n)} for k in nz]
+    syz: List[Dict[int, Polynomial]] = []
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
     n_new = 0
     while pairs:
         i, j = pairs.pop(0)
-        sd = spair_data(i, j)
-        if sd is None:
+        gi, ei, ci = G[i].leading(order)
+        gj, ej, cj = G[j].leading(order)
+        if gi != gj:
             continue
-        (mi, ci), (mj, cj) = sd
-        s = G[i].mono_mul(mi, ci) - G[j].mono_mul(mj, cj)
-        quots, rem = reduce_elem(s, G, order)
+        lcm = _mono_lcm(ei, ej)
+        mi = Polynomial(n, {_mono_sub(lcm, ei): 1 / ci})
+        mj = Polynomial(n, {_mono_sub(lcm, ej): -1 / cj})
+        quots, rem = reduce_elem(G[i].scale_poly(mi) + G[j].scale_poly(mj),
+                                 G, order)
+        terms = [(i, mi), (j, mj)]
+        terms += [(k, -q) for k, q in enumerate(quots) if not q.is_zero()]
+        row = _combine(terms, reps)
         if rem.is_zero():
+            if row:
+                syz.append(row)
             continue
-        # normalize monic
-        _, _, lc = rem.leading(order)
-        rem = rem.scale_poly(Polynomial.const(n, Fraction(1) / lc))
-        if track:
-            row = [Polynomial.zero(n) for _ in gens]
-            for col in range(len(gens)):
-                mi_p = Polynomial(n, {mi: ci})
-                mj_p = Polynomial(n, {mj: cj})
-                acc = mi_p * reps[i][col] - mj_p * reps[j][col]
-                for k, q in enumerate(quots):
-                    acc = acc - q * reps[k][col]
-                row[col] = acc.scale(Fraction(1) / lc)
-            reps.append(row)
-        for k in range(len(G)):
-            pairs.append((k, len(G)))
-        G.append(rem)
+        inv = 1 / rem.leading(order)[2]
+        pairs.extend((k, len(G)) for k in range(len(G)))
+        G.append(rem.scale_poly(Polynomial.const(n, inv)))
+        reps.append({col: p.scale(inv) for col, p in row.items()})
         n_new += 1
-    return GroebnerBasis(G, order, reps if track else None, n_new)
+    return GroebnerBasis(G, order, n_new, syz)
 
 
-def syzygies(gb: GroebnerBasis, n_gens: int) -> List[FreeModElem]:
-    """
-    Schreyer syzygies of the original generators: every S-pair of the
-    completed basis reduces to zero, and the resulting relation is
-    transported back along the tracked representations.  The returned
-    elements live in the free module on the original generators, with their
-    degrees as shifts.
-    """
-    G, order, reps = gb.elements, gb.order, gb.reps
-    if reps is None:
-        raise ValueError("syzygies need tracked representations")
-    if not G:
+def syzygies(gb: GroebnerBasis, n_gens: int) -> List[List[Polynomial]]:
+    """The syzygies of the n_gens generators `gb` was completed from, as
+    recorded by `buchberger`: dense rows of n_gens coefficients."""
+    if not gb.syzygies:
         return []
-    n = G[0].ambient.n_vars
-    out: List[List[Polynomial]] = []
-    for i in range(len(G)):
-        for j in range(i + 1, len(G)):
-            gi, ei, ci = G[i].leading(order)
-            gj, ej, cj = G[j].leading(order)
-            if gi != gj:
-                continue
-            lcm = _mono_lcm(ei, ej)
-            mi, ui = _mono_sub(lcm, ei), Fraction(1) / ci
-            mj, uj = _mono_sub(lcm, ej), Fraction(1) / cj
-            s = G[i].mono_mul(mi, ui) - G[j].mono_mul(mj, uj)
-            quots, rem = reduce_elem(s, G, order)
-            if not rem.is_zero():
-                raise InvariantError(
-                    "completed basis failed to reduce an S-pair")
-            # syzygy of G: ui E_i - uj E_j - sum quots_k E_k
-            coeffs = [Polynomial.zero(n) for _ in G]
-            coeffs[i] = coeffs[i] + Polynomial(n, {mi: ui})
-            coeffs[j] = coeffs[j] - Polynomial(n, {mj: uj})
-            for k, q in enumerate(quots):
-                coeffs[k] = coeffs[k] - q
-            # transport to the original generators
-            row = [Polynomial.zero(n) for _ in range(n_gens)]
-            for k, ck in enumerate(coeffs):
-                if ck.is_zero():
-                    continue
-                for col in range(n_gens):
-                    row[col] = row[col] + ck * reps[k][col]
-            out.append(row)
-    # package; drop zero rows
-    elems = []
-    for row in out:
-        if all(p.is_zero() for p in row):
-            continue
-        elems.append(row)
-    return elems
-
-
-def _syzygy_ambient(gens: Sequence[FreeModElem]) -> FreeModule:
-    n = gens[0].ambient.n_vars
-    degs = tuple(g.homogeneous_degree() for g in gens)
-    return FreeModule(n, degs)
+    zero = Polynomial.zero(gb.elements[0].ambient.n_vars)
+    return [[row.get(k, zero) for k in range(n_gens)] for row in gb.syzygies]
 
 
 def free_resolution(gens: Sequence[FreeModElem], order: ModOrder,
@@ -323,7 +274,8 @@ def free_resolution(gens: Sequence[FreeModElem], order: ModOrder,
     generated by `gens`.  Returns (degrees, diffs): degrees[k] is the list
     of generator degrees of F_k; diffs[k] is the matrix of the map
     F_{k+1} -> F_k (rows = F_k generators, columns = F_{k+1} generators).
-    Raises if max_len is reached before the syzygies vanish.
+    F_{k+1} is free on the syzygies `buchberger` records for the
+    generators of F_k.  Raises if max_len is reached before they vanish.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -334,21 +286,15 @@ def free_resolution(gens: Sequence[FreeModElem], order: ModOrder,
     current = list(gens)
     cur_order = order
     for _ in range(max_len):
-        gb = buchberger(current, cur_order, track=True)
-        rows = syzygies(gb, len(current))
+        rows = buchberger(current, cur_order).syzygies
         if not rows:
             return degrees, diffs
         amb = FreeModule(n, tuple(degrees[-1]))
-        syz_elems = [FreeModElem(amb, {i: p for i, p in enumerate(row)})
-                     for row in rows]
-        # reduce the syzygy generators among themselves for economy: keep a
-        # Groebner basis of the syzygy module as the next generating set
-        next_order = ModOrder.standard(n, amb.rank)
-        degrees.append([e.homogeneous_degree() for e in syz_elems])
-        diffs.append([[e.coord(i) for e in syz_elems]
+        current = [FreeModElem(amb, row) for row in rows]
+        degrees.append([e.homogeneous_degree() for e in current])
+        diffs.append([[e.coord(i) for e in current]
                       for i in range(amb.rank)])
-        current = syz_elems
-        cur_order = next_order
+        cur_order = ModOrder.standard(n, amb.rank)
     raise RuntimeError(f"resolution not finished within {max_len} steps")
 
 
@@ -440,35 +386,10 @@ def coordinate_change(roots: Sequence[Polynomial]):
     """
     if not roots:
         raise ValueError("no roots")
-    N = roots[0].n
-    rows = []
-    for r in roots:
-        row = [Fraction(0)] * N
-        for exp, c in r.terms.items():
-            if sum(exp) != 1:
-                raise ValueError("roots must be linear forms")
-            row[exp.index(1)] = c
-        rows.append(row)
-    # row reduce a copy to confirm independence and choose the completion
-    mat = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(N):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pr = mat[rank]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col] / pr[col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], pr)]
-        pivots.append(col)
-        rank += 1
-    if rank != len(roots):
+    rows, pivots = _linear_rows(roots, "roots must be linear forms")
+    if len(pivots) != len(roots):
         raise ValueError("roots are linearly dependent")
-    completion = [c for c in range(N) if c not in pivots]
-    return len(roots), rows, len(completion)
+    return len(roots), rows, roots[0].n - len(pivots)
 
 
 def st_ambient(n: int, extra: int) -> Tuple[FreeModule, ModOrder]:
@@ -601,7 +522,7 @@ def dual_toolkit(n: int, extra: int = 0) -> dict:
     report["sum_zero"] = acc.is_zero()
 
     # Groebner: completion adds nothing
-    gb = buchberger(thetas, order, track=True)
+    gb = buchberger(thetas, order)
     report["theta_groebner"] = gb.n_new == 0
 
     # syzygies reduce to multiples of w

@@ -4,14 +4,19 @@ sets, connected components, closeness, the forest rank and its cycle
 witness, the divisibility conditions behind membership and sigma, the
 residual constraints, root-power divisibility by repeated exact division, and
 the Delta/nabla elements (basis, nabla_X, mu) built by climbing the
-copy/concentration ladder one position at a time.  They fold `Subexpr`
-objects, rebuild graphs and edge-list adjacencies, divide polynomials and
-enumerate a prefix domain per ladder step on every call, as the library did
-before it read these from the cached `SubSet.analysis()`, tested
-divisibility by substitution and evaluated the nabla products in closed
-form; the differential tests compare the two.
+copy/concentration ladder one position at a time, and Buchberger completion
+with dense representation tracking followed by a second pass that reduces
+every S-pair of the finished basis again for its syzygies.  They fold
+`Subexpr` objects, rebuild graphs and edge-list adjacencies, divide
+polynomials, enumerate a prefix domain per ladder step and reduce every
+S-pair twice on every call, as the library did before it read these from
+the cached `SubSet.analysis()`, tested divisibility by substitution,
+evaluated the nabla products in closed form and read the syzygies from
+Buchberger's own reductions; the differential tests compare the two.
 """
 
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -19,7 +24,10 @@ from bsbimod.coxeter import Reflection, ReflExpr, truncate
 from bsbimod.locmod import DecoTree, FnOnSub, copy_up, unit, _extend_domain
 from bsbimod.orderalg import (ClosenessCert, Congruence, ResidualReport,
                               _detect_string)
-from bsbimod.polyring import GradedRank, Polynomial, try_exact_div
+from bsbimod.polyring import (GradedRank, InvariantError, Polynomial,
+                              try_exact_div)
+from bsbimod.strmod import (FreeModElem, FreeModule, ModOrder, reduce_elem,
+                            _mono_lcm, _mono_sub)
 from bsbimod.subexpr import (Subexpr, SubSet, SubGraph, enumerate_sub,
                              rel_card, _even_subsets, _all_subsets)
 
@@ -369,3 +377,135 @@ def mu(eps: Subexpr, sub: Optional[SubSet] = None) -> FnOnSub:
     if sub is None:
         sub = enumerate_sub(eps.expr, eps.target())
     return nabla_X(eps, range(1, len(eps) + 1)).restrict_to(sub)
+
+
+@dataclass
+class TrackedBasis:
+    elements: List[FreeModElem]
+    order: ModOrder
+    # dense representations of the elements in the original generators
+    reps: List[List[Polynomial]]
+    n_new: int = 0
+
+
+def buchberger(gens: Sequence[FreeModElem], order: ModOrder) -> TrackedBasis:
+    """Buchberger completion keeping the input generators, with a dense
+    |G| x len(gens) representation matrix."""
+    gens = [g for g in gens]
+    if not gens:
+        return TrackedBasis([], order, [], 0)
+    n = gens[0].ambient.n_vars
+    nz = [k for k, g in enumerate(gens) if not g.is_zero()]
+    G = [gens[k] for k in nz]
+    reps: List[List[Polynomial]] = []
+    for k in nz:
+        row = [Polynomial.zero(n) for _ in gens]
+        row[k] = Polynomial.one(n)
+        reps.append(row)
+
+    def spair_data(i: int, j: int):
+        gi, ei, ci = G[i].leading(order)
+        gj, ej, cj = G[j].leading(order)
+        if gi != gj:
+            return None
+        lcm = _mono_lcm(ei, ej)
+        ui = (_mono_sub(lcm, ei), Fraction(1) / ci)
+        uj = (_mono_sub(lcm, ej), Fraction(1) / cj)
+        return ui, uj
+
+    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
+    n_new = 0
+    while pairs:
+        i, j = pairs.pop(0)
+        sd = spair_data(i, j)
+        if sd is None:
+            continue
+        (mi, ci), (mj, cj) = sd
+        s = G[i].mono_mul(mi, ci) - G[j].mono_mul(mj, cj)
+        quots, rem = reduce_elem(s, G, order)
+        if rem.is_zero():
+            continue
+        # normalize monic
+        _, _, lc = rem.leading(order)
+        rem = rem.scale_poly(Polynomial.const(n, Fraction(1) / lc))
+        row = [Polynomial.zero(n) for _ in gens]
+        for col in range(len(gens)):
+            mi_p = Polynomial(n, {mi: ci})
+            mj_p = Polynomial(n, {mj: cj})
+            acc = mi_p * reps[i][col] - mj_p * reps[j][col]
+            for k, q in enumerate(quots):
+                acc = acc - q * reps[k][col]
+            row[col] = acc.scale(Fraction(1) / lc)
+        reps.append(row)
+        for k in range(len(G)):
+            pairs.append((k, len(G)))
+        G.append(rem)
+        n_new += 1
+    return TrackedBasis(G, order, reps, n_new)
+
+
+def syzygies(gb: TrackedBasis, n_gens: int) -> List[List[Polynomial]]:
+    """Every same-position S-pair of the completed basis reduced again; the
+    relation is transported densely along the tracked representations.
+    Raises InvariantError if the basis fails to reduce an S-pair."""
+    G, order, reps = gb.elements, gb.order, gb.reps
+    if not G:
+        return []
+    n = G[0].ambient.n_vars
+    out: List[List[Polynomial]] = []
+    for i in range(len(G)):
+        for j in range(i + 1, len(G)):
+            gi, ei, ci = G[i].leading(order)
+            gj, ej, cj = G[j].leading(order)
+            if gi != gj:
+                continue
+            lcm = _mono_lcm(ei, ej)
+            mi, ui = _mono_sub(lcm, ei), Fraction(1) / ci
+            mj, uj = _mono_sub(lcm, ej), Fraction(1) / cj
+            s = G[i].mono_mul(mi, ui) - G[j].mono_mul(mj, uj)
+            quots, rem = reduce_elem(s, G, order)
+            if not rem.is_zero():
+                raise InvariantError(
+                    "completed basis failed to reduce an S-pair")
+            # syzygy of G: ui E_i - uj E_j - sum quots_k E_k
+            coeffs = [Polynomial.zero(n) for _ in G]
+            coeffs[i] = coeffs[i] + Polynomial(n, {mi: ui})
+            coeffs[j] = coeffs[j] - Polynomial(n, {mj: uj})
+            for k, q in enumerate(quots):
+                coeffs[k] = coeffs[k] - q
+            # transport to the original generators
+            row = [Polynomial.zero(n) for _ in range(n_gens)]
+            for k, ck in enumerate(coeffs):
+                if ck.is_zero():
+                    continue
+                for col in range(n_gens):
+                    row[col] = row[col] + ck * reps[k][col]
+            out.append(row)
+    return [row for row in out if not all(p.is_zero() for p in row)]
+
+
+def free_resolution(gens: Sequence[FreeModElem], order: ModOrder,
+                    max_len: int = 12):
+    """The resolution built from the two-pass `buchberger`/`syzygies`
+    above: (degrees, diffs) as `strmod.free_resolution` returns them."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return [[]], []
+    n = gens[0].ambient.n_vars
+    degrees = [[g.homogeneous_degree() for g in gens]]
+    diffs: List[List[List[Polynomial]]] = []
+    current = list(gens)
+    cur_order = order
+    for _ in range(max_len):
+        rows = syzygies(buchberger(current, cur_order), len(current))
+        if not rows:
+            return degrees, diffs
+        amb = FreeModule(n, tuple(degrees[-1]))
+        syz_elems = [FreeModElem(amb, {i: p for i, p in enumerate(row)})
+                     for row in rows]
+        degrees.append([e.homogeneous_degree() for e in syz_elems])
+        diffs.append([[e.coord(i) for e in syz_elems]
+                      for i in range(amb.rank)])
+        current = syz_elems
+        cur_order = ModOrder.standard(n, amb.rank)
+    raise RuntimeError(f"resolution not finished within {max_len} steps")

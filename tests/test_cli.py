@@ -142,6 +142,23 @@ class TestAlgorithms:
                                "--target", "id"])
         assert rc == 0 and "P = 1 + v^-2" in out
 
+    def test_balanced_enumerates_once(self, capsys, monkeypatch):
+        # balanced_order enumerates Sub(t, w) and certifies its order once
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_sub(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("bsbimod")
+                    and getattr(mod, "enumerate_sub", None) is enumerate_sub):
+                monkeypatch.setattr(mod, "enumerate_sub", counted)
+        rc, out = run(capsys, ["balanced", "--expr", "(1,2)(1,2)",
+                               "--target", "id"])
+        assert rc == 0 and "P = 1 + v^-2" in out
+        assert len(calls) == 1
+
     def test_acyclic(self, capsys):
         rc, out = run(capsys, ["acyclic", "--expr", EX2, "--target", "id"])
         assert rc == 0 and "2" in out
@@ -202,6 +219,20 @@ class TestSelfcheck:
     def test_two_solution(self, capsys):
         rc, out = run(capsys, ["selfcheck", "--two-solution"])
         assert rc == 0 and "all checks passed" in out
+
+    def test_two_solution_runs_once(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "check_two_solution",
+                            lambda: calls.append("two-solution"))
+        monkeypatch.setattr(cli, "check_dseq", lambda n, k: None)
+        rc, out = run(capsys, ["selfcheck", "--two-solution", "--all"])
+        assert rc == 0 and calls == ["two-solution"]
+        assert out.count("== two-solution instance") == 1
+
+    def test_no_json_option(self, tmp_path):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(["selfcheck", "--json", str(tmp_path / "out.json")])
+        assert ei.value.code == 2
 
 
 class TestUsage:

@@ -104,6 +104,12 @@ class TestFloatCoefficients:
             p.scale(0.1)
         assert p.scale(3) == Polynomial(2, {(1, 0): 3})
 
+    def test_rational_fn_den_scalar(self):
+        with pytest.raises(TypeError):
+            RationalFn(Polynomial.one(2), den_scalar=0.1)
+        r = RationalFn(Polynomial.one(2), den_scalar=Fraction(1, 10))
+        assert r.as_poly() == Polynomial.const(2, 10)
+
 
 class TestAction:
     def test_act_moves_variables(self):
@@ -218,6 +224,13 @@ class TestGradedRank:
         assert P + GradedRank.v_power(-2) == GradedRank({0: 1, -2: 4})
         assert P.shift(-2) == GradedRank({-2: 1, -4: 3})
         assert GradedRank.constant(2).coeffs == {0: 2}
+
+    def test_non_integer_coefficient(self):
+        # int(c) would store {0: 0} for 0.5 and print 1 for 1.5
+        for c in (0.5, 1.5, 2.0, Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                GradedRank({0: c})
+        assert GradedRank({0: Fraction(4, 2)}).coeffs == {0: 2}
 
     def test_json_round_trip(self):
         P = GradedRank({0: 1, -2: 3, -4: 1})

@@ -1,15 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from bsbimod import strmod
 from bsbimod.polyring import Polynomial, GradedRank
 from bsbimod.strmod import (FreeModule, ModOrder, FreeModElem, reduce_elem,
                             buchberger, syzygies, free_resolution,
                             minimize_resolution, resolution_ranks, pd,
                             coordinate_change, st_ambient, st_generators,
                             st_membership, q_generators, theta_generators,
-                            dual_toolkit)
+                            dual_toolkit, _mono_lcm, _mono_sub)
+import oracle
 
 
 def x(i, nv):
@@ -181,3 +185,110 @@ class TestDual:
     def test_theta_requires_three_roots(self):
         with pytest.raises(ValueError):
             theta_generators(2, 0)
+
+
+@st.composite
+def modules(draw, max_gens=4):
+    """Homogeneous generators of a random submodule of a graded free module:
+    2-3 variables, rank 1-3 with shifts 0 or 2, 1..max_gens generators of
+    degree 2 or 4, each coordinate with at most two terms and coefficients
+    in -2..2 (so some coordinates are constants and some generators zero)."""
+    nv = draw(st.integers(2, 3))
+    shifts = tuple(draw(st.lists(st.sampled_from((0, 2)), min_size=1,
+                                 max_size=3)))
+    amb = FreeModule(nv, shifts)
+    gens = []
+    for _ in range(draw(st.integers(1, max_gens))):
+        deg = draw(st.sampled_from((2, 4)))
+        coords = {}
+        for g, shift in enumerate(shifts):
+            if shift > deg:
+                continue
+            monos = [e for e in product(range(deg // 2 + 1), repeat=nv)
+                     if 2 * sum(e) == deg - shift]
+            coords[g] = Polynomial(nv, draw(st.dictionaries(
+                st.sampled_from(monos), st.integers(-2, 2), max_size=2)))
+        gens.append(FreeModElem(amb, coords))
+    return gens, ModOrder.standard(nv, len(shifts))
+
+
+def _grows():
+    """(x_2^2, x_2 x_1 + x_1^2) in lex x_2 > x_1: the S-pair leaves x_1^3,
+    so Buchberger adds an element."""
+    x1, x2 = x(1, 2), x(2, 2)
+    amb = FreeModule(2, (0,))
+    return ([FreeModElem(amb, {0: x2 * x2}),
+             FreeModElem(amb, {0: x2 * x1 + x1 * x1})],
+            ModOrder.standard(2, 1))
+
+
+def _combination(row, gens):
+    total = FreeModElem(gens[0].ambient, {})
+    for k, c in row.items():
+        total = total + gens[k].scale_poly(c)
+    return total
+
+
+class TestSyzygiesAgainstOracle:
+    """`buchberger` reduces every S-pair once and records the syzygies;
+    the oracle completes the basis with dense representations and reduces
+    every S-pair of it a second time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(modules())
+    @example(_grows())
+    def test_basis_and_syzygies(self, case):
+        gens, order = case
+        gb = buchberger(gens, order)
+        ob = oracle.buchberger(gens, order)
+        assert gb.elements == ob.elements and gb.n_new == ob.n_new
+        for row in gb.syzygies:
+            assert row and _combination(row, gens).is_zero()
+        G = gb.elements
+        for i in range(len(G)):
+            for j in range(i + 1, len(G)):
+                gi, ei, ci = G[i].leading(order)
+                gj, ej, cj = G[j].leading(order)
+                if gi != gj:
+                    continue
+                lcm = _mono_lcm(ei, ej)
+                s = (G[i].mono_mul(_mono_sub(lcm, ei), 1 / ci)
+                     - G[j].mono_mul(_mono_sub(lcm, ej), 1 / cj))
+                assert reduce_elem(s, G, order)[1].is_zero()
+
+    @settings(max_examples=100, deadline=None)
+    @given(modules(max_gens=3))
+    @example(_grows())
+    def test_resolution(self, case):
+        gens, order = case
+        p, degrees = pd(gens, order)
+        want = minimize_resolution(*oracle.free_resolution(gens, order))[0]
+        assert (p, degrees) == (len(want) - 1, want)
+        # the recorded rows generate every syzygy the oracle finds
+        n = gens[0].ambient.n_vars
+        amb = FreeModule(n, (0,) * len(gens))
+        rows = [FreeModElem(amb, row)
+                for row in buchberger(gens, order).syzygies]
+        sorder = ModOrder.standard(n, len(gens))
+        basis = buchberger(rows, sorder).elements
+        for row in oracle.syzygies(oracle.buchberger(gens, order), len(gens)):
+            elem = FreeModElem(amb, dict(enumerate(row)))
+            assert reduce_elem(elem, basis, sorder)[1].is_zero()
+
+    def test_grows(self):
+        gens, order = _grows()
+        gb = buchberger(gens, order)
+        assert gb.n_new == 1 and len(gb.syzygies) == 2
+
+    def test_syzygies_reduce_nothing(self, monkeypatch):
+        gens = st_generators(4)
+        _, order = st_ambient(4, 0)
+        gb = buchberger(gens, order)
+
+        def refuse(*args):
+            raise AssertionError("syzygies reduced an S-pair")
+
+        monkeypatch.setattr(strmod, "reduce_elem", refuse)
+        rows = syzygies(gb, len(gens))
+        assert len(rows) == len(gb.syzygies) > 0
+        assert all(len(row) == len(gens) for row in rows)
