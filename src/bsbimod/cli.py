@@ -463,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_dseq)
 
     p = sp.add_parser("selfcheck", help="built-in verification suite")
-    p.add_argument("--two-solution", action="store_true")
     p.add_argument("--all", action="store_true")
     p.set_defaults(handler=cmd_selfcheck)
 

@@ -4,6 +4,11 @@ M_p, folding, enumeration of Sub(t) and Sub(t, w), relative cardinality,
 the per-reflection equivalence classes, the graphs Gr(Phi), frozen and
 unfrozen subexpression sets, and balancedness.
 
+Sub(t, w) is enumerated by meet in the middle: the subproducts of the tail
+half of t are grouped by permutation, and each choice u on the head half,
+in lexicographic order, is completed by the tails whose product is
+u^{-1} w.  Members come out as bit tuples in lexicographic order.
+
 A `SubSet` is analysed once, on first use (`SubSet.analysis`): member
 indices and bit masks, each member's `all_M`, the members reached by its
 folds, and the adjacency of its full graph.  The graph, frozen-set and
@@ -22,8 +27,9 @@ __all__ = [
     "balanced_set", "ENUM_IMPLEMENTATION",
 ]
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .polyring import Polynomial, act
 from .coxeter import Permutation, Reflection, ReflExpr
@@ -383,90 +389,63 @@ def rel_card(Y, X) -> int:
     return sum(1 for pos, x in enumerate(X, start=1) if pos % 2 == 1 and x in Y)
 
 
-def _target_masks(n: int, trans, target) -> list:
-    """
-    The bitmasks, increasing, whose subproduct of `trans` is `target`;
-    position i in 1..m is bit m - i, so numeric order on masks is
-    lexicographic order on bit tuples.  `trans` lists 0-based (i, j) pairs
-    and `target` is a 0-based one-line image tuple.
-
-    A depth-first scan over the 2^m bit choices, pruned with suffix
-    reachability: the prefix u extends to the target iff u^{-1} w is a
-    product of some subset of the remaining transpositions.
-    """
-    m = len(trans)
-    identity = tuple(range(n))
-
-    # reachable[i] = set of products of subsets of trans[i:], as tuples
-    reachable = [None] * (m + 1)
-    reachable[m] = {identity}
-    for i in range(m - 1, -1, -1):
-        a, b = trans[i]
-        prev = reachable[i + 1]
-        cur = set(prev)
-        for s in prev:
-            # left-multiply by the transposition (a b): swap the values a, b
-            lst = list(s)
-            for x in range(n):
-                if lst[x] == a:
-                    lst[x] = b
-                elif lst[x] == b:
-                    lst[x] = a
-            cur.add(tuple(lst))
-        reachable[i] = cur
-
-    out = []
-    prefix = list(range(n))  # running prefix product, one-line
-
-    def residual():
-        # (prefix^{-1} target) as a tuple
-        inv = [0] * n
-        for x in range(n):
-            inv[prefix[x]] = x
-        return tuple(inv[target[x]] for x in range(n))
-
-    def dfs(i, mask):
-        if i == m:
-            if residual() == identity:
-                out.append(mask)
-            return
-        if residual() not in reachable[i]:
-            return
-        # bit 0 first for lexicographic output order
-        dfs(i + 1, mask)
-        a, b = trans[i]
-        # right-multiply the prefix by (a b): swap the entries at a and b
-        prefix[a], prefix[b] = prefix[b], prefix[a]
-        dfs(i + 1, mask | (1 << (m - 1 - i)))
-        prefix[a], prefix[b] = prefix[b], prefix[a]
-
-    dfs(0, 0)
+def _subproducts(n: int, trans) -> list:
+    """(bits, product) over all 0/1 choices on `trans`, in lexicographic
+    order on bits.  `trans` lists 0-based (i, j) pairs; the product
+    t_1^{b_1} ... t_k^{b_k} is a 0-based one-line image tuple."""
+    out = [((), tuple(range(n)))]
+    for a, b in trans:
+        nxt = []
+        for bits, p in out:
+            nxt.append((bits + (0,), p))
+            q = list(p)
+            q[a], q[b] = q[b], q[a]  # right-multiply by (a b)
+            nxt.append((bits + (1,), tuple(q)))
+        out = nxt
     return out
 
 
-def enumerate_sub(t: ReflExpr, w: Union[Permutation, str, None] = "all",
-                  cap: int = CAP) -> SubSet:
+def _target_members(n: int, trans, target) -> list:
+    """
+    The bit tuples, in lexicographic order, whose subproduct of `trans` is
+    `target` (a 0-based one-line image tuple), by meet in the middle: the
+    tail half's choices are grouped by product, and each head choice u, in
+    order, is completed by the tails whose product is u^{-1} target.
+    """
+    k = len(trans) // 2
+    tails: Dict[Tuple[int, ...], list] = {}
+    for bits, p in _subproducts(n, trans[k:]):
+        tails.setdefault(p, []).append(bits)
+    out = []
+    inv = [0] * n
+    for head, p in _subproducts(n, trans[:k]):
+        for x, y in enumerate(p):
+            inv[y] = x
+        for tail in tails.get(tuple(inv[y] for y in target), ()):
+            out.append(head + tail)
+    return out
+
+
+def enumerate_sub(t: ReflExpr, w: Union[Permutation, str, None] = "all"
+                  ) -> SubSet:
     """Sub(t) (w = "all"/None) or Sub(t, w), canonically (lexicographically)
-    ordered by bits.  ValueError if Sub(t) would have more than ALL_CAP
-    members."""
+    ordered by bits.  ValueError if t is longer than CAP, if Sub(t) would
+    have more than ALL_CAP members, or if w is not in S_n for t's n."""
     m = len(t)
-    if m > cap:
-        raise ValueError(f"expression length {m} exceeds the cap {cap}")
+    if m > CAP:
+        raise ValueError(f"expression length {m} exceeds the cap {CAP}")
     if w is None or w == "all":
         if 2 ** m > ALL_CAP:
             raise ValueError(f"Sub(t) has 2^{m} members, more than the cap "
                              f"ALL_CAP = {ALL_CAP}")
-        members = tuple(tuple((mask >> (m - 1 - i)) & 1 for i in range(m))
-                        for mask in range(2 ** m))
-        return SubSet(t, None, members)
+        return SubSet(t, None, tuple(itertools.product((0, 1), repeat=m)))
     if not isinstance(w, Permutation):
         raise TypeError("target must be a Permutation or 'all'")
+    if w.n != t.n:
+        raise ValueError(f"target in S_{w.n}, expression in S_{t.n}")
     trans = [(r.i - 1, r.j - 1) for r in t.entries]
     target = tuple(v - 1 for v in w.images)
-    masks = _target_masks(t.n, trans, target)
-    members = tuple(tuple((mask >> (m - 1 - i)) & 1 for i in range(m))
-                    for mask in masks)
-    return SubSet(t, w, members)
+    return SubSet(t, w, tuple(_target_members(t.n, trans, target)))
 
 
 def _even_subsets(X: Sequence[int]):

@@ -1,18 +1,20 @@
 """
-Brute-force reference implementations of the subexpression graph, frozen
-sets, connected components, closeness, the forest rank and its cycle
+Reference implementations: the depth-first enumerator of Sub(t, w) pruned
+by suffix reachability; brute-force versions of the subexpression graph,
+frozen sets, connected components, closeness, the forest rank and its cycle
 witness, the divisibility conditions behind membership and sigma, the
-residual constraints, root-power divisibility by repeated exact division, and
-the Delta/nabla elements (basis, nabla_X, mu) built by climbing the
-copy/concentration ladder one position at a time, and Buchberger completion
-with dense representation tracking followed by a second pass that reduces
-every S-pair of the finished basis again for its syzygies.  They fold
-`Subexpr` objects, rebuild graphs and edge-list adjacencies, divide
-polynomials, enumerate a prefix domain per ladder step and reduce every
-S-pair twice on every call, as the library did before it read these from
-the cached `SubSet.analysis()`, tested divisibility by substitution,
-evaluated the nabla products in closed form and read the syzygies from
-Buchberger's own reductions; the differential tests compare the two.
+residual constraints, and root-power divisibility by repeated exact
+division; the Delta/nabla elements (basis, nabla_X, mu) built by climbing
+the copy/concentration ladder one position at a time; and Buchberger
+completion with dense representation tracking followed by a second pass
+that reduces every S-pair of the finished basis again for its syzygies.
+They scan every prefix, fold `Subexpr` objects, rebuild graphs and
+edge-list adjacencies, divide polynomials, enumerate a prefix domain per
+ladder step and reduce every S-pair twice on every call, as the library
+did before it enumerated by meet in the middle, read these from the cached
+`SubSet.analysis()`, tested divisibility by substitution, evaluated the
+nabla products in closed form and read the syzygies from Buchberger's own
+reductions; the differential tests compare the two.
 """
 
 from dataclasses import dataclass
@@ -32,6 +34,62 @@ from bsbimod.subexpr import (Subexpr, SubSet, SubGraph, enumerate_sub,
                              rel_card, _even_subsets, _all_subsets)
 
 Bits = Tuple[int, ...]
+
+
+def target_members(t: ReflExpr, w) -> Tuple[Bits, ...]:
+    """
+    The members of Sub(t, w), in lexicographic order, by a depth-first scan
+    over the 2^m bit choices pruned with suffix reachability: the prefix u
+    extends to w iff u^{-1} w is a product of some subset of the remaining
+    reflections.
+    """
+    n, m = t.n, len(t)
+    trans = [(r.i - 1, r.j - 1) for r in t.entries]
+    target = tuple(v - 1 for v in w.images)
+    identity = tuple(range(n))
+
+    # reachable[i] = set of products of subsets of trans[i:], as tuples
+    reachable = [None] * (m + 1)
+    reachable[m] = {identity}
+    for i in range(m - 1, -1, -1):
+        a, b = trans[i]
+        cur = set(reachable[i + 1])
+        for s in reachable[i + 1]:
+            # left-multiply by the transposition (a b): swap the values a, b
+            cur.add(tuple(b if x == a else a if x == b else x for x in s))
+        reachable[i] = cur
+
+    out = []
+    prefix = list(range(n))  # running prefix product, one-line
+    bits = []
+
+    def residual():
+        # (prefix^{-1} target) as a tuple
+        inv = [0] * n
+        for x in range(n):
+            inv[prefix[x]] = x
+        return tuple(inv[target[x]] for x in range(n))
+
+    def dfs(i):
+        if i == m:
+            if residual() == identity:
+                out.append(tuple(bits))
+            return
+        if residual() not in reachable[i]:
+            return
+        # bit 0 first for lexicographic output order
+        bits.append(0)
+        dfs(i + 1)
+        a, b = trans[i]
+        # right-multiply the prefix by (a b): swap the entries at a and b
+        prefix[a], prefix[b] = prefix[b], prefix[a]
+        bits[-1] = 1
+        dfs(i + 1)
+        prefix[a], prefix[b] = prefix[b], prefix[a]
+        bits.pop()
+
+    dfs(0)
+    return tuple(out)
 
 
 def graph(Phi: SubSet) -> SubGraph:

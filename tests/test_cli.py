@@ -217,7 +217,7 @@ class TestDseq:
 
 class TestSelfcheck:
     def test_two_solution(self, capsys):
-        rc, out = run(capsys, ["selfcheck", "--two-solution"])
+        rc, out = run(capsys, ["selfcheck"])
         assert rc == 0 and "all checks passed" in out
 
     def test_two_solution_runs_once(self, capsys, monkeypatch):
@@ -225,13 +225,19 @@ class TestSelfcheck:
         monkeypatch.setattr(cli, "check_two_solution",
                             lambda: calls.append("two-solution"))
         monkeypatch.setattr(cli, "check_dseq", lambda n, k: None)
-        rc, out = run(capsys, ["selfcheck", "--two-solution", "--all"])
+        rc, out = run(capsys, ["selfcheck", "--all"])
         assert rc == 0 and calls == ["two-solution"]
         assert out.count("== two-solution instance") == 1
 
     def test_no_json_option(self, tmp_path):
         with pytest.raises(SystemExit) as ei:
             cli.main(["selfcheck", "--json", str(tmp_path / "out.json")])
+        assert ei.value.code == 2
+
+    def test_no_two_solution_option(self):
+        # the two-solution check always runs; there is no flag to select it
+        with pytest.raises(SystemExit) as ei:
+            cli.main(["selfcheck", "--two-solution"])
         assert ei.value.code == 2
 
 

@@ -1,7 +1,9 @@
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bsbimod.coxeter import (Permutation, Reflection, ReflExpr, make_sequence,
                              product)
@@ -9,6 +11,7 @@ from bsbimod.subexpr import (Subexpr, SubSet, enumerate_sub, graph, components,
                              frozen_set, unfrozen_set, con_component, balance,
                              balanced_set, rel_card, equiv_class,
                              ENUM_IMPLEMENTATION)
+import oracle
 from conftest import random_expr, reachable_targets
 
 
@@ -25,6 +28,31 @@ def brute_force_sub(t, w):
     return out
 
 
+@st.composite
+def targeted_exprs(draw):
+    """An S_3..S_6 expression of length 0..14 and a target: the identity,
+    the product of a random subexpression, or a random permutation, which
+    is often not reachable."""
+    n = draw(st.integers(3, 6))
+    m = draw(st.integers(0, 14))
+    pairs = draw(st.lists(st.lists(st.integers(1, n), min_size=2,
+                                   max_size=2, unique=True),
+                          min_size=m, max_size=m))
+    t = ReflExpr(n, tuple(Reflection(min(a, b), max(a, b), n)
+                          for a, b in pairs))
+    kind = draw(st.sampled_from(["identity", "reachable", "random"]))
+    if kind == "identity":
+        return t, Permutation.identity(n)
+    if kind == "reachable":
+        bits = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+        return t, Subexpr(t, bits).target()
+    return t, Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+
+
+def _t(n, *pairs):
+    return ReflExpr(n, tuple(Reflection(a, b, n) for a, b in pairs))
+
+
 class TestEnumeration:
     def test_kernel_selected(self):
         assert ENUM_IMPLEMENTATION == "python"
@@ -36,6 +64,43 @@ class TestEnumeration:
                       rng.choice(reachable_targets(t))):
                 sub = enumerate_sub(t, w)
                 assert list(sub.members) == brute_force_sub(t, w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(targeted_exprs())
+    @example((_t(3), Permutation.identity(3)))
+    @example((_t(3), Permutation((2, 1, 3))))
+    @example((_t(4, (1, 3)), Permutation((3, 2, 1, 4))))
+    @example((_t(4, (1, 3)), Permutation((2, 1, 3, 4))))
+    @example((_t(5, (1, 2), (2, 3)), Permutation.identity(5)))
+    def test_against_dfs_oracle(self, case):
+        t, w = case
+        assert enumerate_sub(t, w).members == oracle.target_members(t, w)
+
+    def test_m22_identity_target(self):
+        # the DFS oracle takes seconds here; the count is checked against
+        # the number of subsets per product, propagated over the entries
+        t = random_expr(random.Random(22), 4, 22)
+        e = Permutation.identity(4)
+        start = time.perf_counter()
+        members = enumerate_sub(t, e).members
+        elapsed = time.perf_counter() - start
+        assert all(a < b for a, b in zip(members, members[1:]))
+        counts = {e: 1}
+        for r in t.entries:
+            s = r.as_permutation()
+            nxt = dict(counts)
+            for p, c in counts.items():
+                q = p * s
+                nxt[q] = nxt.get(q, 0) + c
+            counts = nxt
+        assert len(members) == counts[e] > 0
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_target_of_wrong_rank_refused(self, n):
+        t = _t(4, (1, 2), (3, 4))
+        with pytest.raises(ValueError, match=f"target in S_{n}"):
+            enumerate_sub(t, Permutation.identity(n))
 
     def test_all_refused_above_size_cap(self):
         # Sub(t) for m = 21 has 2^21 members: refused before any is built
