@@ -81,7 +81,11 @@ def parse_root(text: str, n: int) -> Polynomial:
         coeff = Fraction(int(m.group(2) or 1))
         if m.group(1) == "-":
             coeff = -coeff
-        out = out + Polynomial.var(n, int(m.group(3))).scale(coeff)
+        var = int(m.group(3))
+        if not 1 <= var <= n:
+            raise UsageError(f"root {text!r}: e{var} is not a variable of "
+                             f"the rank-{n} ambient ring")
+        out = out + Polynomial.var(n, var).scale(coeff)
     if pos != len(text.replace(" ", "")):
         raise UsageError(f"cannot parse root {text!r}")
     return out
@@ -253,18 +257,24 @@ def cmd_acyclic(args) -> int:
 
 def cmd_st(args) -> int:
     if args.roots:
-        amb_n = args.ambient or 0
-        if not amb_n:
+        amb_n = args.ambient
+        if amb_n is None:
             # infer the ambient variable count from the roots
-            probe = max((int(x) for x in re.findall(r"e(\d+)", args.roots)),
+            amb_n = max((int(x) for x in re.findall(r"e(\d+)", args.roots)),
                         default=0)
-            amb_n = probe
         roots = parse_roots(args.roots, amb_n)
+        if len(roots) < 2:
+            raise UsageError(f"--roots {args.roots!r}: need at least two "
+                             "roots")
         n_roots, _, _ = strmod.coordinate_change(roots)
         extra = amb_n - n_roots
     else:
-        n_roots = args.nroots or 4
+        n_roots = 4 if args.nroots is None else args.nroots
         extra = args.extra
+        if n_roots < 2:
+            raise UsageError(f"--nroots {n_roots}: need at least two roots")
+        if extra < 0:
+            raise UsageError(f"--extra {extra}: must not be negative")
     gens = strmod.st_generators(n_roots, extra=extra)
     _, order = strmod.st_ambient(n_roots, extra=extra)
     if args.action == "pd":
@@ -295,7 +305,15 @@ def cmd_st(args) -> int:
 
 def cmd_dseq(args) -> int:
     n = args.n
-    perm = tuple(int(x) for x in args.perm.split(",")) if args.perm else None
+    if n < 3:
+        raise UsageError(f"--n {n}: need n >= 3")
+    perm = None
+    if args.perm:
+        perm = tuple(int(x) for x in args.perm.split(",")
+                     if x.strip().isdigit())
+        if sorted(perm) != list(range(1, n + 1)):
+            raise UsageError(f"--perm {args.perm!r} is not a rearrangement "
+                             f"of 1..{n}")
     report = dseq.dichotomy_report(n, args.k, perm)
     table = report["table"]
     checks = dseq.structure_checks(table)

@@ -317,7 +317,7 @@ def dichotomy_report(n: int, k: int = 0, i: Optional[Sequence[int]] = None) -> d
         raise InvariantError("solution table mismatch")
     t = table.expr
     w = Permutation.identity(t.n)
-    res = algorithm2(t, w)
+    res = algorithm2(t, w, sub=table.sub)
     report: dict = {"n": n, "k": k, "i": table.i, "outcome": res.outcome,
                     "step": res.step, "table": table}
     if n == 3:

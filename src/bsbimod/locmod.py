@@ -257,13 +257,14 @@ def divdiff_down(g: FnOnSub, e: int) -> FnOnSub:
     if g.domain.target is not None:
         raise ValueError("divided difference acts on full domains Sub(t)")
     m = len(t)
-    tp = truncate(t)
-    dom = enumerate_sub(tp, "all")
+    dom = enumerate_sub(truncate(t), "all")
+    roots = g.domain.roots()
     values = {}
-    for b in dom.members:
+    for k, b in enumerate(dom.members):
+        # Sub(t) lists the bit tuples in lexicographic order, so the index
+        # of b + (e,) is those bits read as a binary number
         diff = g.values[b + (e,)] - g.values[b + (1 - e,)]
-        root = Subexpr(t, b + (e,)).root_before(m)
-        values[b] = exact_div(diff, root)
+        values[b] = exact_div(diff, roots[2 * k + e][m - 1])
     return FnOnSub(dom, values)
 
 
@@ -305,15 +306,13 @@ def _nabla_product(dom: SubSet, conc: Mapping[int, int]) -> FnOnSub:
     """The product over positions i in conc of [delta_i = conc[i]] delta^{->i},
     evaluated at every delta of dom: the closed form of the ladder that
     concentrates at conc[i] on the positions in conc and copies elsewhere."""
-    t = dom.expr
-    one = Polynomial.one(t.n)
+    one = Polynomial.one(dom.expr.n)
     values = {}
-    for b in dom.members:
+    for b, roots in zip(dom.members, dom.roots()):
         if all(b[i - 1] == e for i, e in conc.items()):
-            delta = Subexpr(t, b)
             val = one
             for i in conc:
-                val = val * delta.root_before(i)
+                val = val * roots[i - 1]
             values[b] = val
     return FnOnSub(dom, values)
 
@@ -405,15 +404,11 @@ def inner(g: FnOnSub, h: FnOnSub) -> RationalFn:
     g._check(h)
     if g.domain.target is None:
         raise ValueError("the inner product lives on Sub(t, w)")
-    n = g.domain.expr.n
-    total = RationalFn(Polynomial.zero(n))
-    for bits in g.domain.members:
-        eps = Subexpr(g.domain.expr, bits)
+    total = RationalFn(Polynomial.zero(g.domain.expr.n))
+    for bits, roots in zip(g.domain.members, g.domain.roots()):
         num = g.values[bits] * h.values[bits]
-        if num.is_zero():
-            continue
-        factors = [eps.root_before(i) for i in range(1, len(eps) + 1)]
-        total = total + RationalFn(num, factors)
+        if not num.is_zero():
+            total = total + RationalFn(num, roots)
     return total
 
 

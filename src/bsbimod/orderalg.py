@@ -128,8 +128,12 @@ def step_generator(sub: SubSet, Phi, eps: Subexpr, cert: ClosenessCert) -> FnOnS
 
 def _run_family_algorithm(t: ReflExpr, w: Permutation, mode: str,
                           max_family: Optional[int] = None,
-                          greedy: bool = False) -> AlgoResult:
-    sub = enumerate_sub(t, w)
+                          greedy: bool = False,
+                          sub: Optional[SubSet] = None) -> AlgoResult:
+    if sub is None:
+        sub = enumerate_sub(t, w)
+    elif sub.expr != t or sub.target != w:
+        raise ValueError("sub is not Sub(t, w)")
     subexprs = sub.subexprs()
     msub = len(sub)
     trace: List[Dict[FrozenSet[Bits], GradedRank]] = [
@@ -190,9 +194,11 @@ def algorithm1(t: ReflExpr, w: Permutation, max_family: Optional[int] = None,
 
 
 def algorithm2(t: ReflExpr, w: Permutation, max_family: Optional[int] = None,
-               greedy: bool = False) -> AlgoResult:
-    """Family growth by con-closeness with graded-rank tracking."""
-    return _run_family_algorithm(t, w, "con", max_family, greedy)
+               greedy: bool = False, sub: Optional[SubSet] = None
+               ) -> AlgoResult:
+    """Family growth by con-closeness with graded-rank tracking, on
+    sub = Sub(t, w) when it is already enumerated."""
+    return _run_family_algorithm(t, w, "con", max_family, greedy, sub)
 
 
 def chain_run(t: ReflExpr, w: Permutation, order: Sequence[Subexpr],

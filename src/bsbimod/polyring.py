@@ -3,8 +3,10 @@ Exact graded polynomial arithmetic over the rationals.
 
 The ring is Q[e_1, ..., e_n] with deg e_i = 2.  The symmetric group acts by
 permuting variables, so the linear form e_i - e_j is the root of the
-transposition (i j).  Everything is exact: coefficients are `Fraction`s and
-division only succeeds when it is exact in the polynomial ring.
+transposition (i j).  Everything is exact: an integral coefficient is stored
+as an `int` and any other as a `Fraction` (a float is refused), every
+coefficient division goes through `Fraction`, and polynomial division only
+succeeds when it is exact in the polynomial ring.
 
 >>> n = 3
 >>> e1, e2 = Polynomial.var(n, 1), Polynomial.var(n, 2)
@@ -35,11 +37,19 @@ class InvariantError(AssertionError):
     runs under `python -O`."""
 
 
-def _exact(c) -> Fraction:
-    """c as a Fraction; a float would be stored inexactly, so it is refused."""
+def _exact(c) -> Scalar:
+    """c as an int if integral, else as a Fraction; a float would be stored
+    inexactly, so it is refused."""
     if isinstance(c, float):
         raise TypeError(f"float coefficient {c!r}: use an int or a Fraction")
-    return Fraction(c)
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _ratio(a: Scalar, b: Scalar) -> Scalar:
+    """a / b exactly, stored as `_exact` stores it."""
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _glex_key(item):
@@ -48,14 +58,17 @@ def _glex_key(item):
 
 
 class Polynomial:
-    """Immutable multivariate polynomial over Q in e_1..e_n."""
+    """Immutable multivariate polynomial over Q in e_1..e_n.  `terms` maps
+    exponent tuples to nonzero coefficients: `int`s, and `Fraction`s with
+    denominator above 1."""
 
     __slots__ = ("n", "terms", "_hash")
 
     def __init__(self, n: int, terms: Mapping[tuple, Scalar]):
         clean = {}
         for exp, c in terms.items():
-            if type(c) is not Fraction:
+            if type(c) is not int and (type(c) is not Fraction
+                                       or c.denominator == 1):
                 c = _exact(c)
             if c:
                 clean[tuple(exp)] = c
@@ -83,7 +96,7 @@ class Polynomial:
             raise ValueError(f"variable index {i} out of range 1..{n}")
         exp = [0] * n
         exp[i - 1] = 1
-        return Polynomial(n, {tuple(exp): Fraction(1)})
+        return Polynomial(n, {tuple(exp): 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -93,9 +106,9 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(not any(exp) for exp in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError("not a constant")
         return next(iter(self.terms.values()))
@@ -136,7 +149,7 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
+            terms[exp] = terms.get(exp, 0) + c
         return Polynomial(self.n, terms)
 
     def __neg__(self) -> "Polynomial":
@@ -151,11 +164,11 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
+                terms[exp] = terms.get(exp, 0) + c1 * c2
         return Polynomial(self.n, terms)
 
     def scale(self, c: Scalar) -> "Polynomial":
-        if type(c) is not Fraction:
+        if type(c) is not int and type(c) is not Fraction:
             c = _exact(c)
         return Polynomial(self.n, {e: c * v for e, v in self.terms.items()})
 
@@ -226,25 +239,34 @@ def act(images: Sequence[int], f: Polynomial) -> Polynomial:
 
 
 def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact quotient f/g in the polynomial ring; raises NotDivisible."""
+    """Exact quotient f/g in the polynomial ring; raises NotDivisible.  Long
+    division on one coefficient dict: the graded-lex leading term of the
+    remainder is popped, divided by that of g, and the quotient term times
+    the rest of g is subtracted term by term."""
     f._check(g)
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    n = f.n
     gexp, gc = g.leading()
+    rest = [(e, c) for e, c in g.terms.items() if e != gexp]
+    rem = dict(f.terms)
     quo: dict = {}
-    rem = f
-    while not rem.is_zero():
-        rexp, rc = rem.leading()
+    while rem:
+        rexp = max(rem, key=lambda e: (sum(e), e))
         diff = tuple(a - b for a, b in zip(rexp, gexp))
         if any(d < 0 for d in diff):
             # single-divisor division: any term escaping the leading monomial
             # certifies non-membership in the principal ideal (g)
             raise NotDivisible(f"{f} is not divisible by {g}")
-        c = rc / gc
-        quo[diff] = quo.get(diff, Fraction(0)) + c
-        rem = rem - Polynomial(n, {diff: c}) * g
-    return Polynomial(n, quo)
+        # the leading terms strictly decrease, so each diff comes up once
+        c = quo[diff] = _ratio(rem.pop(rexp), gc)
+        for e, ce in rest:
+            x = tuple(a + b for a, b in zip(diff, e))
+            v = rem.get(x, 0) - c * ce
+            if v:
+                rem[x] = v
+            else:
+                del rem[x]
+    return Polynomial(f.n, quo)
 
 
 def try_exact_div(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
@@ -265,7 +287,7 @@ def _linear_rows(forms: Sequence[Polynomial], error: str):
         for exp, c in f.terms.items():
             if sum(exp) != 1:
                 raise ValueError(error)
-            row[exp.index(1)] = c
+            row[exp.index(1)] = Fraction(c)
         rows.append(row)
     mat = [list(r) for r in rows]
     pivots = []
@@ -404,7 +426,7 @@ class RationalFn:
     def as_poly(self) -> Polynomial:
         if not self.in_R():
             raise ValueError("not a polynomial")
-        return self.num.scale(1 / self.den_scalar)
+        return self.num.scale(Fraction(1, self.den_scalar))
 
     def __add__(self, other: "RationalFn") -> "RationalFn":
         num = self.num.scale(other.den_scalar) * _prod(other.den_factors, self.num.n) \

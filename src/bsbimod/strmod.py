@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .polyring import Polynomial, GradedRank, InvariantError, _linear_rows
+from .polyring import (Polynomial, GradedRank, InvariantError, Scalar,
+                       _linear_rows)
 
 Mono = Tuple[int, ...]
 
@@ -106,7 +107,7 @@ class FreeModElem:
         return FreeModElem(self.ambient,
                            {g: p * q for g, q in self.coords.items()})
 
-    def mono_mul(self, exp: Mono, c: Fraction) -> "FreeModElem":
+    def mono_mul(self, exp: Mono, c: Scalar) -> "FreeModElem":
         mono = Polynomial(self.ambient.n_vars, {tuple(exp): c})
         return self.scale_poly(mono)
 
@@ -162,7 +163,7 @@ def reduce_elem(f: FreeModElem, G: Sequence[FreeModElem], order: ModOrder):
     leading monomial of G.  Returns (quotients list, remainder)."""
     n = f.ambient.n_vars
     lead = [(g.leading(order) if not g.is_zero() else None) for g in G]
-    qs: List[Dict[Mono, Fraction]] = [dict() for _ in G]
+    qs: List[Dict[Mono, Scalar]] = [dict() for _ in G]
     rem = FreeModElem(f.ambient, {})
     cur = f
     while not cur.is_zero():
@@ -183,8 +184,8 @@ def reduce_elem(f: FreeModElem, G: Sequence[FreeModElem], order: ModOrder):
         else:
             k, lexp, lc = hit
             diff = _mono_sub(exp0, lexp)
-            coef = c0 / lc
-            qs[k][diff] = qs[k].get(diff, Fraction(0)) + coef
+            coef = Fraction(c0, lc)
+            qs[k][diff] = qs[k].get(diff, 0) + coef
             cur = cur - G[k].mono_mul(diff, coef)
     quotients = [Polynomial(n, q) for q in qs]
     return quotients, rem
@@ -239,8 +240,8 @@ def buchberger(gens: Sequence[FreeModElem], order: ModOrder) -> GroebnerBasis:
         if gi != gj:
             continue
         lcm = _mono_lcm(ei, ej)
-        mi = Polynomial(n, {_mono_sub(lcm, ei): 1 / ci})
-        mj = Polynomial(n, {_mono_sub(lcm, ej): -1 / cj})
+        mi = Polynomial(n, {_mono_sub(lcm, ei): Fraction(1, ci)})
+        mj = Polynomial(n, {_mono_sub(lcm, ej): Fraction(-1, cj)})
         quots, rem = reduce_elem(G[i].scale_poly(mi) + G[j].scale_poly(mj),
                                  G, order)
         terms = [(i, mi), (j, mj)]
@@ -250,7 +251,7 @@ def buchberger(gens: Sequence[FreeModElem], order: ModOrder) -> GroebnerBasis:
             if row:
                 syz.append(row)
             continue
-        inv = 1 / rem.leading(order)[2]
+        inv = Fraction(1, rem.leading(order)[2])
         pairs.extend((k, len(G)) for k in range(len(G)))
         G.append(rem.scale_poly(Polynomial.const(n, inv)))
         reps.append({col: p.scale(inv) for col, p in row.items()})
@@ -331,7 +332,7 @@ def minimize_resolution(degrees, diffs):
                 for j in range(n_cols):
                     if j == j0:
                         continue
-                    corr = M[i][j] - M[i][j0] * M[i0][j].scale(Fraction(1) / u)
+                    corr = M[i][j] - M[i][j0] * M[i0][j].scale(Fraction(1, u))
                     row.append(corr)
                 newM.append(row)
             diffs[k] = newM

@@ -14,7 +14,9 @@ indices and bit masks, each member's `all_M`, the members reached by its
 folds, and the adjacency of its full graph.  The graph, frozen-set and
 connected-component functions, closeness in `orderalg`, and the divisibility
 conditions that membership and the residual constraints check, read from
-that analysis as integer bitmasks over member indices.
+that analysis as integer bitmasks over member indices.  The roots
+eps^{->k} of every member have their own cached table (`SubSet.roots`),
+which does not build the analysis.
 
 A subexpression is a 0/1 sequence bound to its reflection expression; two
 subexpressions over different expressions are never equal.
@@ -142,15 +144,18 @@ class Subexpr:
 
 @dataclass(frozen=True)
 class SubSet:
-    """A canonically ordered set of subexpressions of one expression."""
+    """A set of subexpressions of one expression, its members in strictly
+    increasing lexicographic order: on Sub(t) the index of a member is its
+    bits read as a binary number."""
     expr: ReflExpr
     target: Optional[Permutation]  # None means "all"
     members: Tuple[Bits, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(tuple(b) for b in self.members))
-        if len(set(self.members)) != len(self.members):
-            raise ValueError("duplicate members")
+        if any(a >= b for a, b in zip(self.members, self.members[1:])):
+            raise ValueError("members must be distinct and in lexicographic "
+                             "order")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -169,6 +174,35 @@ class SubSet:
         if cached is None:
             cached = SubAnalysis(self)
             object.__setattr__(self, "_analysis_cache", cached)
+        return cached
+
+    def roots(self) -> Tuple[Tuple[Polynomial, ...], ...]:
+        """roots()[i][k-1] is eps^{->k} = eps^{<k}(alpha_{t_k}) for member
+        eps = i, built on first use from prefix products extended one
+        position at a time, and cached here; it does not build the
+        analysis."""
+        cached = getattr(self, "_roots_cache", None)
+        if cached is None:
+            n = self.expr.n
+            trans = [(r.i - 1, r.j - 1) for r in self.expr.entries]
+            made: Dict[Tuple[int, int], Polynomial] = {}
+            rows = []
+            for bits in self.members:
+                prefix = list(range(n))  # eps^{<k}, 0-based one-line
+                row = []
+                for (a, b), bit in zip(trans, bits):
+                    key = (prefix[a], prefix[b])
+                    root = made.get(key)
+                    if root is None:
+                        root = made[key] = Polynomial(n, {
+                            tuple(int(x == key[0]) for x in range(n)): 1,
+                            tuple(int(x == key[1]) for x in range(n)): -1})
+                    row.append(root)
+                    if bit:
+                        prefix[a], prefix[b] = prefix[b], prefix[a]
+                rows.append(tuple(row))
+            cached = tuple(rows)
+            object.__setattr__(self, "_roots_cache", cached)
         return cached
 
     def restrict(self, bits_set) -> "SubSet":
@@ -226,6 +260,21 @@ def _fold_terms(folds: Sequence[int], S: int, even: bool
     return tuple(out)
 
 
+def _generate_conditions(per_p, even: bool):
+    """The stream behind `SubAnalysis.conditions`.  It reads `per_p` alone,
+    so the analysis that caches it is not kept alive by a cycle."""
+    seen = set()
+    for i, rows in enumerate(per_p):
+        for p, Mp, folds in rows:
+            for S in range(1, len(folds)):
+                terms = _fold_terms(folds, S, even)
+                X = _positions(Mp, S)
+                key = (p, X, min(j for j, _ in terms))
+                if key not in seen:
+                    seen.add(key)
+                    yield i, p, X, terms
+
+
 class SubAnalysis:
     """
     A set of subexpressions analysed once.  Member i is `members[i]`, with
@@ -273,6 +322,7 @@ class SubAnalysis:
         self.per_p = tuple(per_p)
         self.adj = tuple(adj)
         self._reach: Dict[int, tuple] = {}
+        self._conditions: Dict[bool, tuple] = {}
 
     def reach(self, i: int) -> tuple:
         """(p, M_p, reach) over the rows of `per_p[i]`, built on first use:
@@ -300,17 +350,28 @@ class SubAnalysis:
         """(i, p, X, terms) for the conditions Sigma_X^eps, eps = member i,
         X a nonempty subset of M_p(eps): members in order, then p, then X as
         increasing submasks.  Only the first (eps, X) of those whose folds
-        by subsets of X give the same members is kept."""
-        seen = set()
-        for i, rows in enumerate(self.per_p):
-            for p, Mp, folds in rows:
-                for S in range(1, len(folds)):
-                    terms = _fold_terms(folds, S, even)
-                    X = _positions(Mp, S)
-                    key = (p, X, min(j for j, _ in terms))
-                    if key not in seen:
-                        seen.add(key)
-                        yield i, p, X, terms
+        by subsets of X give the same members is kept.  Each variant's list
+        is generated once, as far as it is consumed: a later or interleaved
+        call replays what is listed, then draws on the same generator.  A
+        fold leaving the set is a ValueError, listed too, so that every
+        call raises it at the same place."""
+        listed, source = self._conditions.setdefault(
+            even, ([], _generate_conditions(self.per_p, even)))
+        k = 0
+        while True:
+            if k == len(listed):
+                try:
+                    item = next(source, None)
+                except ValueError as exc:
+                    item = exc
+                if item is None:
+                    return
+                listed.append(item)
+            item = listed[k]
+            if isinstance(item, ValueError):
+                raise item
+            yield item
+            k += 1
 
     def require(self, eps: Subexpr) -> int:
         """The index of eps; ValueError if eps is not a member."""

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,13 @@ def reachable_targets(t: ReflExpr):
     for p in t.entries:
         seen |= {w * p.as_permutation() for w in seen}
     return sorted(seen, key=lambda w: w.images)
+
+
+def exact_coefficients(f) -> bool:
+    """Every coefficient of the Polynomial f is an int or a Fraction with
+    denominator above 1."""
+    return all(type(c) is int or type(c) is Fraction and c.denominator != 1
+               for c in f.terms.values())
 
 
 @pytest.fixture

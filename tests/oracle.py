@@ -3,18 +3,20 @@ Reference implementations: the depth-first enumerator of Sub(t, w) pruned
 by suffix reachability; brute-force versions of the subexpression graph,
 frozen sets, connected components, closeness, the forest rank and its cycle
 witness, the divisibility conditions behind membership and sigma, the
-residual constraints, and root-power divisibility by repeated exact
-division; the Delta/nabla elements (basis, nabla_X, mu) built by climbing
-the copy/concentration ladder one position at a time; and Buchberger
-completion with dense representation tracking followed by a second pass
-that reduces every S-pair of the finished basis again for its syzygies.
-They scan every prefix, fold `Subexpr` objects, rebuild graphs and
-edge-list adjacencies, divide polynomials, enumerate a prefix domain per
-ladder step and reduce every S-pair twice on every call, as the library
-did before it enumerated by meet in the middle, read these from the cached
-`SubSet.analysis()`, tested divisibility by substitution, evaluated the
-nabla products in closed form and read the syzygies from Buchberger's own
-reductions; the differential tests compare the two.
+residual constraints, exact division with two `Polynomial`s per
+long-division step, and root-power divisibility by repeated exact division;
+the Delta/nabla elements (basis, nabla_X, mu) built by climbing the
+copy/concentration ladder one position at a time; and Buchberger completion
+with dense representation tracking followed by a second pass that reduces
+every S-pair of the finished basis again for its syzygies.  They scan every
+prefix, fold `Subexpr` objects, rebuild graphs and edge-list adjacencies,
+divide polynomials, build a `Polynomial` per division step, enumerate a
+prefix domain per ladder step and reduce every S-pair twice on every call,
+as the library did before it enumerated by meet in the middle, read these
+from the cached `SubSet.analysis()`, tested divisibility by substitution,
+divided on one coefficient dict, evaluated the nabla products in closed
+form and read the syzygies from Buchberger's own reductions; the
+differential tests compare the two.
 """
 
 from dataclasses import dataclass
@@ -26,8 +28,8 @@ from bsbimod.coxeter import Reflection, ReflExpr, truncate
 from bsbimod.locmod import DecoTree, FnOnSub, copy_up, unit, _extend_domain
 from bsbimod.orderalg import (ClosenessCert, Congruence, ResidualReport,
                               _detect_string)
-from bsbimod.polyring import (GradedRank, InvariantError, Polynomial,
-                              try_exact_div)
+from bsbimod.polyring import (GradedRank, InvariantError, NotDivisible,
+                              Polynomial)
 from bsbimod.strmod import (FreeModElem, FreeModule, ModOrder, reduce_elem,
                             _mono_lcm, _mono_sub)
 from bsbimod.subexpr import (Subexpr, SubSet, SubGraph, enumerate_sub,
@@ -308,6 +310,35 @@ def condition_stream(g: FnOnSub, variant: str):
                     continue
                 seen.add(key)
                 yield eps, p, X
+
+
+def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Exact quotient f/g by long division with two new `Polynomial`s per
+    step, the quotient term times g and the new remainder; raises
+    NotDivisible."""
+    f._check(g)
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    n = f.n
+    gexp, gc = g.leading()
+    quo: dict = {}
+    rem = f
+    while not rem.is_zero():
+        rexp, rc = rem.leading()
+        diff = tuple(a - b for a, b in zip(rexp, gexp))
+        if any(d < 0 for d in diff):
+            raise NotDivisible(f"{f} is not divisible by {g}")
+        c = Fraction(rc, gc)
+        quo[diff] = quo.get(diff, Fraction(0)) + c
+        rem = rem - Polynomial(n, {diff: c}) * g
+    return Polynomial(n, quo)
+
+
+def try_exact_div(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
+    try:
+        return exact_div(f, g)
+    except NotDivisible:
+        return None
 
 
 def divisible_by_power(f: Polynomial, alpha: Polynomial, k: int) -> bool:

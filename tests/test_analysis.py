@@ -5,7 +5,9 @@ constraints against the brute-force reference implementations in
 `oracle.py`.
 """
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -195,6 +197,74 @@ class TestConditionsAgainstOracle:
         phi = frozenset(b for b in sub.members if data.draw(st.booleans()))
         got = residual_constraints(sub, phi)
         assert got == oracle.residual_constraints(sub.expr, sub.target, phi)
+
+
+class TestCachedConditions:
+    """`SubAnalysis.conditions` lists each variant once per domain, as far
+    as it is consumed, and replays that list."""
+
+    @staticmethod
+    def fresh(sub, even):
+        return list(enumerate_sub(sub.expr, sub.target or "all")
+                    .analysis().conditions(even))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sub_sets(max_len=6), st.sampled_from(["X(t)", "Xw"]), st.data())
+    def test_replay_after_reject(self, sub, kind, data):
+        if kind == "X(t)":
+            sub = enumerate_sub(sub.expr, "all")
+        g = data.draw(functions(sub))
+        # a constant added at one member: X(t) rejects it part way
+        bad = data.draw(st.sampled_from(sub.members))
+        one = Polynomial.one(sub.expr.n)
+        h = FnOnSub(sub, {**g.values, bad: g.values[bad] + one})
+        assert membership(h, kind) == oracle.membership(h, kind)
+        assert membership(g, kind) == oracle.membership(g, kind)
+        even = kind != "X(t)"
+        assert list(sub.analysis().conditions(even)) == self.fresh(sub, even)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sub_sets(max_len=6), st.booleans(), st.data())
+    def test_interleaved(self, sub, on_all, data):
+        if on_all:
+            sub = enumerate_sub(sub.expr, "all")
+        even = not on_all or data.draw(st.booleans())
+        an = sub.analysis()
+        seen = ([], [])
+        its = (an.conditions(even), an.conditions(even))
+        live = [0, 1]
+        while live:
+            k = data.draw(st.sampled_from(live))
+            item = next(its[k], None)
+            if item is None:
+                live.remove(k)
+            else:
+                seen[k].append(item)
+        want = self.fresh(sub, even)
+        assert seen[0] == seen[1] == want
+
+    def test_freed_without_the_cycle_collector(self):
+        # the cached stream must not refer back to its analysis, or every
+        # basis domain would wait for the cycle collector
+        t = ReflExpr(3, tuple(Reflection(1, 2, 3) for _ in range(4)))
+        an = enumerate_sub(t, "all").analysis()
+        next(an.conditions(False))
+        ref = weakref.ref(an)
+        gc.disable()
+        try:
+            del an
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_fold_leaving_the_set_raises_every_time(self):
+        # on the subset {00, 01} of Sub((1,2)(1,2)) the odd fold of 00 at
+        # position 1 leaves the set
+        t = ReflExpr(2, (Reflection(1, 2, 2), Reflection(1, 2, 2)))
+        an = enumerate_sub(t, "all").restrict([(0, 0), (0, 1)]).analysis()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="leaves the set"):
+                list(an.conditions(False))
 
 
 class TestAnalysis:

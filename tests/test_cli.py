@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import bsbimod
 from bsbimod import cli
 from bsbimod.coxeter import Reflection, ReflExpr
 from bsbimod.polyring import Polynomial
@@ -198,8 +201,7 @@ class TestDseq:
 
     def test_one_enumeration_per_table(self, capsys, monkeypatch):
         # the solution table's Sub(D(i)[k], 1) serves the solution check,
-        # the structure checks and the residual step; only algorithm2
-        # enumerates it again
+        # the structure checks, the family growth and the residual step
         calls = []
 
         def counted(*args, **kwargs):
@@ -212,7 +214,7 @@ class TestDseq:
                 monkeypatch.setattr(mod, "enumerate_sub", counted)
         rc, out = run(capsys, ["dseq", "report", "--n", "5"])
         assert rc == 0 and "pd(string module) = 2" in out
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestSelfcheck:
@@ -252,10 +254,28 @@ class TestUsage:
         ["enumerate", "--expr", "(2,2)"],
         ["enumerate", "--expr", "xyz"],
         ["st", "pd", "--roots", "e1-q2"],
+        ["st", "pd", "--nroots", "0"],
+        ["st", "pd", "--nroots", "3", "--extra", "-1"],
+        ["st", "pd", "--roots", "e1-e9", "--ambient", "3"],
+        ["dseq", "report", "--n", "2"],
+        ["st", "pd", "--roots", "e1-e2"],
+        ["st", "pd", "--roots", "e1-e2,e2-e3", "--ambient", "0"],
+        ["dseq", "report", "--n", "4", "--perm", "1,2,3"],
+        ["dseq", "report", "--n", "3", "--perm", "1,2,x"],
     ])
     def test_bad_input_exits_2(self, capsys, args):
         rc = cli.main(args)
         assert rc == 2 and capsys.readouterr().err.startswith("error: ")
+
+    def test_python_m(self):
+        # `python -m bsbimod` runs the command line from a plain checkout
+        src = os.path.dirname(os.path.dirname(bsbimod.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bsbimod", "enumerate",
+             "--expr", "(1,2)(2,3)", "--target", "id"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stdout.strip() == "00"
 
     @pytest.mark.parametrize("flag", ["--seed", "--workers"])
     def test_removed_options(self, flag):

@@ -93,6 +93,16 @@ class TestAlgorithms:
         expected = GradedRank({0: 1, -2: 4})
         assert all(P == expected for P in res.trace[5].values())
 
+    def test_on_an_enumerated_sub(self):
+        t = make_sequence("D", (1, 2, 3, 4), 4)
+        w = Permutation.identity(4)
+        sub = enumerate_sub(t, w)
+        assert algorithm2(t, w, sub=sub) == algorithm2(t, w)
+        other = make_sequence("D", (1, 2, 4, 3), 4)
+        for bad in (enumerate_sub(other, w), enumerate_sub(t, "all")):
+            with pytest.raises(ValueError, match="not Sub"):
+                algorithm2(t, w, sub=bad)
+
     def test_max_family_cap(self):
         t = make_sequence("D", (1, 2, 3), 3)
         res = algorithm2(t, Permutation.identity(3), max_family=1)

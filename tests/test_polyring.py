@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from bsbimod.polyring import (Polynomial, RationalFn, GradedRank, NotDivisible,
                               act, exact_div, try_exact_div,
-                              divisible_by_power, demazure, wp)
+                              divisible_by_power, demazure, wp,
+                              _linear_rows)
 import oracle
+from conftest import exact_coefficients
 
 
 def e(i, n=4):
@@ -24,6 +27,18 @@ def random_poly(rng, n=4, terms=3, deg=2):
     return out
 
 
+def polys(draw, n, max_terms=4, min_terms=0):
+    """A random polynomial in e_1..e_n with coefficients of denominator
+    1-3 and exponents up to 3."""
+    out = Polynomial.zero(n)
+    for _ in range(draw(st.integers(min_terms, max_terms))):
+        exp = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        c = Fraction(draw(st.integers(-4, 4).filter(bool)),
+                     draw(st.integers(1, 3)))
+        out = out + Polynomial(n, {exp: c})
+    return out
+
+
 @st.composite
 def divisibility_cases(draw):
     """(f, alpha, k): f a random polynomial on n = 3, 4 with denominators
@@ -33,23 +48,36 @@ def divisibility_cases(draw):
     a, b = draw(st.lists(st.integers(1, n), min_size=2, max_size=2,
                          unique=True))
     root = e(a, n) - e(b, n)
-
-    def poly():
-        out = Polynomial.zero(n)
-        for _ in range(draw(st.integers(0, 4))):
-            exp = tuple(draw(st.lists(st.integers(0, 3), min_size=n,
-                                      max_size=n)))
-            c = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
-            out = out + Polynomial(n, {exp: c})
-        return out
-
-    f = poly()
+    f = polys(draw, n)
     for _ in range(draw(st.integers(0, 3))):
         f = f * root
     if draw(st.booleans()):
-        f = f + poly()
+        f = f + polys(draw, n)
     c = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
     return f, root.scale(c), draw(st.integers(0, 5))
+
+
+@st.composite
+def division_cases(draw):
+    """(f * g, g) or (f * g + r, g) for a random nonzero g: a root, a
+    non-monic multiple of a root, or a polynomial of up to four terms."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    a, b = draw(st.lists(st.integers(1, n), min_size=2, max_size=2,
+                         unique=True))
+    kind = draw(st.sampled_from(["root", "non-monic", "multi"]))
+    if kind == "root":
+        g = e(a, n) - e(b, n)
+    elif kind == "non-monic":
+        g = (e(a, n) - e(b, n)).scale(
+            draw(st.sampled_from([2, -3, Fraction(2, 3)])))
+    else:
+        g = Polynomial.zero(n)
+        while g.is_zero():
+            g = polys(draw, n, min_terms=1)
+    f = polys(draw, n) * g
+    if draw(st.booleans()):
+        f = f + polys(draw, n, max_terms=2)
+    return f, g
 
 
 def random_transposition(rng, n=4):
@@ -111,6 +139,61 @@ class TestFloatCoefficients:
         assert r.as_poly() == Polynomial.const(2, 10)
 
 
+class TestCoefficientTypes:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_arithmetic(self, data):
+        n = data.draw(st.sampled_from([2, 3]))
+        f, g = polys(data.draw, n), polys(data.draw, n)
+        c = data.draw(st.sampled_from([0, 3, -1, Fraction(4, 2),
+                                       Fraction(-1, 3), True]))
+        for h in (f + g, f - g, f * g, -f, f.scale(c), g.scale(c)):
+            assert exact_coefficients(h)
+        k = Polynomial.const(n, Fraction(6, 3))
+        assert exact_coefficients(k) and type(k.constant_value()) is int
+
+    @settings(max_examples=150, deadline=None)
+    @given(division_cases())
+    def test_exact_div_and_as_poly(self, case):
+        f, g = case
+        try:
+            q = exact_div(f, g)
+        except NotDivisible:
+            return
+        assert exact_coefficients(q)
+        r = RationalFn(f, (g,), den_scalar=Fraction(3, 2))
+        assert r.in_R() and exact_coefficients(r.as_poly())
+        assert r.as_poly() == q.scale(Fraction(2, 3))
+
+    def test_linear_rows(self):
+        # the rank check divides row entries, so they must be Fractions:
+        # an int row entry would make the division a float
+        forms = [e(1) - e(2), e(2).scale(3) - e(3),
+                 e(1) + e(2).scale(2) - e(3)]
+        rows, pivots = _linear_rows(forms, "not linear")
+        assert pivots == [0, 1]
+        assert all(type(x) is Fraction for row in rows for x in row)
+
+    @pytest.mark.parametrize("f, text, blob", [
+        (Polynomial(3, {(2, 0, 0): 3, (1, 1, 0): Fraction(-1, 2),
+                        (0, 0, 1): -1, (0, 0, 0): Fraction(4, 2)}),
+         "3*e1^2 - 1/2*e1*e2 - e3 + 2",
+         '{"n": 3, "terms": [{"exp": [2, 0, 0], "num": "3", "den": "1"}, '
+         '{"exp": [1, 1, 0], "num": "-1", "den": "2"}, '
+         '{"exp": [0, 0, 1], "num": "-1", "den": "1"}, '
+         '{"exp": [0, 0, 0], "num": "2", "den": "1"}]}'),
+        (Polynomial(2, {(1, 0): Fraction(-3, 4), (0, 1): 1}),
+         "-3/4*e1 + e2",
+         '{"n": 2, "terms": [{"exp": [1, 0], "num": "-3", "den": "4"}, '
+         '{"exp": [0, 1], "num": "1", "den": "1"}]}'),
+    ])
+    def test_golden_output(self, f, text, blob):
+        # the same strings as when every coefficient was a Fraction
+        assert str(f) == text
+        assert json.dumps(f.to_json()) == blob
+        assert Polynomial.from_json(json.loads(blob)) == f
+
+
 class TestAction:
     def test_act_moves_variables(self):
         f = e(1) - e(2)
@@ -139,6 +222,19 @@ class TestDivision:
         assert divisible_by_power(alpha * alpha * e(2), alpha, 2)
         assert not divisible_by_power(alpha * e(2), alpha, 2)
         assert divisible_by_power(Polynomial.zero(4), alpha, 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(division_cases())
+    def test_exact_div_against_oracle(self, case):
+        f, g = case
+        try:
+            want = oracle.exact_div(f, g)
+        except NotDivisible:
+            with pytest.raises(NotDivisible):
+                exact_div(f, g)
+            assert try_exact_div(f, g) is None
+        else:
+            assert exact_div(f, g) == want
 
     @settings(max_examples=300, deadline=None)
     @given(divisibility_cases())

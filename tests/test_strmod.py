@@ -14,6 +14,7 @@ from bsbimod.strmod import (FreeModule, ModOrder, FreeModElem, reduce_elem,
                             st_membership, q_generators, theta_generators,
                             dual_toolkit, _mono_lcm, _mono_sub)
 import oracle
+from conftest import exact_coefficients
 
 
 def x(i, nv):
@@ -169,6 +170,7 @@ class TestCoordinateChange:
         r34 = Polynomial.var(n, 3) - Polynomial.var(n, 4)
         k, rows, extra = coordinate_change([r12, r23, r34])
         assert k == 3 and extra == 1
+        assert all(type(c) is Fraction for row in rows for c in row)
         with pytest.raises(ValueError):
             coordinate_change([r12, r23, r12 + r23])
 
@@ -229,6 +231,23 @@ def _combination(row, gens):
     return total
 
 
+class TestCoefficientTypes:
+    @settings(max_examples=100, deadline=None)
+    @given(modules(max_gens=3))
+    @example(_grows())
+    def test_reduce_and_buchberger(self, case):
+        # reduction and completion divide by leading coefficients
+        gens, order = case
+        gb = buchberger(gens, order)
+        out = [p for g in gb.elements for p in g.coords.values()]
+        out += [p for row in gb.syzygies for p in row.values()]
+        third = Polynomial.const(gens[0].ambient.n_vars, Fraction(1, 3))
+        for f in gens:
+            quots, rem = reduce_elem(f.scale_poly(third), gb.elements, order)
+            out += quots + list(rem.coords.values())
+        assert all(exact_coefficients(p) for p in out)
+
+
 class TestSyzygiesAgainstOracle:
     """`buchberger` reduces every S-pair once and records the syzygies;
     the oracle completes the basis with dense representations and reduces
@@ -252,8 +271,8 @@ class TestSyzygiesAgainstOracle:
                 if gi != gj:
                     continue
                 lcm = _mono_lcm(ei, ej)
-                s = (G[i].mono_mul(_mono_sub(lcm, ei), 1 / ci)
-                     - G[j].mono_mul(_mono_sub(lcm, ej), 1 / cj))
+                s = (G[i].mono_mul(_mono_sub(lcm, ei), Fraction(1, ci))
+                     - G[j].mono_mul(_mono_sub(lcm, ej), Fraction(1, cj)))
                 assert reduce_elem(s, G, order)[1].is_zero()
 
     @settings(max_examples=100, deadline=None)

@@ -29,12 +29,12 @@ def brute_force_sub(t, w):
 
 
 @st.composite
-def targeted_exprs(draw):
-    """An S_3..S_6 expression of length 0..14 and a target: the identity,
-    the product of a random subexpression, or a random permutation, which
-    is often not reachable."""
-    n = draw(st.integers(3, 6))
-    m = draw(st.integers(0, 14))
+def targeted_exprs(draw, max_n=6, max_len=14):
+    """An S_3..S_{max_n} expression of length 0..max_len and a target: the
+    identity, the product of a random subexpression, or a random
+    permutation, which is often not reachable."""
+    n = draw(st.integers(3, max_n))
+    m = draw(st.integers(0, max_len))
     pairs = draw(st.lists(st.lists(st.integers(1, n), min_size=2,
                                    max_size=2, unique=True),
                           min_size=m, max_size=m))
@@ -154,6 +154,20 @@ class TestSubexpr:
             got = self.eps.root_before(i)
             assert got in (r, r.scale(-1))
             assert got == act(self.eps.prefix(i).images, self.t[i].root())
+
+    @settings(max_examples=150, deadline=None)
+    @given(targeted_exprs(max_n=5, max_len=8), st.booleans())
+    def test_root_table(self, case, on_all):
+        # SubSet.roots() against Subexpr.root_before, without the analysis
+        t, w = case
+        sub = enumerate_sub(t, "all" if on_all else w)
+        roots = sub.roots()
+        assert len(roots) == len(sub) and sub.roots() is roots
+        for bits, row in zip(sub.members, roots):
+            eps = Subexpr(t, bits)
+            assert row == tuple(eps.root_before(k)
+                                for k in range(1, len(t) + 1))
+        assert getattr(sub, "_analysis_cache", None) is None
 
     def test_dotted(self):
         dot = self.eps.dotted()
@@ -288,6 +302,15 @@ class TestBalance:
         sub = enumerate_sub(t, Permutation.identity(n))
         # the all-ones solution has no Bruhat drop at its first position
         assert isinstance(balanced_set(sub), bool)
+
+
+class TestSubSet:
+    @pytest.mark.parametrize("members", [
+        [(0, 1), (0, 0), (1, 0), (1, 1)], [(0, 0), (0, 0)]])
+    def test_members_distinct_and_ordered(self, members):
+        # divdiff_down reads Sub(t) by index, so the order is enforced
+        with pytest.raises(ValueError, match="lexicographic order"):
+            SubSet(_t(3, (1, 2), (2, 3)), None, members)
 
 
 class TestJson:
