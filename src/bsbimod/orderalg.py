@@ -69,29 +69,13 @@ def _candidates_con(Mp: Tuple[int, ...], np: int) -> List[Tuple[int, ...]]:
     return [tuple(sorted(c)) for c in combinations(sorted(Mp), np - 1)]
 
 
-def closeness(sub: SubSet, Phi, eps: Subexpr, mode: str = "plain"
-              ) -> Optional[ClosenessCert]:
-    """
-    Whether eps (in Sub(t,w), not in Phi) is close ("plain") or con-close
-    ("con") to Phi.  Condition (a): |Y cap M_p(eps)| = n_p(Phi,eps) - 1 for
-    every p with M_p nonempty; condition (b)/(b'): the frozen set (or its
-    connected component through eps) avoids Phi.  Returns the first valid
-    certificate in canonical order, or None.
-
-    Phi_p(eps) is the set of X inside M_p(eps) whose unfrozen set
-    {f_Y eps : Y even inside X} lies in Phi u {eps}; it is read from the
-    cached analysis of `sub`, as is the graph the con mode searches.
-    """
-    an = sub.analysis()
-    i = an.require(eps)
-    phi_bits = frozenset(tuple(b) for b in
-                         (Phi.members if isinstance(Phi, SubSet) else Phi))
-    if eps.bits in phi_bits:
-        raise ValueError("eps must not lie in Phi")
-    phi = an.mask_of(phi_bits)
-    allowed = phi | 1 << i
-    per_p_choices = []
-    for p, Mp, reach in an.reach(i):
+def _closeness_table(reach_rows, allowed: int, mode: str):
+    """The part of closeness fixed by `allowed`, the members Phi u {eps} may
+    fold into: per row of reach_rows, (p, M_p, n_p, candidates), or None
+    when a row has none; then the list of candidate products tried so far,
+    each as (frozen mask, certificate), and the iterator that extends it."""
+    choices = []
+    for p, Mp, reach in reach_rows:
         F = [S for S, r in enumerate(reach)
              if r is not None and not r & ~allowed]
         np = max(S.bit_count() for S in F)
@@ -101,19 +85,67 @@ def closeness(sub: SubSet, Phi, eps: Subexpr, mode: str = "plain"
             cands = _candidates_con(Mp, np)
         if not cands:
             return None
-        per_p_choices.append((p, Mp, np, cands))
+        choices.append((p, Mp, np, cands))
+    return choices, [], product(*(c[3] for c in choices))
 
-    for combo in product(*(c[3] for c in per_p_choices)):
-        Y = tuple(sorted(set().union(*map(set, combo)))) if combo else ()
-        reach = an.frozen(i, _mask(Y))
+
+def closeness(sub: SubSet, Phi, eps: Subexpr, mode: str = "plain"
+              ) -> Optional[ClosenessCert]:
+    """
+    Whether eps (in Sub(t,w), not in Phi) is close ("plain") or con-close
+    ("con") to Phi.  Condition (a): |Y cap M_p(eps)| = n_p(Phi,eps) - 1 for
+    every p with M_p nonempty; condition (b)/(b'): the frozen set (or its
+    connected component through eps) avoids Phi.  Returns the first valid
+    certificate in canonical order, or None.  ValueError if eps or a member
+    of Phi is not in Sub(t, w).
+
+    Phi_p(eps) is the set of X inside M_p(eps) whose unfrozen set
+    {f_Y eps : Y even inside X} lies in Phi u {eps}; it is read from the
+    cached analysis of `sub`, as is the graph the con mode searches.  It
+    depends on Phi only through Phi cap U, U the members that the folds of
+    eps reach, so the candidates, and the frozen masks and certificates of
+    their products as far as calls have tried them, are kept in the
+    analysis's `closeness_memo` under that intersection.
+    """
+    an = sub.analysis()
+    i = an.require(eps)
+    phi = an.mask_of(Phi.members if isinstance(Phi, SubSet) else Phi)
+    if phi >> i & 1:
+        raise ValueError("eps must not lie in Phi")
+    memo = an.closeness_memo.get((i, mode))
+    if memo is None:
+        U = 0
+        for _, _, reach in an.reach(i):
+            for r in reach:
+                if r is not None:
+                    U |= r
+        memo = an.closeness_memo[(i, mode)] = (U, {})
+    U, tables = memo
+    key = (phi | 1 << i) & U
+    if key in tables:
+        table = tables[key]
+    else:
+        table = tables[key] = _closeness_table(an.reach(i), key, mode)
+    if table is None:
+        return None
+    choices, tried, source = table
+    k = 0
+    while True:
+        if k == len(tried):
+            combo = next(source, None)
+            if combo is None:
+                return None
+            Y = tuple(sorted(set().union(*map(set, combo)))) if combo else ()
+            per_p = tuple((p, Mp, np, Yp)
+                          for (p, Mp, np, _), Yp in zip(choices, combo))
+            tried.append((an.frozen(i, _mask(Y)), ClosenessCert(
+                Y=Y, per_p=per_p, dist=2 * len(Y), mode=mode)))
+        reach, cert = tried[k]
         if mode == "con" and reach & phi:
             reach = an.component(i, reach)
-        if reach & phi:
-            continue
-        per_p = tuple((p, Mp, np, Yp)
-                      for (p, Mp, np, _), Yp in zip(per_p_choices, combo))
-        return ClosenessCert(Y=Y, per_p=per_p, dist=2 * len(Y), mode=mode)
-    return None
+        if not reach & phi:
+            return cert
+        k += 1
 
 
 def step_generator(sub: SubSet, Phi, eps: Subexpr, cert: ClosenessCert) -> FnOnSub:
@@ -352,14 +384,12 @@ def residual_constraints(sub: SubSet, Phi) -> ResidualReport:
     sub \\ Phi, sub = Sub(t,w), with every binding even-variant
     divisibility condition reduced to a congruence; detects the
     string-module pattern (a path of pairwise congruences modulo distinct
-    roots with both ends forced to 0).
+    roots with both ends forced to 0).  ValueError if a member of Phi is
+    not in Sub(t, w).
     """
-    phi_bits = frozenset(tuple(b) for b in
-                         (Phi.members if isinstance(Phi, SubSet) else Phi))
-    free = tuple(b for b in sub.members if b not in phi_bits)
-
     an = sub.analysis()
-    phi = an.mask_of(phi_bits)
+    phi = an.mask_of(Phi.members if isinstance(Phi, SubSet) else Phi)
+    free = tuple(b for j, b in enumerate(an.members) if not phi >> j & 1)
     congs: List[Congruence] = []
     for i, p, X, terms in an.conditions(even=True):
         if len(X) < 2:

@@ -10,13 +10,14 @@ in lexicographic order, is completed by the tails whose product is
 u^{-1} w.  Members come out as bit tuples in lexicographic order.
 
 A `SubSet` is analysed once, on first use (`SubSet.analysis`): member
-indices and bit masks, each member's `all_M`, the members reached by its
+indices and bit masks, each member's M_p sets, the members reached by its
 folds, and the adjacency of its full graph.  The graph, frozen-set and
 connected-component functions, closeness in `orderalg`, and the divisibility
 conditions that membership and the residual constraints check, read from
 that analysis as integer bitmasks over member indices.  The roots
 eps^{->k} of every member have their own cached table (`SubSet.roots`),
-which does not build the analysis.
+which does not build the analysis; both read one walk of the one-line
+prefix products per member (`_prefix_walk`).
 
 A subexpression is a 0/1 sequence bound to its reflection expression; two
 subexpressions over different expressions are never equal.
@@ -178,28 +179,22 @@ class SubSet:
 
     def roots(self) -> Tuple[Tuple[Polynomial, ...], ...]:
         """roots()[i][k-1] is eps^{->k} = eps^{<k}(alpha_{t_k}) for member
-        eps = i, built on first use from prefix products extended one
-        position at a time, and cached here; it does not build the
-        analysis."""
+        eps = i, built on first use from the prefix walk (`_prefix_walk`)
+        and cached here; it does not build the analysis."""
         cached = getattr(self, "_roots_cache", None)
         if cached is None:
             n = self.expr.n
-            trans = [(r.i - 1, r.j - 1) for r in self.expr.entries]
             made: Dict[Tuple[int, int], Polynomial] = {}
             rows = []
-            for bits in self.members:
-                prefix = list(range(n))  # eps^{<k}, 0-based one-line
+            for pairs in _prefix_walk(self.expr, self.members):
                 row = []
-                for (a, b), bit in zip(trans, bits):
-                    key = (prefix[a], prefix[b])
+                for key in pairs:
                     root = made.get(key)
                     if root is None:
                         root = made[key] = Polynomial(n, {
                             tuple(int(x == key[0]) for x in range(n)): 1,
                             tuple(int(x == key[1]) for x in range(n)): -1})
                     row.append(root)
-                    if bit:
-                        prefix[a], prefix[b] = prefix[b], prefix[a]
                 rows.append(tuple(row))
             cached = tuple(rows)
             object.__setattr__(self, "_roots_cache", cached)
@@ -220,6 +215,24 @@ class SubSet:
     def __repr__(self) -> str:
         body = ",".join("".join(map(str, b)) for b in self.members)
         return f"SubSet[{body}]"
+
+
+def _prefix_walk(expr: ReflExpr, members: Sequence[Bits]):
+    """For each member eps, in order, the pairs (eps^{<k}(a), eps^{<k}(b))
+    over the positions k, with t_k = (a b), all 0-based: eps^{<k}(alpha_{t_k})
+    is e_x - e_y and eps^k is (x y) for the k-th pair (x, y).  The one-line
+    prefix product eps^{<k} is extended one position at a time."""
+    n = expr.n
+    trans = [(r.i - 1, r.j - 1) for r in expr.entries]
+    for bits in members:
+        prefix = list(range(n))
+        pairs = []
+        for (a, b), bit in zip(trans, bits):
+            x, y = prefix[a], prefix[b]
+            pairs.append((x, y))
+            if bit:
+                prefix[a], prefix[b] = y, x
+        yield pairs
 
 
 def _mask(positions: Sequence[int]) -> int:
@@ -291,6 +304,13 @@ class SubAnalysis:
     whole set, whose edges are the even folds.  The graph on a subset Phi
     is the subgraph induced on Phi, because whether two members are joined
     depends on those two alone.  `reach` and `graph` read even folds only.
+
+    The M_p sets come from one walk of the prefix products per member
+    (`_prefix_walk`, shared with `SubSet.roots`): the k-th pair (x, y) of
+    member eps gives eps^k = (x y), one `Reflection` per pair.
+    `closeness_memo` holds the part of `orderalg.closeness` that does not
+    depend on Phi, per (member, mode); it refers to nothing that refers
+    back to the analysis.
     """
 
     def __init__(self, sub: SubSet):
@@ -300,12 +320,20 @@ class SubAnalysis:
                            for bits in sub.members)
         self.index = {bits: i for i, bits in enumerate(sub.members)}
         by_mask = {mk: i for i, mk in enumerate(self.masks)}
+        n = self.expr.n
+        refl: Dict[Tuple[int, int], Reflection] = {}
         adj = [0] * len(self.members)
         per_p = []
-        for i, bits in enumerate(self.members):
+        for i, pairs in enumerate(_prefix_walk(self.expr, self.members)):
+            allM: Dict[Tuple[int, int], list] = {}
+            for k, (x, y) in enumerate(pairs, 1):
+                allM.setdefault((x, y) if x < y else (y, x), []).append(k)
             rows = []
-            allM = Subexpr(self.expr, bits).all_M()
-            for p, Mp in sorted(allM.items(), key=lambda kv: (kv[0].i, kv[0].j)):
+            for key in sorted(allM):
+                p = refl.get(key)
+                if p is None:
+                    p = refl[key] = Reflection(key[0] + 1, key[1] + 1, n)
+                Mp = tuple(allM[key])
                 size = 1 << len(Mp)
                 pos = [0] * size
                 folds = [-1] * size
@@ -323,6 +351,7 @@ class SubAnalysis:
         self.adj = tuple(adj)
         self._reach: Dict[int, tuple] = {}
         self._conditions: Dict[bool, tuple] = {}
+        self.closeness_memo: Dict[Tuple[int, str], tuple] = {}
 
     def reach(self, i: int) -> tuple:
         """(p, M_p, reach) over the rows of `per_p[i]`, built on first use:
@@ -381,12 +410,15 @@ class SubAnalysis:
         return i
 
     def mask_of(self, bits_set) -> int:
-        """The members among bits_set, as a mask; non-members are ignored."""
+        """The members bits_set lists, as a mask; ValueError if one of them
+        is not a member."""
         out = 0
         for bits in bits_set:
             i = self.index.get(tuple(bits))
-            if i is not None:
-                out |= 1 << i
+            if i is None:
+                raise ValueError(f"{''.join(map(str, bits))} is not in the "
+                                 "set of subexpressions")
+            out |= 1 << i
         return out
 
     def bits_of(self, mask: int) -> Tuple[Bits, ...]:

@@ -1,9 +1,10 @@
 """
 Reference implementations: the depth-first enumerator of Sub(t, w) pruned
-by suffix reachability; brute-force versions of the subexpression graph,
-frozen sets, connected components, closeness, the forest rank and its cycle
-witness, the divisibility conditions behind membership and sigma, the
-residual constraints, exact division with two `Polynomial`s per
+by suffix reachability; the M_p and fold tables of `SubAnalysis` built
+from one `Subexpr` per member; brute-force versions of the subexpression
+graph, frozen sets, connected components, closeness, the forest rank and
+its cycle witness, the divisibility conditions behind membership and sigma,
+the residual constraints, exact division with two `Polynomial`s per
 long-division step, and root-power divisibility by repeated exact division;
 the Delta/nabla elements (basis, nabla_X, mu) built by climbing the
 copy/concentration ladder one position at a time; and Buchberger completion
@@ -12,11 +13,12 @@ every S-pair of the finished basis again for its syzygies.  They scan every
 prefix, fold `Subexpr` objects, rebuild graphs and edge-list adjacencies,
 divide polynomials, build a `Polynomial` per division step, enumerate a
 prefix domain per ladder step and reduce every S-pair twice on every call,
-as the library did before it enumerated by meet in the middle, read these
-from the cached `SubSet.analysis()`, tested divisibility by substitution,
-divided on one coefficient dict, evaluated the nabla products in closed
-form and read the syzygies from Buchberger's own reductions; the
-differential tests compare the two.
+as the library did before it enumerated by meet in the middle, found M_p
+by one prefix walk per member, read these from the cached
+`SubSet.analysis()`, tested divisibility by substitution, divided on one
+coefficient dict, evaluated the nabla products in closed form and read the
+syzygies from Buchberger's own reductions; the differential tests compare
+the two.
 """
 
 from dataclasses import dataclass
@@ -92,6 +94,35 @@ def target_members(t: ReflExpr, w) -> Tuple[Bits, ...]:
 
     dfs(0)
     return tuple(out)
+
+
+def analysis_tables(sub: SubSet):
+    """(per_p, adj) of `SubAnalysis`: one `Subexpr` per member, its M_p
+    sets from `Subexpr.all_M` through `Permutation` products and
+    conjugated reflections, and the folds looked up by position mask."""
+    masks = tuple(sum(1 << k for k, b in enumerate(bits) if b)
+                  for bits in sub.members)
+    by_mask = {mk: i for i, mk in enumerate(masks)}
+    adj = [0] * len(sub.members)
+    per_p = []
+    for i, bits in enumerate(sub.members):
+        rows = []
+        allM = Subexpr(sub.expr, bits).all_M()
+        for p, Mp in sorted(allM.items(), key=lambda kv: (kv[0].i, kv[0].j)):
+            size = 1 << len(Mp)
+            pos = [0] * size
+            folds = [-1] * size
+            for S in range(1, size):
+                low = S & -S
+                pos[S] = pos[S ^ low] | 1 << (Mp[low.bit_length() - 1] - 1)
+                j = folds[S] = by_mask.get(masks[i] ^ pos[S], -1)
+                if j >= 0 and not S.bit_count() % 2:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+            folds[0] = i
+            rows.append((p, Mp, tuple(folds)))
+        per_p.append(tuple(rows))
+    return tuple(per_p), tuple(adj)
 
 
 def graph(Phi: SubSet) -> SubGraph:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bsbimod import orderalg
-from bsbimod.coxeter import Reflection, ReflExpr
+from bsbimod.coxeter import Permutation, Reflection, ReflExpr
 from bsbimod.locmod import FnOnSub, membership, res_tensor, sigma
 from bsbimod.polyring import Polynomial
 from bsbimod.subexpr import (Subexpr, enumerate_sub, graph, components,
@@ -48,6 +48,37 @@ def closeness_cases(draw):
     phi = frozenset(b for b in sub.members
                     if b != eps_bits and draw(st.booleans()))
     return sub, phi, Subexpr(sub.expr, eps_bits)
+
+
+@st.composite
+def analysed_sets(draw):
+    """Sub(t), Sub(t, w) or a random subset of either, for a random
+    S_3-S_6 expression t of length at most 8."""
+    n = draw(st.integers(3, 6))
+    m = draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
+                          .filter(lambda ab: ab[0] != ab[1]),
+                          min_size=m, max_size=m))
+    t = ReflExpr(n, tuple(Reflection(min(a, b), max(a, b), n)
+                          for a, b in pairs))
+    if draw(st.booleans()):
+        sub = enumerate_sub(t, "all")
+    else:
+        bits = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+        sub = enumerate_sub(t, Subexpr(t, bits).target())
+    if draw(st.booleans()):
+        sub = sub.restrict(b for b in sub.members if draw(st.booleans()))
+    return sub
+
+
+def fold_reach(an, i):
+    """The members that the even folds of member i reach."""
+    out = 0
+    for _, _, reach in an.reach(i):
+        for r in reach:
+            if r is not None:
+                out |= r
+    return out
 
 
 positions = st.sets(st.integers(1, 7))
@@ -90,6 +121,45 @@ class TestAgainstOracle:
         sub, phi, eps = case
         assert closeness(sub, phi, eps, mode) == \
             oracle.closeness(sub, phi, eps, mode)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sub_sets(max_len=6), st.data())
+    def test_closeness_memo_reuse(self, sub, data):
+        # one domain, many calls: the memo is filled by the first calls and
+        # read by later ones, among them Phi that grow an earlier Phi and Phi
+        # that differ from one only outside the members eps folds into.
+        # (m <= 6: at m = 7 one brute-force oracle call can take 0.3 s.)
+        an = sub.analysis()
+        full = (1 << len(sub)) - 1
+        masks = [0]
+        for _ in range(data.draw(st.integers(3, 10))):
+            eps_bits = data.draw(st.sampled_from(sub.members))
+            i = an.index[eps_bits]
+            base = data.draw(st.sampled_from(masks))
+            extra = data.draw(st.integers(0, full))
+            kind = data.draw(st.sampled_from(["any", "grow", "outside"]))
+            if kind == "any":
+                phi = extra
+            elif kind == "grow":
+                phi = base | extra
+            else:
+                U = fold_reach(an, i)
+                phi = base & U | extra & ~U
+            phi &= ~(1 << i)
+            masks.append(phi)
+            bits = an.bits_of(phi)
+            Phi = data.draw(st.sampled_from(
+                [frozenset(bits), set(bits), list(bits), sub.restrict(bits)]))
+            eps = Subexpr(sub.expr, eps_bits)
+            for mode in data.draw(st.permutations(["plain", "con"])):
+                assert closeness(sub, Phi, eps, mode) == \
+                    oracle.closeness(sub, frozenset(bits), eps, mode)
+
+    @settings(max_examples=150, deadline=None)
+    @given(analysed_sets())
+    def test_per_p_and_adjacency(self, sub):
+        an = sub.analysis()
+        assert (an.per_p, an.adj) == oracle.analysis_tables(sub)
 
     @settings(max_examples=150, deadline=None)
     @given(sub_sets(), st.data())
@@ -244,16 +314,27 @@ class TestCachedConditions:
         assert seen[0] == seen[1] == want
 
     def test_freed_without_the_cycle_collector(self):
-        # the cached stream must not refer back to its analysis, or every
-        # basis domain would wait for the cycle collector
+        # neither the cached stream nor the closeness memo may refer back to
+        # its analysis, or every domain would wait for the cycle collector
         t = ReflExpr(3, tuple(Reflection(1, 2, 3) for _ in range(4)))
         an = enumerate_sub(t, "all").analysis()
         next(an.conditions(False))
-        ref = weakref.ref(an)
+        t = ReflExpr(4, (Reflection(1, 2, 4), Reflection(2, 3, 4),
+                         Reflection(1, 2, 4), Reflection(2, 3, 4),
+                         Reflection(1, 3, 4)))
+        sub = enumerate_sub(t, Permutation.identity(4))
+        for eps in sub.subexprs():
+            for mode in ("plain", "con"):
+                closeness(sub, frozenset(), eps, mode)
+                closeness(sub, [b for b in sub.members if b != eps.bits][:2],
+                          eps, mode)
+        assert {mode for _, mode in sub.analysis().closeness_memo} == \
+            {"plain", "con"}
+        refs = (weakref.ref(an), weakref.ref(sub.analysis()))
         gc.disable()
         try:
-            del an
-            assert ref() is None
+            del an, sub
+            assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
 
@@ -295,6 +376,31 @@ class TestAnalysis:
         (_, _, reach), = part.reach(k)
         assert folds[0b11] == -1 and reach[0b11] is None
         assert reach[0b01] == 1 << k
+
+    def test_mask_of_refuses_non_members(self):
+        t = ReflExpr(3, (Reflection(1, 2, 3), Reflection(1, 2, 3)))
+        an = enumerate_sub(t, Permutation.identity(3)).analysis()
+        assert an.mask_of([(1, 1), (0, 0)]) == 0b11
+        for bad in ((0, 1), (0, 0, 0)):
+            with pytest.raises(ValueError, match="not in the set"):
+                an.mask_of([(0, 0), bad])
+
+    def test_closeness_refuses_phi_outside_the_set(self):
+        # (0, 1) lies in Sub(t) but not in Sub(t, e)
+        t = ReflExpr(3, (Reflection(1, 2, 3), Reflection(1, 2, 3)))
+        sub = enumerate_sub(t, Permutation.identity(3))
+        eps = Subexpr(t, (1, 1))
+        assert closeness(sub, [(0, 0)], eps, "plain") is not None
+        for mode in ("plain", "con"):
+            with pytest.raises(ValueError, match="not in the set"):
+                closeness(sub, [(0, 0), (0, 1)], eps, mode)
+
+    def test_residual_constraints_refuse_phi_outside_the_set(self):
+        t = ReflExpr(3, (Reflection(1, 2, 3), Reflection(1, 2, 3)))
+        sub = enumerate_sub(t, Permutation.identity(3))
+        assert residual_constraints(sub, [(0, 0)]).free == ((1, 1),)
+        with pytest.raises(ValueError, match="not in the set"):
+            residual_constraints(sub, [(0, 0), (0, 1)])
 
     def test_sigma_needs_one_position_set(self):
         # t = (1,2)(2,3): M_(1,2)(00) = (1,) and M_(2,3)(00) = (2,)
