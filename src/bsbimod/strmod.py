@@ -5,7 +5,8 @@ minimization, projective dimension, and the string modules St_R(x) together
 with their duals.  Buchberger reduces each S-pair once, and its reductions
 to zero, written through sparse representations of the basis elements in
 the input generators, are the syzygies each resolution step is free on
-(Schreyer's theorem).
+(Schreyer's theorem).  Those sparse rows are the differentials, and
+minimization cancels units on them.
 
 The ring here is F[x_1..x_n, y_1..y_m] in fresh variables (the images of
 the chosen roots under an invertible change of coordinates): variable k of
@@ -23,6 +24,7 @@ __all__ = [
 ]
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -46,27 +48,22 @@ class FreeModule:
 @dataclass(frozen=True)
 class ModOrder:
     """POT order: compare the generator (by priority) first, then the
-    monomial lexicographically along the variable priority."""
-    var_priority: Tuple[int, ...]   # 1-based variable indices, greatest first
+    monomial lexicographically in descending variable index."""
     gen_priority: Tuple[int, ...]   # 0-based generator indices, greatest first
 
-    def mono_key(self, exp: Mono):
-        return tuple(exp[v - 1] for v in self.var_priority)
-
-    def gen_rank(self, g: int) -> int:
-        # smaller rank = greater generator
-        return self.gen_priority.index(g)
-
-    def term_key(self, g: int, exp: Mono):
-        """Sort key; larger key = larger term."""
-        return (-self.gen_rank(g), self.mono_key(exp))
+    @cached_property
+    def rank(self) -> Dict[int, int]:
+        """{generator: rank}; smaller rank = greater generator."""
+        return {g: r for r, g in enumerate(self.gen_priority)}
 
     @staticmethod
-    def standard(n_vars: int, rank: int, gen_priority: Optional[Sequence[int]] = None
-                 ) -> "ModOrder":
-        if gen_priority is None:
-            gen_priority = tuple(range(rank - 1, -1, -1))  # e_rank > ... > e_1
-        return ModOrder(tuple(range(n_vars, 0, -1)), tuple(gen_priority))
+    def mono_key(exp: Mono) -> Mono:
+        return exp[::-1]
+
+    @staticmethod
+    def standard(rank: int) -> "ModOrder":
+        """e_rank > ... > e_1."""
+        return ModOrder(tuple(range(rank - 1, -1, -1)))
 
 
 class FreeModElem:
@@ -130,16 +127,14 @@ class FreeModElem:
         return degs.pop()
 
     def leading(self, order: ModOrder):
-        """(gen, exponent, coefficient) of the leading term."""
-        best = None
-        for g, p in self.coords.items():
-            for exp, c in p.terms.items():
-                key = order.term_key(g, exp)
-                if best is None or key > best[0]:
-                    best = (key, g, exp, c)
-        if best is None:
+        """(gen, exponent, coefficient) of the leading term: the greatest
+        monomial of the top-ranked coordinate."""
+        if not self.coords:
             raise ValueError("zero element has no leading term")
-        return best[1], best[2], best[3]
+        g = min(self.coords, key=order.rank.__getitem__)
+        terms = self.coords[g].terms
+        exp = max(terms, key=order.mono_key)
+        return g, exp, terms[exp]
 
     def __repr__(self) -> str:
         body = " + ".join(f"({p})*E{g}" for g, p in sorted(self.coords.items()))
@@ -199,9 +194,6 @@ class GroebnerBasis:
     # generators of the syzygies of the input, rows {input index: coefficient}
     syzygies: List[Dict[int, Polynomial]] = field(default_factory=list)
 
-    def leading_monomials(self):
-        return [g.leading(self.order)[:2] for g in self.elements]
-
 
 def _combine(terms, reps) -> Dict[int, Polynomial]:
     """sum c * reps[k] over the (k, c) in `terms`, zero entries dropped."""
@@ -230,15 +222,16 @@ def buchberger(gens: Sequence[FreeModElem], order: ModOrder) -> GroebnerBasis:
         return GroebnerBasis([], order)
     n = G[0].ambient.n_vars
     reps = [{k: Polynomial.one(n)} for k in nz]
+    lead = [g.leading(order) for g in G]
     syz: List[Dict[int, Polynomial]] = []
-    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
+    # only leading terms in the same position make an S-pair; the list grows
+    # while it is walked
+    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))
+             if lead[i][0] == lead[j][0]]
     n_new = 0
-    while pairs:
-        i, j = pairs.pop(0)
-        gi, ei, ci = G[i].leading(order)
-        gj, ej, cj = G[j].leading(order)
-        if gi != gj:
-            continue
+    for i, j in pairs:
+        _, ei, ci = lead[i]
+        _, ej, cj = lead[j]
         lcm = _mono_lcm(ei, ej)
         mi = Polynomial(n, {_mono_sub(lcm, ei): Fraction(1, ci)})
         mj = Polynomial(n, {_mono_sub(lcm, ej): Fraction(-1, cj)})
@@ -252,9 +245,11 @@ def buchberger(gens: Sequence[FreeModElem], order: ModOrder) -> GroebnerBasis:
                 syz.append(row)
             continue
         inv = Fraction(1, rem.leading(order)[2])
-        pairs.extend((k, len(G)) for k in range(len(G)))
         G.append(rem.scale_poly(Polynomial.const(n, inv)))
         reps.append({col: p.scale(inv) for col, p in row.items()})
+        lead.append(G[-1].leading(order))
+        pairs.extend((k, len(G) - 1) for k in range(len(G) - 1)
+                     if lead[k][0] == lead[-1][0])
         n_new += 1
     return GroebnerBasis(G, order, n_new, syz)
 
@@ -273,81 +268,75 @@ def free_resolution(gens: Sequence[FreeModElem], order: ModOrder,
     """
     A graded free resolution ... -> F_1 -> F_0 (-> M -> 0) of the module
     generated by `gens`.  Returns (degrees, diffs): degrees[k] is the list
-    of generator degrees of F_k; diffs[k] is the matrix of the map
-    F_{k+1} -> F_k (rows = F_k generators, columns = F_{k+1} generators).
-    F_{k+1} is free on the syzygies `buchberger` records for the
-    generators of F_k.  Raises if max_len is reached before they vanish.
+    of generator degrees of F_k; diffs[k] is the map F_{k+1} -> F_k as one
+    sparse column {F_k index: Polynomial} per generator of F_{k+1}, with no
+    zero entries.  F_{k+1} is free on the syzygies `buchberger` records for
+    the generators of F_k, and those records are the columns.  Raises if
+    max_len is reached before they vanish.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return [[]], []
     n = gens[0].ambient.n_vars
     degrees = [[g.homogeneous_degree() for g in gens]]
-    diffs: List[List[List[Polynomial]]] = []
+    diffs: List[List[Dict[int, Polynomial]]] = []
     current = list(gens)
     cur_order = order
     for _ in range(max_len):
-        rows = buchberger(current, cur_order).syzygies
-        if not rows:
+        cols = buchberger(current, cur_order).syzygies
+        if not cols:
             return degrees, diffs
         amb = FreeModule(n, tuple(degrees[-1]))
-        current = [FreeModElem(amb, row) for row in rows]
+        current = [FreeModElem(amb, col) for col in cols]
         degrees.append([e.homogeneous_degree() for e in current])
-        diffs.append([[e.coord(i) for e in current]
-                      for i in range(amb.rank)])
-        cur_order = ModOrder.standard(n, amb.rank)
+        diffs.append(cols)
+        cur_order = ModOrder.standard(amb.rank)
     raise RuntimeError(f"resolution not finished within {max_len} steps")
 
 
 def minimize_resolution(degrees, diffs):
-    """Cancel unit entries (Gaussian elimination for complexes); returns the
-    minimized (degrees, diffs) with no unit entry in any differential."""
-    degrees = [list(d) for d in degrees]
-    diffs = [[list(row) for row in M] for M in diffs]
-
-    def find_unit(M):
-        for i, row in enumerate(M):
-            for j, p in enumerate(row):
-                if not p.is_zero() and p.is_constant():
-                    return i, j
-        return None
-
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(diffs)):
-            M = diffs[k]
-            hit = find_unit(M)
-            if hit is None:
-                continue
-            i0, j0 = hit
-            u = M[i0][j0].constant_value()
-            n_rows, n_cols = len(M), len(M[0]) if M else 0
-            # corrected differential on the complement
-            newM = []
-            for i in range(n_rows):
-                if i == i0:
+    """
+    Cancel unit entries (Gaussian elimination for complexes) in the sparse
+    columns of `free_resolution`; returns the minimized (degrees, diffs) in
+    the same format, with no unit entry in any differential and the
+    surviving generators renumbered in order.  Pivots are taken as dense
+    elimination takes them: the lowest level with a unit first (a
+    cancellation never puts a unit into a lower level, so each level is
+    finished before the next), and within it the first unit in row-major
+    order of the current matrix.
+    """
+    degs = [dict(enumerate(level)) for level in degrees]
+    cols = [dict(enumerate(dict(col) for col in level)) for level in diffs]
+    for k, M in enumerate(cols):
+        while True:
+            units = [(i, j) for j, col in M.items()
+                     for i, p in col.items() if p.is_constant()]
+            if not units:
+                break
+            i0, j0 = min(units)
+            pivot = M.pop(j0)
+            inv = Fraction(1, pivot.pop(i0).constant_value())
+            # corrected differential on the complement of row i0, column j0
+            for col in M.values():
+                if i0 not in col:
                     continue
-                row = []
-                for j in range(n_cols):
-                    if j == j0:
-                        continue
-                    corr = M[i][j] - M[i][j0] * M[i0][j].scale(Fraction(1, u))
-                    row.append(corr)
-                newM.append(row)
-            diffs[k] = newM
-            degrees[k] = [d for i, d in enumerate(degrees[k]) if i != i0]
-            degrees[k + 1] = [d for j, d in enumerate(degrees[k + 1]) if j != j0]
-            # upstream differential: drop row j0
-            if k + 1 < len(diffs):
-                diffs[k + 1] = [row for j, row in enumerate(diffs[k + 1])
-                                if j != j0]
-            # downstream differential: drop column i0
-            if k - 1 >= 0:
-                diffs[k - 1] = [[p for i, p in enumerate(row) if i != i0]
-                                for row in diffs[k - 1]]
-            changed = True
-            break
+                a = col.pop(i0).scale(inv)
+                for i, p in pivot.items():
+                    corr = col[i] - p * a if i in col else -(p * a)
+                    if corr.is_zero():
+                        del col[i]
+                    else:
+                        col[i] = corr
+            del degs[k][i0], degs[k + 1][j0]
+            if k + 1 < len(cols):   # upstream differential: drop row j0
+                for col in cols[k + 1].values():
+                    col.pop(j0, None)
+            if k > 0:               # downstream differential: drop column i0
+                del cols[k - 1][i0]
+    pos = [{i: r for r, i in enumerate(level)} for level in degs]
+    degrees = [list(level.values()) for level in degs]
+    diffs = [[{pos[k][i]: p for i, p in col.items()} for col in M.values()]
+             for k, M in enumerate(cols)]
     # drop trailing empty levels
     while degrees and not degrees[-1]:
         degrees.pop()
@@ -400,7 +389,7 @@ def st_ambient(n: int, extra: int) -> Tuple[FreeModule, ModOrder]:
         raise ValueError("need at least two roots")
     nv = n + extra
     amb = FreeModule(nv, (0,) * (n - 1))
-    order = ModOrder.standard(nv, n - 1)
+    order = ModOrder.standard(n - 1)
     return amb, order
 
 
@@ -444,11 +433,11 @@ def _pair_index(n: int):
     return pairs, idx
 
 
-def _pair_order(n: int, nv: int) -> ModOrder:
+def _pair_order(n: int) -> ModOrder:
     """POT order with e_{i,j} > e_{k,l} iff j > l, or j = l and i < k."""
     pairs, idx = _pair_index(n)
     ranked = sorted(pairs, key=lambda p: (-p[1], p[0]))
-    return ModOrder(tuple(range(nv, 0, -1)), tuple(idx[p] for p in ranked))
+    return ModOrder(tuple(idx[p] for p in ranked))
 
 
 def q_generators(n: int, extra: int = 0):
@@ -457,7 +446,7 @@ def q_generators(n: int, extra: int = 0):
     nv = n + extra
     pairs, idx = _pair_index(n)
     amb = FreeModule(nv, (4,) * len(pairs))
-    order = _pair_order(n, nv)
+    order = _pair_order(n)
     out = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -478,7 +467,7 @@ def theta_generators(n: int, extra: int = 0):
     nv = n + extra
     pairs, idx = _pair_index(n)
     amb = FreeModule(nv, (-4,) * len(pairs))
-    order = _pair_order(n, nv)
+    order = _pair_order(n)
     out = []
     for h in range(1, n + 1):
         coords = {}
@@ -528,15 +517,11 @@ def dual_toolkit(n: int, extra: int = 0) -> dict:
 
     # syzygies reduce to multiples of w
     eps_amb = FreeModule(nv, (-2,) * n)
-    eps_order = ModOrder.standard(nv, n)
+    eps_order = ModOrder.standard(n)
     w = FreeModElem(eps_amb, {h: Polynomial.var(nv, h + 1) for h in range(n)})
-    rows = syzygies(gb, len(thetas))
-    all_in_w = True
-    for row in rows:
-        elem = FreeModElem(eps_amb, {i: p for i, p in enumerate(row)})
-        _, rem = reduce_elem(elem, [w], eps_order)
-        if not rem.is_zero():
-            all_in_w = False
+    all_in_w = all(
+        reduce_elem(FreeModElem(eps_amb, row), [w], eps_order)[1].is_zero()
+        for row in gb.syzygies)
     # and w is itself a syzygy (sum_zero already says so)
     report["kernel_is_w"] = all_in_w and report["sum_zero"]
 

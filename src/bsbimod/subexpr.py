@@ -24,7 +24,7 @@ subexpressions over different expressions are never equal.
 """
 
 __all__ = [
-    "Subexpr", "SubSet", "SubAnalysis", "SubGraph", "CAP", "ALL_CAP",
+    "Subexpr", "SubSet", "SubAnalysis", "SubGraph", "ALL_CAP",
     "GRAPH_CAP", "rel_card", "enumerate_sub", "equiv_class", "graph",
     "components", "frozen_set", "unfrozen_set", "con_component", "balance",
     "balanced_set", "ENUM_IMPLEMENTATION",
@@ -39,8 +39,7 @@ from .coxeter import Permutation, Reflection, ReflExpr
 
 ENUM_IMPLEMENTATION = "python"
 
-CAP = 24  # enumeration cap on the expression length
-ALL_CAP = 2 ** 20  # cap on the members of Sub(t)
+ALL_CAP = 2 ** 20  # cap on the members of Sub(t), and on the tail table
 GRAPH_CAP = 1024  # cap on the vertices of a graph
 
 Bits = Tuple[int, ...]
@@ -522,11 +521,11 @@ def _target_members(n: int, trans, target) -> list:
 def enumerate_sub(t: ReflExpr, w: Union[Permutation, str, None] = "all"
                   ) -> SubSet:
     """Sub(t) (w = "all"/None) or Sub(t, w), canonically (lexicographically)
-    ordered by bits.  ValueError if t is longer than CAP, if Sub(t) would
-    have more than ALL_CAP members, or if w is not in S_n for t's n."""
+    ordered by bits.  ValueError if Sub(t) would have more than ALL_CAP
+    members, if meet in the middle would store more than ALL_CAP tail
+    subproducts (2^ceil(m/2) for length m), or if w is not in S_n for t's n.
+    """
     m = len(t)
-    if m > CAP:
-        raise ValueError(f"expression length {m} exceeds the cap {CAP}")
     if w is None or w == "all":
         if 2 ** m > ALL_CAP:
             raise ValueError(f"Sub(t) has 2^{m} members, more than the cap "
@@ -536,6 +535,10 @@ def enumerate_sub(t: ReflExpr, w: Union[Permutation, str, None] = "all"
         raise TypeError("target must be a Permutation or 'all'")
     if w.n != t.n:
         raise ValueError(f"target in S_{w.n}, expression in S_{t.n}")
+    if 2 ** (m - m // 2) > ALL_CAP:
+        raise ValueError(f"the tail table of Sub(t, w) would hold "
+                         f"2^{m - m // 2} subproducts, more than the cap "
+                         f"ALL_CAP = {ALL_CAP}")
     trans = [(r.i - 1, r.j - 1) for r in t.entries]
     target = tuple(v - 1 for v in w.images)
     return SubSet(t, w, tuple(_target_members(t.n, trans, target)))

@@ -9,15 +9,18 @@ long-division step, and root-power divisibility by repeated exact division;
 the Delta/nabla elements (basis, nabla_X, mu) built by climbing the
 copy/concentration ladder one position at a time; and Buchberger completion
 with dense representation tracking followed by a second pass that reduces
-every S-pair of the finished basis again for its syzygies.  They scan every
+every S-pair of the finished basis again for its syzygies, and the free
+resolution on those dense syzygies, minimised by unit cancellation on dense
+matrices that rescans from the lowest level after every pivot.  They scan every
 prefix, fold `Subexpr` objects, rebuild graphs and edge-list adjacencies,
 divide polynomials, build a `Polynomial` per division step, enumerate a
 prefix domain per ladder step and reduce every S-pair twice on every call,
 as the library did before it enumerated by meet in the middle, found M_p
 by one prefix walk per member, read these from the cached
 `SubSet.analysis()`, tested divisibility by substitution, divided on one
-coefficient dict, evaluated the nabla products in closed form and read the
-syzygies from Buchberger's own reductions; the differential tests compare
+coefficient dict, evaluated the nabla products in closed form, read the
+syzygies from Buchberger's own reductions and kept the differentials as
+those sparse rows; the differential tests compare
 the two.
 """
 
@@ -607,7 +610,8 @@ def syzygies(gb: TrackedBasis, n_gens: int) -> List[List[Polynomial]]:
 def free_resolution(gens: Sequence[FreeModElem], order: ModOrder,
                     max_len: int = 12):
     """The resolution built from the two-pass `buchberger`/`syzygies`
-    above: (degrees, diffs) as `strmod.free_resolution` returns them."""
+    above: (degrees, diffs), diffs[k] the dense matrix of F_{k+1} -> F_k
+    (rows = F_k generators, columns = F_{k+1} generators)."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return [[]], []
@@ -627,5 +631,71 @@ def free_resolution(gens: Sequence[FreeModElem], order: ModOrder,
         diffs.append([[e.coord(i) for e in syz_elems]
                       for i in range(amb.rank)])
         current = syz_elems
-        cur_order = ModOrder.standard(n, amb.rank)
+        cur_order = ModOrder.standard(amb.rank)
     raise RuntimeError(f"resolution not finished within {max_len} steps")
+
+
+def minimize_resolution(degrees, diffs):
+    """Cancel unit entries of the dense matrices above (Gaussian elimination
+    for complexes), rescanning from the lowest level after every pivot;
+    returns the minimized (degrees, diffs) with no unit entry in any
+    differential."""
+    degrees = [list(d) for d in degrees]
+    diffs = [[list(row) for row in M] for M in diffs]
+
+    def find_unit(M):
+        for i, row in enumerate(M):
+            for j, p in enumerate(row):
+                if not p.is_zero() and p.is_constant():
+                    return i, j
+        return None
+
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(diffs)):
+            M = diffs[k]
+            hit = find_unit(M)
+            if hit is None:
+                continue
+            i0, j0 = hit
+            u = M[i0][j0].constant_value()
+            n_rows, n_cols = len(M), len(M[0]) if M else 0
+            # corrected differential on the complement
+            newM = []
+            for i in range(n_rows):
+                if i == i0:
+                    continue
+                row = []
+                for j in range(n_cols):
+                    if j == j0:
+                        continue
+                    corr = M[i][j] - M[i][j0] * M[i0][j].scale(Fraction(1, u))
+                    row.append(corr)
+                newM.append(row)
+            diffs[k] = newM
+            degrees[k] = [d for i, d in enumerate(degrees[k]) if i != i0]
+            degrees[k + 1] = [d for j, d in enumerate(degrees[k + 1]) if j != j0]
+            # upstream differential: drop row j0
+            if k + 1 < len(diffs):
+                diffs[k + 1] = [row for j, row in enumerate(diffs[k + 1])
+                                if j != j0]
+            # downstream differential: drop column i0
+            if k - 1 >= 0:
+                diffs[k - 1] = [[p for i, p in enumerate(row) if i != i0]
+                                for row in diffs[k - 1]]
+            changed = True
+            break
+    # drop trailing empty levels
+    while degrees and not degrees[-1]:
+        degrees.pop()
+        if diffs:
+            diffs.pop()
+    return degrees, diffs
+
+
+def densify(degrees, diffs, n_vars: int) -> List[List[List[Polynomial]]]:
+    """The sparse columns of `strmod.free_resolution` as dense matrices."""
+    zero = Polynomial.zero(n_vars)
+    return [[[col.get(i, zero) for col in cols] for i in range(len(level))]
+            for level, cols in zip(degrees, diffs)]

@@ -108,6 +108,21 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="ALL_CAP = 1048576"):
             enumerate_sub(t, "all")
 
+    def test_d_sequence_of_length_25(self):
+        # the n = 13 D-sequence has m = 25 entries and 2n - 1 = 25 members
+        # of Sub(t, 1); meet in the middle stores 2^13 tail subproducts
+        t = make_sequence("D", tuple(range(1, 14)), 13)
+        assert len(t) == 25
+        assert len(enumerate_sub(t, Permutation.identity(13)).members) == 25
+
+    def test_target_refused_above_table_cap(self):
+        # m = 41: the tail table would hold 2^21 entries, refused at once
+        t = ReflExpr(2, (Reflection(1, 2, 2),) * 41)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="ALL_CAP = 1048576"):
+            enumerate_sub(t, Permutation.identity(2))
+        assert time.monotonic() - start < 1.0
+
     def test_members_sorted_lex(self, rng):
         t = random_expr(rng, 4, 7)
         sub = enumerate_sub(t, "all")
