@@ -358,10 +358,10 @@ def check_two_solution() -> None:
     sub = enumerate_sub(t, w)
     _check(set(sub.members) == {(0,) * 6, (1,) * 6},
            "two-solution enumeration")
-    r1 = algorithm1(t, w)
+    r1 = algorithm1(t, w, sub=sub)
     _check(r1.outcome == "premature" and r1.step == 1,
            "plain growth stops at step 1")
-    r2 = algorithm2(t, w)
+    r2 = algorithm2(t, w, sub=sub)
     _check(r2.outcome == "completed" and r2.P == GradedRank({0: 2}),
            "con growth completes with rank 2")
 

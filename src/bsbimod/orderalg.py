@@ -216,10 +216,12 @@ def _run_family_algorithm(t: ReflExpr, w: Permutation, mode: str,
 
 
 def algorithm1(t: ReflExpr, w: Permutation, max_family: Optional[int] = None,
-               greedy: bool = False) -> AlgoResult:
-    """Family growth by plain closeness; completion certifies graded
-    freeness (the families are exactly the perfectly orderable subsets)."""
-    res = _run_family_algorithm(t, w, "plain", max_family, greedy)
+               greedy: bool = False, sub: Optional[SubSet] = None
+               ) -> AlgoResult:
+    """Family growth by plain closeness, on sub = Sub(t, w) when it is
+    already enumerated; completion certifies graded freeness (the families
+    are exactly the perfectly orderable subsets)."""
+    res = _run_family_algorithm(t, w, "plain", max_family, greedy, sub)
     if res.outcome == "completed":
         res.P = None  # plain algorithm does not report ranks
     return res

@@ -8,6 +8,16 @@ the input generators, are the syzygies each resolution step is free on
 (Schreyer's theorem).  Those sparse rows are the differentials, and
 minimization cancels units on them.
 
+A module element is immutable and stored as one coefficient dict
+{(generator index, exponent): coefficient}, with `Polynomial` coordinate
+views built on demand, and it caches its leading term per order.  Division
+runs on one such dict: the leading term is popped from a sorted list of
+its terms and divided by the first basis element, in index order, whose
+leading term is in the same position and divides it, and quotients come
+back sparse, {k: Polynomial}.  Buchberger keeps its basis bucketed by
+leading position across all of its reductions, and forms S-pairs per
+bucket.
+
 The ring here is F[x_1..x_n, y_1..y_m] in fresh variables (the images of
 the chosen roots under an invertible change of coordinates): variable k of
 the underlying Polynomial type is x_k for k <= n and y_{k-n} above.  The
@@ -23,13 +33,16 @@ __all__ = [
     "minimize_resolution", "resolution_ranks",
 ]
 
+from collections import abc
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from bisect import insort
+from operator import add, le, sub
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .polyring import (Polynomial, GradedRank, InvariantError, Scalar,
-                       _linear_rows)
+from .polyring import (Polynomial, GradedRank, InvariantError, Scalar, _exact,
+                       _linear_rows, _ratio)
 
 Mono = Tuple[int, ...]
 
@@ -57,69 +70,102 @@ class ModOrder:
         return {g: r for r, g in enumerate(self.gen_priority)}
 
     @staticmethod
-    def mono_key(exp: Mono) -> Mono:
-        return exp[::-1]
-
-    @staticmethod
     def standard(rank: int) -> "ModOrder":
         """e_rank > ... > e_1."""
         return ModOrder(tuple(range(rank - 1, -1, -1)))
 
 
 class FreeModElem:
-    """Element of a graded free module, coordinates by generator index."""
+    """Immutable element of a graded free module, stored as one coefficient
+    dict `terms` {(generator index, exponent): coefficient} with no zero
+    entries; coefficients are `int`s, and `Fraction`s with denominator
+    above 1, as `Polynomial` stores them.  The leading term is cached per
+    order."""
 
-    __slots__ = ("ambient", "coords")
+    __slots__ = ("ambient", "terms", "_leads")
 
     def __init__(self, ambient: FreeModule, coords: Mapping[int, Polynomial]):
-        clean = {}
+        terms = {}
         for g, p in dict(coords).items():
             if not 0 <= g < ambient.rank:
                 raise ValueError(f"generator index {g} out of range")
             if p.n != ambient.n_vars:
                 raise ValueError("coordinate rank mismatch")
-            if not p.is_zero():
-                clean[g] = p
+            for exp, c in p.terms.items():
+                terms[(g, exp)] = c
         self.ambient = ambient
-        self.coords = clean
+        self.terms = terms
+        self._leads = {}
+
+    @staticmethod
+    def _raw(ambient: FreeModule, terms: Dict[Tuple[int, Mono], Scalar]
+             ) -> "FreeModElem":
+        """The element with the coefficient dict `terms`, taken as it is:
+        no zero and no integral `Fraction` coefficient."""
+        elem = FreeModElem.__new__(FreeModElem)
+        elem.ambient = ambient
+        elem.terms = terms
+        elem._leads = {}
+        return elem
+
+    @property
+    def coords(self) -> Dict[int, Polynomial]:
+        """{generator index: coordinate}, the nonzero coordinates only."""
+        by_gen: Dict[int, Dict[Mono, Scalar]] = {}
+        for (g, exp), c in self.terms.items():
+            by_gen.setdefault(g, {})[exp] = c
+        n = self.ambient.n_vars
+        return {g: Polynomial(n, by_gen[g]) for g in sorted(by_gen)}
 
     def is_zero(self) -> bool:
-        return not self.coords
+        return not self.terms
 
     def coord(self, g: int) -> Polynomial:
-        return self.coords.get(g, Polynomial.zero(self.ambient.n_vars))
+        return Polynomial(self.ambient.n_vars,
+                          {exp: c for (h, exp), c in self.terms.items()
+                           if h == g})
 
-    def __add__(self, other: "FreeModElem") -> "FreeModElem":
+    def _plus(self, other: "FreeModElem", sign: int) -> "FreeModElem":
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        coords = dict(self.coords)
-        for g, p in other.coords.items():
-            coords[g] = coords.get(g, Polynomial.zero(p.n)) + p
-        return FreeModElem(self.ambient, coords)
+        terms = dict(self.terms)
+        for x, c in other.terms.items():
+            _accumulate(terms, x, sign * c)
+        return FreeModElem._raw(self.ambient, terms)
+
+    def __add__(self, other: "FreeModElem") -> "FreeModElem":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "FreeModElem") -> "FreeModElem":
-        return self + other.scale_poly(Polynomial.const(self.ambient.n_vars, -1))
+        return self._plus(other, -1)
 
     def scale_poly(self, p: Polynomial) -> "FreeModElem":
-        return FreeModElem(self.ambient,
-                           {g: p * q for g, q in self.coords.items()})
+        if p.n != self.ambient.n_vars:
+            raise ValueError("coordinate rank mismatch")
+        terms: Dict[Tuple[int, Mono], Scalar] = {}
+        for (g, exp), c in self.terms.items():
+            for pexp, pc in p.terms.items():
+                _accumulate(terms, (g, tuple(map(add, exp, pexp))), c * pc)
+        return FreeModElem._raw(self.ambient, terms)
 
     def mono_mul(self, exp: Mono, c: Scalar) -> "FreeModElem":
-        mono = Polynomial(self.ambient.n_vars, {tuple(exp): c})
-        return self.scale_poly(mono)
+        c = _exact(c)
+        terms: Dict[Tuple[int, Mono], Scalar] = {}
+        for (g, e), v in self.terms.items():
+            _accumulate(terms, (g, tuple(map(add, e, exp))), c * v)
+        return FreeModElem._raw(self.ambient, terms)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FreeModElem)
                 and self.ambient == other.ambient
-                and self.coords == other.coords)
+                and self.terms == other.terms)
 
     def __hash__(self):
         raise TypeError("FreeModElem is unhashable")
 
     def homogeneous_degree(self) -> Optional[int]:
-        degs = set()
-        for g, p in self.coords.items():
-            degs.add(p.homogeneous_degree() + self.ambient.gen_degrees[g])
+        shifts = self.ambient.gen_degrees
+        degs = {2 * sum(exp) + shifts[g] for g, exp in self.terms}
         if not degs:
             return None
         if len(degs) != 1:
@@ -128,62 +174,116 @@ class FreeModElem:
 
     def leading(self, order: ModOrder):
         """(gen, exponent, coefficient) of the leading term: the greatest
-        monomial of the top-ranked coordinate."""
-        if not self.coords:
-            raise ValueError("zero element has no leading term")
-        g = min(self.coords, key=order.rank.__getitem__)
-        terms = self.coords[g].terms
-        exp = max(terms, key=order.mono_key)
-        return g, exp, terms[exp]
+        monomial of the top-ranked coordinate.  Computed once per order."""
+        lead = self._leads.get(order)
+        if lead is None:
+            if not self.terms:
+                raise ValueError("zero element has no leading term")
+            rank = order.rank
+            g, exp = max(self.terms, key=lambda x: (-rank[x[0]], x[1][::-1]))
+            lead = self._leads[order] = (g, exp, self.terms[(g, exp)])
+        return lead
 
     def __repr__(self) -> str:
-        body = " + ".join(f"({p})*E{g}" for g, p in sorted(self.coords.items()))
+        body = " + ".join(f"({p})*E{g}" for g, p in self.coords.items())
         return f"FreeModElem[{body or '0'}]"
 
 
-def _mono_divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def _accumulate(terms: dict, x, c: Scalar) -> None:
+    """terms[x] += c in a coefficient dict, dropping a zero sum and storing
+    an integral one as an int."""
+    v = terms.get(x, 0) + c
+    if not v:
+        terms.pop(x, None)
+    elif type(v) is int or v.denominator != 1:
+        terms[x] = v
+    else:
+        terms[x] = v.numerator
 
 
 def _mono_sub(b: Mono, a: Mono) -> Mono:
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def _mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
+
+
+class _LeadIndex(abc.Sequence):
+    """A sequence of basis elements that also holds their leading terms
+    under one order, bucketed by position: {position: [(exponent, index,
+    coefficient)]}, each bucket in index order.  Under POT only a leading
+    term in the same position can divide, or make an S-pair."""
+
+    def __init__(self, elems: Sequence[FreeModElem], order: ModOrder):
+        self.order = order
+        self.elems: List[FreeModElem] = []
+        self.buckets: Dict[int, List[Tuple[Mono, int, Scalar]]] = {}
+        for g in elems:
+            self.append(g)
+
+    def __len__(self) -> int:
+        return len(self.elems)
+
+    def __getitem__(self, k):
+        return self.elems[k]
+
+    def append(self, g: FreeModElem) -> None:
+        if g.terms:
+            lg, lexp, lc = g.leading(self.order)
+            self.buckets.setdefault(lg, []).append((lexp, len(self.elems), lc))
+        self.elems.append(g)
 
 
 def reduce_elem(f: FreeModElem, G: Sequence[FreeModElem], order: ModOrder):
-    """Full division: f = sum q_k G_k + r with no term of r divisible by any
-    leading monomial of G.  Returns (quotients list, remainder)."""
-    n = f.ambient.n_vars
-    lead = [(g.leading(order) if not g.is_zero() else None) for g in G]
-    qs: List[Dict[Mono, Scalar]] = [dict() for _ in G]
-    rem = FreeModElem(f.ambient, {})
-    cur = f
-    while not cur.is_zero():
-        g0, exp0, c0 = cur.leading(order)
-        hit = None
-        for k, ld in enumerate(lead):
-            if ld is None:
-                continue
-            lg, lexp, lc = ld
-            if lg == g0 and _mono_divides(lexp, exp0):
-                hit = (k, lexp, lc)
+    """
+    Full division: f = sum q_k G_k + r with no term of r divisible by any
+    leading monomial of G.  Returns ({k: q_k} for the nonzero quotients,
+    r).  Division runs on one coefficient dict: its leading term is popped
+    from a sorted list of its terms and divided by the first G_k, in index
+    order, whose leading term divides it, and the quotient term times G_k
+    is subtracted term by term; a term no G_k divides goes to r.
+    `buchberger` passes its growing basis as a `_LeadIndex`, so the leading
+    terms are bucketed once per basis rather than once per call.
+    """
+    index = G if isinstance(G, _LeadIndex) and G.order == order \
+        else _LeadIndex(G, order)
+    buckets, elems, rank = index.buckets, index.elems, order.rank
+    cur = dict(f.terms)
+    # the keys of cur, the leading term last; a subtraction only adds terms
+    # below the leading one
+    todo = sorted((-rank[g], exp[::-1], g, exp) for g, exp in cur)
+    qs: Dict[int, Dict[Mono, Scalar]] = {}
+    rem: Dict[Tuple[int, Mono], Scalar] = {}
+    while todo:
+        _, _, g0, exp0 = todo.pop()
+        x0 = (g0, exp0)
+        c0 = cur[x0]
+        if not c0:   # cancelled after it was listed
+            del cur[x0]
+            continue
+        for lexp, k, lc in buckets.get(g0, ()):
+            if all(map(le, lexp, exp0)):
                 break
-        if hit is None:
-            # move the leading term to the remainder
-            t = FreeModElem(f.ambient, {g0: Polynomial(n, {exp0: c0})})
-            rem = rem + t
-            cur = cur - t
         else:
-            k, lexp, lc = hit
-            diff = _mono_sub(exp0, lexp)
-            coef = Fraction(c0, lc)
-            qs[k][diff] = qs[k].get(diff, 0) + coef
-            cur = cur - G[k].mono_mul(diff, coef)
-    quotients = [Polynomial(n, q) for q in qs]
-    return quotients, rem
+            del cur[x0]
+            _accumulate(rem, x0, c0)
+            continue
+        diff = tuple(map(sub, exp0, lexp))
+        # the leading terms strictly decrease, so each (k, diff) comes once
+        coef = qs.setdefault(k, {})[diff] = _ratio(c0, lc)
+        for (g, e), c in elems[k].terms.items():
+            x = (g, tuple(map(add, diff, e)))
+            v = cur.get(x)
+            if v is None:
+                cur[x] = -coef * c
+                insort(todo, (-rank[g], x[1][::-1], g, x[1]))
+            else:
+                cur[x] = v - coef * c
+        del cur[x0]   # cancelled by the leading term of G_k
+    n = f.ambient.n_vars
+    quotients = {k: Polynomial(n, q) for k, q in qs.items()}
+    return quotients, FreeModElem._raw(f.ambient, rem)
 
 
 @dataclass
@@ -195,12 +295,18 @@ class GroebnerBasis:
     syzygies: List[Dict[int, Polynomial]] = field(default_factory=list)
 
 
-def _combine(terms, reps) -> Dict[int, Polynomial]:
-    """sum c * reps[k] over the (k, c) in `terms`, zero entries dropped."""
-    row: Dict[int, Polynomial] = {}
+def _combine(terms, reps, n: int) -> Dict[int, Polynomial]:
+    """sum c * reps[k] over the (k, c) in `terms`, c a coefficient dict
+    {exponent: coefficient}; zero entries dropped."""
+    acc: Dict[int, Dict[Mono, Scalar]] = {}
     for k, c in terms:
         for col, p in reps[k].items():
-            row[col] = row[col] + c * p if col in row else c * p
+            d = acc.setdefault(col, {})
+            for e1, c1 in c.items():
+                for e2, c2 in p.terms.items():
+                    x = tuple(map(add, e1, e2))
+                    d[x] = d.get(x, 0) + c1 * c2
+    row = {col: Polynomial(n, d) for col, d in acc.items()}
     return {col: p for col, p in row.items() if not p.is_zero()}
 
 
@@ -217,41 +323,43 @@ def buchberger(gens: Sequence[FreeModElem], order: ModOrder) -> GroebnerBasis:
     zero, and the inputs are among the basis).
     """
     nz = [k for k, g in enumerate(gens) if not g.is_zero()]
-    G = [gens[k] for k in nz]
-    if not G:
+    if not nz:
         return GroebnerBasis([], order)
+    G = _LeadIndex([gens[k] for k in nz], order)
     n = G[0].ambient.n_vars
     reps = [{k: Polynomial.one(n)} for k in nz]
-    lead = [g.leading(order) for g in G]
     syz: List[Dict[int, Polynomial]] = []
-    # only leading terms in the same position make an S-pair; the list grows
-    # while it is walked
-    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))
-             if lead[i][0] == lead[j][0]]
+    # the same-position pairs in (i, j) scan order; the list grows while it
+    # is walked, a new element's pairs appended
+    pairs = [(i, j) for bucket in G.buckets.values()
+             for a, (_, i, _) in enumerate(bucket) for _, j, _ in bucket[a + 1:]]
+    pairs.sort()
     n_new = 0
     for i, j in pairs:
-        _, ei, ci = lead[i]
-        _, ej, cj = lead[j]
+        _, ei, ci = G[i].leading(order)
+        _, ej, cj = G[j].leading(order)
         lcm = _mono_lcm(ei, ej)
-        mi = Polynomial(n, {_mono_sub(lcm, ei): Fraction(1, ci)})
-        mj = Polynomial(n, {_mono_sub(lcm, ej): Fraction(-1, cj)})
-        quots, rem = reduce_elem(G[i].scale_poly(mi) + G[j].scale_poly(mj),
+        ui, uj = _mono_sub(lcm, ei), _mono_sub(lcm, ej)
+        ai, aj = _ratio(1, ci), _ratio(-1, cj)
+        quots, rem = reduce_elem(G[i].mono_mul(ui, ai) + G[j].mono_mul(uj, aj),
                                  G, order)
-        terms = [(i, mi), (j, mj)]
-        terms += [(k, -q) for k, q in enumerate(quots) if not q.is_zero()]
-        row = _combine(terms, reps)
+        terms = [(i, {ui: ai}), (j, {uj: aj})]
+        terms += [(k, {e: -c for e, c in q.terms.items()})
+                  for k, q in sorted(quots.items())]
+        row = _combine(terms, reps, n)
         if rem.is_zero():
             if row:
                 syz.append(row)
             continue
-        inv = Fraction(1, rem.leading(order)[2])
-        G.append(rem.scale_poly(Polynomial.const(n, inv)))
+        inv = _ratio(1, rem.leading(order)[2])
+        new = rem.mono_mul((0,) * n, inv)
+        m = len(G)
+        pairs.extend((k, m) for _, k, _ in
+                     G.buckets.get(new.leading(order)[0], ()))
+        G.append(new)
         reps.append({col: p.scale(inv) for col, p in row.items()})
-        lead.append(G[-1].leading(order))
-        pairs.extend((k, len(G) - 1) for k in range(len(G) - 1)
-                     if lead[k][0] == lead[-1][0])
         n_new += 1
-    return GroebnerBasis(G, order, n_new, syz)
+    return GroebnerBasis(G.elems, order, n_new, syz)
 
 
 def syzygies(gb: GroebnerBasis, n_gens: int) -> List[List[Polynomial]]:
@@ -264,7 +372,7 @@ def syzygies(gb: GroebnerBasis, n_gens: int) -> List[List[Polynomial]]:
 
 
 def free_resolution(gens: Sequence[FreeModElem], order: ModOrder,
-                    max_len: int = 12):
+                    max_len: Optional[int] = None):
     """
     A graded free resolution ... -> F_1 -> F_0 (-> M -> 0) of the module
     generated by `gens`.  Returns (degrees, diffs): degrees[k] is the list
@@ -272,12 +380,16 @@ def free_resolution(gens: Sequence[FreeModElem], order: ModOrder,
     sparse column {F_k index: Polynomial} per generator of F_{k+1}, with no
     zero entries.  F_{k+1} is free on the syzygies `buchberger` records for
     the generators of F_k, and those records are the columns.  Raises if
-    max_len is reached before they vanish.
+    they have not vanished after max_len completions, by default
+    max(12, n_vars + 1): room for a resolution as long as the number of
+    variables, the bound of Hilbert's syzygy theorem.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return [[]], []
     n = gens[0].ambient.n_vars
+    if max_len is None:
+        max_len = max(12, n + 1)
     degrees = [[g.homogeneous_degree() for g in gens]]
     diffs: List[List[Dict[int, Polynomial]]] = []
     current = list(gens)
@@ -357,7 +469,8 @@ def resolution_ranks(degrees) -> List[GradedRank]:
     return out
 
 
-def pd(gens: Sequence[FreeModElem], order: ModOrder, max_len: int = 12):
+def pd(gens: Sequence[FreeModElem], order: ModOrder,
+       max_len: Optional[int] = None):
     """Projective dimension via the minimized resolution.  Returns
     (pd, degrees of the minimal resolution)."""
     degrees, diffs = free_resolution(gens, order, max_len)
@@ -494,13 +607,16 @@ def dual_toolkit(n: int, extra: int = 0) -> dict:
 
     # triple relations x_k th_{i,j} + x_i th_{j,k} = x_j th_{i,k}
     ok = True
+    zero = Polynomial.zero(nv)
     for th in thetas:
+        coords = th.coords
+        entry = {p: coords.get(idx[p], zero) for p in pairs}
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 for k in range(j + 1, n + 1):
-                    lhs = (Polynomial.var(nv, k) * th.coord(idx[(i, j)])
-                           + Polynomial.var(nv, i) * th.coord(idx[(j, k)]))
-                    rhs = Polynomial.var(nv, j) * th.coord(idx[(i, k)])
+                    lhs = (Polynomial.var(nv, k) * entry[(i, j)]
+                           + Polynomial.var(nv, i) * entry[(j, k)])
+                    rhs = Polynomial.var(nv, j) * entry[(i, k)]
                     if lhs != rhs:
                         ok = False
     report["triple_relations"] = ok

@@ -6,8 +6,10 @@ graph, frozen sets, connected components, closeness, the forest rank and
 its cycle witness, the divisibility conditions behind membership and sigma,
 the residual constraints, exact division with two `Polynomial`s per
 long-division step, and root-power divisibility by repeated exact division;
-the Delta/nabla elements (basis, nabla_X, mu) built by climbing the
-copy/concentration ladder one position at a time; and Buchberger completion
+module division that scans every basis element for a divisor and subtracts
+one new element per step, with a dense quotient list; the Delta/nabla
+elements (basis, nabla_X, mu) built by climbing the copy/concentration
+ladder one position at a time; and Buchberger completion
 with dense representation tracking followed by a second pass that reduces
 every S-pair of the finished basis again for its syzygies, and the free
 resolution on those dense syzygies, minimised by unit cancellation on dense
@@ -17,11 +19,11 @@ divide polynomials, build a `Polynomial` per division step, enumerate a
 prefix domain per ladder step and reduce every S-pair twice on every call,
 as the library did before it enumerated by meet in the middle, found M_p
 by one prefix walk per member, read these from the cached
-`SubSet.analysis()`, tested divisibility by substitution, divided on one
-coefficient dict, evaluated the nabla products in closed form, read the
-syzygies from Buchberger's own reductions and kept the differentials as
-those sparse rows; the differential tests compare
-the two.
+`SubSet.analysis()`, tested divisibility by substitution, divided
+polynomials and module elements on one coefficient dict, evaluated the
+nabla products in closed form, read the syzygies from Buchberger's own
+reductions and kept the differentials as those sparse rows; the
+differential tests compare the two.
 """
 
 from dataclasses import dataclass
@@ -35,8 +37,8 @@ from bsbimod.orderalg import (ClosenessCert, Congruence, ResidualReport,
                               _detect_string)
 from bsbimod.polyring import (GradedRank, InvariantError, NotDivisible,
                               Polynomial)
-from bsbimod.strmod import (FreeModElem, FreeModule, ModOrder, reduce_elem,
-                            _mono_lcm, _mono_sub)
+from bsbimod.strmod import (FreeModElem, FreeModule, ModOrder, _mono_lcm,
+                            _mono_sub)
 from bsbimod.subexpr import (Subexpr, SubSet, SubGraph, enumerate_sub,
                              rel_card, _even_subsets, _all_subsets)
 
@@ -500,6 +502,40 @@ def mu(eps: Subexpr, sub: Optional[SubSet] = None) -> FnOnSub:
     if sub is None:
         sub = enumerate_sub(eps.expr, eps.target())
     return nabla_X(eps, range(1, len(eps) + 1)).restrict_to(sub)
+
+
+def reduce_elem(f: FreeModElem, G: Sequence[FreeModElem], order: ModOrder):
+    """Full division one coordinate `Polynomial` at a time: the leading
+    term of the current element is divided by the first G_k in index order
+    whose leading term divides it, and the quotient term times G_k is
+    subtracted as a new element.  Returns (dense quotient list, remainder)."""
+    n = f.ambient.n_vars
+    lead = [(g.leading(order) if not g.is_zero() else None) for g in G]
+    qs: List[Dict[tuple, Fraction]] = [dict() for _ in G]
+    rem = FreeModElem(f.ambient, {})
+    cur = f
+    while not cur.is_zero():
+        g0, exp0, c0 = cur.leading(order)
+        hit = None
+        for k, ld in enumerate(lead):
+            if ld is None:
+                continue
+            lg, lexp, lc = ld
+            if lg == g0 and all(x <= y for x, y in zip(lexp, exp0)):
+                hit = (k, lexp, lc)
+                break
+        if hit is None:
+            # move the leading term to the remainder
+            t = FreeModElem(f.ambient, {g0: Polynomial(n, {exp0: c0})})
+            rem = rem + t
+            cur = cur - t
+        else:
+            k, lexp, lc = hit
+            diff = _mono_sub(exp0, lexp)
+            coef = Fraction(c0, lc)
+            qs[k][diff] = qs[k].get(diff, 0) + coef
+            cur = cur - G[k].mono_mul(diff, coef)
+    return [Polynomial(n, q) for q in qs], rem
 
 
 @dataclass

@@ -106,7 +106,7 @@ class TestCriterion3SmallCycleCompletes:
 
 
 class TestCriterion4CounterexampleFamily:
-    @pytest.mark.parametrize("n", range(4, 12))
+    @pytest.mark.parametrize("n", range(4, 13))
     def test_premature_with_string_pattern(self, n):
         start = time.monotonic()
         rep = dichotomy_report(n)

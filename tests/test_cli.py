@@ -231,6 +231,22 @@ class TestSelfcheck:
         assert rc == 0 and calls == ["two-solution"]
         assert out.count("== two-solution instance") == 1
 
+    def test_two_solution_enumerates_once(self, capsys, monkeypatch):
+        # algorithm1 and algorithm2 run on the check's own Sub(t, w)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_sub(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("bsbimod")
+                    and getattr(mod, "enumerate_sub", None) is enumerate_sub):
+                monkeypatch.setattr(mod, "enumerate_sub", counted)
+        rc, out = run(capsys, ["selfcheck"])
+        assert rc == 0 and "all checks passed" in out
+        assert len(calls) == 1
+
     def test_no_json_option(self, tmp_path):
         with pytest.raises(SystemExit) as ei:
             cli.main(["selfcheck", "--json", str(tmp_path / "out.json")])

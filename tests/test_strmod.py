@@ -275,8 +275,67 @@ class TestCoefficientTypes:
         third = Polynomial.const(gens[0].ambient.n_vars, Fraction(1, 3))
         for f in gens:
             quots, rem = reduce_elem(f.scale_poly(third), gb.elements, order)
-            out += quots + list(rem.coords.values())
+            out += list(quots.values()) + list(rem.coords.values())
         assert all(exact_coefficients(p) for p in out)
+
+
+@st.composite
+def divisions(draw):
+    """(f, G, order) for one division: G from `modules()` with every
+    element scaled by a drawn rational, so that leading coefficients are
+    non-unit and fractional; f a combination of the G_k with monomial and
+    rational multipliers plus one term of its own."""
+    gens, order = draw(modules())
+    amb = gens[0].ambient
+    nv = amb.n_vars
+    one = (0,) * nv
+    rationals = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                          st.sampled_from((1, 2, 3)))
+    G = [g.mono_mul(one, draw(rationals)) for g in gens]
+    monos = st.tuples(*[st.integers(0, 1)] * nv)
+    f = FreeModElem(amb, {draw(st.integers(0, amb.rank - 1)):
+                          Polynomial(nv, {draw(monos): draw(rationals)})})
+    for g in G:
+        f = f + g.mono_mul(draw(monos), draw(rationals))
+    return f, G, order
+
+
+def _typed(terms):
+    """The items of a coefficient dict, each coefficient with its type."""
+    return sorted((x, type(c), c) for x, c in terms.items())
+
+
+class TestReduceAgainstOracle:
+    """`reduce_elem` divides on one coefficient dict; the oracle divides
+    one coordinate `Polynomial` at a time, with the same divisor rule."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(divisions())
+    @example((st_generators(4)[3].scale_poly(x(1, 4)), st_generators(4),
+              st_ambient(4, 0)[1]))
+    def test_quotients_and_remainder(self, case):
+        f, G, order = case
+        quots, rem = reduce_elem(f, G, order)
+        want_q, want_rem = oracle.reduce_elem(f, G, order)
+        n = f.ambient.n_vars
+        assert all(not q.is_zero() for q in quots.values())
+        got_q = [quots.get(k, Polynomial.zero(n)) for k in range(len(G))]
+        assert [_typed(q.terms) for q in got_q] \
+            == [_typed(q.terms) for q in want_q]
+        # the oracle's remainder as `Polynomial` coordinates stores them
+        assert _typed(rem.terms) == _typed(
+            {(g, e): c for g, p in want_rem.coords.items()
+             for e, c in p.terms.items()})
+
+    def test_lead_is_cached_per_order(self):
+        amb = FreeModule(2, (0, 0))
+        f = FreeModElem(amb, {0: x(1, 2), 1: x(2, 2)})
+        up, down = ModOrder((1, 0)), ModOrder((0, 1))
+        lead_up = f.leading(up)
+        assert lead_up == (1, (0, 1), 1)
+        assert f.leading(down) == (0, (1, 0), 1)
+        assert f.leading(up) is lead_up
+        assert f.leading(ModOrder((1, 0))) is lead_up   # equal orders share
 
 
 class TestSyzygiesAgainstOracle:

@@ -1,5 +1,5 @@
 """
-Time the D-sequence dichotomy report in-process for n = 8..13 and write
+Time the D-sequence dichotomy report in-process for n = 8..15 and write
 the curve to a JSON file: per n, the wall time of `dseq.dichotomy_report`
 (one run, shift k = 1), pd of the residual string module and pd of its
 dual.  The file also records the commit of the imported `bsbimod`, whether
@@ -22,7 +22,7 @@ import time
 
 from bsbimod import dseq
 
-N_RANGE = range(8, 14)
+N_RANGE = range(8, 16)
 K = 1
 
 
