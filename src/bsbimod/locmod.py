@@ -136,19 +136,32 @@ def indicator(domain: SubSet, bits_set) -> FnOnSub:
 
 def res_tensor(t: ReflExpr, a: Sequence[Polynomial]) -> FnOnSub:
     """The localization of the pure tensor a_1 x ... x a_{m+1}: the value at
-    eps is prod_i eps^{<i}(a_i), with eps^{<m+1} the full product."""
+    eps is prod_i eps^{<i}(a_i), with eps^{<m+1} the full product.  One
+    depth-first walk of the prefix tree of Sub(t), bit 0 before bit 1: a
+    node at depth i holds the one-line prefix eps^{<i+1}, updated by one
+    swap, and the partial product over l <= i+1, shared by every member
+    below it."""
     m = len(t)
     if len(a) != m + 1:
         raise ValueError(f"need {m + 1} tensor factors, got {len(a)}")
     dom = enumerate_sub(t, "all")
-    values = {}
-    for bits in dom.members:
-        eps = Subexpr(t, bits)
-        val = Polynomial.one(t.n)
-        for i in range(1, m + 2):
-            val = val * act(eps.prefix(i).images, a[i - 1])
-        values[bits] = val
-    return FnOnSub(dom, values)
+    trans = [(r.i - 1, r.j - 1) for r in t.entries]
+    prefix = list(range(1, t.n + 1))
+    values = []
+
+    def walk(i: int, val: Polynomial):
+        val = val * act(prefix, a[i])
+        if i == m:
+            values.append(val)
+            return
+        walk(i + 1, val)
+        x, y = trans[i]
+        prefix[x], prefix[y] = prefix[y], prefix[x]
+        walk(i + 1, val)
+        prefix[x], prefix[y] = prefix[y], prefix[x]
+
+    walk(0, Polynomial.one(t.n))
+    return FnOnSub(dom, dict(zip(dom.members, values)))
 
 
 def _signed_sum(g: FnOnSub, terms) -> Polynomial:

@@ -185,15 +185,16 @@ def _run_family_algorithm(t: ReflExpr, w: Permutation, mode: str,
                 if cert is None:
                     continue
                 newphi = phi | {bits}
-                newP = P + GradedRank.v_power(-cert.dist)
-                if newphi in nxt:
+                coeffs = dict(P.coeffs)     # P + v^{-dist}
+                coeffs[-cert.dist] = coeffs.get(-cert.dist, 0) + 1
+                old = nxt.get(newphi)
+                if old is None:
+                    nxt[newphi] = GradedRank(coeffs)
+                elif old.coeffs != coeffs:
                     # equal families must carry equal graded ranks
-                    if nxt[newphi] != newP:
-                        raise InvariantError(
-                            f"rank mismatch at {sorted(newphi)}: "
-                            f"{nxt[newphi]} vs {newP}")
-                else:
-                    nxt[newphi] = newP
+                    raise InvariantError(
+                        f"rank mismatch at {sorted(newphi)}: "
+                        f"{old} vs {GradedRank(coeffs)}")
                 incs.setdefault(newphi, set()).add(cert.dist)
                 if k == msub - 1:
                     last_additions.append((phi, bits, cert.dist))

@@ -22,7 +22,8 @@ __all__ = [
 ]
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -161,9 +162,10 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         terms: dict = {}
+        items = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+            for e2, c2 in items:
+                exp = tuple(map(add, e1, e2))
                 terms[exp] = terms.get(exp, 0) + c1 * c2
         return Polynomial(self.n, terms)
 
@@ -279,9 +281,11 @@ def try_exact_div(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
 def _linear_rows(forms: Sequence[Polynomial], error: str):
     """The degree-2 linear forms as rows of `Fraction` coefficients, and the
     pivot columns of their row reduction over Q (one per independent form);
-    raises ValueError(error) on a form that is not linear."""
+    raises ValueError(error) on a form that is not linear.  The pivots come
+    from fraction-free forward elimination on the rows scaled to integers:
+    scaling a row by a nonzero integer moves no pivot."""
     n = forms[0].n if forms else 0
-    rows = []
+    rows, mat = [], []
     for f in forms:
         row = [Fraction(0)] * n
         for exp, c in f.terms.items():
@@ -289,7 +293,8 @@ def _linear_rows(forms: Sequence[Polynomial], error: str):
                 raise ValueError(error)
             row[exp.index(1)] = Fraction(c)
         rows.append(row)
-    mat = [list(r) for r in rows]
+        den = lcm(*(c.denominator for c in row))
+        mat.append([c.numerator * (den // c.denominator) for c in row])
     pivots = []
     for col in range(n):
         rank = len(pivots)
@@ -298,10 +303,13 @@ def _linear_rows(forms: Sequence[Polynomial], error: str):
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
         pr = mat[rank]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col] / pr[col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], pr)]
+        p = pr[col]
+        for i in range(rank + 1, len(mat)):
+            c = mat[i][col]
+            if c:
+                row = [p * x - c * y for x, y in zip(mat[i], pr)]
+                g = gcd(*row)
+                mat[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
     return rows, pivots
 

@@ -135,10 +135,12 @@ class Subexpr:
             self.refl_at(i) for i in range(1, len(self) + 1)))
 
     def weight(self) -> Polynomial:
-        """o(eps) = prod_i eps^{->i}."""
-        out = Polynomial.one(self.expr.n)
-        for i in range(1, len(self) + 1):
-            out = out * self.root_before(i)
+        """o(eps) = prod_i eps^{->i}, the roots read from one prefix walk
+        (`_prefix_walk`)."""
+        n = self.expr.n
+        out = Polynomial.one(n)
+        for x, y in next(_prefix_walk(self.expr, [self.bits])):
+            out = out * _root(n, x, y)
         return out
 
 
@@ -190,9 +192,7 @@ class SubSet:
                 for key in pairs:
                     root = made.get(key)
                     if root is None:
-                        root = made[key] = Polynomial(n, {
-                            tuple(int(x == key[0]) for x in range(n)): 1,
-                            tuple(int(x == key[1]) for x in range(n)): -1})
+                        root = made[key] = _root(n, *key)
                     row.append(root)
                 rows.append(tuple(row))
             cached = tuple(rows)
@@ -232,6 +232,12 @@ def _prefix_walk(expr: ReflExpr, members: Sequence[Bits]):
             if bit:
                 prefix[a], prefix[b] = y, x
         yield pairs
+
+
+def _root(n: int, x: int, y: int) -> Polynomial:
+    """e_x - e_y, 0-based."""
+    return Polynomial(n, {tuple(int(k == x) for k in range(n)): 1,
+                          tuple(int(k == y) for k in range(n)): -1})
 
 
 def _mask(positions: Sequence[int]) -> int:

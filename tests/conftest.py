@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from bsbimod.coxeter import Permutation, Reflection, ReflExpr
 
@@ -32,6 +33,18 @@ def exact_coefficients(f) -> bool:
     denominator above 1."""
     return all(type(c) is int or type(c) is Fraction and c.denominator != 1
                for c in f.terms.values())
+
+
+# int and Fraction coefficients, zero included
+scalars = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+
+
+def typed_terms(f) -> list:
+    """The terms of the Polynomial f in dict order, each coefficient with
+    its type, so that equal lists mean identical term dicts."""
+    return [(exp, c, type(c)) for exp, c in f.terms.items()]
 
 
 @pytest.fixture

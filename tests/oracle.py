@@ -9,7 +9,9 @@ long-division step, and root-power divisibility by repeated exact division;
 module division that scans every basis element for a divisor and subtracts
 one new element per step, with a dense quotient list; the Delta/nabla
 elements (basis, nabla_X, mu) built by climbing the copy/concentration
-ladder one position at a time; and Buchberger completion
+ladder one position at a time; the localization of a pure tensor member
+by member, the polynomial product with exponents summed by a generator,
+the row reduction of linear forms on `Fraction` rows; and Buchberger completion
 with dense representation tracking followed by a second pass that reduces
 every S-pair of the finished basis again for its syzygies, and the free
 resolution on those dense syzygies, minimised by unit cancellation on dense
@@ -22,7 +24,8 @@ by one prefix walk per member, read these from the cached
 `SubSet.analysis()`, tested divisibility by substitution, divided
 polynomials and module elements on one coefficient dict, evaluated the
 nabla products in closed form, read the syzygies from Buchberger's own
-reductions and kept the differentials as those sparse rows; the
+reductions, kept the differentials as those sparse rows, walked the
+prefix tree once per localization and found pivots fraction-free; the
 differential tests compare the two.
 """
 
@@ -36,7 +39,7 @@ from bsbimod.locmod import DecoTree, FnOnSub, copy_up, unit, _extend_domain
 from bsbimod.orderalg import (ClosenessCert, Congruence, ResidualReport,
                               _detect_string)
 from bsbimod.polyring import (GradedRank, InvariantError, NotDivisible,
-                              Polynomial)
+                              Polynomial, act)
 from bsbimod.strmod import (FreeModElem, FreeModule, ModOrder, _mono_lcm,
                             _mono_sub)
 from bsbimod.subexpr import (Subexpr, SubSet, SubGraph, enumerate_sub,
@@ -502,6 +505,63 @@ def mu(eps: Subexpr, sub: Optional[SubSet] = None) -> FnOnSub:
     if sub is None:
         sub = enumerate_sub(eps.expr, eps.target())
     return nabla_X(eps, range(1, len(eps) + 1)).restrict_to(sub)
+
+
+def res_tensor(t: ReflExpr, a: Sequence[Polynomial]) -> FnOnSub:
+    """prod_i eps^{<i}(a_i), one `Subexpr` and m + 1 `Permutation` prefixes
+    per member, the whole product again for each member."""
+    m = len(t)
+    if len(a) != m + 1:
+        raise ValueError(f"need {m + 1} tensor factors, got {len(a)}")
+    dom = enumerate_sub(t, "all")
+    values = {}
+    for bits in dom.members:
+        eps = Subexpr(t, bits)
+        val = Polynomial.one(t.n)
+        for i in range(1, m + 2):
+            val = val * act(eps.prefix(i).images, a[i - 1])
+        values[bits] = val
+    return FnOnSub(dom, values)
+
+
+def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The product term by term, exponents summed by a generator over zip."""
+    f._check(g)
+    terms: dict = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            terms[exp] = terms.get(exp, 0) + c1 * c2
+    return Polynomial(f.n, terms)
+
+
+def linear_rows(forms: Sequence[Polynomial], error: str):
+    """The linear forms as `Fraction` rows and the pivot columns of their
+    full row reduction over Q."""
+    n = forms[0].n if forms else 0
+    rows = []
+    for f in forms:
+        row = [Fraction(0)] * n
+        for exp, c in f.terms.items():
+            if sum(exp) != 1:
+                raise ValueError(error)
+            row[exp.index(1)] = Fraction(c)
+        rows.append(row)
+    mat = [list(r) for r in rows]
+    pivots = []
+    for col in range(n):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        pr = mat[rank]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                f = mat[i][col] / pr[col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], pr)]
+        pivots.append(col)
+    return rows, pivots
 
 
 def reduce_elem(f: FreeModElem, G: Sequence[FreeModElem], order: ModOrder):

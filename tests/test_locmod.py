@@ -14,7 +14,7 @@ from bsbimod.locmod import (FnOnSub, unit, indicator, res_tensor, sigma,
 from bsbimod.orderalg import closeness, step_generator
 import oracle
 from oracle import conc_up
-from conftest import random_expr
+from conftest import random_expr, scalars, typed_terms
 
 
 def e(i, n=3):
@@ -27,6 +27,38 @@ def s12(n=3):
 
 def small_expr(n=3):
     return ReflExpr(n, (Reflection(1, 2, n), Reflection(2, 3, n)))
+
+
+@st.composite
+def tensor_factors(draw, n):
+    """A constant, a linear form c_a e_a + c_b e_b, or an inhomogeneous
+    polynomial (a product of two linear forms plus one plus a constant),
+    with int and Fraction coefficients."""
+    def linear():
+        a, b = draw(st.integers(1, n)), draw(st.integers(1, n))
+        return (Polynomial.var(n, a).scale(draw(scalars))
+                + Polynomial.var(n, b).scale(draw(scalars)))
+    kind = draw(st.sampled_from(["constant", "linear", "inhomogeneous"]))
+    const = Polynomial.const(n, draw(scalars))
+    if kind == "constant":
+        return const
+    if kind == "linear":
+        return linear()
+    return linear() * linear() + linear() + const
+
+
+@st.composite
+def tensor_cases(draw):
+    """(t, factors): a random S_2..S_5 expression of length 0..7 and its
+    m + 1 tensor factors."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(0, 7))
+    pairs = draw(st.lists(st.lists(st.integers(1, n), min_size=2,
+                                   max_size=2, unique=True),
+                          min_size=m, max_size=m))
+    t = ReflExpr(n, tuple(Reflection(min(a, b), max(a, b), n)
+                          for a, b in pairs))
+    return t, [draw(tensor_factors(n)) for _ in range(m + 1)]
 
 
 def random_fn(rng, sub):
@@ -74,6 +106,31 @@ class TestResTensor:
             for i in range(1, 4):
                 expect = expect * act(eps.prefix(i).images, a[i - 1])
             assert g(b) == expect
+
+    @settings(max_examples=150, deadline=None)
+    @given(tensor_cases())
+    def test_against_oracle(self, case):
+        # the prefix walk gives every value the term dict, in order and
+        # with coefficient types, of the per-member product
+        t, a = case
+        g, expect = res_tensor(t, a), oracle.res_tensor(t, a)
+        assert g.domain == expect.domain
+        assert list(g.values) == list(expect.values)
+        for b in expect.domain.members:
+            assert typed_terms(g.values[b]) == typed_terms(expect.values[b])
+
+    def test_factor_count(self):
+        t = small_expr()
+        for k in (0, 2, 4):
+            with pytest.raises(ValueError, match="need 3 tensor factors"):
+                res_tensor(t, [Polynomial.one(3)] * k)
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_factor_rank(self, at):
+        a = [Polynomial.one(3)] * 3
+        a[at] = Polynomial.var(4, 1)
+        with pytest.raises(ValueError, match="rank mismatch"):
+            res_tensor(small_expr(), a)
 
     def test_oracle_transposition(self):
         # over the length-1 expression ((1 2)), e_1 (x) 1 localizes to

@@ -10,7 +10,7 @@ from bsbimod.polyring import (Polynomial, RationalFn, GradedRank, NotDivisible,
                               divisible_by_power, demazure, wp,
                               _linear_rows)
 import oracle
-from conftest import exact_coefficients
+from conftest import exact_coefficients, scalars, typed_terms
 
 
 def e(i, n=4):
@@ -80,6 +80,25 @@ def division_cases(draw):
     return f, g
 
 
+@st.composite
+def linear_form_sets(draw):
+    """Linear forms in n = 1..6 variables with int and Fraction
+    coefficients: up to n random forms, combinations of them (dependent,
+    sometimes zero) and zero forms, shuffled."""
+    n = draw(st.integers(1, 6))
+    base = [Polynomial(n, {tuple(int(k == i) for k in range(n)):
+                           draw(scalars) for i in range(n)})
+            for _ in range(draw(st.integers(0, n)))]
+    forms = list(base)
+    for _ in range(draw(st.integers(0, 3))):
+        f = Polynomial.zero(n)
+        for b in base:
+            f = f + b.scale(draw(scalars))
+        forms.append(f)
+    forms += [Polynomial.zero(n)] * draw(st.integers(0, 1))
+    return draw(st.permutations(forms))
+
+
 def random_transposition(rng, n=4):
     return tuple(sorted(random.Random(rng.random()).sample(range(1, n + 1), 2)))
 
@@ -92,6 +111,15 @@ class TestArithmetic:
             == a - b
         assert Polynomial.one(4) * a == a
         assert (a - a).is_zero()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mul_against_oracle(self, data):
+        # the same term dict, in the same order and with the same
+        # coefficient types, as the product summing exponents over zip
+        n = data.draw(st.integers(0, 4))
+        f, g = polys(data.draw, n), polys(data.draw, n)
+        assert typed_terms(f * g) == typed_terms(oracle.poly_mul(f, g))
 
     def test_graded_lex_leading(self):
         # e1^2 beats e1*e2 beats e2^2 beats e1 (degree first, then lex)
@@ -172,6 +200,16 @@ class TestCoefficientTypes:
                  e(1) + e(2).scale(2) - e(3)]
         rows, pivots = _linear_rows(forms, "not linear")
         assert pivots == [0, 1]
+        assert all(type(x) is Fraction for row in rows for x in row)
+
+    @settings(max_examples=300, deadline=None)
+    @given(linear_form_sets())
+    def test_linear_rows_against_oracle(self, forms):
+        # fraction-free pivots equal those of the Fraction row reduction
+        rows, pivots = _linear_rows(forms, "not linear")
+        expect_rows, expect_pivots = oracle.linear_rows(forms, "not linear")
+        assert pivots == expect_pivots
+        assert rows == expect_rows
         assert all(type(x) is Fraction for row in rows for x in row)
 
     @pytest.mark.parametrize("f, text, blob", [

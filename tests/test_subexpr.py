@@ -7,12 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from bsbimod.coxeter import (Permutation, Reflection, ReflExpr, make_sequence,
                              product)
+from bsbimod.polyring import Polynomial
 from bsbimod.subexpr import (Subexpr, SubSet, enumerate_sub, graph, components,
                              frozen_set, unfrozen_set, con_component, balance,
                              balanced_set, rel_card, equiv_class,
                              ENUM_IMPLEMENTATION)
 import oracle
-from conftest import random_expr, reachable_targets
+from conftest import random_expr, reachable_targets, typed_terms
 
 
 def brute_force_sub(t, w):
@@ -183,6 +184,20 @@ class TestSubexpr:
             assert row == tuple(eps.root_before(k)
                                 for k in range(1, len(t) + 1))
         assert getattr(sub, "_analysis_cache", None) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(targeted_exprs(max_n=5, max_len=8), st.data())
+    def test_weight(self, case, data):
+        # o(eps) from the prefix walk: the same terms, in the same order and
+        # with the same coefficient types, as the product of root_before(i)
+        t, _ = case
+        eps = Subexpr(t, data.draw(st.lists(st.integers(0, 1),
+                                            min_size=len(t),
+                                            max_size=len(t))))
+        expect = Polynomial.one(t.n)
+        for i in range(1, len(t) + 1):
+            expect = expect * eps.root_before(i)
+        assert typed_terms(eps.weight()) == typed_terms(expect)
 
     def test_dotted(self):
         dot = self.eps.dotted()

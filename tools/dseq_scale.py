@@ -12,38 +12,18 @@ hardware it came from.
 OUT defaults to BENCH_dseq_scale.json.
 """
 
-import hashlib
 import json
-import os
-import platform
-import subprocess
 import sys
 import time
 
 from bsbimod import dseq
+from provenance import provenance
 
 N_RANGE = range(8, 16)
 K = 1
 
 
-def _git(src_dir: str, *args: str):
-    try:
-        out = subprocess.run(["git", "-C", src_dir, *args], check=True,
-                             capture_output=True, text=True).stdout
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.strip()
-
-
 def main(out_path: str) -> None:
-    src_dir = os.path.dirname(os.path.abspath(dseq.__file__))
-    commit = _git(src_dir, "rev-parse", "HEAD")
-    status = _git(src_dir, "status", "--porcelain", "--", ".")
-    digest = hashlib.sha256()
-    for name in sorted(os.listdir(src_dir)):
-        if name.endswith(".py"):
-            with open(os.path.join(src_dir, name), "rb") as fh:
-                digest.update(name.encode() + b"\0" + fh.read())
     rows = []
     for n in N_RANGE:
         start = time.perf_counter()
@@ -57,12 +37,7 @@ def main(out_path: str) -> None:
     result = {
         "what": "in-process wall time of dseq.dichotomy_report(n, k), "
                 "one run per n",
-        "commit": commit,
-        "src_dirty": None if status is None else bool(status),
-        "src_sha256": digest.hexdigest(),
-        "python": platform.python_version(),
-        "machine": {"platform": platform.platform(),
-                    "cpu_count": os.cpu_count()},
+        **provenance(),
         "runs": rows,
     }
     with open(out_path, "w") as fh:
