@@ -148,9 +148,19 @@ def cmd_graph(args) -> int:
     return 0
 
 
+def read_fn(path: str) -> FnOnSub:
+    """The function on subexpressions in the JSON file at path; UsageError
+    if the file is not one (an OSError stays an OSError)."""
+    with open(path) as fh:
+        try:
+            return FnOnSub.from_json(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"--fn {path}: not a function on "
+                             f"subexpressions: {exc!r}") from exc
+
+
 def cmd_membership(args) -> int:
-    with open(args.fn_file) as fh:
-        g = FnOnSub.from_json(json.load(fh))
+    g = read_fn(args.fn_file)
     Phi = None
     if args.phi:
         names = [b.strip() for b in args.phi.split(",")]
@@ -184,8 +194,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_express(args) -> int:
-    with open(args.fn_file) as fh:
-        g = FnOnSub.from_json(json.load(fh))
+    g = read_fn(args.fn_file)
     coeffs = express_in_basis(g, DecoTree.default(len(g.domain.expr.entries)))
     out = {}
     for L in sorted(coeffs):

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .polyring import (Polynomial, RationalFn, act, exact_div,
-                       _integer_terms, _root_power_divides)
+from .polyring import (Polynomial, RationalFn, act, exact_div, _pack,
+                       _power_divides)
 from .coxeter import Permutation, ReflExpr, truncate
-from .subexpr import Subexpr, SubSet, enumerate_sub, _fold_terms
+from .subexpr import (Subexpr, SubSet, enumerate_sub, _fold_members,
+                      _fold_template)
 
 Bits = Tuple[int, ...]
 
@@ -33,9 +34,13 @@ class FnOnSub:
     values: Mapping[Bits, Polynomial]
 
     def __post_init__(self):
+        n = self.domain.expr.n
         vals = {tuple(b): v for b, v in dict(self.values).items()}
+        if any(v.n != n for v in vals.values()):
+            raise ValueError(f"a value is not in the rank-{n} polynomial "
+                             "ring of the domain")
         missing = set(self.domain.members) - set(vals)
-        zero = Polynomial.zero(self.domain.expr.n)
+        zero = Polynomial.zero(n)
         for b in missing:
             vals[b] = zero
         extra = set(vals) - set(self.domain.members)
@@ -185,7 +190,8 @@ def sigma(g: FnOnSub, eps: Subexpr, X: Sequence[int], variant: str = "full"
     for _, Mp, folds in an.per_p[i]:
         if X <= set(Mp):
             S = sum(1 << b for b, x in enumerate(Mp) if x in X)
-            return _signed_sum(g, _fold_terms(folds, S, variant != "full"))
+            _, Ys, signs = _fold_template(S, variant != "full")
+            return _signed_sum(g, zip(_fold_members(folds, Ys), signs))
     raise ValueError("X must lie inside a single M_p(eps)")
 
 
@@ -197,7 +203,10 @@ def membership(g: FnOnSub, kind: str, Phi: Optional[SubSet] = None):
       "X^w"  : even-variant divisibility by alpha_p^{|X|} over Sub(t,w);
       "XwPhi": "Xw" plus vanishing on Phi.
     Returns (True, None) or (False, (eps, p, X)) with the lexicographically
-    least violation ((eps, "vanish", None) for a Phi violation).
+    least violation ((eps, "vanish", None) for a Phi violation).  The values
+    are scaled to int coefficients and packed once per call
+    (`polyring._pack`), and each condition is one `_power_divides` call on
+    the packed values its signed sum reads.
     """
     if kind == "X(t)":
         if g.domain.target is not None:
@@ -223,17 +232,11 @@ def membership(g: FnOnSub, kind: str, Phi: Optional[SubSet] = None):
 
     # one common denominator for all values: a nonzero scalar does not
     # change divisibility
-    ints = _integer_terms([g.values[b] for b in g.domain.members])
+    w, values = _pack([g.values[b] for b in g.domain.members])
     an = g.domain.analysis()
     for i, p, X, terms in an.conditions(variant == "even"):
-        k = len(X) + excess
-        if k <= 0:
-            continue
-        total: dict = {}
-        for j, sign in terms:
-            for x, c in ints[j].items():
-                total[x] = total.get(x, 0) + sign * c
-        if not _root_power_divides(total, p.i - 1, p.j - 1, k):
+        if not _power_divides(values, terms, w, p.i - 1, p.j - 1,
+                              len(X) + excess):
             return False, (Subexpr(g.domain.expr, an.members[i]), p, X)
     return True, None
 

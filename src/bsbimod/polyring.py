@@ -24,7 +24,7 @@ __all__ = [
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -221,10 +221,19 @@ class Polynomial:
 
     @staticmethod
     def from_json(obj: dict) -> "Polynomial":
-        return Polynomial(obj["n"], {
-            tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"]))
-            for t in obj["terms"]
-        })
+        """The inverse of `to_json`; ValueError on an exponent list whose
+        length is not n, an exponent that is not a nonnegative int, or a
+        zero denominator."""
+        n = obj["n"]
+        terms = {}
+        for t in obj["terms"]:
+            exp, den = tuple(t["exp"]), int(t["den"])
+            if len(exp) != n or not den or any(type(k) is not int or k < 0
+                                               for k in exp):
+                raise ValueError(f"term {t}: need {n} nonnegative integer "
+                                 "exponents and a nonzero denominator")
+            terms[exp] = Fraction(int(t["num"]), den)
+        return Polynomial(n, terms)
 
 
 def act(images: Sequence[int], f: Polynomial) -> Polynomial:
@@ -314,44 +323,83 @@ def _linear_rows(forms: Sequence[Polynomial], error: str):
     return rows, pivots
 
 
-def _integer_terms(polys: Sequence[Polynomial]) -> list:
-    """The coefficient dicts of `polys`, all scaled by the lcm of their
-    denominators, so that every coefficient is an int."""
-    den = lcm(*(c.denominator for f in polys for c in f.terms.values()))
-    return [{x: c.numerator * (den // c.denominator)
-             for x, c in f.terms.items()} for f in polys]
+def _pack(polys: Sequence[Polynomial]) -> Tuple[int, list]:
+    """(w, dicts): the terms of `polys` scaled by the lcm of all their
+    denominators to int coefficients, each exponent vector x packed as the
+    int sum of x_i * 2^{w*i}, so that field i of w bits holds x_i.  The
+    field width w is the bit length of the largest total degree: a field
+    then holds x_a + x_b with no carry.  Each distinct exponent vector is
+    packed once."""
+    monos = set().union(*[f.terms for f in polys])
+    w = max(map(sum, monos), default=0).bit_length() or 1
+    code = {x: sum(e << w * i for i, e in enumerate(x)) for x in monos}
+    den = lcm(*{c.denominator for f in polys for c in f.terms.values()})
+    return w, [dict(zip(map(code.__getitem__, f.terms),
+                        f.terms.values() if den == 1 else
+                        [c.numerator * (den // c.denominator)
+                         for c in f.terms.values()]))
+               for f in polys]
 
 
-def _root_power_divides(terms: Mapping[tuple, int], a: int, b: int,
-                        k: int) -> bool:
-    """Whether (e_a - e_b)^k divides the polynomial with integer coefficients
-    `terms` (0-based a != b).  Substituting e_a = e_b + s, it does exactly
-    when the coefficients of s^0..s^{k-1} vanish; the s^r coefficient of
-    c*e^x is comb(x_a, r)*c times e^x with x_a -> 0, x_b -> x_b + x_a - r."""
+def _power_divides(values: Sequence[dict], terms, w: int, a: int, b: int,
+                   k: int) -> bool:
+    """Whether (e_a - e_b)^k divides the sum of sign * values[j] over the
+    (j, sign) in terms, for `_pack`ed values of field width w (0-based
+    a != b).  Substituting e_a = e_b + s, it does exactly when the
+    coefficients of s^0..s^{k-1} vanish; the s^r coefficient of c*e^x is
+    comb(x_a, r)*c times e^x with x_a -> 0, x_b -> x_b + x_a - r.  Every
+    r < k is accumulated in one dict: the key
+    x + (x_a - r)*(2^{w*b} - 2^{w*a}) moves x_a - r into field b and leaves
+    r in field a, and the field width keeps both from carrying.  For k = 1
+    the parts are substituted and summed in one pass; for k >= 2 they are
+    summed first, so that each monomial left in the sum is expanded once
+    rather than once per part."""
+    if k <= 0:
+        return True
+    shift, mask = w * a, (1 << w) - 1
+    step = (1 << w * b) - (1 << shift)
     sums: dict = {}
-    for x, c in terms.items():
-        xa, xb = x[a], x[b]
-        rest = list(x)
-        rest[a] = 0
-        for r in range(min(k, xa + 1)):
-            rest[b] = xb + xa - r
-            key = (r, tuple(rest))
-            sums[key] = sums.get(key, 0) + comb(xa, r) * c
+    get = sums.get
+    if k == 1:
+        for j, sign in terms:
+            for x, c in values[j].items():
+                key = x + (x >> shift & mask) * step
+                sums[key] = get(key, 0) + sign * c
+        return not any(sums.values())
+    for j, sign in terms:
+        for x, c in values[j].items():
+            sums[x] = get(x, 0) + sign * c
+    total, sums = sums, {}
+    get = sums.get
+    for x, c in total.items():
+        if not c:
+            continue
+        xa = x >> shift & mask
+        key = x + xa * step
+        sums[key] = get(key, 0) + c
+        if xa:
+            key -= step
+            sums[key] = get(key, 0) + xa * c
+            for r in range(2, k if k <= xa else xa + 1):
+                key -= step
+                sums[key] = get(key, 0) + comb(xa, r) * c
     return not any(sums.values())
 
 
 def divisible_by_power(f: Polynomial, alpha: Polynomial, k: int) -> bool:
     """Whether alpha^k divides f, for alpha = c*(e_a - e_b) with c a nonzero
-    rational.  Always true for k <= 0 or f = 0; ValueError for any other
-    alpha or a rank mismatch."""
+    rational: f is scaled to int coefficients and packed (`_pack`), and one
+    pass of `_power_divides` checks the coefficients of s^0..s^{k-1} after
+    e_a = e_b + s.  Always true for k <= 0 or f = 0; ValueError for any
+    other alpha or a rank mismatch."""
     f._check(alpha)
     items = list(alpha.terms.items())
     if not (len(items) == 2 and items[0][1] == -items[1][1]
             and all(sum(x) == 1 for x, _ in items)):
         raise ValueError(f"{alpha} is not a multiple of a root e_a - e_b")
     (xa, _), (xb, _) = items
-    return _root_power_divides(_integer_terms([f])[0], xa.index(1),
-                               xb.index(1), k)
+    w, values = _pack([f])
+    return _power_divides(values, ((0, 1),), w, xa.index(1), xb.index(1), k)
 
 
 def _transposition_images(n: int, i: int, j: int) -> tuple:

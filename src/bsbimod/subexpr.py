@@ -261,36 +261,52 @@ def _indices(mask: int):
         mask ^= low
 
 
-def _fold_terms(folds: Sequence[int], S: int, even: bool
-               ) -> Tuple[Tuple[int, int], ...]:
-    """(j, sign) over the submasks Y of S, increasing and even only if
-    `even`: j is folds[Y] and sign is (-1)^{|Y|_S}.  ValueError if a fold
-    leaves the set."""
-    odd = sum(1 << b for b in list(_indices(S))[::-2])  # from the top
-    out = []
-    for Y in range(S + 1):
-        if Y & ~S or even and Y.bit_count() % 2:
-            continue
-        j = folds[Y]
-        if j < 0:
-            raise ValueError("a fold of the subexpression leaves the set")
-        out.append((j, -1 if (Y & odd).bit_count() % 2 else 1))
-    return tuple(out)
+def _fold_template(S: int, even: bool) -> Tuple[tuple, tuple, tuple]:
+    """(bits, Ys, signs) for the nonempty submask S of an M_p row: the
+    indices of the set bits of S, the submasks Y of S, increasing and even
+    only if `even`, and the sign (-1)^{|Y|_S} of each.  The condition on
+    X = M_p[bits] sums sign * g(f_Y eps) over these Y."""
+    bits = tuple(_indices(S))
+    odd = sum(1 << b for b in bits[::-2])  # odd positions, from the top
+    Ys, signs = [], []
+    Y = 0
+    while True:
+        if not (even and Y.bit_count() % 2):
+            Ys.append(Y)
+            signs.append(-1 if (Y & odd).bit_count() % 2 else 1)
+        if Y == S:
+            return bits, tuple(Ys), tuple(signs)
+        Y = (Y - S) & S  # the next submask of S
+
+
+def _fold_members(folds: Sequence[int], Ys: Sequence[int]) -> list:
+    """folds[Y] over Y in Ys; ValueError if one of these folds leaves the
+    set."""
+    js = [folds[Y] for Y in Ys]
+    if min(js) < 0:
+        raise ValueError("a fold of the subexpression leaves the set")
+    return js
 
 
 def _generate_conditions(per_p, even: bool):
     """The stream behind `SubAnalysis.conditions`.  It reads `per_p` alone,
-    so the analysis that caches it is not kept alive by a cycle."""
+    so the analysis that caches it is not kept alive by a cycle.  The
+    `_fold_template`s of a row size are built once per stream."""
     seen = set()
+    templates: Dict[int, list] = {}
     for i, rows in enumerate(per_p):
         for p, Mp, folds in rows:
-            for S in range(1, len(folds)):
-                terms = _fold_terms(folds, S, even)
-                X = _positions(Mp, S)
-                key = (p, X, min(j for j, _ in terms))
+            template = templates.get(len(Mp))
+            if template is None:
+                template = templates[len(Mp)] = [
+                    _fold_template(S, even) for S in range(1, len(folds))]
+            for bits, Ys, signs in template:
+                js = _fold_members(folds, Ys)
+                X = tuple([Mp[b] for b in bits])
+                key = (p, X, min(js))
                 if key not in seen:
                     seen.add(key)
-                    yield i, p, X, terms
+                    yield i, p, X, tuple(zip(js, signs))
 
 
 class SubAnalysis:

@@ -4,8 +4,10 @@ by suffix reachability; the M_p and fold tables of `SubAnalysis` built
 from one `Subexpr` per member; brute-force versions of the subexpression
 graph, frozen sets, connected components, closeness, the forest rank and
 its cycle witness, the divisibility conditions behind membership and sigma,
-the residual constraints, exact division with two `Polynomial`s per
-long-division step, and root-power divisibility by repeated exact division;
+the condition stream with each submask's folds found by scanning 0..S, the
+residual constraints, exact division with two `Polynomial`s per
+long-division step, root-power divisibility by repeated exact division, and
+the substitution test on exponent tuples after summing the signed parts;
 module division that scans every basis element for a divisor and subtracts
 one new element per step, with a dense quotient list; the Delta/nabla
 elements (basis, nabla_X, mu) built by climbing the copy/concentration
@@ -21,7 +23,8 @@ divide polynomials, build a `Polynomial` per division step, enumerate a
 prefix domain per ladder step and reduce every S-pair twice on every call,
 as the library did before it enumerated by meet in the middle, found M_p
 by one prefix walk per member, read these from the cached
-`SubSet.analysis()`, tested divisibility by substitution, divided
+`SubSet.analysis()`, tested divisibility by substitution on packed
+monomials, listed conditions from per-size fold templates, divided
 polynomials and module elements on one coefficient dict, evaluated the
 nabla products in closed form, read the syzygies from Buchberger's own
 reductions, kept the differentials as those sparse rows, walked the
@@ -32,6 +35,7 @@ differential tests compare the two.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from bsbimod.coxeter import Reflection, ReflExpr, truncate
@@ -43,7 +47,8 @@ from bsbimod.polyring import (GradedRank, InvariantError, NotDivisible,
 from bsbimod.strmod import (FreeModElem, FreeModule, ModOrder, _mono_lcm,
                             _mono_sub)
 from bsbimod.subexpr import (Subexpr, SubSet, SubGraph, enumerate_sub,
-                             rel_card, _even_subsets, _all_subsets)
+                             rel_card, _even_subsets, _all_subsets,
+                             _indices, _positions)
 
 Bits = Tuple[int, ...]
 
@@ -391,6 +396,64 @@ def divisible_by_power(f: Polynomial, alpha: Polynomial, k: int) -> bool:
             return False
         cur = q
     return True
+
+
+def fold_terms(folds: Sequence[int], S: int, even: bool
+               ) -> Tuple[Tuple[int, int], ...]:
+    """(j, sign) over the submasks Y of S, found by scanning 0..S,
+    increasing and even only if `even`: j is folds[Y] and sign is
+    (-1)^{|Y|_S}.  ValueError if a fold leaves the set."""
+    odd = sum(1 << b for b in list(_indices(S))[::-2])  # from the top
+    out = []
+    for Y in range(S + 1):
+        if Y & ~S or even and Y.bit_count() % 2:
+            continue
+        j = folds[Y]
+        if j < 0:
+            raise ValueError("a fold of the subexpression leaves the set")
+        out.append((j, -1 if (Y & odd).bit_count() % 2 else 1))
+    return tuple(out)
+
+
+def generate_conditions(per_p, even: bool):
+    """`SubAnalysis.conditions` from the analysis's `per_p`, with the terms
+    and X of every submask built on their own."""
+    seen = set()
+    for i, rows in enumerate(per_p):
+        for p, Mp, folds in rows:
+            for S in range(1, len(folds)):
+                terms = fold_terms(folds, S, even)
+                X = _positions(Mp, S)
+                key = (p, X, min(j for j, _ in terms))
+                if key not in seen:
+                    seen.add(key)
+                    yield i, p, X, terms
+
+
+def integer_terms(polys: Sequence[Polynomial]) -> list:
+    """The coefficient dicts of `polys`, all scaled by the lcm of their
+    denominators, so that every coefficient is an int."""
+    den = lcm(*(c.denominator for f in polys for c in f.terms.values()))
+    return [{x: c.numerator * (den // c.denominator)
+             for x, c in f.terms.items()} for f in polys]
+
+
+def root_power_divides(terms: Dict[tuple, int], a: int, b: int,
+                       k: int) -> bool:
+    """Whether (e_a - e_b)^k divides the polynomial with integer
+    coefficients `terms` (0-based a != b), by substituting e_a = e_b + s on
+    exponent tuples: the s^r coefficient of c*e^x is comb(x_a, r)*c times
+    e^x with x_a -> 0, x_b -> x_b + x_a - r, keyed by (r, tuple)."""
+    sums: dict = {}
+    for x, c in terms.items():
+        xa, xb = x[a], x[b]
+        rest = list(x)
+        rest[a] = 0
+        for r in range(min(k, xa + 1)):
+            rest[b] = xb + xa - r
+            key = (r, tuple(rest))
+            sums[key] = sums.get(key, 0) + comb(xa, r) * c
+    return not any(sums.values())
 
 
 def membership(g: FnOnSub, kind: str, Phi=None):

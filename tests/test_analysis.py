@@ -260,6 +260,46 @@ class TestConditionsAgainstOracle:
         for variant in variants:
             assert sigma(g, eps, X, variant) == \
                 oracle.sigma(g, eps, X, variant)
+        if not on_all and X:
+            # an odd fold changes the target
+            with pytest.raises(ValueError, match="leaves the set"):
+                sigma(g, eps, X, "full")
+
+    @settings(max_examples=150, deadline=None)
+    @given(analysed_sets(), st.booleans())
+    def test_conditions(self, sub, even):
+        # a fold leaving the set raises where the reference raises: on
+        # Sub(t, w) at the first odd fold, on a subset of Sub(t) anywhere
+
+        def listed(stream):
+            out = []
+            try:
+                out.extend(stream)
+            except ValueError as exc:
+                out.append(str(exc))
+            return out
+
+        an = sub.analysis()
+        assert listed(an.conditions(even)) == \
+            listed(oracle.generate_conditions(an.per_p, even))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sub_sets(max_len=6), st.sampled_from(["X(t)", "Xw", "X^w", "XwPhi"]),
+           st.data())
+    def test_membership_degree_9(self, sub, kind, data):
+        # every value times one product of two linear forms, which may
+        # hold roots: degree up to 9
+        if kind == "X(t)":
+            sub = enumerate_sub(sub.expr, "all")
+        n = sub.expr.n
+        g = data.draw(functions(sub)).left_mul(
+            data.draw(linear_forms(n)) * data.draw(linear_forms(n)))
+        Phi = None
+        if kind == "XwPhi":
+            Phi = sub.restrict(b for b in sub.members
+                               if g.values[b].is_zero()
+                               and data.draw(st.booleans()))
+        assert membership(g, kind, Phi) == oracle.membership(g, kind, Phi)
 
     @settings(max_examples=150, deadline=None)
     @given(sub_sets(), st.data())

@@ -118,6 +118,30 @@ class TestMembershipExpress:
         assert out.splitlines() == ["not a member",
                                     "witness: eps=001010 p=vanish X=None"]
 
+    @pytest.mark.parametrize("command", ["membership", "express"])
+    @pytest.mark.parametrize("edit", [
+        lambda v: v[0]["poly"]["terms"][0].update(exp=[-1, 1, 0]),
+        lambda v: v[0].update(poly=Polynomial.var(4, 1).to_json()),
+        lambda v: v[0]["poly"]["terms"][0].update(exp=[1, 0]),
+        lambda v: v[0].update(poly=Polynomial.var(2, 1).to_json()),
+        lambda v: v[0]["poly"]["terms"][0].update(den="0"),
+        lambda v: v[0].update(bits="011"),
+        lambda v: v[0].update(bits="0x"),
+        lambda v: v[0].pop("poly"),
+    ], ids=["negative-exponent", "rank-4-value", "short-exponent",
+            "rank-2-value", "zero-denominator", "off-domain-bits",
+            "non-digit-bits", "missing-poly"])
+    def test_malformed_fn_exits_2(self, capsys, fn_file, command, edit):
+        # t = (1,2)(2,3) in S_3; each edit spoils one value of the file
+        with open(fn_file) as fh:
+            obj = json.load(fh)
+        edit(obj["values"])
+        with open(fn_file, "w") as fh:
+            json.dump(obj, fh)
+        rc = cli.main([command, "--fn", fn_file])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "" and err.startswith("error: --fn ")
+
     def test_missing_file(self, capsys):
         rc, _ = run(capsys, ["membership", "--fn", "/nonexistent.json"])
         assert rc == 1

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bsbimod.polyring import (Polynomial, RationalFn, GradedRank, NotDivisible,
                               act, exact_div, try_exact_div,
                               divisible_by_power, demazure, wp,
-                              _linear_rows)
+                              _linear_rows, _pack, _power_divides)
 import oracle
 from conftest import exact_coefficients, scalars, typed_terms
 
@@ -55,6 +55,28 @@ def divisibility_cases(draw):
         f = f + polys(draw, n)
     c = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
     return f, root.scale(c), draw(st.integers(0, 5))
+
+
+@st.composite
+def signed_sums(draw):
+    """(parts, terms, a, b, k): 1-8 random polynomials on n = 2..6 with
+    int and Fraction coefficients, all times (e_a - e_b)^j for one j in
+    0..5, sometimes one of them plus noise; terms lists (index, sign)
+    pairs, an index possibly twice; 0-based a != b in either order."""
+    n = draw(st.integers(2, 6))
+    a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                         unique=True))
+    root = e(a + 1, n) - e(b + 1, n)
+    power = Polynomial.one(n)
+    for _ in range(draw(st.integers(0, 5))):
+        power = power * root
+    parts = [polys(draw, n) * power for _ in range(draw(st.integers(1, 8)))]
+    if draw(st.booleans()):
+        parts[-1] = parts[-1] + polys(draw, n, max_terms=2)
+    terms = draw(st.lists(st.tuples(st.integers(0, len(parts) - 1),
+                                    st.sampled_from([1, -1])),
+                          min_size=1, max_size=8))
+    return parts, terms, a, b, draw(st.integers(1, 5))
 
 
 @st.composite
@@ -140,6 +162,18 @@ class TestArithmetic:
         for _ in range(20):
             f = random_poly(rng)
             assert Polynomial.from_json(f.to_json()) == f
+
+    @pytest.mark.parametrize("term", [
+        {"exp": [1, 0], "num": "1", "den": "1"},
+        {"exp": [1, 0, 0, 0, 0], "num": "1", "den": "1"},
+        {"exp": [-1, 1, 0, 0], "num": "1", "den": "1"},
+        {"exp": [1.0, 0, 0, 0], "num": "1", "den": "1"},
+        {"exp": ["1", 0, 0, 0], "num": "1", "den": "1"},
+        {"exp": [1, 0, 0, 0], "num": "1", "den": "0"},
+    ])
+    def test_from_json_refuses_malformed_terms(self, term):
+        with pytest.raises(ValueError):
+            Polynomial.from_json({"n": 4, "terms": [term]})
 
 
 class TestFloatCoefficients:
@@ -280,6 +314,39 @@ class TestDivision:
         f, alpha, k = case
         assert divisible_by_power(f, alpha, k) == \
             oracle.divisible_by_power(f, alpha, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_sums())
+    def test_packed_kernel_against_oracle(self, case):
+        parts, terms, a, b, k = case
+        ints = oracle.integer_terms(parts)
+        total: dict = {}
+        for j, sign in terms:
+            for x, c in ints[j].items():
+                total[x] = total.get(x, 0) + sign * c
+        w, values = _pack(parts)
+        assert _power_divides(values, terms, w, a, b, k) == \
+            oracle.root_power_divides(total, a, b, k)
+
+    @pytest.mark.parametrize("da, db", [(200, 100), (200, 52), (200, 53),
+                                        (255, 0), (0, 300)])
+    def test_divisible_by_power_high_degree(self, da, db):
+        # (e1 - e2)^3 e1^da e2^db: x_a + x_b runs up to the total degree
+        # (255 and 256 at the edge of an 8-bit field), past a byte
+        n = 3
+        alpha = e(1, n) - e(2, n)
+        f = alpha * alpha * alpha
+        for _ in range(da):
+            f = f * e(1, n)
+        for _ in range(db):
+            f = f * e(2, n)
+        for g in (f, f * e(3, n) + e(1, n) * f, f + e(3, n)):
+            for root in (alpha, -alpha):
+                for k in range(6):
+                    assert divisible_by_power(g, root, k) == \
+                        oracle.divisible_by_power(g, root, k)
+        assert divisible_by_power(f, alpha, 3)
+        assert not divisible_by_power(f, alpha, 4)
 
     @pytest.mark.parametrize("alpha", [
         e(1), e(1) + e(2), e(1) - e(2).scale(2), (e(1) - e(2)) * (e(1) - e(2)),
