@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .polyring import Polynomial, GradedRank
+from .polyring import Polynomial, GradedRank, NotDivisible
 from .coxeter import Permutation, Reflection, ReflExpr
 from .subexpr import enumerate_sub, graph, components
 from .locmod import FnOnSub, DecoTree, membership, basis, express_in_basis
@@ -195,7 +195,10 @@ def cmd_basis(args) -> int:
 
 def cmd_express(args) -> int:
     g = read_fn(args.fn_file)
-    coeffs = express_in_basis(g, DecoTree.default(len(g.domain.expr.entries)))
+    try:
+        coeffs = express_in_basis(g, DecoTree.default(len(g.domain.expr)))
+    except NotDivisible as exc:
+        raise ValueError(f"the function is not in X(t): {exc}") from exc
     out = {}
     for L in sorted(coeffs):
         if not coeffs[L].is_zero():

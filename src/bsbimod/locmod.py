@@ -1,15 +1,13 @@
 """
 Functions on subexpression sets valued in the polynomial ring: the
 localization image, signed divisibility sums, membership tests for the
-X-modules, the copy/restriction/divided-difference calculus behind exact
-coefficient extraction, the Delta/nabla bases in closed form, and the
-weighted inner product.
+X-modules, the Delta/nabla bases in closed form, exact coefficient
+extraction by divided differences, and the weighted inner product.
 """
 
 __all__ = [
     "FnOnSub", "DecoTree",
     "res_tensor", "sigma", "membership",
-    "copy_up", "restrict_down", "divdiff_down",
     "basis", "nabla_X", "mu", "express_in_basis",
     "inner", "pairing_matrix",
 ]
@@ -20,7 +18,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .polyring import (Polynomial, RationalFn, act, exact_div, _pack,
                        _power_divides)
-from .coxeter import Permutation, ReflExpr, truncate
+from .coxeter import Permutation, ReflExpr
 from .subexpr import (Subexpr, SubSet, enumerate_sub, _fold_members,
                       _fold_template)
 
@@ -47,6 +45,14 @@ class FnOnSub:
         if extra:
             raise ValueError(f"values off the domain: {sorted(extra)[:3]}")
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _of(cls, domain: SubSet, values: Dict[Bits, Polynomial]) -> "FnOnSub":
+        """`values`, keyed by `domain.members`, taken unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "domain", domain)
+        object.__setattr__(out, "values", values)
+        return out
 
     # -- access ------------------------------------------------------------
 
@@ -79,21 +85,22 @@ class FnOnSub:
 
     def __add__(self, other: "FnOnSub") -> "FnOnSub":
         self._check(other)
-        return FnOnSub(self.domain, {b: self.values[b] + other.values[b]
-                                     for b in self.domain.members})
+        return self._of(self.domain, {b: self.values[b] + other.values[b]
+                                      for b in self.domain.members})
 
     def __sub__(self, other: "FnOnSub") -> "FnOnSub":
         self._check(other)
-        return FnOnSub(self.domain, {b: self.values[b] - other.values[b]
-                                     for b in self.domain.members})
+        return self._of(self.domain, {b: self.values[b] - other.values[b]
+                                      for b in self.domain.members})
 
     def left_mul(self, r: Polynomial) -> "FnOnSub":
-        return FnOnSub(self.domain, {b: r * v for b, v in self.values.items()})
+        return self._of(self.domain, {b: r * self.values[b]
+                                      for b in self.domain.members})
 
     def __mul__(self, other: "FnOnSub") -> "FnOnSub":
         self._check(other)
-        return FnOnSub(self.domain, {b: self.values[b] * other.values[b]
-                                     for b in self.domain.members})
+        return self._of(self.domain, {b: self.values[b] * other.values[b]
+                                      for b in self.domain.members})
 
     def restrict_to(self, sub: SubSet) -> "FnOnSub":
         """Restriction to a smaller domain over the same expression."""
@@ -241,49 +248,6 @@ def membership(g: FnOnSub, kind: str, Phi: Optional[SubSet] = None):
     return True, None
 
 
-# -- copy / restriction / divided difference --------------------------------
-
-def _extend_domain(g: FnOnSub, t: ReflExpr) -> SubSet:
-    if truncate(t) != g.domain.expr:
-        raise ValueError("expression is not a one-step extension")
-    if g.domain.target is not None:
-        raise ValueError("lifting operators act on full domains Sub(t)")
-    return enumerate_sub(t, "all")
-
-
-def copy_up(g: FnOnSub, t: ReflExpr) -> FnOnSub:
-    """(g Delta)(eps) = g(eps')."""
-    dom = _extend_domain(g, t)
-    return FnOnSub(dom, {b: g.values[b[:-1]] for b in dom.members})
-
-
-def restrict_down(g: FnOnSub, e: int) -> FnOnSub:
-    """g|_e(eps') = g(eps' u e)."""
-    t = g.domain.expr
-    if g.domain.target is not None:
-        raise ValueError("restriction acts on full domains Sub(t)")
-    tp = truncate(t)
-    dom = enumerate_sub(tp, "all")
-    return FnOnSub(dom, {b: g.values[b + (e,)] for b in dom.members})
-
-
-def divdiff_down(g: FnOnSub, e: int) -> FnOnSub:
-    """g down_e(eps') = (g(eps' u e) - g(eps' u ebar)) / (eps' u e)^{->m}."""
-    t = g.domain.expr
-    if g.domain.target is not None:
-        raise ValueError("divided difference acts on full domains Sub(t)")
-    m = len(t)
-    dom = enumerate_sub(truncate(t), "all")
-    roots = g.domain.roots()
-    values = {}
-    for k, b in enumerate(dom.members):
-        # Sub(t) lists the bit tuples in lexicographic order, so the index
-        # of b + (e,) is those bits read as a binary number
-        diff = g.values[b + (e,)] - g.values[b + (1 - e,)]
-        values[b] = exact_div(diff, roots[2 * k + e][m - 1])
-    return FnOnSub(dom, values)
-
-
 # -- bases -------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -381,36 +345,36 @@ def mu(eps: Subexpr, sub: Optional[SubSet] = None) -> FnOnSub:
 def express_in_basis(g: FnOnSub, tree: Optional[DecoTree] = None
                      ) -> Dict[Tuple[str, ...], Polynomial]:
     """
-    Exact coefficients r_L with g = sum_L r_L B(L).  Follows the existence
-    recursion: with e the label at the current path, the Delta-branch
-    coefficients expand g|_{ebar}; the function u = g - (g|_{ebar})Delta
-    vanishes wherever the last bit is ebar, so u = (u down_e) nabla_e and
-    the nabla-branch coefficients expand u down_e.
+    Exact coefficients r_L with g = sum_L r_L B(L); NotDivisible if g is
+    not in X(t).  Follows the existence recursion: with e the label at the
+    current path, the Delta-branch coefficients expand g|_{ebar}; the
+    function u = g - (g|_{ebar})Delta vanishes wherever the last bit is
+    ebar, so u = (u down_e) nabla_e and the nabla-branch coefficients expand
+    u down_e.  On Sub(t_{<=j}), h lists the values by member index i, the
+    last bit i & 1 over the prefix i >> 1, which is member i << (m - j) of
+    Sub(t) up to position j.
     """
     t = g.domain.expr
     if g.domain.target is not None:
         raise ValueError("express_in_basis needs the full domain Sub(t)")
+    m = len(t)
     if tree is None:
-        tree = DecoTree.default(len(t))
+        tree = DecoTree.default(m)
+    roots = g.domain.roots()
 
-    def run(h: FnOnSub, path: Tuple[str, ...]):
-        expr = h.domain.expr
-        if len(expr) == 0:
-            return {(): h.values[()]}
+    def run(h: list, j: int, path: Tuple[str, ...]):
+        if j == 0:
+            return {(): h[0]}
         e = tree.label(path)
-        hbar = restrict_down(h, 1 - e)
-        coeffsD = run(hbar, path + ("D",))
-        u = h - copy_up(hbar, expr)
-        v = divdiff_down(u, e)
-        coeffsN = run(v, path + ("N",))
-        out = {}
-        for L, c in coeffsD.items():
-            out[L + ("D",)] = c
-        for L, c in coeffsN.items():
-            out[L + ("N",)] = c
+        out = {L + ("D",): c
+               for L, c in run(h[1 - e::2], j - 1, path + ("D",)).items()}
+        v = [exact_div(h[i] - h[i ^ 1], roots[i << (m - j)][j - 1])
+             for i in range(e, len(h), 2)]
+        out.update((L + ("N",), c)
+                   for L, c in run(v, j - 1, path + ("N",)).items())
         return out
 
-    return run(g, ())
+    return run([g.values[b] for b in g.domain.members], m, ())
 
 
 # -- inner product ----------------------------------------------------------

@@ -250,13 +250,18 @@ def act(images: Sequence[int], f: Polynomial) -> Polynomial:
 
 
 def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact quotient f/g in the polynomial ring; raises NotDivisible.  Long
-    division on one coefficient dict: the graded-lex leading term of the
-    remainder is popped, divided by that of g, and the quotient term times
-    the rest of g is subtracted term by term."""
+    """Exact quotient f/g in the polynomial ring; raises NotDivisible.  A
+    root is divided by `_root_quotient`, any other g by long division on
+    one coefficient dict: the graded-lex leading term of the remainder is
+    popped, divided by that of g, and the quotient term times the rest of
+    g is subtracted term by term."""
     f._check(g)
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
+    if len(g.terms) == 2:
+        (xe, xc), (ye, yc) = g.terms.items()
+        if xc == -yc and sum(xe) == 1 and sum(ye) == 1:
+            return _root_quotient(f, g, xe.index(1), ye.index(1), xc)
     gexp, gc = g.leading()
     rest = [(e, c) for e, c in g.terms.items() if e != gexp]
     rem = dict(f.terms)
@@ -277,6 +282,33 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
                 rem[x] = v
             else:
                 del rem[x]
+    return Polynomial(f.n, quo)
+
+
+def _root_quotient(f: Polynomial, g: Polynomial, x: int, y: int,
+                   c: Scalar) -> Polynomial:
+    """f/g for g = c(e_x - e_y), in one pass: the group of f's terms
+    sum_a c_a e_x^a e_y^{d-a} (equal in the other exponents) divides
+    exactly when its c_a sum to 0, with quotient coefficient
+    (1/c) sum_{b>a} c_b at e_x^a e_y^{d-1-a}."""
+    groups: dict = {}
+    for exp, v in f.terms.items():
+        key = list(exp)
+        a, key[x], key[y] = key[x], 0, key[x] + key[y]
+        groups.setdefault(tuple(key), {})[a] = v
+    quo: dict = {}
+    for key, col in groups.items():
+        exp, d = list(key), key[y]
+        low = min(col)
+        s = 0  # sum of c_b over b >= a, the quotient coefficient at a - 1
+        for a in range(max(col), low, -1):
+            s += col.get(a, 0)
+            if s:
+                exp[x], exp[y] = a - 1, d - a
+                quo[tuple(exp)] = (s if c == 1 and type(s) is int
+                                   else _ratio(s, c))
+        if s + col[low]:
+            raise NotDivisible(f"{f} is not divisible by {g}")
     return Polynomial(f.n, quo)
 
 

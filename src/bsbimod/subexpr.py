@@ -291,8 +291,9 @@ def _fold_members(folds: Sequence[int], Ys: Sequence[int]) -> list:
 def _generate_conditions(per_p, even: bool):
     """The stream behind `SubAnalysis.conditions`.  It reads `per_p` alone,
     so the analysis that caches it is not kept alive by a cycle.  The
-    `_fold_template`s of a row size are built once per stream."""
-    seen = set()
+    `_fold_template`s of a row size are built once per stream.  The folds
+    by subsets of X keep M_p, so the members they reach share the (p, X)
+    condition: it is emitted at the least of them."""
     templates: Dict[int, list] = {}
     for i, rows in enumerate(per_p):
         for p, Mp, folds in rows:
@@ -302,10 +303,8 @@ def _generate_conditions(per_p, even: bool):
                     _fold_template(S, even) for S in range(1, len(folds))]
             for bits, Ys, signs in template:
                 js = _fold_members(folds, Ys)
-                X = tuple([Mp[b] for b in bits])
-                key = (p, X, min(js))
-                if key not in seen:
-                    seen.add(key)
+                if min(js) == i:
+                    X = tuple([Mp[b] for b in bits])
                     yield i, p, X, tuple(zip(js, signs))
 
 

@@ -11,8 +11,10 @@ the substitution test on exponent tuples after summing the signed parts;
 module division that scans every basis element for a divisor and subtracts
 one new element per step, with a dense quotient list; the Delta/nabla
 elements (basis, nabla_X, mu) built by climbing the copy/concentration
-ladder one position at a time; the localization of a pure tensor member
-by member, the polynomial product with exponents summed by a generator,
+ladder one position at a time, and the basis coefficients found by
+descending the copy/restriction/divided-difference ladder; the
+localization of a pure tensor member by member, the polynomial product
+with exponents summed by a generator,
 the row reduction of linear forms on `Fraction` rows; and Buchberger completion
 with dense representation tracking followed by a second pass that reduces
 every S-pair of the finished basis again for its syzygies, and the free
@@ -25,11 +27,12 @@ as the library did before it enumerated by meet in the middle, found M_p
 by one prefix walk per member, read these from the cached
 `SubSet.analysis()`, tested divisibility by substitution on packed
 monomials, listed conditions from per-size fold templates, divided
-polynomials and module elements on one coefficient dict, evaluated the
-nabla products in closed form, read the syzygies from Buchberger's own
-reductions, kept the differentials as those sparse rows, walked the
-prefix tree once per localization and found pivots fraction-free; the
-differential tests compare the two.
+polynomials and module elements on one coefficient dict, divided by a
+root in one linear pass, addressed the values of the basis recursion by
+member index, evaluated the nabla products in closed form, read the
+syzygies from Buchberger's own reductions, kept the differentials as those
+sparse rows, walked the prefix tree once per localization and found pivots
+fraction-free; the differential tests compare the two.
 """
 
 from dataclasses import dataclass
@@ -39,7 +42,7 @@ from math import comb, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from bsbimod.coxeter import Reflection, ReflExpr, truncate
-from bsbimod.locmod import DecoTree, FnOnSub, copy_up, unit, _extend_domain
+from bsbimod.locmod import DecoTree, FnOnSub, unit
 from bsbimod.orderalg import (ClosenessCert, Congruence, ResidualReport,
                               _detect_string)
 from bsbimod.polyring import (GradedRank, InvariantError, NotDivisible,
@@ -512,6 +515,72 @@ def residual_constraints(t, w, Phi) -> ResidualReport:
                                         power, (bits, p, X)))
     pattern, roots, path, independent = _detect_string(free, congs)
     return ResidualReport(free, tuple(congs), pattern, roots, path, independent)
+
+
+def _extend_domain(g: FnOnSub, t: ReflExpr) -> SubSet:
+    if truncate(t) != g.domain.expr:
+        raise ValueError("expression is not a one-step extension")
+    if g.domain.target is not None:
+        raise ValueError("lifting operators act on full domains Sub(t)")
+    return enumerate_sub(t, "all")
+
+
+def copy_up(g: FnOnSub, t: ReflExpr) -> FnOnSub:
+    """(g Delta)(eps) = g(eps')."""
+    dom = _extend_domain(g, t)
+    return FnOnSub(dom, {b: g.values[b[:-1]] for b in dom.members})
+
+
+def restrict_down(g: FnOnSub, e: int) -> FnOnSub:
+    """g|_e(eps') = g(eps' u e)."""
+    if g.domain.target is not None:
+        raise ValueError("restriction acts on full domains Sub(t)")
+    dom = enumerate_sub(truncate(g.domain.expr), "all")
+    return FnOnSub(dom, {b: g.values[b + (e,)] for b in dom.members})
+
+
+def divdiff_down(g: FnOnSub, e: int) -> FnOnSub:
+    """g down_e(eps') = (g(eps' u e) - g(eps' u ebar)) / (eps' u e)^{->m},
+    by long division (`exact_div`), with the root from a `Subexpr`."""
+    t = g.domain.expr
+    if g.domain.target is not None:
+        raise ValueError("divided difference acts on full domains Sub(t)")
+    m = len(t)
+    dom = enumerate_sub(truncate(t), "all")
+    values = {}
+    for b in dom.members:
+        diff = g.values[b + (e,)] - g.values[b + (1 - e,)]
+        values[b] = exact_div(diff, Subexpr(t, b + (e,)).root_before(m))
+    return FnOnSub(dom, values)
+
+
+def express_in_basis(g: FnOnSub, tree: Optional[DecoTree] = None
+                     ) -> Dict[Tuple[str, ...], Polynomial]:
+    """The existence recursion on the ladder: the Delta-branch coefficients
+    expand g|_{ebar}, the nabla-branch ones (g - (g|_{ebar})Delta) down_e,
+    one enumerated prefix domain and one `FnOnSub` per step."""
+    if g.domain.target is not None:
+        raise ValueError("express_in_basis needs the full domain Sub(t)")
+    if tree is None:
+        tree = DecoTree.default(len(g.domain.expr))
+
+    def run(h: FnOnSub, path: Tuple[str, ...]):
+        expr = h.domain.expr
+        if len(expr) == 0:
+            return {(): h.values[()]}
+        e = tree.label(path)
+        hbar = restrict_down(h, 1 - e)
+        coeffsD = run(hbar, path + ("D",))
+        v = divdiff_down(h - copy_up(hbar, expr), e)
+        coeffsN = run(v, path + ("N",))
+        out = {}
+        for L, c in coeffsD.items():
+            out[L + ("D",)] = c
+        for L, c in coeffsN.items():
+            out[L + ("N",)] = c
+        return out
+
+    return run(g, ())
 
 
 def conc_up(g: FnOnSub, t: ReflExpr, e: int) -> FnOnSub:

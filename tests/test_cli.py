@@ -81,6 +81,18 @@ class TestMembershipExpress:
         obj = json.loads(out_path.read_text())
         assert set(obj.keys()) == {"DD", "DN", "ND", "NN"}
 
+    def test_express_outside_Xt_exits_1(self, capsys, tmp_path):
+        # 1 at 00 only, on Sub((1,2)(2,3)): the divided difference at 0,
+        # 1 / (e2 - e3), is not a polynomial
+        sub = enumerate_sub(cli.parse_expr("(1,2)(2,3)"), "all")
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(indicator(sub, [(0, 0)]).to_json()))
+        rc = cli.main(["express", "--fn", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: the function is not in X(t): ")
+
     def test_phi_outside_domain_is_usage_error(self, capsys, tmp_path):
         t = cli.parse_expr("(1,2)(2,3)(1,2)(1,3)(1,2)(2,3)")
         sub = enumerate_sub(t, Permutation.identity(3))

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bsbimod.coxeter import Permutation, Reflection, ReflExpr, make_sequence
-from bsbimod.polyring import Polynomial, RationalFn, act
+from bsbimod import locmod, subexpr
+from bsbimod.polyring import NotDivisible, Polynomial, RationalFn, act
 from bsbimod.subexpr import Subexpr, enumerate_sub, con_component
 from bsbimod.locmod import (FnOnSub, unit, indicator, res_tensor, sigma,
-                            membership, copy_up, restrict_down,
-                            divdiff_down, DecoTree, basis, nabla_X, mu,
+                            membership, DecoTree, basis, nabla_X, mu,
                             express_in_basis, inner, pairing_matrix)
 from bsbimod.orderalg import closeness, step_generator
 import oracle
-from oracle import conc_up
+from oracle import conc_up, copy_up, divdiff_down, restrict_down
 from conftest import random_expr, scalars, typed_terms
 
 
@@ -325,7 +325,8 @@ def draw_member(data, t):
 
 class TestNablaAgainstLadder:
     """The closed-form nabla products against the copy/concentration
-    ladder of the oracle."""
+    ladder of the oracle, and the index recursion of `express_in_basis`
+    against the copy/restriction/divided-difference ladder."""
 
     @settings(max_examples=40, deadline=None)
     @given(exprs(), st.data())
@@ -351,6 +352,62 @@ class TestNablaAgainstLadder:
         for L, c in coeffs.items():
             g = g + B[L].left_mul(c)
         assert express_in_basis(g, tree) == coeffs
+
+    @settings(max_examples=40, deadline=None)
+    @given(exprs(max_len=4), st.data())
+    def test_express_against_ladder(self, t, data):
+        # sum r_L B(L) with polynomial r_L, sometimes plus a nonzero
+        # constant at one member, which puts it outside X(t) when m >= 1
+        tree = data.draw(trees(len(t)))
+        B = basis(t, tree)
+        n = t.n
+        g = FnOnSub(enumerate_sub(t, "all"), {})
+        for L in B:
+            r = (Polynomial.const(n, data.draw(scalars))
+                 + Polynomial.var(n, data.draw(st.integers(1, n)))
+                 .scale(data.draw(scalars)))
+            g = g + B[L].left_mul(r)
+        if len(t) and data.draw(st.booleans()):
+            eps = draw_member(data, t)
+            c = data.draw(scalars.filter(bool))
+            g = g + indicator(g.domain, [eps.bits]).left_mul(
+                Polynomial.const(n, c))
+        try:
+            want = oracle.express_in_basis(g, tree)
+        except NotDivisible:
+            with pytest.raises(NotDivisible):
+                express_in_basis(g, tree)
+            return
+        got = express_in_basis(g, tree)
+        assert list(got) == list(want)
+        for L in want:
+            assert sorted(typed_terms(got[L])) == \
+                sorted(typed_terms(want[L])), L
+
+    def test_express_reads_no_prefix_domain(self, monkeypatch):
+        # the recursion works on value lists: no enumeration of a prefix
+        # domain and no FnOnSub, checked or not, along the way
+        t = make_sequence("D", (1, 2, 3), 3)
+        g = res_tensor(t, [Polynomial.var(3, 1 + i % 3)
+                           for i in range(len(t) + 1)])
+        calls = {"enumerate_sub": 0, "FnOnSub": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (locmod, subexpr):
+            monkeypatch.setattr(mod, "enumerate_sub",
+                                counted("enumerate_sub", mod.enumerate_sub))
+        monkeypatch.setattr(FnOnSub, "__post_init__",
+                            counted("FnOnSub", FnOnSub.__post_init__))
+        monkeypatch.setattr(FnOnSub, "_of", classmethod(
+            counted("FnOnSub", FnOnSub._of.__func__)))
+        coeffs = express_in_basis(g)
+        assert len(coeffs) == 2 ** len(t)
+        assert calls == {"enumerate_sub": 0, "FnOnSub": 0}
 
     @settings(max_examples=100, deadline=None)
     @given(exprs(), st.data())

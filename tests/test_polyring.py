@@ -103,6 +103,29 @@ def division_cases(draw):
 
 
 @st.composite
+def root_division_cases(draw):
+    """(f, c(e_a - e_b)) for c in {1, -1, 2, -2, 1/3}, a and b in either
+    order: f is q times the root, sometimes plus noise (then mostly not
+    divisible), or a random polynomial; q and the noise have int and
+    Fraction coefficients, and q sometimes high powers of e_a and e_b."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    a, b = draw(st.lists(st.integers(1, n), min_size=2, max_size=2,
+                         unique=True))
+    root = (e(a, n) - e(b, n)).scale(
+        draw(st.sampled_from([1, -1, 2, -2, Fraction(1, 3)])))
+    kind = draw(st.sampled_from(["multiple", "noisy", "random"]))
+    if kind == "random":
+        return polys(draw, n, max_terms=6), root
+    q = polys(draw, n)
+    for _ in range(draw(st.integers(0, 3))):
+        q = q * e(draw(st.sampled_from([a, b])), n)
+    f = q * root
+    if kind == "noisy":
+        f = f + polys(draw, n, max_terms=2)
+    return f, root
+
+
+@st.composite
 def linear_form_sets(draw):
     """Linear forms in n = 1..6 variables with int and Fraction
     coefficients: up to n random forms, combinations of them (dependent,
@@ -307,6 +330,21 @@ class TestDivision:
             assert try_exact_div(f, g) is None
         else:
             assert exact_div(f, g) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(root_division_cases())
+    def test_root_kernel_against_oracle(self, case):
+        # a root divisor takes the one-pass kernel; the quotient and the
+        # type of every coefficient match the long division's
+        f, root = case
+        try:
+            want = oracle.exact_div(f, root)
+        except NotDivisible:
+            with pytest.raises(NotDivisible):
+                exact_div(f, root)
+            return
+        got = exact_div(f, root)
+        assert sorted(typed_terms(got)) == sorted(typed_terms(want))
 
     @settings(max_examples=300, deadline=None)
     @given(divisibility_cases())
