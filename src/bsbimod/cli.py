@@ -307,8 +307,7 @@ def cmd_st(args) -> int:
         if args.json:
             _emit_json({k: v for k, v in report.items()}, args.json)
         return 0 if report["shape_ok"] else 1
-    degrees, diffs = strmod.free_resolution(gens, order)
-    degrees, diffs = strmod.minimize_resolution(degrees, diffs)
+    _, degrees = strmod.pd(gens, order)
     print(f"resolution degrees: {degrees}")
     if args.json:
         _emit_json({"degrees": degrees}, args.json)
@@ -321,8 +320,11 @@ def cmd_dseq(args) -> int:
         raise UsageError(f"--n {n}: need n >= 3")
     perm = None
     if args.perm:
-        perm = tuple(int(x) for x in args.perm.split(",")
-                     if x.strip().isdigit())
+        try:
+            perm = tuple(int(x) for x in args.perm.split(","))
+        except ValueError:
+            raise UsageError(f"--perm {args.perm!r}: every entry must be an "
+                             "integer") from None
         if sorted(perm) != list(range(1, n + 1)):
             raise UsageError(f"--perm {args.perm!r} is not a rearrangement "
                              f"of 1..{n}")

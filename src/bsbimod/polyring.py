@@ -41,6 +41,8 @@ class InvariantError(AssertionError):
 def _exact(c) -> Scalar:
     """c as an int if integral, else as a Fraction; a float would be stored
     inexactly, so it is refused."""
+    if type(c) is int:
+        return c
     if isinstance(c, float):
         raise TypeError(f"float coefficient {c!r}: use an int or a Fraction")
     c = Fraction(c)
@@ -49,6 +51,8 @@ def _exact(c) -> Scalar:
 
 def _ratio(a: Scalar, b: Scalar) -> Scalar:
     """a / b exactly, stored as `_exact` stores it."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
     q = Fraction(a, b)
     return q.numerator if q.denominator == 1 else q
 
@@ -157,7 +161,11 @@ class Polynomial:
         return Polynomial(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        self._check(other)
+        terms = dict(self.terms)
+        for exp, c in other.terms.items():
+            terms[exp] = terms.get(exp, 0) - c
+        return Polynomial(self.n, terms)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)

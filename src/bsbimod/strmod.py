@@ -1,16 +1,22 @@
 """
-Graded free modules over a polynomial ring with position-over-term monomial
-orders: division, Buchberger completion, graded free resolutions with
-minimization, projective dimension, and the string modules St_R(x) together
-with their duals.  Buchberger reduces each S-pair once, and its reductions
-to zero, written through sparse representations of the basis elements in
-the input generators, are the syzygies each resolution step is free on
-(Schreyer's theorem).  Those sparse rows are the differentials, and
-minimization cancels units on them.
+Graded free modules over a polynomial ring with module orders in
+Schreyer's form: division, Buchberger completion, graded free resolutions
+with minimization, projective dimension, and the string modules St_R(x)
+together with their duals.  Buchberger reduces each S-pair once and writes
+its reductions to zero through sparse representations of the basis
+elements in the input generators, as syzygies of the input.
+
+A resolution completes once, for F_0; every level above is Schreyer's,
+ordered as the level below induces, and its columns, S-pairs reduced once
+each, are already a Groebner basis of the next syzygies.  It has at most
+as many levels as variables.  Those sparse columns are the differentials,
+and minimization cancels units on them.
 
 A module element is immutable and stored as one coefficient dict
 {(generator index, exponent): coefficient}, with `Polynomial` coordinate
-views built on demand, and it caches its leading term per order.  Division
+views built on demand, and it caches its leading term per order.  A
+module order gives each generator a rank and a shift monomial, and one key
+per term serves every leading-term choice and every division.  Division
 runs on one such dict: the leading term is popped from a sorted list of
 its terms and divided by the first basis element, in index order, whose
 leading term is in the same position and divides it, and quotients come
@@ -60,19 +66,43 @@ class FreeModule:
 
 @dataclass(frozen=True)
 class ModOrder:
-    """POT order: compare the generator (by priority) first, then the
-    monomial lexicographically in descending variable index."""
-    gen_priority: Tuple[int, ...]   # 0-based generator indices, greatest first
-
-    @cached_property
-    def rank(self) -> Dict[int, int]:
-        """{generator: rank}; smaller rank = greater generator."""
-        return {g: r for r, g in enumerate(self.gen_priority)}
+    """
+    A module order in Schreyer's form.  Generator g has a rank rank[g] and
+    a shift monomial shift[g], and the term m E_g is keyed by (rank[g],
+    m shift[g] read lexicographically in descending variable index, g): the
+    greater key, the greater term.  A position-over-term order has zero
+    shifts and distinct ranks.  Schreyer's induced order on a free module
+    mapped to F, E_j -> f_j (m E_j > m' E_i iff lead(m f_j) > lead(m' f_i),
+    ties to the greater index), gives E_j the rank of lead(f_j)'s position
+    and the shift lead(f_j) times that position's shift; the index breaks
+    the ties as long as the E_j are numbered in ascending order of their
+    leading positions.
+    """
+    rank: Tuple[int, ...]
+    shift: Tuple[Mono, ...]
 
     @staticmethod
-    def standard(rank: int) -> "ModOrder":
-        """e_rank > ... > e_1."""
-        return ModOrder(tuple(range(rank - 1, -1, -1)))
+    def standard(rank: int, n_vars: int) -> "ModOrder":
+        """e_rank > ... > e_1, with zero shifts."""
+        return ModOrder(tuple(range(rank)), ((0,) * n_vars,) * rank)
+
+    @cached_property
+    def key(self):
+        """The sort key of a term x = (generator, exponent)."""
+        rank, shift = self.rank, self.shift
+
+        def key(x: Tuple[int, Mono]):
+            g, exp = x
+            return rank[g], tuple(map(add, exp, shift[g]))[::-1], g
+        return key
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.rank, self.shift))
+
+    def __hash__(self) -> int:
+        # an element caches its leading term per order: hash each order once
+        return self._hash
 
 
 class FreeModElem:
@@ -173,14 +203,13 @@ class FreeModElem:
         return degs.pop()
 
     def leading(self, order: ModOrder):
-        """(gen, exponent, coefficient) of the leading term: the greatest
-        monomial of the top-ranked coordinate.  Computed once per order."""
+        """(gen, exponent, coefficient) of the leading term: the term with
+        the greatest `order.key`.  Computed once per order."""
         lead = self._leads.get(order)
         if lead is None:
             if not self.terms:
                 raise ValueError("zero element has no leading term")
-            rank = order.rank
-            g, exp = max(self.terms, key=lambda x: (-rank[x[0]], x[1][::-1]))
+            g, exp = max(self.terms, key=order.key)
             lead = self._leads[order] = (g, exp, self.terms[(g, exp)])
         return lead
 
@@ -201,6 +230,16 @@ def _accumulate(terms: dict, x, c: Scalar) -> None:
         terms[x] = v.numerator
 
 
+def _spair(f: FreeModElem, u: Mono, x: Scalar,
+           g: FreeModElem, v: Mono, y: Scalar) -> FreeModElem:
+    """x m^u f + y m^v g, built in one coefficient dict."""
+    terms: Dict[Tuple[int, Mono], Scalar] = {}
+    for h, w, z in ((f, u, x), (g, v, y)):
+        for (k, e), c in h.terms.items():
+            _accumulate(terms, (k, tuple(map(add, e, w))), z * c)
+    return FreeModElem._raw(f.ambient, terms)
+
+
 def _mono_sub(b: Mono, a: Mono) -> Mono:
     return tuple(map(sub, b, a))
 
@@ -212,8 +251,8 @@ def _mono_lcm(a: Mono, b: Mono) -> Mono:
 class _LeadIndex(abc.Sequence):
     """A sequence of basis elements that also holds their leading terms
     under one order, bucketed by position: {position: [(exponent, index,
-    coefficient)]}, each bucket in index order.  Under POT only a leading
-    term in the same position can divide, or make an S-pair."""
+    coefficient)]}, each bucket in index order.  Only a leading term in the
+    same position can divide, or make an S-pair."""
 
     def __init__(self, elems: Sequence[FreeModElem], order: ModOrder):
         self.order = order
@@ -248,16 +287,16 @@ def reduce_elem(f: FreeModElem, G: Sequence[FreeModElem], order: ModOrder):
     """
     index = G if isinstance(G, _LeadIndex) and G.order == order \
         else _LeadIndex(G, order)
-    buckets, elems, rank = index.buckets, index.elems, order.rank
+    buckets, elems, key = index.buckets, index.elems, order.key
     cur = dict(f.terms)
     # the keys of cur, the leading term last; a subtraction only adds terms
     # below the leading one
-    todo = sorted((-rank[g], exp[::-1], g, exp) for g, exp in cur)
+    todo = sorted((key(x), x) for x in cur)
     qs: Dict[int, Dict[Mono, Scalar]] = {}
     rem: Dict[Tuple[int, Mono], Scalar] = {}
     while todo:
-        _, _, g0, exp0 = todo.pop()
-        x0 = (g0, exp0)
+        x0 = todo.pop()[1]
+        g0, exp0 = x0
         c0 = cur[x0]
         if not c0:   # cancelled after it was listed
             del cur[x0]
@@ -277,7 +316,7 @@ def reduce_elem(f: FreeModElem, G: Sequence[FreeModElem], order: ModOrder):
             v = cur.get(x)
             if v is None:
                 cur[x] = -coef * c
-                insort(todo, (-rank[g], x[1][::-1], g, x[1]))
+                insort(todo, (key(x), x))
             else:
                 cur[x] = v - coef * c
         del cur[x0]   # cancelled by the leading term of G_k
@@ -341,8 +380,7 @@ def buchberger(gens: Sequence[FreeModElem], order: ModOrder) -> GroebnerBasis:
         lcm = _mono_lcm(ei, ej)
         ui, uj = _mono_sub(lcm, ei), _mono_sub(lcm, ej)
         ai, aj = _ratio(1, ci), _ratio(-1, cj)
-        quots, rem = reduce_elem(G[i].mono_mul(ui, ai) + G[j].mono_mul(uj, aj),
-                                 G, order)
+        quots, rem = reduce_elem(_spair(G[i], ui, ai, G[j], uj, aj), G, order)
         terms = [(i, {ui: ai}), (j, {uj: aj})]
         terms += [(k, {e: -c for e, c in q.terms.items()})
                   for k, q in sorted(quots.items())]
@@ -371,39 +409,84 @@ def syzygies(gb: GroebnerBasis, n_gens: int) -> List[List[Polynomial]]:
     return [[row.get(k, zero) for k in range(n_gens)] for row in gb.syzygies]
 
 
-def free_resolution(gens: Sequence[FreeModElem], order: ModOrder,
-                    max_len: Optional[int] = None):
+def free_resolution(gens: Sequence[FreeModElem], order: ModOrder):
     """
-    A graded free resolution ... -> F_1 -> F_0 (-> M -> 0) of the module
-    generated by `gens`.  Returns (degrees, diffs): degrees[k] is the list
-    of generator degrees of F_k; diffs[k] is the map F_{k+1} -> F_k as one
-    sparse column {F_k index: Polynomial} per generator of F_{k+1}, with no
-    zero entries.  F_{k+1} is free on the syzygies `buchberger` records for
-    the generators of F_k, and those records are the columns.  Raises if
-    they have not vanished after max_len completions, by default
-    max(12, n_vars + 1): room for a resolution as long as the number of
-    variables, the bound of Hilbert's syzygy theorem.
+    Schreyer's graded free resolution ... -> F_1 -> F_0 (-> M -> 0) of the
+    module M generated by `gens`.  Returns (degrees, diffs): degrees[k] is
+    the list of generator degrees of F_k; diffs[k] is the map F_{k+1} ->
+    F_k as one sparse column {F_k index: Polynomial} per generator of
+    F_{k+1}, with no zero entries.
+
+    F_0 is free on the Groebner basis that `buchberger` completes `gens`
+    to, the one completion.  The generators of each F_k map to elements
+    f_j of the level below, in ascending order of leading position and then
+    of leading monomial, and F_k carries the order they induce.  For a < b
+    with leading terms c_a m_a, c_b m_b in one position and m = lcm(m_a,
+    m_b), the S-pair (m/m_a) f_a / c_a - (m/m_b) f_b / c_b reduces to
+    sum q_k f_k, and the syzygy (m/m_a) E_a / c_a - (m/m_b) E_b / c_b -
+    sum q_k E_k leads with (m/m_b) E_b.  Per b, the pairs whose m/m_b
+    minimally generate are still a Groebner basis of the syzygies
+    (Schreyer's theorem), so each is reduced once, in ascending order of
+    m/m_b.  In that order level k's leading monomials miss the top k
+    variables, so there are at most n_vars levels after F_0 (Eisenbud,
+    Commutative Algebra, Cor. 15.11).
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
+    def position_first(f: FreeModElem):
+        g, exp, _ = f.leading(order)
+        return g, exp[::-1]
+
+    elems = sorted(buchberger(gens, order).elements, key=position_first)
+    if not elems:
         return [[]], []
-    n = gens[0].ambient.n_vars
-    if max_len is None:
-        max_len = max(12, n + 1)
-    degrees = [[g.homogeneous_degree() for g in gens]]
+    n = elems[0].ambient.n_vars
+    degrees = [[f.homogeneous_degree() for f in elems]]
     diffs: List[List[Dict[int, Polynomial]]] = []
-    current = list(gens)
-    cur_order = order
-    for _ in range(max_len):
-        cols = buchberger(current, cur_order).syzygies
+    while True:
+        index = _LeadIndex(elems, order)
+        amb = FreeModule(n, tuple(degrees[-1]))
+        leads = [f.leading(order) for f in elems]
+        # Schreyer's order on F_k, free on elems
+        upper = ModOrder(tuple(order.rank[g] for g, _, _ in leads),
+                         tuple(tuple(map(add, e, order.shift[g]))
+                               for g, e, _ in leads))
+        cols, deg = [], []
+        # positions and indices ascend together, so b ascends
+        for bucket in index.buckets.values():
+            for t, (mb, b, cb) in enumerate(bucket):
+                pairs: Dict[Mono, Tuple[Mono, int, Scalar]] = {}
+                for ma, a, ca in bucket[:t]:
+                    pairs.setdefault(_mono_sub(_mono_lcm(ma, mb), mb),
+                                     (ma, a, ca))
+                xb = _ratio(-1, cb)
+                kept: List[Mono] = []
+                # ascending, so a divisor of ub comes before ub
+                for ub in sorted(pairs, key=lambda u: u[::-1]):
+                    if any(all(map(le, v, ub)) for v in kept):
+                        continue
+                    kept.append(ub)
+                    ma, a, ca = pairs[ub]
+                    ua = _mono_sub(tuple(map(add, mb, ub)), ma)
+                    xa = _ratio(1, ca)
+                    quots, rem = reduce_elem(
+                        _spair(elems[a], ua, xa, elems[b], ub, xb),
+                        index, order)
+                    if rem.terms:
+                        raise InvariantError("an S-pair of a Groebner basis "
+                                             "left a remainder")
+                    # every q_k E_k is below both pair terms: no key repeats
+                    terms = {(a, ua): xa, (b, ub): xb}
+                    for k, q in quots.items():
+                        for e, c in q.terms.items():
+                            terms[(k, e)] = -c
+                    col = FreeModElem._raw(amb, terms)
+                    col._leads[upper] = (b, ub, xb)
+                    cols.append(col)
+                    deg.append(2 * sum(ub) + degrees[-1][b])
         if not cols:
             return degrees, diffs
-        amb = FreeModule(n, tuple(degrees[-1]))
-        current = [FreeModElem(amb, col) for col in cols]
-        degrees.append([e.homogeneous_degree() for e in current])
-        diffs.append(cols)
-        cur_order = ModOrder.standard(amb.rank)
-    raise RuntimeError(f"resolution not finished within {max_len} steps")
+        degrees.append(deg)
+        diffs.append([f.coords for f in cols])
+        elems, order = cols, upper
 
 
 def minimize_resolution(degrees, diffs):
@@ -469,13 +552,12 @@ def resolution_ranks(degrees) -> List[GradedRank]:
     return out
 
 
-def pd(gens: Sequence[FreeModElem], order: ModOrder,
-       max_len: Optional[int] = None):
+def pd(gens: Sequence[FreeModElem], order: ModOrder):
     """Projective dimension via the minimized resolution.  Returns
-    (pd, degrees of the minimal resolution)."""
-    degrees, diffs = free_resolution(gens, order, max_len)
-    degrees, diffs = minimize_resolution(degrees, diffs)
-    return len(degrees) - 1, degrees
+    (pd, degrees of the minimal resolution, each level in ascending
+    order)."""
+    degrees, _ = minimize_resolution(*free_resolution(gens, order))
+    return len(degrees) - 1, [sorted(level) for level in degrees]
 
 
 # -- string modules ----------------------------------------------------------
@@ -502,7 +584,7 @@ def st_ambient(n: int, extra: int) -> Tuple[FreeModule, ModOrder]:
         raise ValueError("need at least two roots")
     nv = n + extra
     amb = FreeModule(nv, (0,) * (n - 1))
-    order = ModOrder.standard(n - 1)
+    order = ModOrder.standard(n - 1, nv)
     return amb, order
 
 
@@ -546,11 +628,12 @@ def _pair_index(n: int):
     return pairs, idx
 
 
-def _pair_order(n: int) -> ModOrder:
+def _pair_order(n: int, n_vars: int) -> ModOrder:
     """POT order with e_{i,j} > e_{k,l} iff j > l, or j = l and i < k."""
-    pairs, idx = _pair_index(n)
-    ranked = sorted(pairs, key=lambda p: (-p[1], p[0]))
-    return ModOrder(tuple(idx[p] for p in ranked))
+    pairs, _ = _pair_index(n)
+    # i < j <= n, so n j - i orders by j first and then by -i
+    return ModOrder(tuple(n * j - i for i, j in pairs),
+                    ((0,) * n_vars,) * len(pairs))
 
 
 def q_generators(n: int, extra: int = 0):
@@ -559,7 +642,7 @@ def q_generators(n: int, extra: int = 0):
     nv = n + extra
     pairs, idx = _pair_index(n)
     amb = FreeModule(nv, (4,) * len(pairs))
-    order = _pair_order(n)
+    order = _pair_order(n, nv)
     out = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -580,7 +663,7 @@ def theta_generators(n: int, extra: int = 0):
     nv = n + extra
     pairs, idx = _pair_index(n)
     amb = FreeModule(nv, (-4,) * len(pairs))
-    order = _pair_order(n)
+    order = _pair_order(n, nv)
     out = []
     for h in range(1, n + 1):
         coords = {}
@@ -633,7 +716,7 @@ def dual_toolkit(n: int, extra: int = 0) -> dict:
 
     # syzygies reduce to multiples of w
     eps_amb = FreeModule(nv, (-2,) * n)
-    eps_order = ModOrder.standard(n)
+    eps_order = ModOrder.standard(n, nv)
     w = FreeModElem(eps_amb, {h: Polynomial.var(nv, h + 1) for h in range(n)})
     all_in_w = all(
         reduce_elem(FreeModElem(eps_amb, row), [w], eps_order)[1].is_zero()
@@ -642,10 +725,9 @@ def dual_toolkit(n: int, extra: int = 0) -> dict:
     report["kernel_is_w"] = all_in_w and report["sum_zero"]
 
     # minimal resolution shape 0 -> R -> R(2)^n -> dual -> 0
-    degrees, diffs = free_resolution(thetas, order)
-    degrees, diffs = minimize_resolution(degrees, diffs)
+    p, degrees = pd(thetas, order)
     report["resolution_degrees"] = degrees
-    report["pd"] = len(degrees) - 1
+    report["pd"] = p
     report["shape_ok"] = (degrees[0] == [-2] * n
                           and len(degrees) == 2 and degrees[1] == [0])
     return report

@@ -19,7 +19,10 @@ the row reduction of linear forms on `Fraction` rows; and Buchberger completion
 with dense representation tracking followed by a second pass that reduces
 every S-pair of the finished basis again for its syzygies, and the free
 resolution on those dense syzygies, minimised by unit cancellation on dense
-matrices that rescans from the lowest level after every pivot.  They scan every
+matrices that rescans from the lowest level after every pivot; and the
+Hilbert-series numerator of a leading-term module by the colon-ideal
+recursion, which any resolution's graded Euler characteristic must equal,
+however it was built.  They scan every
 prefix, fold `Subexpr` objects, rebuild graphs and edge-list adjacencies,
 divide polynomials, build a `Polynomial` per division step, enumerate a
 prefix domain per ladder step and reduce every S-pair twice on every call,
@@ -859,7 +862,7 @@ def free_resolution(gens: Sequence[FreeModElem], order: ModOrder,
         diffs.append([[e.coord(i) for e in syz_elems]
                       for i in range(amb.rank)])
         current = syz_elems
-        cur_order = ModOrder.standard(amb.rank)
+        cur_order = ModOrder.standard(amb.rank, n)
     raise RuntimeError(f"resolution not finished within {max_len} steps")
 
 
@@ -920,6 +923,47 @@ def minimize_resolution(degrees, diffs):
         if diffs:
             diffs.pop()
     return degrees, diffs
+
+
+def hilbert_numerator(basis: Sequence[FreeModElem], order: ModOrder):
+    """The numerator, over (1 - t^2)^n_vars, of the Hilbert series of the
+    module generated by the leading terms of `basis`, as {degree:
+    coefficient} with no zero coefficient; the term m E_g has degree
+    2 deg(m) + shift of E_g.  For a Groebner basis this is the Hilbert
+    series of the module it generates (Macaulay), so it equals the graded
+    Euler characteristic of any graded free resolution of that module.
+    The leading monomials of each position generate a monomial ideal I,
+    and I contributes 1 minus the numerator of R/I, found by the recursion
+    K(J + (m)) = K(J) - t^deg(m) K(J : m)."""
+    ideals: Dict[int, List[tuple]] = {}
+    for f in basis:
+        g, exp, _ = f.leading(order)
+        ideals.setdefault(g, []).append(exp)
+    total: Dict[int, int] = {}
+    for g, monos in ideals.items():
+        shift = basis[0].ambient.gen_degrees[g]
+        part = {d: -c for d, c in _quotient_numerator(monos).items()}
+        part[0] = part.get(0, 0) + 1
+        for d, c in part.items():
+            total[d + shift] = total.get(d + shift, 0) + c
+    return {d: c for d, c in total.items() if c}
+
+
+def _quotient_numerator(monos: Sequence[tuple]) -> Dict[int, int]:
+    """The Hilbert-series numerator of R/I, I generated by `monos`."""
+    gens = []
+    for m in sorted(set(monos), key=sum):
+        if not any(all(a <= b for a, b in zip(u, m)) for u in gens):
+            gens.append(m)
+    if not gens:
+        return {0: 1}
+    *rest, m = gens
+    out = dict(_quotient_numerator(rest))
+    colon = [tuple(max(a - b, 0) for a, b in zip(u, m)) for u in rest]
+    for d, c in _quotient_numerator(colon).items():
+        d += 2 * sum(m)
+        out[d] = out.get(d, 0) - c
+    return {d: c for d, c in out.items() if c}
 
 
 def densify(degrees, diffs, n_vars: int) -> List[List[List[Polynomial]]]:

@@ -314,6 +314,8 @@ class TestUsage:
         ["st", "pd", "--roots", "e1-e2,e2-e3", "--ambient", "0"],
         ["dseq", "report", "--n", "4", "--perm", "1,2,3"],
         ["dseq", "report", "--n", "3", "--perm", "1,2,x"],
+        ["dseq", "report", "--n", "4", "--perm", "1,2,3,4,x"],
+        ["dseq", "report", "--n", "4", "--perm", "1,2,,3,4"],
     ])
     def test_bad_input_exits_2(self, capsys, args):
         rc = cli.main(args)

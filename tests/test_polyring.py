@@ -166,6 +166,17 @@ class TestArithmetic:
         f, g = polys(data.draw, n), polys(data.draw, n)
         assert typed_terms(f * g) == typed_terms(oracle.poly_mul(f, g))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sub_is_adding_the_negation(self, data):
+        # one copy of f's terms, in the same order and with the same
+        # coefficient types as f + (-g)
+        n = data.draw(st.integers(0, 4))
+        f, g = polys(data.draw, n), polys(data.draw, n)
+        assert typed_terms(f - g) == typed_terms(f + (-g))
+        with pytest.raises(ValueError):
+            f - Polynomial.zero(n + 1)
+
     def test_graded_lex_leading(self):
         # e1^2 beats e1*e2 beats e2^2 beats e1 (degree first, then lex)
         f = e(1) * e(2) + e(2) * e(2) + e(1)

@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import example, given, reject, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bsbimod import strmod
 from bsbimod.polyring import Polynomial, GradedRank
@@ -20,6 +21,34 @@ from conftest import exact_coefficients
 
 def x(i, nv):
     return Polynomial.var(nv, i)
+
+
+def _assert_complex(degrees, diffs, nv):
+    """Sparse columns with entries in range and nonzero, no empty column,
+    and d_k o d_{k+1} = 0 composed on the columns."""
+    zero = Polynomial.zero(nv)
+    for k, cols in enumerate(diffs):
+        assert [len(col) for col in cols]  # no empty column
+        assert all(0 <= i < len(degrees[k]) and not p.is_zero()
+                   for col in cols for i, p in col.items())
+        if k + 1 == len(diffs):
+            continue
+        for col in diffs[k + 1]:
+            total = {}
+            for j, q in col.items():
+                for i, p in cols[j].items():
+                    total[i] = total.get(i, zero) + q * p
+            assert all(p.is_zero() for p in total.values())
+
+
+def _euler(degrees):
+    """The graded Euler characteristic sum_k (-1)^k sum_d t^d of the
+    generator degrees of a resolution, as {degree: coefficient}."""
+    total = {}
+    for k, level in enumerate(degrees):
+        for d in level:
+            total[d] = total.get(d, 0) + (-1) ** k
+    return {d: c for d, c in total.items() if c}
 
 
 class TestOrders:
@@ -41,7 +70,7 @@ class TestOrders:
 
     def test_term_order_prefers_higher_gen(self):
         amb = FreeModule(2, (0, 0))
-        order = ModOrder.standard(2)
+        order = ModOrder.standard(2, 2)
         f = FreeModElem(amb, {0: x(1, 2), 1: x(1, 2)})
         rank, _, _ = f.leading(order)
         assert rank == 1  # e_2 > e_1
@@ -138,25 +167,12 @@ class TestResolution:
             assert p == 1 and degrees == [[4, 4, 4], [6]]
 
     def test_resolution_is_a_complex(self):
-        # d_k o d_{k+1} = 0, composed on the sparse columns
         for n, extra in ((4, 0), (5, 1)):
             gens = st_generators(n, extra)
             _, order = st_ambient(n, extra)
             degrees, diffs = free_resolution(gens, order)
             assert len(diffs) == n - 2
-            zero = Polynomial.zero(n + extra)
-            for k, cols in enumerate(diffs):
-                assert [len(col) for col in cols]  # no empty column
-                assert all(0 <= i < len(degrees[k]) and not p.is_zero()
-                           for col in cols for i, p in col.items())
-                if k + 1 == len(diffs):
-                    continue
-                for col in diffs[k + 1]:
-                    total = {}
-                    for j, q in col.items():
-                        for i, p in cols[j].items():
-                            total[i] = total.get(i, zero) + q * p
-                    assert all(p.is_zero() for p in total.values())
+            _assert_complex(degrees, diffs, n + extra)
 
     @pytest.mark.parametrize("r", range(3, 11))
     def test_minimised_ranks_are_binomial(self, r):
@@ -207,9 +223,9 @@ class TestDual:
 
 
 @st.composite
-def modules(draw, max_gens=4):
+def modules(draw, max_gens=4, min_gens=1):
     """Homogeneous generators of a random submodule of a graded free module:
-    2-3 variables, rank 1-3 with shifts 0 or 2, 1..max_gens generators of
+    2-3 variables, rank 1-3 with shifts 0 or 2, min_gens..max_gens generators of
     degree 2 or 4, each coordinate with at most two terms and coefficients
     in -2..2 (so some coordinates are constants and some generators zero)."""
     nv = draw(st.integers(2, 3))
@@ -217,7 +233,7 @@ def modules(draw, max_gens=4):
                                  max_size=3)))
     amb = FreeModule(nv, shifts)
     gens = []
-    for _ in range(draw(st.integers(1, max_gens))):
+    for _ in range(draw(st.integers(min_gens, max_gens))):
         deg = draw(st.sampled_from((2, 4)))
         coords = {}
         for g, shift in enumerate(shifts):
@@ -228,7 +244,7 @@ def modules(draw, max_gens=4):
             coords[g] = Polynomial(nv, draw(st.dictionaries(
                 st.sampled_from(monos), st.integers(-2, 2), max_size=2)))
         gens.append(FreeModElem(amb, coords))
-    return gens, ModOrder.standard(len(shifts))
+    return gens, ModOrder.standard(len(shifts), nv)
 
 
 def _grows():
@@ -238,7 +254,7 @@ def _grows():
     amb = FreeModule(2, (0,))
     return ([FreeModElem(amb, {0: x2 * x2}),
              FreeModElem(amb, {0: x2 * x1 + x1 * x1})],
-            ModOrder.standard(1))
+            ModOrder.standard(1, 2))
 
 
 def _pivots_matter():
@@ -252,7 +268,34 @@ def _pivots_matter():
     return ([FreeModElem(amb, {0: c * (e3 * e3 - e2 * e2)}),
              FreeModElem(amb, {0: -c * e1 * e1}),
              FreeModElem(amb, {0: c * e3})],
-            ModOrder.standard(1))
+            ModOrder.standard(1, 3))
+
+
+def _redundant_ideal():
+    """(x^2, xy, y^2) in Q[e1, e2] presented by 2e1^2 + 2e2^2, e1e2 - e2^2,
+    2e1e2 and -e1e2 + 2e2^2: pd 1, but a resolution free on every
+    syzygy of the level below grows level by level."""
+    e1, e2 = x(1, 2), x(2, 2)
+    amb = FreeModule(2, (0,))
+    two = Polynomial.const(2, 2)
+    return ([FreeModElem(amb, {0: two * (e1 * e1 + e2 * e2)}),
+             FreeModElem(amb, {0: e1 * e2 - e2 * e2}),
+             FreeModElem(amb, {0: two * e1 * e2}),
+             FreeModElem(amb, {0: two * e2 * e2 - e1 * e2})],
+            ModOrder.standard(1, 2))
+
+
+def _seed7():
+    """-2e1^2 - e2^2, e1e2 - 2e2^2 and -e1^2 times E1 in Q[e1, e2]^2, the
+    draw of `modules()` under --hypothesis-seed=7 on which the plain
+    position-over-term resolution grew without end."""
+    e1, e2 = x(1, 2), x(2, 2)
+    amb = FreeModule(2, (0, 0))
+    two = Polynomial.const(2, 2)
+    return ([FreeModElem(amb, {0: -(two * e1 * e1) - e2 * e2}),
+             FreeModElem(amb, {0: e1 * e2 - two * e2 * e2}),
+             FreeModElem(amb, {0: -(e1 * e1)})],
+            ModOrder.standard(2, 2))
 
 
 def _combination(row, gens):
@@ -330,12 +373,12 @@ class TestReduceAgainstOracle:
     def test_lead_is_cached_per_order(self):
         amb = FreeModule(2, (0, 0))
         f = FreeModElem(amb, {0: x(1, 2), 1: x(2, 2)})
-        up, down = ModOrder((1, 0)), ModOrder((0, 1))
+        up, down = ModOrder.standard(2, 2), ModOrder((1, 0), ((0, 0),) * 2)
         lead_up = f.leading(up)
         assert lead_up == (1, (0, 1), 1)
         assert f.leading(down) == (0, (1, 0), 1)
         assert f.leading(up) is lead_up
-        assert f.leading(ModOrder((1, 0))) is lead_up   # equal orders share
+        assert f.leading(ModOrder.standard(2, 2)) is lead_up   # equal orders share
 
 
 class TestSyzygiesAgainstOracle:
@@ -368,18 +411,33 @@ class TestSyzygiesAgainstOracle:
     @settings(max_examples=100, deadline=None)
     @given(modules(max_gens=3))
     @example(_grows())
+    @example(_seed7())
     def test_resolution(self, case):
+        # The minimal graded Betti numbers are unique, so their graded
+        # Euler characteristic is the Hilbert-series numerator, which the
+        # oracle's leading terms give on every draw.  The plain
+        # position-over-term reference resolution grows without end on
+        # some redundant inputs; where it ends within five levels, the
+        # minimised degrees agree level by level as multisets.
         gens, order = case
         p, degrees = pd(gens, order)
-        want = oracle.minimize_resolution(
-            *oracle.free_resolution(gens, order))[0]
-        assert (p, degrees) == (len(want) - 1, want)
+        assert p == len(degrees) - 1
+        assert all(level == sorted(level) for level in degrees)
+        assert _euler(degrees) == oracle.hilbert_numerator(
+            oracle.buchberger(gens, order).elements, order)
+        try:
+            want = oracle.minimize_resolution(
+                *oracle.free_resolution(gens, order, max_len=5))[0]
+        except RuntimeError:
+            want = None
+        if want is not None:
+            assert degrees == [sorted(level) for level in want]
         # the recorded rows generate every syzygy the oracle finds
         n = gens[0].ambient.n_vars
         amb = FreeModule(n, (0,) * len(gens))
         rows = [FreeModElem(amb, row)
                 for row in buchberger(gens, order).syzygies]
-        sorder = ModOrder.standard(len(gens))
+        sorder = ModOrder.standard(len(gens), n)
         basis = buchberger(rows, sorder).elements
         for row in oracle.syzygies(oracle.buchberger(gens, order), len(gens)):
             elem = FreeModElem(amb, dict(enumerate(row)))
@@ -389,32 +447,35 @@ class TestSyzygiesAgainstOracle:
     @given(modules(max_gens=3))
     @example(_grows())
     @example(_pivots_matter())
+    @example(_redundant_ideal())
     @example((st_generators(3), st_ambient(3, 0)[1]))
     def test_sparse_resolution(self, case):
-        # The dense oracle minimiser, run on the densified raw resolution,
-        # gives what the sparse minimiser gives, and the raw resolution is
-        # left as it was.  Where completion adds no element at any level,
-        # the raw resolution is also the two-pass oracle's.  A redundant
-        # presentation can make the raw resolution grow level by level
-        # without end, which is an open defect of free_resolution and not
-        # of the column format, so inputs past five levels are rejected.
+        # The raw resolution is a complex of length at most n_vars, and the
+        # dense oracle minimiser, run on the densified raw resolution,
+        # gives what the sparse minimiser gives and leaves the raw
+        # resolution as it was.
         gens, order = case
         n = gens[0].ambient.n_vars
-        try:
-            degrees, diffs = free_resolution(gens, order, max_len=5)
-        except RuntimeError:
-            reject()
+        degrees, diffs = free_resolution(gens, order)
+        assert len(degrees) - 1 <= n
+        _assert_complex(degrees, diffs, n)
         raw = oracle.densify(degrees, diffs, n)
         mdeg, mdiffs = minimize_resolution(degrees, diffs)
         assert (mdeg, oracle.densify(mdeg, mdiffs, n)) \
             == oracle.minimize_resolution(degrees, raw)
         assert oracle.densify(degrees, diffs, n) == raw
-        levels = [(gens, order)] + [
-            ([FreeModElem(FreeModule(n, tuple(d)), col) for col in cols],
-             ModOrder.standard(len(d)))
-            for d, cols in zip(degrees, diffs)]
-        if all(buchberger(*level).n_new == 0 for level in levels):
-            assert (degrees, raw) == oracle.free_resolution(gens, order)
+
+    @settings(max_examples=100, deadline=None)
+    @given(modules(max_gens=5, min_gens=4))
+    def test_four_or_five_generators(self, case):
+        gens, order = case
+        n = gens[0].ambient.n_vars
+        degrees, diffs = free_resolution(gens, order)
+        assert len(degrees) - 1 <= n
+        _assert_complex(degrees, diffs, n)
+        mdeg, _ = minimize_resolution(degrees, diffs)
+        assert _euler(mdeg) == _euler(degrees) == oracle.hilbert_numerator(
+            oracle.buchberger(gens, order).elements, order)
 
     def test_grows(self):
         gens, order = _grows()
@@ -433,3 +494,38 @@ class TestSyzygiesAgainstOracle:
         rows = syzygies(gb, len(gens))
         assert len(rows) == len(gb.syzygies) > 0
         assert all(len(row) == len(gens) for row in rows)
+
+
+class TestSchreyer:
+    """`free_resolution` completes once, at level 0, and every level above
+    is Schreyer's: its length is at most the number of variables."""
+
+    @pytest.mark.parametrize("case", [_redundant_ideal, _seed7])
+    def test_redundant_input(self, case):
+        # pd 1 in under a second, where free resolutions on every syzygy
+        # of the level below grew without end
+        gens, order = case()
+        start = time.perf_counter()
+        p, degrees = pd(gens, order)
+        assert time.perf_counter() - start < 1
+        assert (p, degrees) == (1, [[4, 4, 4], [6, 6]])
+        raw, diffs = free_resolution(gens, order)
+        assert len(raw) - 1 <= 2
+        _assert_complex(raw, diffs, 2)
+
+    def test_one_completion(self, monkeypatch):
+        calls = []
+
+        def counting(gens, order):
+            calls.append(len(gens))
+            return buchberger(gens, order)
+
+        monkeypatch.setattr(strmod, "buchberger", counting)
+        gens = st_generators(5)
+        degrees, _ = free_resolution(gens, st_ambient(5, 0)[1])
+        assert len(degrees) == 4 and calls == [len(gens)]
+
+    def test_zero_module(self):
+        amb = FreeModule(2, (0,))
+        gens = [FreeModElem(amb, {})]
+        assert free_resolution(gens, ModOrder.standard(1, 2)) == ([[]], [])
