@@ -431,11 +431,17 @@ def free_resolution(gens: Sequence[FreeModElem], order: ModOrder):
     variables, so there are at most n_vars levels after F_0 (Eisenbud,
     Commutative Algebra, Cor. 15.11).
     """
+    return _schreyer_frame(buchberger(gens, order), order)
+
+
+def _schreyer_frame(gb: GroebnerBasis, order: ModOrder):
+    """The resolution of `free_resolution`, from the completed basis `gb`
+    of the module under `order`."""
     def position_first(f: FreeModElem):
         g, exp, _ = f.leading(order)
         return g, exp[::-1]
 
-    elems = sorted(buchberger(gens, order).elements, key=position_first)
+    elems = sorted(gb.elements, key=position_first)
     if not elems:
         return [[]], []
     n = elems[0].ambient.n_vars
@@ -556,7 +562,12 @@ def pd(gens: Sequence[FreeModElem], order: ModOrder):
     """Projective dimension via the minimized resolution.  Returns
     (pd, degrees of the minimal resolution, each level in ascending
     order)."""
-    degrees, _ = minimize_resolution(*free_resolution(gens, order))
+    return _pd(free_resolution(gens, order))
+
+
+def _pd(resolution):
+    """`pd` from the (degrees, diffs) of a free resolution."""
+    degrees, _ = minimize_resolution(*resolution)
     return len(degrees) - 1, [sorted(level) for level in degrees]
 
 
@@ -724,8 +735,9 @@ def dual_toolkit(n: int, extra: int = 0) -> dict:
     # and w is itself a syzygy (sum_zero already says so)
     report["kernel_is_w"] = all_in_w and report["sum_zero"]
 
-    # minimal resolution shape 0 -> R -> R(2)^n -> dual -> 0
-    p, degrees = pd(thetas, order)
+    # minimal resolution shape 0 -> R -> R(2)^n -> dual -> 0, resolved from
+    # the one completion gb
+    p, degrees = _pd(_schreyer_frame(gb, order))
     report["resolution_degrees"] = degrees
     report["pd"] = p
     report["shape_ok"] = (degrees[0] == [-2] * n

@@ -7,7 +7,12 @@ unfrozen subexpression sets, and balancedness.
 Sub(t, w) is enumerated by meet in the middle: the subproducts of the tail
 half of t are grouped by permutation, and each choice u on the head half,
 in lexicographic order, is completed by the tails whose product is
-u^{-1} w.  Members come out as bit tuples in lexicographic order.
+u^{-1} w.  The key u^{-1} w is computed by left action on w, one
+transposition of the head at a time, with no product u and no inversion.
+Members come out as bit tuples in lexicographic order.  Sets the library
+builds from members it ordered itself (enumeration, `restrict`, the
+equivalence classes, frozen sets and components) skip the order check of
+the public `SubSet` constructor (`SubSet._of`).
 
 A `SubSet` is analysed once, on first use (`SubSet.analysis`): member
 indices and bit masks, each member's M_p sets, the members reached by its
@@ -162,10 +167,25 @@ class SubSet:
     def __len__(self) -> int:
         return len(self.members)
 
+    @classmethod
+    def _of(cls, expr: ReflExpr, target: Optional[Permutation],
+            members: Tuple[Bits, ...]) -> "SubSet":
+        """`members`, a tuple of bit tuples in strictly increasing order,
+        taken unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "expr", expr)
+        object.__setattr__(out, "target", target)
+        object.__setattr__(out, "members", members)
+        return out
+
     def __contains__(self, eps) -> bool:
+        members = getattr(self, "_member_cache", None)
+        if members is None:
+            members = frozenset(self.members)
+            object.__setattr__(self, "_member_cache", members)
         if isinstance(eps, Subexpr):
-            return eps.expr == self.expr and eps.bits in set(self.members)
-        return tuple(eps) in set(self.members)
+            return eps.expr == self.expr and eps.bits in members
+        return tuple(eps) in members
 
     def subexprs(self) -> Tuple[Subexpr, ...]:
         return tuple(Subexpr(self.expr, b) for b in self.members)
@@ -201,8 +221,8 @@ class SubSet:
 
     def restrict(self, bits_set) -> "SubSet":
         keep = {tuple(b) for b in bits_set}
-        return SubSet(self.expr, self.target,
-                      tuple(b for b in self.members if b in keep))
+        return SubSet._of(self.expr, self.target,
+                          tuple(b for b in self.members if b in keep))
 
     def to_json(self) -> dict:
         obj = {"expr": self.expr.to_json(),
@@ -502,40 +522,56 @@ def rel_card(Y, X) -> int:
     return sum(1 for pos, x in enumerate(X, start=1) if pos % 2 == 1 and x in Y)
 
 
-def _subproducts(n: int, trans) -> list:
-    """(bits, product) over all 0/1 choices on `trans`, in lexicographic
-    order on bits.  `trans` lists 0-based (i, j) pairs; the product
-    t_1^{b_1} ... t_k^{b_k} is a 0-based one-line image tuple."""
-    out = [((), tuple(range(n)))]
-    for a, b in trans:
-        nxt = []
-        for bits, p in out:
-            nxt.append((bits + (0,), p))
-            q = list(p)
-            q[a], q[b] = q[b], q[a]  # right-multiply by (a b)
-            nxt.append((bits + (1,), tuple(q)))
-        out = nxt
-    return out
-
-
 def _target_members(n: int, trans, target) -> list:
     """
-    The bit tuples, in lexicographic order, whose subproduct of `trans` is
-    `target` (a 0-based one-line image tuple), by meet in the middle: the
-    tail half's choices are grouped by product, and each head choice u, in
+    The bit tuples, in lexicographic order, whose subproduct of `trans` (a
+    list of 0-based (i, j) pairs) is `target` (a 0-based one-line image
+    tuple), by meet in the middle: each head choice u on the first half, in
     order, is completed by the tails whose product is u^{-1} target.
+
+    Every subproduct fixes the points that `trans` does not move, so a
+    target moving one of them has no members; the rest is computed on the
+    moved points, relabelled 0..s-1 (s <= 2m, at most 80 under the cap of
+    `enumerate_sub`).  A permutation is then a `bytes` one-line word, and
+    left-multiplying it by (a b), which swaps the values a and b, is one
+    `bytes.translate`.  The head key u^{-1} target = t_k^{b_k} ...
+    t_1^{b_1} target takes the head factors in turn from the target, each
+    step interleaving bit 0 before bit 1.  A tail product takes its factors
+    from the last one, each step doubling the list by concatenation, so the
+    factor taken last is the leading bit.  Both lists are thus in
+    lexicographic order, as are the bit tuples of `itertools.product` they
+    are zipped with.  Only the tails whose product is some head's key are
+    grouped.
     """
+    support = sorted({x for pair in trans for x in pair})
+    if any(target[x] != x for x in set(range(n)).difference(support)):
+        return []
+    label = {x: i for i, x in enumerate(support)}
+    tables = []
+    for a, b in trans:
+        ab = bytes((label[a], label[b]))
+        tables.append(bytes.maketrans(ab, ab[::-1]))  # swaps the values
     k = len(trans) // 2
-    tails: Dict[Tuple[int, ...], list] = {}
-    for bits, p in _subproducts(n, trans[k:]):
-        tails.setdefault(p, []).append(bits)
+    keys = [bytes(label[target[x]] for x in support)]
+    for table in tables[:k]:
+        doubled = [b""] * (2 * len(keys))
+        doubled[::2] = keys
+        doubled[1::2] = [p.translate(table) for p in keys]
+        keys = doubled
+    products = [bytes(range(len(support)))]
+    for table in reversed(tables[k:]):
+        products += [p.translate(table) for p in products]
+    wanted = set(keys)
+    tails: Dict[bytes, list] = {}
+    for tail, p in itertools.compress(
+            zip(itertools.product((0, 1), repeat=len(trans) - k), products),
+            map(wanted.__contains__, products)):
+        tails.setdefault(p, []).append(tail)
     out = []
-    inv = [0] * n
-    for head, p in _subproducts(n, trans[:k]):
-        for x, y in enumerate(p):
-            inv[y] = x
-        for tail in tails.get(tuple(inv[y] for y in target), ()):
-            out.append(head + tail)
+    for head, key in itertools.compress(
+            zip(itertools.product((0, 1), repeat=k), keys),
+            map(tails.__contains__, keys)):
+        out.extend([head + tail for tail in tails[key]])
     return out
 
 
@@ -551,7 +587,7 @@ def enumerate_sub(t: ReflExpr, w: Union[Permutation, str, None] = "all"
         if 2 ** m > ALL_CAP:
             raise ValueError(f"Sub(t) has 2^{m} members, more than the cap "
                              f"ALL_CAP = {ALL_CAP}")
-        return SubSet(t, None, tuple(itertools.product((0, 1), repeat=m)))
+        return SubSet._of(t, None, tuple(itertools.product((0, 1), repeat=m)))
     if not isinstance(w, Permutation):
         raise TypeError("target must be a Permutation or 'all'")
     if w.n != t.n:
@@ -562,7 +598,7 @@ def enumerate_sub(t: ReflExpr, w: Union[Permutation, str, None] = "all"
                          f"ALL_CAP = {ALL_CAP}")
     trans = [(r.i - 1, r.j - 1) for r in t.entries]
     target = tuple(v - 1 for v in w.images)
-    return SubSet(t, w, tuple(_target_members(t.n, trans, target)))
+    return SubSet._of(t, w, tuple(_target_members(t.n, trans, target)))
 
 
 def _even_subsets(X: Sequence[int]):
@@ -587,7 +623,7 @@ def equiv_class(eps: Subexpr, p: Reflection, target_restricted: bool) -> SubSet:
     gen = _even_subsets(Mp) if target_restricted else _all_subsets(Mp)
     seen = sorted({eps.fold(X).bits for X in gen})
     tgt = eps.target() if target_restricted else None
-    return SubSet(eps.expr, tgt, tuple(seen))
+    return SubSet._of(eps.expr, tgt, tuple(seen))
 
 
 def graph(Phi: SubSet) -> SubGraph:
@@ -637,14 +673,14 @@ def frozen_set(sub: SubSet, eps: Subexpr, X: Sequence[int]) -> SubSet:
     """Sub^X(t, w, eps): members agreeing with eps at every position of X."""
     an = sub.analysis()
     keep = an.frozen(an.require(eps), _checked_mask(sub, X))
-    return SubSet(sub.expr, sub.target, an.bits_of(keep))
+    return SubSet._of(sub.expr, sub.target, an.bits_of(keep))
 
 
 def unfrozen_set(sub: SubSet, eps: Subexpr, X: Sequence[int]) -> SubSet:
     """Sub_X(t, w, eps): members differing from eps only inside X."""
     an = sub.analysis()
     keep = an.frozen(an.require(eps), ~_checked_mask(sub, X))
-    return SubSet(sub.expr, sub.target, an.bits_of(keep))
+    return SubSet._of(sub.expr, sub.target, an.bits_of(keep))
 
 
 def con_component(sub: SubSet, eps: Subexpr, Y: Sequence[int]) -> SubSet:
@@ -653,7 +689,7 @@ def con_component(sub: SubSet, eps: Subexpr, Y: Sequence[int]) -> SubSet:
     an = sub.analysis()
     i = an.require(eps)
     comp = an.component(i, an.frozen(i, _checked_mask(sub, Y)))
-    return SubSet(sub.expr, sub.target, tuple(sorted(an.bits_of(comp))))
+    return SubSet._of(sub.expr, sub.target, an.bits_of(comp))
 
 
 def balance(eps: Subexpr):

@@ -1,40 +1,41 @@
 """
 Reference implementations: the depth-first enumerator of Sub(t, w) pruned
-by suffix reachability; the M_p and fold tables of `SubAnalysis` built
-from one `Subexpr` per member; brute-force versions of the subexpression
-graph, frozen sets, connected components, closeness, the forest rank and
-its cycle witness, the divisibility conditions behind membership and sigma,
-the condition stream with each submask's folds found by scanning 0..S, the
-residual constraints, exact division with two `Polynomial`s per
-long-division step, root-power divisibility by repeated exact division, and
-the substitution test on exponent tuples after summing the signed parts;
-module division that scans every basis element for a divisor and subtracts
-one new element per step, with a dense quotient list; the Delta/nabla
-elements (basis, nabla_X, mu) built by climbing the copy/concentration
-ladder one position at a time, and the basis coefficients found by
-descending the copy/restriction/divided-difference ladder; the
-localization of a pure tensor member by member, the polynomial product
-with exponents summed by a generator,
-the row reduction of linear forms on `Fraction` rows; and Buchberger completion
-with dense representation tracking followed by a second pass that reduces
-every S-pair of the finished basis again for its syzygies, and the free
-resolution on those dense syzygies, minimised by unit cancellation on dense
-matrices that rescans from the lowest level after every pivot; and the
-Hilbert-series numerator of a leading-term module by the colon-ideal
-recursion, which any resolution's graded Euler characteristic must equal,
-however it was built.  They scan every
-prefix, fold `Subexpr` objects, rebuild graphs and edge-list adjacencies,
-divide polynomials, build a `Polynomial` per division step, enumerate a
-prefix domain per ladder step and reduce every S-pair twice on every call,
-as the library did before it enumerated by meet in the middle, found M_p
+by suffix reachability, and the meet in the middle on tuples that builds
+every head product and inverts it; the M_p and fold tables of `SubAnalysis`
+built from one `Subexpr` per member; brute-force versions of the
+subexpression graph, frozen sets, connected components, closeness, the
+forest rank and its cycle witness, the divisibility conditions behind
+membership and sigma, the condition stream with each submask's folds found
+by scanning 0..S, the residual constraints, exact division with two
+`Polynomial`s per long-division step, root-power divisibility by repeated
+exact division, and the substitution test on exponent tuples after summing
+the signed parts; module division that scans every basis element for a
+divisor and subtracts one new element per step, with a dense quotient list;
+the Delta/nabla elements (basis, nabla_X, mu) built by climbing the
+copy/concentration ladder one position at a time, and the basis
+coefficients found by descending the copy/restriction/divided-difference
+ladder; the localization of a pure tensor member by member, the polynomial
+product with exponents summed by a generator, the row reduction of linear
+forms on `Fraction` rows; and Buchberger completion with dense
+representation tracking followed by a second pass that reduces every S-pair
+of the finished basis again for its syzygies, and the free resolution on
+those dense syzygies, minimised by unit cancellation on dense matrices that
+rescans from the lowest level after every pivot; and the Hilbert-series
+numerator of a leading-term module by the colon-ideal recursion, which any
+resolution's graded Euler characteristic must equal, however it was built.
+They scan every prefix, fold `Subexpr` objects, rebuild graphs and
+edge-list adjacencies, divide polynomials, build a `Polynomial` per
+division step, enumerate a prefix domain per ladder step and reduce every
+S-pair twice on every call, as the library did before it enumerated by meet
+in the middle, keyed the heads by left action on `bytes` words, found M_p
 by one prefix walk per member, read these from the cached
 `SubSet.analysis()`, tested divisibility by substitution on packed
 monomials, listed conditions from per-size fold templates, divided
-polynomials and module elements on one coefficient dict, divided by a
-root in one linear pass, addressed the values of the basis recursion by
-member index, evaluated the nabla products in closed form, read the
-syzygies from Buchberger's own reductions, kept the differentials as those
-sparse rows, walked the prefix tree once per localization and found pivots
+polynomials and module elements on one coefficient dict, divided by a root
+in one linear pass, addressed the values of the basis recursion by member
+index, evaluated the nabla products in closed form, read the syzygies from
+Buchberger's own reductions, kept the differentials as those sparse rows,
+walked the prefix tree once per localization and found pivots
 fraction-free; the differential tests compare the two.
 """
 
@@ -113,6 +114,44 @@ def target_members(t: ReflExpr, w) -> Tuple[Bits, ...]:
 
     dfs(0)
     return tuple(out)
+
+
+def _subproducts(n: int, trans) -> list:
+    """(bits, product) over all 0/1 choices on `trans`, in lexicographic
+    order on bits.  `trans` lists 0-based (i, j) pairs; the product
+    t_1^{b_1} ... t_k^{b_k} is a 0-based one-line image tuple."""
+    out = [((), tuple(range(n)))]
+    for a, b in trans:
+        nxt = []
+        for bits, p in out:
+            nxt.append((bits + (0,), p))
+            q = list(p)
+            q[a], q[b] = q[b], q[a]  # right-multiply by (a b)
+            nxt.append((bits + (1,), tuple(q)))
+        out = nxt
+    return out
+
+
+def meet_in_the_middle(n: int, trans, target) -> list:
+    """
+    The bit tuples, in lexicographic order, whose subproduct of `trans` is
+    `target` (a 0-based one-line image tuple), by meet in the middle on
+    tuples: the tail half's choices are grouped by product, and each head
+    choice u, in order, is completed by the tails whose product is
+    u^{-1} target, found by multiplying out u and inverting it.
+    """
+    k = len(trans) // 2
+    tails: Dict[Tuple[int, ...], list] = {}
+    for bits, p in _subproducts(n, trans[k:]):
+        tails.setdefault(p, []).append(bits)
+    out = []
+    inv = [0] * n
+    for head, p in _subproducts(n, trans[:k]):
+        for x, y in enumerate(p):
+            inv[y] = x
+        for tail in tails.get(tuple(inv[y] for y in target), ()):
+            out.append(head + tail)
+    return out
 
 
 def analysis_tables(sub: SubSet):

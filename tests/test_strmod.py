@@ -217,6 +217,29 @@ class TestDual:
             assert rep["pd"] == 1 and rep["shape_ok"]
             assert rep["resolution_degrees"] == [[-2] * n, [0]]
 
+    def test_one_completion(self, monkeypatch):
+        calls = []
+
+        def counting(gens, order):
+            calls.append(len(gens))
+            return buchberger(gens, order)
+
+        monkeypatch.setattr(strmod, "buchberger", counting)
+        rep = dual_toolkit(5)
+        assert calls == [5] and rep["pd"] == 1 and rep["shape_ok"]
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_report_matches_a_fresh_resolution(self, n):
+        # the resolution from the toolkit's own completion is the one that
+        # pd finds by completing the thetas again
+        thetas, _, order = theta_generators(n, 0)
+        rep = dual_toolkit(n)
+        assert (rep["pd"], rep["resolution_degrees"]) == pd(thetas, order)
+        assert rep == {"n": n, "extra": 0, "triple_relations": True,
+                       "sum_zero": True, "theta_groebner": True,
+                       "kernel_is_w": True, "resolution_degrees":
+                       [[-2] * n, [0]], "pd": 1, "shape_ok": True}
+
     def test_theta_requires_three_roots(self):
         with pytest.raises(ValueError):
             theta_generators(2, 0)

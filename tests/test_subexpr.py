@@ -77,6 +77,31 @@ class TestEnumeration:
         t, w = case
         assert enumerate_sub(t, w).members == oracle.target_members(t, w)
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_against_meet_in_the_middle_oracle(self, n):
+        # m = 0 and m = 1 leave the head half empty
+        rng = random.Random(n)
+        for m in range(15):
+            for _ in range(3):
+                t = random_expr(rng, n, m)
+                bits = [rng.randint(0, 1) for _ in range(m)]
+                moved = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+                trans = [(r.i - 1, r.j - 1) for r in t.entries]
+                for w in (Permutation.identity(n), Subexpr(t, bits).target(),
+                          moved):
+                    target = tuple(v - 1 for v in w.images)
+                    assert enumerate_sub(t, w).members == tuple(
+                        oracle.meet_in_the_middle(n, trans, target))
+
+    def test_rank_beyond_one_byte(self):
+        # the kernel works on the points that t moves, whatever n is
+        t = _t(300, (1, 300), (2, 299), (1, 300), (2, 299), (1, 2))
+        for w in reachable_targets(t) + [Permutation.identity(300)]:
+            assert list(enumerate_sub(t, w).members) == brute_force_sub(t, w)
+        off = list(range(1, 301))
+        off[2], off[3] = 4, 3   # (3 4) is no product of t's entries
+        assert enumerate_sub(t, Permutation(tuple(off))).members == ()
+
     def test_m22_identity_target(self):
         # the DFS oracle takes seconds here; the count is checked against
         # the number of subsets per product, propagated over the entries
@@ -341,6 +366,37 @@ class TestSubSet:
         # divdiff_down reads Sub(t) by index, so the order is enforced
         with pytest.raises(ValueError, match="lexicographic order"):
             SubSet(_t(3, (1, 2), (2, 3)), None, members)
+
+
+    def test_contains(self):
+        t = make_sequence("D", (1, 2, 3), 3)
+        other = make_sequence("D", (1, 3, 2), 3)
+        sub = enumerate_sub(t, Permutation.identity(3))
+        inside = set(sub.members)
+        for bits in itertools.product((0, 1), repeat=len(t)):
+            assert (Subexpr(t, bits) in sub) == (bits in inside)
+            assert (bits in sub) == (list(bits) in sub) == (bits in inside)
+            assert Subexpr(other, bits) not in sub
+        cache = sub._member_cache
+        assert sub.members[0] in sub and sub._member_cache is cache
+
+    def test_internal_sets_pass_the_public_check(self, rng):
+        # every set built with the unchecked SubSet._of is one the public
+        # constructor accepts as it stands
+        for _ in range(20):
+            t = random_expr(rng, 4, 7)
+            sub = enumerate_sub(t, Permutation.identity(4))
+            eps = Subexpr(t, rng.choice(sub.members))
+            X = sorted(rng.sample(range(1, 8), 3))
+            p = rng.choice(list(eps.all_M()))
+            built = [enumerate_sub(t, "all"), sub,
+                     enumerate_sub(t, rng.choice(reachable_targets(t))),
+                     sub.restrict(rng.sample(sub.members, len(sub) // 2)),
+                     equiv_class(eps, p, True), equiv_class(eps, p, False),
+                     frozen_set(sub, eps, X), unfrozen_set(sub, eps, X),
+                     con_component(sub, eps, X)]
+            for s in built:
+                assert SubSet(s.expr, s.target, s.members) == s
 
 
 class TestJson:
