@@ -212,8 +212,15 @@ def cmd_express(args) -> int:
 def _run_algo(args, which: int) -> int:
     t = parse_expr(args.expr, args.n)
     w = parse_perm(args.target, t.n)
+    if args.max_family is not None and args.max_family < 0:
+        raise UsageError(f"--max-family {args.max_family}: must not be "
+                         "negative")
     algo = algorithm1 if which == 1 else algorithm2
     res = algo(t, w, max_family=args.max_family, greedy=args.greedy)
+    if res.outcome == "cap":
+        print(f"cap: step {res.step} has {len(res.trace[-1])} families, "
+              f"more than --max-family {args.max_family}; growth stopped",
+              file=sys.stderr)
     print(f"outcome: {res.outcome}  step: {res.step}")
     if res.P is not None:
         print(f"P = {res.P}")

@@ -46,7 +46,7 @@ class AlgoResult:
 
 
 def _candidates_plain(F: List[int], np: int, Mp: Tuple[int, ...]
-                      ) -> List[Tuple[int, ...]]:
+                      ) -> Tuple[Tuple[int, ...], ...]:
     """Subsets cotransversal to F: size np-1, contained in a maximum member
     Z with every X in F satisfying |X \\ Z| <= 1, and containing the core
     union of X cap Z over X not inside Z.  F holds submasks of M_p."""
@@ -62,31 +62,70 @@ def _candidates_plain(F: List[int], np: int, Mp: Tuple[int, ...]
                 core |= X & Z
         for b in _indices(Z & ~core):
             out.add(_positions(Mp, Z & ~(1 << b)))
-    return sorted(out)
+    return tuple(sorted(out))
 
 
-def _candidates_con(Mp: Tuple[int, ...], np: int) -> List[Tuple[int, ...]]:
-    return [tuple(sorted(c)) for c in combinations(sorted(Mp), np - 1)]
+def _candidates_con(Mp: Tuple[int, ...], np: int) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(tuple(sorted(c)) for c in combinations(sorted(Mp), np - 1))
 
 
-def _closeness_table(reach_rows, allowed: int, mode: str):
-    """The part of closeness fixed by `allowed`, the members Phi u {eps} may
-    fold into: per row of reach_rows, (p, M_p, n_p, candidates), or None
-    when a row has none; then the list of candidate products tried so far,
-    each as (frozen mask, certificate), and the iterator that extends it."""
-    choices = []
-    for p, Mp, reach in reach_rows:
-        F = [S for S, r in enumerate(reach)
-             if r is not None and not r & ~allowed]
-        np = max(S.bit_count() for S in F)
-        if mode == "plain":
-            cands = _candidates_plain(F, np, Mp)
-        else:
-            cands = _candidates_con(Mp, np)
-        if not cands:
-            return None
-        choices.append((p, Mp, np, cands))
-    return choices, [], product(*(c[3] for c in choices))
+def _row_entry(p, Mp: Tuple[int, ...], reach, allowed: int, mode: str):
+    """(p, M_p, n_p, candidates) of one M_p row, given `allowed`, the members
+    Phi u {eps} may fold into."""
+    F = [S for S, r in enumerate(reach) if r is not None and not r & ~allowed]
+    np = max(S.bit_count() for S in F)
+    if mode == "plain":
+        return p, Mp, np, _candidates_plain(F, np, Mp)
+    return p, Mp, np, _candidates_con(Mp, np)
+
+
+def _closeness_memo(an: SubAnalysis, i: int, mode: str) -> tuple:
+    """The memo of member i in `mode`, stored in `an.closeness_memo`:
+
+    - U, the members that the even folds of i reach;
+    - per row of `an.reach(i)`, (U_row, p, M_p, reach, entries, first):
+      U_row is the part of U that row reaches, entries maps a row mask
+      allowed & U_row to (c, `_row_entry`), and c is the first row mask
+      whose entry had the same n_p and candidates (`first` maps those to
+      it);
+    - the table per key allowed & U;
+    - the table per tuple of the rows' c, shared by the keys that give it.
+    """
+    rows = []
+    U = 0
+    for p, Mp, reach in an.reach(i):
+        U_row = 0
+        for r in reach:
+            if r is not None:
+                U_row |= r
+        rows.append((U_row, p, Mp, reach, {}, {}))
+        U |= U_row
+    memo = an.closeness_memo[(i, mode)] = (U, tuple(rows), {}, {})
+    return memo
+
+
+def _closeness_table(memo: tuple, key: int, mode: str) -> tuple:
+    """The table of key = allowed & U, built from the rows' entries on
+    first use: (choices, tried, source).  choices lists the row entries;
+    tried holds the candidate products taken from the iterator `source` so
+    far, each as (mask, certificate), the mask being the frozen set of the
+    product, or its connected component through the member in con mode."""
+    _, rows, tables, shared = memo
+    picked = []
+    for U_row, p, Mp, reach, entries, first in rows:
+        rk = key & U_row
+        if rk not in entries:
+            entry = _row_entry(p, Mp, reach, rk, mode)
+            entries[rk] = first.setdefault(entry[2:], rk), entry
+        picked.append(entries[rk])
+    shared_key = tuple(c for c, _ in picked)
+    table = shared.get(shared_key)
+    if table is None:
+        choices = [entry for _, entry in picked]
+        table = shared[shared_key] = (
+            choices, [], product(*(entry[3] for entry in choices)))
+    tables[key] = table
+    return table
 
 
 def closeness(sub: SubSet, Phi, eps: Subexpr, mode: str = "plain"
@@ -101,51 +140,41 @@ def closeness(sub: SubSet, Phi, eps: Subexpr, mode: str = "plain"
 
     Phi_p(eps) is the set of X inside M_p(eps) whose unfrozen set
     {f_Y eps : Y even inside X} lies in Phi u {eps}; it is read from the
-    cached analysis of `sub`, as is the graph the con mode searches.  It
-    depends on Phi only through Phi cap U, U the members that the folds of
-    eps reach, so the candidates, and the frozen masks and certificates of
-    their products as far as calls have tried them, are kept in the
-    analysis's `closeness_memo` under that intersection.
+    cached analysis of `sub`, as is the graph the con mode searches.  An
+    M_p row's candidates depend on Phi only through the members that row's
+    folds reach, so they are computed once per intersection with those,
+    and the candidate products, with the masks and certificates tried so
+    far, once per tuple of distinct row entries (`_closeness_memo`).
     """
     an = sub.analysis()
     i = an.require(eps)
-    phi = an.mask_of(Phi.members if isinstance(Phi, SubSet) else Phi)
+    last, phi = an.last_phi      # the same frozenset for every eps of a family
+    if Phi is not last:
+        phi = an.mask_of(Phi.members if isinstance(Phi, SubSet) else Phi)
+        if isinstance(Phi, frozenset):
+            an.last_phi = (Phi, phi)
     if phi >> i & 1:
         raise ValueError("eps must not lie in Phi")
-    memo = an.closeness_memo.get((i, mode))
-    if memo is None:
-        U = 0
-        for _, _, reach in an.reach(i):
-            for r in reach:
-                if r is not None:
-                    U |= r
-        memo = an.closeness_memo[(i, mode)] = (U, {})
-    U, tables = memo
+    memo = an.closeness_memo.get((i, mode)) or _closeness_memo(an, i, mode)
+    U, _, tables, _ = memo
     key = (phi | 1 << i) & U
-    if key in tables:
-        table = tables[key]
-    else:
-        table = tables[key] = _closeness_table(an.reach(i), key, mode)
-    if table is None:
-        return None
-    choices, tried, source = table
-    k = 0
-    while True:
-        if k == len(tried):
-            combo = next(source, None)
-            if combo is None:
-                return None
-            Y = tuple(sorted(set().union(*map(set, combo)))) if combo else ()
-            per_p = tuple((p, Mp, np, Yp)
-                          for (p, Mp, np, _), Yp in zip(choices, combo))
-            tried.append((an.frozen(i, _mask(Y)), ClosenessCert(
-                Y=Y, per_p=per_p, dist=2 * len(Y), mode=mode)))
-        reach, cert = tried[k]
-        if mode == "con" and reach & phi:
-            reach = an.component(i, reach)
-        if not reach & phi:
+    choices, tried, source = (tables.get(key)
+                              or _closeness_table(memo, key, mode))
+    for mask, cert in tried:
+        if not mask & phi:
             return cert
-        k += 1
+    for combo in source:
+        Y = tuple(sorted(set().union(*map(set, combo)))) if combo else ()
+        per_p = tuple((p, Mp, np, Yp)
+                      for (p, Mp, np, _), Yp in zip(choices, combo))
+        cert = ClosenessCert(Y=Y, per_p=per_p, dist=2 * len(Y), mode=mode)
+        mask = an.frozen(i, _mask(Y))
+        if mode == "con":
+            mask = an.component(i, mask)
+        tried.append((mask, cert))
+        if not mask & phi:
+            return cert
+    return None
 
 
 def step_generator(sub: SubSet, Phi, eps: Subexpr, cert: ClosenessCert) -> FnOnSub:
@@ -162,6 +191,8 @@ def _run_family_algorithm(t: ReflExpr, w: Permutation, mode: str,
                           max_family: Optional[int] = None,
                           greedy: bool = False,
                           sub: Optional[SubSet] = None) -> AlgoResult:
+    if max_family is not None and max_family < 0:
+        raise ValueError(f"max_family {max_family} must not be negative")
     if sub is None:
         sub = enumerate_sub(t, w)
     elif sub.expr != t or sub.target != w:

@@ -348,9 +348,14 @@ class SubAnalysis:
     The M_p sets come from one walk of the prefix products per member
     (`_prefix_walk`, shared with `SubSet.roots`): the k-th pair (x, y) of
     member eps gives eps^k = (x y), one `Reflection` per pair.
-    `closeness_memo` holds the part of `orderalg.closeness` that does not
-    depend on Phi, per (member, mode); it refers to nothing that refers
-    back to the analysis.
+    `closeness_memo` holds, per (member, mode), what `orderalg.closeness`
+    has computed for that member: each M_p row's n_p and candidates, per
+    intersection of Phi u {eps} with the members that row's folds reach,
+    and the candidate products, once per tuple of distinct row entries,
+    with the frozen masks (con components in con mode) and certificates
+    tried so far.  `last_phi` is the last frozenset Phi that closeness
+    converted, with its mask.  Neither refers to anything that refers back
+    to the analysis.
     """
 
     def __init__(self, sub: SubSet):
@@ -392,6 +397,7 @@ class SubAnalysis:
         self._reach: Dict[int, tuple] = {}
         self._conditions: Dict[bool, tuple] = {}
         self.closeness_memo: Dict[Tuple[int, str], tuple] = {}
+        self.last_phi: Tuple[Optional[frozenset], int] = (None, 0)
 
     def reach(self, i: int) -> tuple:
         """(p, M_p, reach) over the rows of `per_p[i]`, built on first use:

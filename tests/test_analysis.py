@@ -155,6 +155,36 @@ class TestAgainstOracle:
                 assert closeness(sub, Phi, eps, mode) == \
                     oracle.closeness(sub, frozenset(bits), eps, mode)
 
+    def test_closeness_on_every_phi_shuffled(self):
+        # every (eps, mode, Phi inside Sub minus eps) on one analysis per set,
+        # in shuffled order, so that row entries and tables are built by one
+        # key and read by others; one frozenset per Phi, so that consecutive
+        # calls sometimes pass the same object
+        rng = random.Random(20261019)
+        sizes = []
+        shared = 0
+        while len(sizes) < 3:
+            t = random_expr(rng, 4, rng.randint(5, 7))
+            bits = tuple(rng.randint(0, 1) for _ in range(len(t)))
+            sub = enumerate_sub(t, Subexpr(t, bits).target())
+            if not 6 <= len(sub) <= 8 or len(sub) in sizes:
+                continue
+            sizes.append(len(sub))
+            an = sub.analysis()
+            phis = [frozenset(an.bits_of(m)) for m in range(1 << len(sub))]
+            calls = [(i, m, mode) for i in range(len(sub))
+                     for m in range(1 << len(sub)) if not m >> i & 1
+                     for mode in ("plain", "con")]
+            rng.shuffle(calls)
+            for i, m, mode in calls:
+                eps = Subexpr(t, sub.members[i])
+                assert closeness(sub, phis[m], eps, mode) == \
+                    oracle.closeness(sub, phis[m], eps, mode)
+            for memo in an.closeness_memo.values():
+                tables = memo[2].values()
+                shared += len(tables) - len({id(tab) for tab in tables})
+        assert shared > 0    # some table serves two distinct keys
+
     @settings(max_examples=150, deadline=None)
     @given(analysed_sets())
     def test_per_p_and_adjacency(self, sub):

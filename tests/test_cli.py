@@ -176,6 +176,21 @@ class TestAlgorithms:
         rc, out = run(capsys, ["algo2", "--expr", EX2, "--target", "id"])
         assert rc == 0 and "completed" in out and "P = 2" in out
 
+    @pytest.mark.parametrize("which", ["algo1", "algo2"])
+    def test_cap_says_so_on_stderr(self, capsys, which, tmp_path):
+        # step 1 has two families, one more than the cap; stdout and the
+        # JSON report are what they were without the stderr line
+        path = tmp_path / "out.json"
+        rc = cli.main([which, "--expr", EX2, "--target", "id",
+                       "--max-family", "1", "--json", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == "outcome: cap  step: 1\n"
+        assert captured.err == ("cap: step 1 has 2 families, more than "
+                                "--max-family 1; growth stopped\n")
+        assert json.loads(path.read_text()) == {
+            "outcome": "cap", "step": 1, "families_per_step": [1, 2]}
+
     def test_balanced(self, capsys):
         rc, out = run(capsys, ["balanced", "--expr", "(1,2)(1,2)",
                                "--target", "id"])
@@ -316,6 +331,8 @@ class TestUsage:
         ["dseq", "report", "--n", "3", "--perm", "1,2,x"],
         ["dseq", "report", "--n", "4", "--perm", "1,2,3,4,x"],
         ["dseq", "report", "--n", "4", "--perm", "1,2,,3,4"],
+        ["algo1", "--expr", EX2, "--target", "1,2,3,4", "--max-family", "-1"],
+        ["algo2", "--expr", EX2, "--target", "1,2,3,4", "--max-family", "-1"],
     ])
     def test_bad_input_exits_2(self, capsys, args):
         rc = cli.main(args)

@@ -108,6 +108,12 @@ class TestAlgorithms:
         res = algorithm2(t, Permutation.identity(3), max_family=1)
         assert res.outcome in ("cap", "completed")
 
+    @pytest.mark.parametrize("algo", [algorithm1, algorithm2])
+    def test_negative_max_family_is_refused(self, algo):
+        t = make_sequence("D", (1, 2, 3), 3)
+        with pytest.raises(ValueError, match="must not be negative"):
+            algo(t, Permutation.identity(3), max_family=-1)
+
     def test_greedy_completes_when_full_run_does(self):
         t = make_sequence("D", (1, 2, 3), 3)
         res = algorithm2(t, Permutation.identity(3), greedy=True)
