@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .polyring import (Polynomial, RationalFn, act, exact_div, _pack,
+from .polyring import (Polynomial, RationalFn, exact_div, _pack,
                        _power_divides)
 from .coxeter import Permutation, ReflExpr
 from .subexpr import (Subexpr, SubSet, enumerate_sub, _fold_members,
@@ -152,28 +152,66 @@ def res_tensor(t: ReflExpr, a: Sequence[Polynomial]) -> FnOnSub:
     depth-first walk of the prefix tree of Sub(t), bit 0 before bit 1: a
     node at depth i holds the one-line prefix eps^{<i+1}, updated by one
     swap, and the partial product over l <= i+1, shared by every member
-    below it."""
-    m = len(t)
+    below it.  A partial product is a dict on exponents packed as
+    `polyring._pack` packs them, with w the bit length of the sum D of
+    the factors' top total degrees: D bounds every exponent, so nothing
+    carries, and the image of a factor under the prefix shifts each of its
+    exponents into the permuted field.  Each distinct packed monomial of
+    the leaves is unpacked once, into one exponent tuple that every leaf
+    shares."""
+    m, n = len(t), t.n
     if len(a) != m + 1:
         raise ValueError(f"need {m + 1} tensor factors, got {len(a)}")
+    for f in a:
+        if f.n != n:
+            raise ValueError(f"rank mismatch: {n} != {f.n}")
     dom = enumerate_sub(t, "all")
+    w = sum(max(map(sum, f.terms), default=0) for f in a).bit_length() or 1
+    one = {(0,) * n: 1}
+    # per factor: None for the constant 1, else its terms as
+    # ((variable, exponent) pairs, coefficient)
+    factors = [None if f.terms == one else
+               [(tuple((j, k) for j, k in enumerate(x) if k), c)
+                for x, c in f.terms.items()] for f in a]
+    fractional = any(type(c) is not int for f in a for c in f.terms.values())
     trans = [(r.i - 1, r.j - 1) for r in t.entries]
-    prefix = list(range(1, t.n + 1))
-    values = []
+    shifts = range(0, w * n, w)
+    pos = list(shifts)   # pos[j]: the field of eps^{<i+1}(e_j)
+    leaves = []
 
-    def walk(i: int, val: Polynomial):
-        val = val * act(prefix, a[i])
+    def walk(i: int, val: dict):
+        if factors[i] is not None:
+            image = [(sum(k << pos[j] for j, k in x), c)
+                     for x, c in factors[i]]
+            out: dict = {}
+            get = out.get
+            for x, c1 in val.items():
+                for y, c2 in image:
+                    z = x + y
+                    out[z] = get(z, 0) + c1 * c2
+            if fractional:
+                val = {x: c if type(c) is int or c.denominator != 1
+                       else c.numerator for x, c in out.items() if c}
+            elif 0 in out.values():
+                val = {x: c for x, c in out.items() if c}
+            else:
+                val = out
         if i == m:
-            values.append(val)
+            leaves.append(val)
             return
         walk(i + 1, val)
         x, y = trans[i]
-        prefix[x], prefix[y] = prefix[y], prefix[x]
+        pos[x], pos[y] = pos[y], pos[x]
         walk(i + 1, val)
-        prefix[x], prefix[y] = prefix[y], prefix[x]
+        pos[x], pos[y] = pos[y], pos[x]
 
-    walk(0, Polynomial.one(t.n))
-    return FnOnSub(dom, dict(zip(dom.members, values)))
+    walk(0, {0: 1})
+    mask = (1 << w) - 1
+    exps = {x: tuple(x >> s & mask for s in shifts)
+            for x in set().union(*leaves)}
+    return FnOnSub._of(dom, {
+        b: Polynomial._of(n, {exps[x]: c for x, c in leaf.items()})
+        for b, leaf in zip(dom.members, leaves)})
 
 
 def _signed_sum(g: FnOnSub, terms) -> Polynomial:

@@ -81,6 +81,17 @@ class Polynomial:
         self.terms = clean
         self._hash = None
 
+    @classmethod
+    def _of(cls, n: int, terms: dict) -> "Polynomial":
+        """`terms`, exponent tuples to nonzero ints and non-integral
+        `Fraction`s, taken unchecked and uncopied: the constructor for
+        results whose terms are clean by construction."""
+        out = object.__new__(cls)
+        out.n = n
+        out.terms = terms
+        out._hash = None
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -158,7 +169,7 @@ class Polynomial:
         return Polynomial(self.n, terms)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
@@ -254,7 +265,7 @@ def act(images: Sequence[int], f: Polynomial) -> Polynomial:
         for i, k in enumerate(exp):
             new[images[i] - 1] = k
         terms[tuple(new)] = c
-    return Polynomial(f.n, terms)
+    return Polynomial._of(f.n, terms)
 
 
 def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:

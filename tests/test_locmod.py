@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -48,11 +49,11 @@ def tensor_factors(draw, n):
 
 
 @st.composite
-def tensor_cases(draw):
-    """(t, factors): a random S_2..S_5 expression of length 0..7 and its
-    m + 1 tensor factors."""
-    n = draw(st.integers(2, 5))
-    m = draw(st.integers(0, 7))
+def tensor_cases(draw, ranks=(2, 5), max_len=7):
+    """(t, factors): a random S_n expression, n in `ranks` (2..5 by
+    default), of length 0..max_len and its m + 1 tensor factors."""
+    n = draw(st.integers(*ranks))
+    m = draw(st.integers(0, max_len))
     pairs = draw(st.lists(st.lists(st.integers(1, n), min_size=2,
                                    max_size=2, unique=True),
                           min_size=m, max_size=m))
@@ -118,6 +119,52 @@ class TestResTensor:
         assert list(g.values) == list(expect.values)
         for b in expect.domain.members:
             assert typed_terms(g.values[b]) == typed_terms(expect.values[b])
+
+    @staticmethod
+    def assert_oracle(t, a):
+        g, expect = res_tensor(t, a), oracle.res_tensor(t, a)
+        assert list(g.values) == list(expect.values)
+        for b in expect.domain.members:
+            assert typed_terms(g.values[b]) == typed_terms(expect.values[b])
+        return g
+
+    @pytest.mark.parametrize("total", [3, 4, 7, 8, 15, 16])
+    def test_field_width_boundary(self, total):
+        # all degree on e_1, summing to 2^k - 1 or 2^k: a field of the
+        # packed walk is filled exactly, or one bit wider
+        t = ReflExpr(3, (Reflection(1, 2, 3), Reflection(1, 3, 3)))
+        degs = [total // 3, total // 3, total - 2 * (total // 3)]
+        a = [Polynomial(3, {(d, 0, 0): c}) for d, c in zip(degs, (1, -2, 3))]
+        g = self.assert_oracle(t, a)
+        assert g((0, 0)) == Polynomial(3, {(total, 0, 0): -6})
+
+    @settings(max_examples=25, deadline=None)
+    @given(tensor_cases(ranks=(6, 8), max_len=5))
+    def test_against_oracle_high_rank(self, case):
+        self.assert_oracle(*case)
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    @pytest.mark.parametrize("special", ["zero", "one"])
+    def test_zero_and_unit_factor(self, at, special):
+        t = ReflExpr(4, tuple(Reflection(i, j, 4) for i, j in
+                              ((1, 2), (2, 4), (1, 3), (3, 4))))
+        a = [e(1, 4) - e(3, 4).scale(2), e(2, 4) + e(4, 4),
+             e(3, 4).scale(Fraction(1, 2)) - e(1, 4), e(4, 4) - e(2, 4),
+             e(1, 4) + e(2, 4)]
+        a[at] = (Polynomial.zero(4) if special == "zero"
+                 else Polynomial.one(4))
+        g = self.assert_oracle(t, a)
+        assert g.is_zero() == (special == "zero")
+
+    def test_fractions_cancel_at_inner_node(self):
+        # (1/2) e_1 times 2 e_2 is e_1 e_2 with int coefficient 1 at the
+        # depth-1 nodes, before the last factor is applied
+        t = ReflExpr(3, (Reflection(1, 2, 3), Reflection(2, 3, 3)))
+        a = [e(1).scale(Fraction(1, 2)), e(2).scale(2),
+             e(3).scale(Fraction(1, 3)) + e(1)]
+        g = self.assert_oracle(t, a)
+        assert typed_terms(g((0, 0))) == [
+            ((1, 1, 1), Fraction(1, 3), Fraction), ((2, 1, 0), 1, int)]
 
     def test_factor_count(self):
         t = small_expr()

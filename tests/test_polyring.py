@@ -9,6 +9,8 @@ from bsbimod.polyring import (Polynomial, RationalFn, GradedRank, NotDivisible,
                               act, exact_div, try_exact_div,
                               divisible_by_power, demazure, wp,
                               _linear_rows, _pack, _power_divides)
+from bsbimod.coxeter import Reflection, ReflExpr
+from bsbimod.locmod import res_tensor
 import oracle
 from conftest import exact_coefficients, scalars, typed_terms
 
@@ -247,6 +249,27 @@ class TestCoefficientTypes:
             assert exact_coefficients(h)
         k = Polynomial.const(n, Fraction(6, 3))
         assert exact_coefficients(k) and type(k.constant_value()) is int
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_no_zero_or_integral_fraction(self, data):
+        # `res_tensor`, `act` and `-f` build their results unchecked
+        # (`Polynomial._of`), next to the checked ring operations
+        n = data.draw(st.sampled_from([2, 3]))
+        f, g = polys(data.draw, n), polys(data.draw, n)
+        c = data.draw(scalars)
+        pairs = data.draw(st.lists(st.lists(st.integers(1, n), min_size=2,
+                                            max_size=2, unique=True),
+                                   max_size=3))
+        t = ReflExpr(n, tuple(Reflection(min(p), max(p), n) for p in pairs))
+        pool = [f, g, f.scale(c), -g, f - g, Polynomial.one(n)]
+        a = [data.draw(st.sampled_from(pool)) for _ in range(len(t) + 1)]
+        images = tuple(data.draw(st.permutations(range(1, n + 1))))
+        results = [f + g, f - g, f * g, -f, f.scale(c), f + f.scale(c),
+                   f - f.scale(c), act(images, f),
+                   *res_tensor(t, a).values.values()]
+        for h in results:
+            assert exact_coefficients(h) and all(h.terms.values()), h.terms
 
     @settings(max_examples=150, deadline=None)
     @given(division_cases())

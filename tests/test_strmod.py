@@ -321,6 +321,20 @@ def _seed7():
             ModOrder.standard(2, 2))
 
 
+def _seed1028():
+    """(2e3^2, 2e1e2 - 2e1e3, -e1 - 2e3) in Q[e1, e2, e3], the draw of
+    `modules()` under --hypothesis-seed=1028 on which the plain
+    position-over-term reference resolution ran for minutes at its fourth
+    and fifth levels."""
+    e1, e2, e3 = x(1, 3), x(2, 3), x(3, 3)
+    amb = FreeModule(3, (0,))
+    two = Polynomial.const(3, 2)
+    return ([FreeModElem(amb, {0: two * e3 * e3}),
+             FreeModElem(amb, {0: two * e1 * e2 - two * e1 * e3}),
+             FreeModElem(amb, {0: -e1 - two * e3})],
+            ModOrder.standard(1, 3))
+
+
 def _combination(row, gens):
     total = FreeModElem(gens[0].ambient, {})
     for k, c in row.items():
@@ -435,13 +449,15 @@ class TestSyzygiesAgainstOracle:
     @given(modules(max_gens=3))
     @example(_grows())
     @example(_seed7())
+    @example(_seed1028())
     def test_resolution(self, case):
         # The minimal graded Betti numbers are unique, so their graded
         # Euler characteristic is the Hilbert-series numerator, which the
         # oracle's leading terms give on every draw.  The plain
         # position-over-term reference resolution grows without end on
-        # some redundant inputs; where it ends within five levels, the
-        # minimised degrees agree level by level as multisets.
+        # some redundant inputs; where it ends within five levels and
+        # `oracle.PAIR_BUDGET` S-pairs per level, the minimised degrees
+        # agree level by level as multisets.
         gens, order = case
         p, degrees = pd(gens, order)
         assert p == len(degrees) - 1
