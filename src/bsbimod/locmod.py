@@ -13,14 +13,16 @@ __all__ = [
 ]
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import itemgetter, mul
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .polyring import (Polynomial, RationalFn, exact_div, _pack,
+from .polyring import (Polynomial, RationalFn, exact_div, _clean, _pack,
                        _power_divides)
 from .coxeter import Permutation, ReflExpr
-from .subexpr import (Subexpr, SubSet, enumerate_sub, _fold_members,
-                      _fold_template)
+from .subexpr import (ALL_CAP, Subexpr, SubSet, enumerate_sub,
+                      _fold_members, _fold_template)
 
 Bits = Tuple[int, ...]
 
@@ -32,19 +34,17 @@ class FnOnSub:
     values: Mapping[Bits, Polynomial]
 
     def __post_init__(self):
-        n = self.domain.expr.n
+        n, members = self.domain.expr.n, self.domain.members
         vals = {tuple(b): v for b, v in dict(self.values).items()}
         if any(v.n != n for v in vals.values()):
             raise ValueError(f"a value is not in the rank-{n} polynomial "
                              "ring of the domain")
-        missing = set(self.domain.members) - set(vals)
-        zero = Polynomial.zero(n)
-        for b in missing:
-            vals[b] = zero
-        extra = set(vals) - set(self.domain.members)
+        extra = set(vals) - set(members)
         if extra:
             raise ValueError(f"values off the domain: {sorted(extra)[:3]}")
-        object.__setattr__(self, "values", vals)
+        zero = Polynomial.zero(n)
+        object.__setattr__(self, "values",
+                           {b: vals.get(b, zero) for b in members})
 
     @classmethod
     def _of(cls, domain: SubSet, values: Dict[Bits, Polynomial]) -> "FnOnSub":
@@ -94,8 +94,9 @@ class FnOnSub:
                                       for b in self.domain.members})
 
     def left_mul(self, r: Polynomial) -> "FnOnSub":
-        return self._of(self.domain, {b: r * self.values[b]
-                                      for b in self.domain.members})
+        c = r.constant_value() if r.is_constant() else None
+        return self._of(self.domain, {b: r * v if c is None else v.scale(c)
+                                      for b, v in self.values.items()})
 
     def __mul__(self, other: "FnOnSub") -> "FnOnSub":
         self._check(other)
@@ -136,8 +137,7 @@ class FnOnSub:
 
 
 def unit(domain: SubSet) -> FnOnSub:
-    one = Polynomial.one(domain.expr.n)
-    return FnOnSub(domain, {b: one for b in domain.members})
+    return indicator(domain, domain.members)
 
 
 def indicator(domain: SubSet, bits_set) -> FnOnSub:
@@ -173,7 +173,6 @@ def res_tensor(t: ReflExpr, a: Sequence[Polynomial]) -> FnOnSub:
     factors = [None if f.terms == one else
                [(tuple((j, k) for j, k in enumerate(x) if k), c)
                 for x, c in f.terms.items()] for f in a]
-    fractional = any(type(c) is not int for f in a for c in f.terms.values())
     trans = [(r.i - 1, r.j - 1) for r in t.entries]
     shifts = range(0, w * n, w)
     pos = list(shifts)   # pos[j]: the field of eps^{<i+1}(e_j)
@@ -189,13 +188,7 @@ def res_tensor(t: ReflExpr, a: Sequence[Polynomial]) -> FnOnSub:
                 for y, c2 in image:
                     z = x + y
                     out[z] = get(z, 0) + c1 * c2
-            if fractional:
-                val = {x: c if type(c) is int or c.denominator != 1
-                       else c.numerator for x, c in out.items() if c}
-            elif 0 in out.values():
-                val = {x: c for x, c in out.items() if c}
-            else:
-                val = out
+            val = _clean(out)
         if i == m:
             leaves.append(val)
             return
@@ -214,16 +207,6 @@ def res_tensor(t: ReflExpr, a: Sequence[Polynomial]) -> FnOnSub:
         for b, leaf in zip(dom.members, leaves)})
 
 
-def _signed_sum(g: FnOnSub, terms) -> Polynomial:
-    """The sum of sign * g(member j) over (j, sign) in terms."""
-    members = g.domain.members
-    out = Polynomial.zero(g.domain.expr.n)
-    for j, sign in terms:
-        value = g.values[members[j]]
-        out = out + value if sign > 0 else out - value
-    return out
-
-
 def sigma(g: FnOnSub, eps: Subexpr, X: Sequence[int], variant: str = "full"
           ) -> Polynomial:
     """Sigma_X^eps(g) = sum over Y subset X of (-1)^{|Y|_X} g(f_Y eps),
@@ -236,7 +219,9 @@ def sigma(g: FnOnSub, eps: Subexpr, X: Sequence[int], variant: str = "full"
         if X <= set(Mp):
             S = sum(1 << b for b, x in enumerate(Mp) if x in X)
             _, Ys, signs = _fold_template(S, variant != "full")
-            return _signed_sum(g, zip(_fold_members(folds, Ys), signs))
+            return sum((g.values[an.members[j]].scale(sign) for j, sign
+                        in zip(_fold_members(folds, Ys), signs)),
+                       Polynomial.zero(g.domain.expr.n))
     raise ValueError("X must lie inside a single M_p(eps)")
 
 
@@ -278,8 +263,15 @@ def membership(g: FnOnSub, kind: str, Phi: Optional[SubSet] = None):
     # one common denominator for all values: a nonzero scalar does not
     # change divisibility
     w, values = _pack([g.values[b] for b in g.domain.members])
+    zeros = not all(values)
     an = g.domain.analysis()
     for i, p, X, terms in an.conditions(variant == "even"):
+        if zeros:
+            for j, _ in terms:
+                if values[j]:
+                    break
+            else:
+                continue   # its parts are all zero values, so it holds
         if not _power_divides(values, terms, w, p.i - 1, p.j - 1,
                               len(X) + excess):
             return False, (Subexpr(g.domain.expr, an.members[i]), p, X)
@@ -324,15 +316,17 @@ def _nabla_product(dom: SubSet, conc: Mapping[int, int]) -> FnOnSub:
     """The product over positions i in conc of [delta_i = conc[i]] delta^{->i},
     evaluated at every delta of dom: the closed form of the ladder that
     concentrates at conc[i] on the positions in conc and copies elsewhere."""
-    one = Polynomial.one(dom.expr.n)
-    values = {}
-    for b, roots in zip(dom.members, dom.roots()):
-        if all(b[i - 1] == e for i, e in conc.items()):
-            val = one
-            for i in conc:
-                val = val * roots[i - 1]
-            values[b] = val
-    return FnOnSub(dom, values)
+    n, members = dom.expr.n, dom.members
+    if not conc:
+        return FnOnSub._of(dom, dict.fromkeys(members, Polynomial.one(n)))
+    # the bits at the positions of conc, read off each member at once
+    at = itemgetter(*[i - 1 for i in conc])
+    want = at([conc.get(i, 0) for i in range(1, len(dom.expr) + 1)])
+    values = dict.fromkeys(members, Polynomial.zero(n))
+    for b, roots in zip(members, dom.roots()):
+        if at(b) == want:
+            values[b] = reduce(mul, [roots[i - 1] for i in conc])
+    return FnOnSub._of(dom, values)
 
 
 def basis(t: ReflExpr, tree: Optional[DecoTree] = None) -> Dict[Tuple[str, ...], FnOnSub]:
@@ -342,9 +336,14 @@ def basis(t: ReflExpr, tree: Optional[DecoTree] = None) -> Dict[Tuple[str, ...],
     every nabla position j, at the label e_j(L) of the path
     (L_m, ..., L_{j+1}): B(L)(delta) is the product over the nabla positions
     j of [delta_j = e_j(L)] delta^{->j}.  All elements share one domain
-    Sub(t), so its analysis is built once for all of them.
+    Sub(t), so its analysis is built once for all of them.  ValueError,
+    before anything is built, if the elements would hold more than ALL_CAP
+    values in all (4^m > ALL_CAP, so m > 10).
     """
     m = len(t)
+    if 4 ** m > ALL_CAP:
+        raise ValueError(f"the basis of a length-{m} expression holds 4^{m} "
+                         f"values, more than the cap ALL_CAP = {ALL_CAP}")
     if tree is None:
         tree = DecoTree.default(m)
     dom = enumerate_sub(t, "all")

@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 from fractions import Fraction
+from functools import reduce
 from math import comb, gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
@@ -57,6 +58,16 @@ def _ratio(a: Scalar, b: Scalar) -> Scalar:
     return q.numerator if q.denominator == 1 else q
 
 
+def _clean(terms: dict) -> dict:
+    """`terms` with zeros dropped and integral `Fraction`s stored as ints,
+    the rule `strmod._accumulate` applies; `terms` itself if it is clean."""
+    for c in terms.values():
+        if not c or type(c) is not int and c.denominator == 1:
+            return {e: c if type(c) is int or c.denominator != 1
+                    else c.numerator for e, c in terms.items() if c}
+    return terms
+
+
 def _glex_key(item):
     exp, _ = item
     return (sum(exp), exp)
@@ -70,22 +81,16 @@ class Polynomial:
     __slots__ = ("n", "terms", "_hash")
 
     def __init__(self, n: int, terms: Mapping[tuple, Scalar]):
-        clean = {}
-        for exp, c in terms.items():
-            if type(c) is not int and (type(c) is not Fraction
-                                       or c.denominator == 1):
-                c = _exact(c)
-            if c:
-                clean[tuple(exp)] = c
         self.n = n
-        self.terms = clean
+        self.terms = _clean({tuple(exp): c if type(c) in (int, Fraction)
+                             else _exact(c) for exp, c in terms.items()})
         self._hash = None
 
     @classmethod
     def _of(cls, n: int, terms: dict) -> "Polynomial":
         """`terms`, exponent tuples to nonzero ints and non-integral
-        `Fraction`s, taken unchecked and uncopied: the constructor for
-        results whose terms are clean by construction."""
+        `Fraction`s, taken unchecked and uncopied: the constructor of every
+        ring result, clean by construction or by `_clean`."""
         out = object.__new__(cls)
         out.n = n
         out.terms = terms
@@ -120,7 +125,7 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not any(exp) for exp in self.terms)
+        return len(self.terms) < 2 and not any(next(iter(self.terms), ()))
 
     def constant_value(self) -> Scalar:
         if not self.terms:
@@ -163,10 +168,12 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
+        if not self.terms or not other.terms:
+            return self if self.terms else other
         terms = dict(self.terms)
         for exp, c in other.terms.items():
             terms[exp] = terms.get(exp, 0) + c
-        return Polynomial(self.n, terms)
+        return Polynomial._of(self.n, _clean(terms))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._of(self.n, {e: -c for e, c in self.terms.items()})
@@ -176,22 +183,29 @@ class Polynomial:
         terms = dict(self.terms)
         for exp, c in other.terms.items():
             terms[exp] = terms.get(exp, 0) - c
-        return Polynomial(self.n, terms)
+        return Polynomial._of(self.n, _clean(terms))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
+        if other.is_constant():
+            return self.scale(other.constant_value())
+        if self.is_constant():
+            return other.scale(self.constant_value())
         terms: dict = {}
         items = other.terms.items()
         for e1, c1 in self.terms.items():
             for e2, c2 in items:
                 exp = tuple(map(add, e1, e2))
                 terms[exp] = terms.get(exp, 0) + c1 * c2
-        return Polynomial(self.n, terms)
+        return Polynomial._of(self.n, _clean(terms))
 
     def scale(self, c: Scalar) -> "Polynomial":
-        if type(c) is not int and type(c) is not Fraction:
+        if type(c) is not int:
             c = _exact(c)
-        return Polynomial(self.n, {e: c * v for e, v in self.terms.items()})
+        if c == 1:
+            return self
+        return Polynomial._of(self.n, _clean(
+            {e: c * v for e, v in self.terms.items()}) if c else {})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polynomial)
@@ -301,7 +315,7 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
                 rem[x] = v
             else:
                 del rem[x]
-    return Polynomial(f.n, quo)
+    return Polynomial._of(f.n, quo)
 
 
 def _root_quotient(f: Polynomial, g: Polynomial, x: int, y: int,
@@ -328,7 +342,7 @@ def _root_quotient(f: Polynomial, g: Polynomial, x: int, y: int,
                                    else _ratio(s, c))
         if s + col[low]:
             raise NotDivisible(f"{f} is not divisible by {g}")
-    return Polynomial(f.n, quo)
+    return Polynomial._of(f.n, quo)
 
 
 def try_exact_div(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
@@ -517,15 +531,8 @@ class RationalFn:
         self.den_factors = tuple(factors)
         self.den_scalar = den_scalar
 
-    @staticmethod
-    def from_poly(p: Polynomial) -> "RationalFn":
-        return RationalFn(p)
-
     def denominator(self) -> Polynomial:
-        den = Polynomial.const(self.num.n, self.den_scalar)
-        for fac in self.den_factors:
-            den = den * fac
-        return den
+        return _prod(self.den_factors, self.num.n).scale(self.den_scalar)
 
     def in_R(self) -> bool:
         return not self.den_factors
@@ -558,10 +565,7 @@ class RationalFn:
 
 
 def _prod(polys: Iterable[Polynomial], n: int) -> Polynomial:
-    out = Polynomial.one(n)
-    for p in polys:
-        out = out * p
-    return out
+    return reduce(Polynomial.__mul__, polys, Polynomial.one(n))
 
 
 class GradedRank:

@@ -395,7 +395,7 @@ class SubAnalysis:
         self.per_p = tuple(per_p)
         self.adj = tuple(adj)
         self._reach: Dict[int, tuple] = {}
-        self._conditions: Dict[bool, tuple] = {}
+        self._conditions: Dict[bool, list] = {}  # [listed, source or None]
         self.closeness_memo: Dict[Tuple[int, str], tuple] = {}
         self.last_phi: Tuple[Optional[frozenset], int] = (None, 0)
 
@@ -427,26 +427,28 @@ class SubAnalysis:
         increasing submasks.  Only the first (eps, X) of those whose folds
         by subsets of X give the same members is kept.  Each variant's list
         is generated once, as far as it is consumed: a later or interleaved
-        call replays what is listed, then draws on the same generator.  A
-        fold leaving the set is a ValueError, listed too, so that every
-        call raises it at the same place."""
-        listed, source = self._conditions.setdefault(
-            even, ([], _generate_conditions(self.per_p, even)))
-        k = 0
-        while True:
-            if k == len(listed):
-                try:
-                    item = next(source, None)
-                except ValueError as exc:
-                    item = exc
-                if item is None:
-                    return
-                listed.append(item)
-            item = listed[k]
-            if isinstance(item, ValueError):
-                raise item
-            yield item
-            k += 1
+        call replays what is listed, then draws on the same generator, or
+        iterates over the finished list.  A fold leaving the set is a
+        ValueError, listed too, so every call raises it at the same place."""
+        listed, source = state = self._conditions.setdefault(
+            even, [[], _generate_conditions(self.per_p, even)])
+
+        def replay():
+            for k in itertools.count():
+                if k == len(listed):
+                    try:
+                        item = next(source, None)
+                    except ValueError as exc:
+                        item = exc
+                    if item is None:
+                        state[1] = None
+                        return
+                    listed.append(item)
+                item = listed[k]
+                if isinstance(item, ValueError):
+                    raise item
+                yield item
+        return iter(listed) if source is None else replay()
 
     def require(self, eps: Subexpr) -> int:
         """The index of eps; ValueError if eps is not a member."""

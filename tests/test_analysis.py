@@ -7,6 +7,7 @@ constraints against the brute-force reference implementations in
 
 import gc
 import random
+import types
 import weakref
 from fractions import Fraction
 
@@ -78,6 +79,17 @@ def fold_reach(an, i):
         for r in reach:
             if r is not None:
                 out |= r
+    return out
+
+
+def listed(stream):
+    """The items of a condition stream, then the message of the ValueError
+    that ends it, if one does."""
+    out = []
+    try:
+        out.extend(stream)
+    except ValueError as exc:
+        out.append(str(exc))
     return out
 
 
@@ -300,15 +312,6 @@ class TestConditionsAgainstOracle:
     def test_conditions(self, sub, even):
         # a fold leaving the set raises where the reference raises: on
         # Sub(t, w) at the first odd fold, on a subset of Sub(t) anywhere
-
-        def listed(stream):
-            out = []
-            try:
-                out.extend(stream)
-            except ValueError as exc:
-                out.append(str(exc))
-            return out
-
         an = sub.analysis()
         assert listed(an.conditions(even)) == \
             listed(oracle.generate_conditions(an.per_p, even))
@@ -416,6 +419,20 @@ class TestCachedConditions:
         for _ in range(2):
             with pytest.raises(ValueError, match="leaves the set"):
                 list(an.conditions(False))
+
+    @settings(max_examples=100, deadline=None)
+    @given(analysed_sets(), st.booleans(), st.integers(2, 4))
+    def test_calls_after_exhaustion(self, sub, even, calls):
+        # once a stream has ended, a later call hands back the listed
+        # conditions themselves, not a replaying generator; a stream that
+        # ends in a fold leaving the set raises after the same items on
+        # every call
+        an = sub.analysis()
+        want = listed(oracle.generate_conditions(an.per_p, even))
+        for _ in range(calls):
+            assert listed(an.conditions(even)) == want
+        complete = not want or not isinstance(want[-1], str)
+        assert isinstance(an.conditions(even), types.GeneratorType) != complete
 
 
 class TestAnalysis:

@@ -166,6 +166,16 @@ class TestBasis:
         for label in ("DD", "DN", "ND", "NN"):
             assert label in out
 
+    def test_cap_is_one_error_line(self, capsys):
+        # m = 11 passes the enumerate_sub cap but its 2^11 elements would
+        # hold 4^11 values: one error line, with the exit code of the
+        # enumerate_sub cap (m = 21), and nothing on stdout
+        rc = cli.main(["basis", "--expr", "(1,2)" * 11])
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: ") and "ALL_CAP = 1048576" in err
+        assert rc == cli.main(["enumerate", "--expr", "(1,2)" * 21]) == 1
+
 
 class TestAlgorithms:
     def test_algo1_premature_exits_1(self, capsys):

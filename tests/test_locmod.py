@@ -15,7 +15,7 @@ from bsbimod.locmod import (FnOnSub, unit, indicator, res_tensor, sigma,
 from bsbimod.orderalg import closeness, step_generator
 import oracle
 from oracle import conc_up, copy_up, divdiff_down, restrict_down
-from conftest import random_expr, scalars, typed_terms
+from conftest import exact_coefficients, random_expr, scalars, typed_terms
 
 
 def e(i, n=3):
@@ -309,6 +309,14 @@ class TestBasis:
             d = g.homogeneous_degree()
             assert d == 2 * sum(1 for x in L if x == "N")
 
+    def test_cap_refused_before_building(self, monkeypatch):
+        # m = 11: Sub(t) is within ALL_CAP, but the 2^11 elements would hold
+        # 4^11 values; refused before Sub(t) is even enumerated
+        t = ReflExpr(2, (Reflection(1, 2, 2),) * 11)
+        monkeypatch.setattr(locmod, "enumerate_sub", None)
+        with pytest.raises(ValueError, match="4\\^11 values.*ALL_CAP = 1048576"):
+            basis(t)
+
 
 class TestMuInner:
     def test_mu_evaluation(self, rng):
@@ -378,11 +386,43 @@ class TestNablaAgainstLadder:
     @settings(max_examples=40, deadline=None)
     @given(exprs(), st.data())
     def test_basis(self, t, data):
+        # m <= 6, and from m = 2 on labels that are not all 0, so that the
+        # supports differ from the default tree's.  Every member is keyed,
+        # in member order, zeros included, and no value holds an integral
+        # Fraction
         tree = data.draw(trees(len(t)))
+        assume(len(t) < 2 or any(tree.labels.values()))
         got, want = basis(t, tree), oracle.basis(t, tree)
         assert list(got) == list(want)
         for L in want:
             assert got[L] == want[L], L
+            assert list(got[L].values) == list(got[L].domain.members)
+            assert all(map(exact_coefficients, got[L].values.values()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(exprs(max_len=5), st.data())
+    def test_membership_on_sparse_functions(self, t, data):
+        # a basis element on Sub(t) for X(t) and restricted to Sub(t, w)
+        # for Xw, each also with a nonzero value put at a member off its
+        # support, and the zero function: most conditions then read only
+        # zero values, and membership skips them
+        assume(len(t) >= 2)
+        n = t.n
+        B = basis(t, data.draw(trees(len(t))))
+        g = B[data.draw(st.sampled_from(sorted(B)))]
+        sub = enumerate_sub(t, draw_member(data, t).target())
+        for kind, h in (("X(t)", g), ("Xw", g.restrict_to(sub))):
+            cases = [h, FnOnSub(h.domain, {})]
+            off = [b for b in h.domain.members if h.values[b].is_zero()]
+            if off:
+                extra = data.draw(st.sampled_from([
+                    Polynomial.const(n, data.draw(scalars.filter(bool))),
+                    Polynomial.var(n, 1),
+                    Polynomial.var(n, 1) - Polynomial.var(n, 2)]))
+                cases.append(FnOnSub(h.domain, {
+                    **h.values, data.draw(st.sampled_from(off)): extra}))
+            for f in cases:
+                assert membership(f, kind) == oracle.membership(f, kind)
 
     @settings(max_examples=25, deadline=None)
     @given(exprs(max_len=5), st.data())

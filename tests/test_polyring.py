@@ -253,11 +253,15 @@ class TestCoefficientTypes:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_no_zero_or_integral_fraction(self, data):
-        # `res_tensor`, `act` and `-f` build their results unchecked
-        # (`Polynomial._of`), next to the checked ring operations
+        # every ring result is built unchecked (`Polynomial._of`), the
+        # constant factors and zero summands on their fast paths: each must
+        # hold the terms the public constructor would make of it, in order
         n = data.draw(st.sampled_from([2, 3]))
         f, g = polys(data.draw, n), polys(data.draw, n)
         c = data.draw(scalars)
+        const = Polynomial.const(n, c)
+        half = Polynomial(n, {exp: Fraction(1, 2) * v
+                              for exp, v in f.terms.items()})
         pairs = data.draw(st.lists(st.lists(st.integers(1, n), min_size=2,
                                             max_size=2, unique=True),
                                    max_size=3))
@@ -265,11 +269,21 @@ class TestCoefficientTypes:
         pool = [f, g, f.scale(c), -g, f - g, Polynomial.one(n)]
         a = [data.draw(st.sampled_from(pool)) for _ in range(len(t) + 1)]
         images = tuple(data.draw(st.permutations(range(1, n + 1))))
+        loc = res_tensor(t, a)
         results = [f + g, f - g, f * g, -f, f.scale(c), f + f.scale(c),
                    f - f.scale(c), act(images, f),
-                   *res_tensor(t, a).values.values()]
+                   f * const, const * f, f.scale(0), f.scale(1),
+                   f.scale(Fraction(2, 2)), f.scale(Fraction(-1, 3)),
+                   f + (-f), f - f, half + half, half - half.scale(-1),
+                   half + half.scale(3), (half + half) - f,
+                   *loc.values.values(),
+                   *loc.left_mul(const).values.values(),
+                   *loc.left_mul(Polynomial.const(n, Fraction(1, 2)))
+                   .values.values()]
         for h in results:
             assert exact_coefficients(h) and all(h.terms.values()), h.terms
+            assert typed_terms(h) == typed_terms(Polynomial(n, h.terms))
+        assert (half + half) == f and f.scale(1) == f
 
     @settings(max_examples=150, deadline=None)
     @given(division_cases())

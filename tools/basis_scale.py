@@ -1,55 +1,102 @@
 """
-Time the basis round trip in-process for m = 4..10 and write the curve to
-a JSON file: per m, the best of three wall times of
-`locmod.express_in_basis(g)` with g = `locmod.res_tensor(t, a)` on the
-instance of `res_tensor_scale.py` (the first m entries of one fixed seeded
-S_4 expression and m + 1 seeded linear factors).  g is built afresh and
-untimed before each run, so every run also builds the root table of its
-domain.  The file also records the commit of the imported `bsbimod`,
-whether the package had uncommitted changes, a SHA-256 over its source
-files, the Python version and the machine (`provenance.py`).
+Time the criterion-6 basis round trip in-process for m = 4..9 and write the
+curve to a JSON file.  The instance for m is the one of
+`res_tensor_scale.py`: the first m entries of one fixed seeded S_4
+expression.  Per m, each phase is timed on its own:
 
-    PYTHONPATH=src python3 tools/basis_scale.py [OUT]
+  basis_s       `locmod.basis(t)`, the 2^m elements B(L);
+  membership_s  `locmod.membership(B(L), "X(t)")` for all 2^m elements;
+  combine_s     g = sum_L c_L B(L) by `left_mul` by a constant and `+`,
+                with seeded integer c_L in -3..3;
+  express_s     `locmod.express_in_basis(g)`, checked to give back c_L.
+
+Each phase reports the median process time over REPEATS repeats.  The
+repeats are interleaved: repeat r runs every m before repeat r + 1 starts,
+so a drift in machine speed touches every m alike.  The file also records
+the provenance of the measurement (`provenance.py`).  With --parent, a
+result file written by this script for another checkout of the package
+(the parent commit, say, run with that checkout's `src` on PYTHONPATH) is
+embedded under "parent", so the two curves travel together.
+
+    PYTHONPATH=src python3 tools/basis_scale.py [OUT] [--parent PARENT_JSON]
 
 OUT defaults to BENCH_basis.json.
 """
 
+import argparse
 import json
-import sys
+import random
+import statistics
 import time
 
 from bsbimod import locmod
+from bsbimod.polyring import Polynomial
 from provenance import provenance
 from res_tensor_scale import N, instance
 
-M_RANGE = range(4, 11)
-REPEATS = 3
+M_RANGE = range(4, 10)
+REPEATS = 7
+PHASES = ("basis_s", "membership_s", "combine_s", "express_s")
 
 
-def main(out_path: str) -> None:
+def round_trip(m: int) -> dict:
+    """One round trip at m: the process time of each phase."""
+    t, _ = instance(m)
+    rng = random.Random(m)
+    clock = time.process_time
+    c0 = clock()
+    B = locmod.basis(t)
+    c1 = clock()
+    if not all(locmod.membership(B[L], "X(t)")[0] for L in B):
+        raise SystemExit(f"m={m}: a basis element is not in X(t)")
+    c2 = clock()
+    want = {L: Polynomial.const(N, rng.randint(-3, 3)) for L in B}
+    g = locmod.FnOnSub(next(iter(B.values())).domain, {})
+    for L, c in want.items():
+        g = g + B[L].left_mul(c)
+    c3 = clock()
+    coeffs = locmod.express_in_basis(g)
+    c4 = clock()
+    if coeffs != want:
+        raise SystemExit(f"m={m}: express_in_basis missed the coefficients")
+    return dict(zip(PHASES, (c1 - c0, c2 - c1, c3 - c2, c4 - c3)))
+
+
+def main(out_path: str, parent_path) -> None:
+    times = {m: [] for m in M_RANGE}
+    for r in range(REPEATS):
+        for m in M_RANGE:
+            times[m].append(round_trip(m))
+        print(f"repeat {r + 1}/{REPEATS} done", flush=True)
     rows = []
     for m in M_RANGE:
-        t, a = instance(m)
-        walls = []
-        for _ in range(REPEATS):
-            g = locmod.res_tensor(t, a)
-            start = time.perf_counter()
-            coeffs = locmod.express_in_basis(g)
-            walls.append(time.perf_counter() - start)
-        rows.append({"m": m, "coefficients": len(coeffs),
-                     "wall_s": round(min(walls), 4)})
-        print(f"m={m}: {min(walls):.4f} s ({len(coeffs)} coefficients)",
-              flush=True)
+        row = {"m": m, "elements": 2 ** m}
+        for phase in PHASES:
+            row[phase] = round(statistics.median(
+                run[phase] for run in times[m]), 4)
+        row["total_s"] = round(statistics.median(
+            sum(run.values()) for run in times[m]), 4)
+        rows.append(row)
+        print("  ".join(f"{k}={v}" for k, v in row.items()), flush=True)
     result = {
-        "what": f"in-process wall time of locmod.express_in_basis on "
-                f"res_tensor values on S_{N}, best of {REPEATS} runs per m",
+        "what": f"in-process process time of the basis round trip on S_{N} "
+                f"(basis, X(t) membership of every element, combination, "
+                f"express_in_basis), median of {REPEATS} interleaved "
+                f"repeats per m",
         **provenance(),
         "runs": rows,
     }
+    if parent_path:
+        with open(parent_path) as fh:
+            result["parent"] = json.load(fh)
     with open(out_path, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
 
 
 if __name__ == "__main__":
-    main(sys.argv[1] if len(sys.argv) > 1 else "BENCH_basis.json")
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out", nargs="?", default="BENCH_basis.json")
+    ap.add_argument("--parent", help="a result of this script to embed")
+    args = ap.parse_args()
+    main(args.out, args.parent)
