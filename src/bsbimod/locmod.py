@@ -34,17 +34,19 @@ class FnOnSub:
     values: Mapping[Bits, Polynomial]
 
     def __post_init__(self):
-        n, members = self.domain.expr.n, self.domain.members
+        n = self.domain.expr.n
         vals = {tuple(b): v for b, v in dict(self.values).items()}
         if any(v.n != n for v in vals.values()):
             raise ValueError(f"a value is not in the rank-{n} polynomial "
                              "ring of the domain")
-        extra = set(vals) - set(members)
+        missing = set(self.domain.members) - set(vals)
+        zero = Polynomial.zero(n)
+        for b in missing:
+            vals[b] = zero
+        extra = set(vals) - set(self.domain.members)
         if extra:
             raise ValueError(f"values off the domain: {sorted(extra)[:3]}")
-        zero = Polynomial.zero(n)
-        object.__setattr__(self, "values",
-                           {b: vals.get(b, zero) for b in members})
+        object.__setattr__(self, "values", vals)
 
     @classmethod
     def _of(cls, domain: SubSet, values: Dict[Bits, Polynomial]) -> "FnOnSub":
@@ -94,9 +96,8 @@ class FnOnSub:
                                       for b in self.domain.members})
 
     def left_mul(self, r: Polynomial) -> "FnOnSub":
-        c = r.constant_value() if r.is_constant() else None
-        return self._of(self.domain, {b: r * v if c is None else v.scale(c)
-                                      for b, v in self.values.items()})
+        return self._of(self.domain, {b: r * self.values[b]
+                                      for b in self.domain.members})
 
     def __mul__(self, other: "FnOnSub") -> "FnOnSub":
         self._check(other)
@@ -137,7 +138,8 @@ class FnOnSub:
 
 
 def unit(domain: SubSet) -> FnOnSub:
-    return indicator(domain, domain.members)
+    one = Polynomial.one(domain.expr.n)
+    return FnOnSub(domain, {b: one for b in domain.members})
 
 
 def indicator(domain: SubSet, bits_set) -> FnOnSub:
@@ -173,6 +175,7 @@ def res_tensor(t: ReflExpr, a: Sequence[Polynomial]) -> FnOnSub:
     factors = [None if f.terms == one else
                [(tuple((j, k) for j, k in enumerate(x) if k), c)
                 for x, c in f.terms.items()] for f in a]
+    fractional = any(type(c) is not int for f in a for c in f.terms.values())
     trans = [(r.i - 1, r.j - 1) for r in t.entries]
     shifts = range(0, w * n, w)
     pos = list(shifts)   # pos[j]: the field of eps^{<i+1}(e_j)
@@ -188,7 +191,7 @@ def res_tensor(t: ReflExpr, a: Sequence[Polynomial]) -> FnOnSub:
                 for y, c2 in image:
                     z = x + y
                     out[z] = get(z, 0) + c1 * c2
-            val = _clean(out)
+            val = _clean(out) if fractional or 0 in out.values() else out
         if i == m:
             leaves.append(val)
             return
@@ -207,6 +210,16 @@ def res_tensor(t: ReflExpr, a: Sequence[Polynomial]) -> FnOnSub:
         for b, leaf in zip(dom.members, leaves)})
 
 
+def _signed_sum(g: FnOnSub, terms) -> Polynomial:
+    """The sum of sign * g(member j) over (j, sign) in terms."""
+    members = g.domain.members
+    out = Polynomial.zero(g.domain.expr.n)
+    for j, sign in terms:
+        value = g.values[members[j]]
+        out = out + value if sign > 0 else out - value
+    return out
+
+
 def sigma(g: FnOnSub, eps: Subexpr, X: Sequence[int], variant: str = "full"
           ) -> Polynomial:
     """Sigma_X^eps(g) = sum over Y subset X of (-1)^{|Y|_X} g(f_Y eps),
@@ -219,9 +232,7 @@ def sigma(g: FnOnSub, eps: Subexpr, X: Sequence[int], variant: str = "full"
         if X <= set(Mp):
             S = sum(1 << b for b, x in enumerate(Mp) if x in X)
             _, Ys, signs = _fold_template(S, variant != "full")
-            return sum((g.values[an.members[j]].scale(sign) for j, sign
-                        in zip(_fold_members(folds, Ys), signs)),
-                       Polynomial.zero(g.domain.expr.n))
+            return _signed_sum(g, zip(_fold_members(folds, Ys), signs))
     raise ValueError("X must lie inside a single M_p(eps)")
 
 

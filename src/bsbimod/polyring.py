@@ -22,7 +22,6 @@ __all__ = [
 ]
 
 from fractions import Fraction
-from functools import reduce
 from math import comb, gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
@@ -60,8 +59,12 @@ def _ratio(a: Scalar, b: Scalar) -> Scalar:
 
 def _clean(terms: dict) -> dict:
     """`terms` with zeros dropped and integral `Fraction`s stored as ints,
-    the rule `strmod._accumulate` applies; `terms` itself if it is clean."""
-    for c in terms.values():
+    the rule `strmod._accumulate` applies; `terms` itself if it is clean.
+    An all-int dict without zeros is recognised by two C-level scans."""
+    vals = terms.values()
+    if 0 not in vals and Fraction not in map(type, vals):
+        return terms
+    for c in vals:
         if not c or type(c) is not int and c.denominator == 1:
             return {e: c if type(c) is int or c.denominator != 1
                     else c.numerator for e, c in terms.items() if c}
@@ -81,9 +84,15 @@ class Polynomial:
     __slots__ = ("n", "terms", "_hash")
 
     def __init__(self, n: int, terms: Mapping[tuple, Scalar]):
+        clean = {}
+        for exp, c in terms.items():
+            if type(c) is not int and (type(c) is not Fraction
+                                       or c.denominator == 1):
+                c = _exact(c)
+            if c:
+                clean[tuple(exp)] = c
         self.n = n
-        self.terms = _clean({tuple(exp): c if type(c) in (int, Fraction)
-                             else _exact(c) for exp, c in terms.items()})
+        self.terms = clean
         self._hash = None
 
     @classmethod
@@ -532,7 +541,10 @@ class RationalFn:
         self.den_scalar = den_scalar
 
     def denominator(self) -> Polynomial:
-        return _prod(self.den_factors, self.num.n).scale(self.den_scalar)
+        den = Polynomial.const(self.num.n, self.den_scalar)
+        for fac in self.den_factors:
+            den = den * fac
+        return den
 
     def in_R(self) -> bool:
         return not self.den_factors
@@ -565,7 +577,10 @@ class RationalFn:
 
 
 def _prod(polys: Iterable[Polynomial], n: int) -> Polynomial:
-    return reduce(Polynomial.__mul__, polys, Polynomial.one(n))
+    out = Polynomial.one(n)
+    for p in polys:
+        out = out * p
+    return out
 
 
 class GradedRank:
