@@ -2,15 +2,16 @@
 Graded free modules over a polynomial ring with module orders in
 Schreyer's form: division, Buchberger completion, graded free resolutions
 with minimization, projective dimension, and the string modules St_R(x)
-together with their duals.  Buchberger reduces each S-pair once and writes
-its reductions to zero through sparse representations of the basis
-elements in the input generators, as syzygies of the input.
+together with their duals.  Buchberger is a completion only: it reduces
+each S-pair once and keeps no relation.
 
 A resolution completes once, for F_0; every level above is Schreyer's,
 ordered as the level below induces, and its columns, S-pairs reduced once
 each, are already a Groebner basis of the next syzygies.  It has at most
 as many levels as variables.  Those sparse columns are the differentials,
-and minimization cancels units on them.
+and minimization cancels units on them.  The first level is the one place
+where syzygies are built: `syzygies` of a Groebner basis reads it, mapped
+back to input order.
 
 A module element is immutable and stored as one coefficient dict
 {(generator index, exponent): coefficient}, with `Polynomial` coordinate
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 from collections import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from bisect import insort
@@ -327,47 +328,22 @@ def reduce_elem(f: FreeModElem, G: Sequence[FreeModElem], order: ModOrder):
 
 @dataclass
 class GroebnerBasis:
+    """A Groebner basis under `order`: the nonzero inputs, in input order,
+    then the elements the completion added."""
     elements: List[FreeModElem]
     order: ModOrder
     n_new: int = 0   # how many elements were added beyond the input
-    # generators of the syzygies of the input, rows {input index: coefficient}
-    syzygies: List[Dict[int, Polynomial]] = field(default_factory=list)
-
-
-def _combine(terms, reps, n: int) -> Dict[int, Polynomial]:
-    """sum c * reps[k] over the (k, c) in `terms`, c a coefficient dict
-    {exponent: coefficient}; zero entries dropped."""
-    acc: Dict[int, Dict[Mono, Scalar]] = {}
-    for k, c in terms:
-        for col, p in reps[k].items():
-            d = acc.setdefault(col, {})
-            for e1, c1 in c.items():
-                for e2, c2 in p.terms.items():
-                    x = tuple(map(add, e1, e2))
-                    d[x] = d.get(x, 0) + c1 * c2
-    row = {col: Polynomial(n, d) for col, d in acc.items()}
-    return {col: p for col, p in row.items() if not p.is_zero()}
 
 
 def buchberger(gens: Sequence[FreeModElem], order: ModOrder) -> GroebnerBasis:
     """
-    Buchberger completion keeping the input generators, which reduces each
-    S-pair s = u_i m_i G_i - u_j m_j G_j once, to s = sum q_k G_k + r.
-    Every element carries its representation in the inputs, a row
-    {input index: coefficient}.  If r = 0, the relation u_i m_i E_i -
-    u_j m_j E_j - sum q_k E_k, written through those rows, is a syzygy of
-    the inputs; otherwise r / lc(r) joins the basis with that relation over
-    lc(r) as its row.  The syzygies so found generate them all (Schreyer's
-    theorem; the relation of a pair that added an element transports to
-    zero, and the inputs are among the basis).
+    Buchberger completion keeping the input generators: each same-position
+    S-pair s = u_i m_i G_i - u_j m_j G_j is reduced once, to s = sum q_k G_k
+    + r, and a nonzero r joins the basis as r / lc(r).  The relations the
+    reductions give are not kept: the syzygies of a Groebner basis are the
+    first level of Schreyer's frame (`syzygies`, `free_resolution`).
     """
-    nz = [k for k, g in enumerate(gens) if not g.is_zero()]
-    if not nz:
-        return GroebnerBasis([], order)
-    G = _LeadIndex([gens[k] for k in nz], order)
-    n = G[0].ambient.n_vars
-    reps = [{k: Polynomial.one(n)} for k in nz]
-    syz: List[Dict[int, Polynomial]] = []
+    G = _LeadIndex([g for g in gens if not g.is_zero()], order)
     # the same-position pairs in (i, j) scan order; the list grows while it
     # is walked, a new element's pairs appended
     pairs = [(i, j) for bucket in G.buckets.values()
@@ -378,35 +354,42 @@ def buchberger(gens: Sequence[FreeModElem], order: ModOrder) -> GroebnerBasis:
         _, ei, ci = G[i].leading(order)
         _, ej, cj = G[j].leading(order)
         lcm = _mono_lcm(ei, ej)
-        ui, uj = _mono_sub(lcm, ei), _mono_sub(lcm, ej)
-        ai, aj = _ratio(1, ci), _ratio(-1, cj)
-        quots, rem = reduce_elem(_spair(G[i], ui, ai, G[j], uj, aj), G, order)
-        terms = [(i, {ui: ai}), (j, {uj: aj})]
-        terms += [(k, {e: -c for e, c in q.terms.items()})
-                  for k, q in sorted(quots.items())]
-        row = _combine(terms, reps, n)
+        _, rem = reduce_elem(_spair(G[i], _mono_sub(lcm, ei), _ratio(1, ci),
+                                    G[j], _mono_sub(lcm, ej), _ratio(-1, cj)),
+                             G, order)
         if rem.is_zero():
-            if row:
-                syz.append(row)
             continue
-        inv = _ratio(1, rem.leading(order)[2])
-        new = rem.mono_mul((0,) * n, inv)
+        new = rem.mono_mul((0,) * rem.ambient.n_vars,
+                           _ratio(1, rem.leading(order)[2]))
         m = len(G)
         pairs.extend((k, m) for _, k, _ in
                      G.buckets.get(new.leading(order)[0], ()))
         G.append(new)
-        reps.append({col: p.scale(inv) for col, p in row.items()})
         n_new += 1
-    return GroebnerBasis(G.elems, order, n_new, syz)
+    return GroebnerBasis(G.elems, order, n_new)
 
 
 def syzygies(gb: GroebnerBasis, n_gens: int) -> List[List[Polynomial]]:
-    """The syzygies of the n_gens generators `gb` was completed from, as
-    recorded by `buchberger`: dense rows of n_gens coefficients."""
-    if not gb.syzygies:
+    """
+    Generators of the syzygies of the n_gens inputs `gb` was completed
+    from, as dense rows of n_gens coefficients: the first level of
+    Schreyer's frame over them (Schreyer's theorem), each column mapped
+    back to input order.  The inputs must be nonzero and already a Groebner
+    basis (gb.n_new == 0); otherwise, or if n_gens is not the number of
+    inputs, ValueError.  Syzygies of other inputs are not computed here.
+    """
+    G = gb.elements
+    if gb.n_new or len(G) != n_gens:
+        raise ValueError("syzygies needs nonzero inputs that are already a "
+                         f"Groebner basis: {n_gens} inputs, {len(G)} basis "
+                         f"elements, {gb.n_new} of them new")
+    if not G:
         return []
-    zero = Polynomial.zero(gb.elements[0].ambient.n_vars)
-    return [[row.get(k, zero) for k in range(n_gens)] for row in gb.syzygies]
+    perm = _position_first(G, gb.order)
+    cols, _, _ = _schreyer_level([G[k] for k in perm], gb.order)
+    zero = Polynomial.zero(G[0].ambient.n_vars)
+    rows = [{perm[i]: p for i, p in col.coords.items()} for col in cols]
+    return [[row.get(k, zero) for k in range(n_gens)] for row in rows]
 
 
 def free_resolution(gens: Sequence[FreeModElem], order: ModOrder):
@@ -418,81 +401,101 @@ def free_resolution(gens: Sequence[FreeModElem], order: ModOrder):
     F_{k+1}, with no zero entries.
 
     F_0 is free on the Groebner basis that `buchberger` completes `gens`
-    to, the one completion.  The generators of each F_k map to elements
-    f_j of the level below, in ascending order of leading position and then
-    of leading monomial, and F_k carries the order they induce.  For a < b
-    with leading terms c_a m_a, c_b m_b in one position and m = lcm(m_a,
-    m_b), the S-pair (m/m_a) f_a / c_a - (m/m_b) f_b / c_b reduces to
-    sum q_k f_k, and the syzygy (m/m_a) E_a / c_a - (m/m_b) E_b / c_b -
-    sum q_k E_k leads with (m/m_b) E_b.  Per b, the pairs whose m/m_b
-    minimally generate are still a Groebner basis of the syzygies
-    (Schreyer's theorem), so each is reduced once, in ascending order of
-    m/m_b.  In that order level k's leading monomials miss the top k
-    variables, so there are at most n_vars levels after F_0 (Eisenbud,
-    Commutative Algebra, Cor. 15.11).
+    to, the one completion, and every level above is one `_schreyer_level`
+    step over the columns of the level below.  In the order of that step
+    level k's leading monomials miss the top k variables, so there are at
+    most n_vars levels after F_0 (Eisenbud, Commutative Algebra, Cor.
+    15.11).
     """
     return _schreyer_frame(buchberger(gens, order), order)
+
+
+def _position_first(elems: Sequence[FreeModElem], order: ModOrder
+                    ) -> List[int]:
+    """The indices of `elems` in ascending order of leading position and
+    then of leading monomial, the order in which Schreyer's frame lists
+    them."""
+    def key(k: int):
+        g, exp, _ = elems[k].leading(order)
+        return g, exp[::-1]
+    return sorted(range(len(elems)), key=key)
+
+
+def _schreyer_level(elems: Sequence[FreeModElem], order: ModOrder):
+    """
+    One level of Schreyer's frame: generators of the syzygies of the
+    Groebner basis `elems` under `order`, listed as `_position_first`
+    lists them.  Returns (cols, degrees, upper): the columns as elements of
+    the free module on `elems`, each of which gets the degree of its
+    leading term, their degrees, and Schreyer's order `upper` that `elems`
+    induce, under which the columns are again a Groebner basis.
+
+    For a < b with leading terms c_a m_a, c_b m_b in one position and m =
+    lcm(m_a, m_b), the S-pair (m/m_a) f_a / c_a - (m/m_b) f_b / c_b
+    reduces to sum q_k f_k, and the syzygy (m/m_a) E_a / c_a - (m/m_b) E_b
+    / c_b - sum q_k E_k leads with (m/m_b) E_b.  Per b, the pairs whose
+    m/m_b minimally generate are still a Groebner basis of the syzygies
+    (Schreyer's theorem), so each is reduced once, in ascending order of
+    m/m_b.
+    """
+    index = _LeadIndex(elems, order)
+    leads = [f.leading(order) for f in elems]
+    shifts = elems[0].ambient.gen_degrees
+    amb = FreeModule(elems[0].ambient.n_vars,
+                     tuple(2 * sum(e) + shifts[g] for g, e, _ in leads))
+    upper = ModOrder(tuple(order.rank[g] for g, _, _ in leads),
+                     tuple(tuple(map(add, e, order.shift[g]))
+                           for g, e, _ in leads))
+    cols, deg = [], []
+    # positions and indices ascend together, so b ascends
+    for bucket in index.buckets.values():
+        for t, (mb, b, cb) in enumerate(bucket):
+            pairs: Dict[Mono, Tuple[Mono, int, Scalar]] = {}
+            for ma, a, ca in bucket[:t]:
+                pairs.setdefault(_mono_sub(_mono_lcm(ma, mb), mb),
+                                 (ma, a, ca))
+            xb = _ratio(-1, cb)
+            kept: List[Mono] = []
+            # ascending, so a divisor of ub comes before ub
+            for ub in sorted(pairs, key=lambda u: u[::-1]):
+                if any(all(map(le, v, ub)) for v in kept):
+                    continue
+                kept.append(ub)
+                ma, a, ca = pairs[ub]
+                ua = _mono_sub(tuple(map(add, mb, ub)), ma)
+                xa = _ratio(1, ca)
+                quots, rem = reduce_elem(
+                    _spair(elems[a], ua, xa, elems[b], ub, xb), index, order)
+                if rem.terms:
+                    raise InvariantError("an S-pair of a Groebner basis "
+                                         "left a remainder")
+                # every q_k E_k is below both pair terms: no key repeats
+                terms = {(a, ua): xa, (b, ub): xb}
+                for k, q in quots.items():
+                    for e, c in q.terms.items():
+                        terms[(k, e)] = -c
+                col = FreeModElem._raw(amb, terms)
+                col._leads[upper] = (b, ub, xb)
+                cols.append(col)
+                deg.append(2 * sum(ub) + amb.gen_degrees[b])
+    return cols, deg, upper
 
 
 def _schreyer_frame(gb: GroebnerBasis, order: ModOrder):
     """The resolution of `free_resolution`, from the completed basis `gb`
     of the module under `order`."""
-    def position_first(f: FreeModElem):
-        g, exp, _ = f.leading(order)
-        return g, exp[::-1]
-
-    elems = sorted(gb.elements, key=position_first)
+    elems = [gb.elements[k] for k in _position_first(gb.elements, order)]
     if not elems:
         return [[]], []
-    n = elems[0].ambient.n_vars
     degrees = [[f.homogeneous_degree() for f in elems]]
     diffs: List[List[Dict[int, Polynomial]]] = []
     while True:
-        index = _LeadIndex(elems, order)
-        amb = FreeModule(n, tuple(degrees[-1]))
-        leads = [f.leading(order) for f in elems]
-        # Schreyer's order on F_k, free on elems
-        upper = ModOrder(tuple(order.rank[g] for g, _, _ in leads),
-                         tuple(tuple(map(add, e, order.shift[g]))
-                               for g, e, _ in leads))
-        cols, deg = [], []
-        # positions and indices ascend together, so b ascends
-        for bucket in index.buckets.values():
-            for t, (mb, b, cb) in enumerate(bucket):
-                pairs: Dict[Mono, Tuple[Mono, int, Scalar]] = {}
-                for ma, a, ca in bucket[:t]:
-                    pairs.setdefault(_mono_sub(_mono_lcm(ma, mb), mb),
-                                     (ma, a, ca))
-                xb = _ratio(-1, cb)
-                kept: List[Mono] = []
-                # ascending, so a divisor of ub comes before ub
-                for ub in sorted(pairs, key=lambda u: u[::-1]):
-                    if any(all(map(le, v, ub)) for v in kept):
-                        continue
-                    kept.append(ub)
-                    ma, a, ca = pairs[ub]
-                    ua = _mono_sub(tuple(map(add, mb, ub)), ma)
-                    xa = _ratio(1, ca)
-                    quots, rem = reduce_elem(
-                        _spair(elems[a], ua, xa, elems[b], ub, xb),
-                        index, order)
-                    if rem.terms:
-                        raise InvariantError("an S-pair of a Groebner basis "
-                                             "left a remainder")
-                    # every q_k E_k is below both pair terms: no key repeats
-                    terms = {(a, ua): xa, (b, ub): xb}
-                    for k, q in quots.items():
-                        for e, c in q.terms.items():
-                            terms[(k, e)] = -c
-                    col = FreeModElem._raw(amb, terms)
-                    col._leads[upper] = (b, ub, xb)
-                    cols.append(col)
-                    deg.append(2 * sum(ub) + degrees[-1][b])
+        cols, deg, order = _schreyer_level(elems, order)
         if not cols:
             return degrees, diffs
         degrees.append(deg)
         diffs.append([f.coords for f in cols])
-        elems, order = cols, upper
+        elems = cols
 
 
 def minimize_resolution(degrees, diffs):
@@ -725,19 +728,23 @@ def dual_toolkit(n: int, extra: int = 0) -> dict:
     gb = buchberger(thetas, order)
     report["theta_groebner"] = gb.n_new == 0
 
-    # syzygies reduce to multiples of w
+    # the one resolution, from the one completion gb; when the thetas are
+    # the basis, its first level, read in theta order, generates their
+    # syzygies, and each must reduce to a multiple of w
+    resolution = _schreyer_frame(gb, order)
+    perm = _position_first(gb.elements, order)
     eps_amb = FreeModule(nv, (-2,) * n)
     eps_order = ModOrder.standard(n, nv)
     w = FreeModElem(eps_amb, {h: Polynomial.var(nv, h + 1) for h in range(n)})
-    all_in_w = all(
-        reduce_elem(FreeModElem(eps_amb, row), [w], eps_order)[1].is_zero()
-        for row in gb.syzygies)
+    all_in_w = report["theta_groebner"] and all(
+        reduce_elem(FreeModElem(eps_amb, {perm[i]: p for i, p in col.items()}),
+                    [w], eps_order)[1].is_zero()
+        for level in resolution[1][:1] for col in level)
     # and w is itself a syzygy (sum_zero already says so)
     report["kernel_is_w"] = all_in_w and report["sum_zero"]
 
-    # minimal resolution shape 0 -> R -> R(2)^n -> dual -> 0, resolved from
-    # the one completion gb
-    p, degrees = _pd(_schreyer_frame(gb, order))
+    # minimal resolution shape 0 -> R -> R(2)^n -> dual -> 0
+    p, degrees = _pd(resolution)
     report["resolution_degrees"] = degrees
     report["pd"] = p
     report["shape_ok"] = (degrees[0] == [-2] * n

@@ -335,6 +335,23 @@ def _seed1028():
             ModOrder.standard(1, 3))
 
 
+def _found_module():
+    """(2e1^2 + 2e3^2, 2e3, 2e1e2), (e2e3, 0, 2e2^2 + 2e3^2), (e2^2, e3,
+    2e1^2 + 2e2^2) and (2e2, 2, 0) in Q[e1, e2, e3]^3 with shifts (0, 2,
+    0): the completion adds 13 elements, so its S-pairs are most of the
+    work of the resolution."""
+    e1, e2, e3 = x(1, 3), x(2, 3), x(3, 3)
+    amb = FreeModule(3, (0, 2, 0))
+    two = Polynomial.const(3, 2)
+    return ([FreeModElem(amb, {0: two * (e1 * e1 + e3 * e3), 1: two * e3,
+                               2: two * e1 * e2}),
+             FreeModElem(amb, {0: e2 * e3, 2: two * (e2 * e2 + e3 * e3)}),
+             FreeModElem(amb, {0: e2 * e2, 1: e3,
+                               2: two * (e1 * e1 + e2 * e2)}),
+             FreeModElem(amb, {0: two * e2, 1: two})],
+            ModOrder.standard(3, 3))
+
+
 def _combination(row, gens):
     total = FreeModElem(gens[0].ambient, {})
     for k, c in row.items():
@@ -347,11 +364,13 @@ class TestCoefficientTypes:
     @given(modules(max_gens=3))
     @example(_grows())
     def test_reduce_and_buchberger(self, case):
-        # reduction and completion divide by leading coefficients
+        # reduction, completion and the resolution divide by leading
+        # coefficients
         gens, order = case
         gb = buchberger(gens, order)
         out = [p for g in gb.elements for p in g.coords.values()]
-        out += [p for row in gb.syzygies for p in row.values()]
+        _, diffs = free_resolution(gens, order)
+        out += [p for level in diffs for col in level for p in col.values()]
         third = Polynomial.const(gens[0].ambient.n_vars, Fraction(1, 3))
         for f in gens:
             quots, rem = reduce_elem(f.scale_poly(third), gb.elements, order)
@@ -418,10 +437,27 @@ class TestReduceAgainstOracle:
         assert f.leading(ModOrder.standard(2, 2)) is lead_up   # equal orders share
 
 
+def _row_module(rows, n_gens, nv):
+    """The rows (dense lists of n_gens coefficients) as elements of a free
+    module of rank n_gens, with the position-over-term order there."""
+    amb = FreeModule(nv, (0,) * n_gens)
+    elems = [FreeModElem(amb, dict(enumerate(row))) for row in rows]
+    return elems, ModOrder.standard(n_gens, nv)
+
+
+def _generates(rows, others, n_gens, nv):
+    """Every row of `others` lies in the module the `rows` generate."""
+    elems, order = _row_module(rows, n_gens, nv)
+    basis = buchberger(elems, order).elements
+    return all(reduce_elem(f, basis, order)[1].is_zero()
+               for f in _row_module(others, n_gens, nv)[0])
+
+
 class TestSyzygiesAgainstOracle:
-    """`buchberger` reduces every S-pair once and records the syzygies;
-    the oracle completes the basis with dense representations and reduces
-    every S-pair of it a second time."""
+    """`buchberger` is a completion only, and `syzygies` reads the first
+    level of Schreyer's frame over a Groebner basis; the oracle completes
+    the basis with dense representations and reduces every S-pair of it a
+    second time, transporting each relation to the inputs."""
 
     @settings(max_examples=150, deadline=None)
     @given(modules())
@@ -431,8 +467,12 @@ class TestSyzygiesAgainstOracle:
         gb = buchberger(gens, order)
         ob = oracle.buchberger(gens, order)
         assert gb.elements == ob.elements and gb.n_new == ob.n_new
-        for row in gb.syzygies:
-            assert row and _combination(row, gens).is_zero()
+        if gb.n_new == 0 and len(gb.elements) == len(gens):
+            for row in syzygies(gb, len(gens)):
+                assert _combination(dict(enumerate(row)), gens).is_zero()
+        else:
+            with pytest.raises(ValueError):
+                syzygies(gb, len(gens))
         G = gb.elements
         for i in range(len(G)):
             for j in range(i + 1, len(G)):
@@ -450,6 +490,7 @@ class TestSyzygiesAgainstOracle:
     @example(_grows())
     @example(_seed7())
     @example(_seed1028())
+    @example(_found_module())
     def test_resolution(self, case):
         # The minimal graded Betti numbers are unique, so their graded
         # Euler characteristic is the Hilbert-series numerator, which the
@@ -471,16 +512,18 @@ class TestSyzygiesAgainstOracle:
             want = None
         if want is not None:
             assert degrees == [sorted(level) for level in want]
-        # the recorded rows generate every syzygy the oracle finds
+        # the first level of the frame, read in basis order, generates
+        # every syzygy of the basis that the oracle finds
+        G = buchberger(gens, order).elements
+        _, diffs = free_resolution(gens, order)
+        perm = strmod._position_first(G, order)
         n = gens[0].ambient.n_vars
-        amb = FreeModule(n, (0,) * len(gens))
-        rows = [FreeModElem(amb, row)
-                for row in buchberger(gens, order).syzygies]
-        sorder = ModOrder.standard(len(gens), n)
-        basis = buchberger(rows, sorder).elements
-        for row in oracle.syzygies(oracle.buchberger(gens, order), len(gens)):
-            elem = FreeModElem(amb, dict(enumerate(row)))
-            assert reduce_elem(elem, basis, sorder)[1].is_zero()
+        zero = Polynomial.zero(n)
+        first = [{perm[i]: p for i, p in col.items()}
+                 for level in diffs[:1] for col in level]
+        first = [[row.get(k, zero) for k in range(len(G))] for row in first]
+        assert _generates(first, oracle.syzygies(oracle.buchberger(G, order),
+                                                 len(G)), len(G), n)
 
     @settings(max_examples=100, deadline=None)
     @given(modules(max_gens=3))
@@ -517,22 +560,47 @@ class TestSyzygiesAgainstOracle:
             oracle.buchberger(gens, order).elements, order)
 
     def test_grows(self):
+        # the inputs are not a Groebner basis, so syzygies refuses them
         gens, order = _grows()
         gb = buchberger(gens, order)
-        assert gb.n_new == 1 and len(gb.syzygies) == 2
+        assert gb.n_new == 1
+        with pytest.raises(ValueError):
+            syzygies(gb, len(gens))
 
-    def test_syzygies_reduce_nothing(self, monkeypatch):
+    @pytest.mark.parametrize("n_gens", [3, 8])
+    def test_syzygies_refuse_another_count(self, n_gens):
+        # rows for 3 of the 6 inputs are not syzygies, and rows padded to 8
+        # name inputs that do not exist
         gens = st_generators(4)
-        _, order = st_ambient(4, 0)
+        gb = buchberger(gens, st_ambient(4, 0)[1])
+        assert gb.n_new == 0 and len(gens) == 6
+        with pytest.raises(ValueError):
+            syzygies(gb, n_gens)
+
+    def _same_module(self, gens, order):
+        n_gens, nv = len(gens), gens[0].ambient.n_vars
         gb = buchberger(gens, order)
+        assert gb.n_new == 0
+        rows = syzygies(gb, n_gens)
+        want = oracle.syzygies(oracle.buchberger(gens, order), n_gens)
+        assert all(len(row) == n_gens for row in rows)
+        assert _generates(rows, want, n_gens, nv)
+        assert _generates(want, rows, n_gens, nv)
 
-        def refuse(*args):
-            raise AssertionError("syzygies reduced an S-pair")
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_syzygies_of_st(self, n, extra):
+        self._same_module(st_generators(n, extra), st_ambient(n, extra)[1])
 
-        monkeypatch.setattr(strmod, "reduce_elem", refuse)
-        rows = syzygies(gb, len(gens))
-        assert len(rows) == len(gb.syzygies) > 0
-        assert all(len(row) == len(gens) for row in rows)
+    @settings(max_examples=100, deadline=None)
+    @given(modules())
+    @example(_grows())
+    def test_syzygies_of_a_completion(self, case):
+        # the completion of a draw is a Groebner basis, input to syzygies
+        gens, order = case
+        G = buchberger(gens, order).elements
+        if G:
+            self._same_module(G, order)
 
 
 class TestSchreyer:
@@ -563,6 +631,11 @@ class TestSchreyer:
         gens = st_generators(5)
         degrees, _ = free_resolution(gens, st_ambient(5, 0)[1])
         assert len(degrees) == 4 and calls == [len(gens)]
+
+    def test_found_module(self):
+        gens, order = _found_module()
+        assert buchberger(gens, order).n_new == 13
+        assert pd(gens, order) == (1, [[2, 4, 4, 4], [12]])
 
     def test_zero_module(self):
         amb = FreeModule(2, (0,))

@@ -10,9 +10,8 @@ expression.  Per m, each phase is timed on its own:
                 with seeded integer c_L in -3..3;
   express_s     `locmod.express_in_basis(g)`, checked to give back c_L.
 
-Each phase reports the median process time over REPEATS repeats.  The
-repeats are interleaved: repeat r runs every m before repeat r + 1 starts,
-so a drift in machine speed touches every m alike.  The file also records
+Each phase, and the total of the four, reports the median process time
+over REPEATS interleaved repeats (`timing.py`).  The file also records
 the provenance of the measurement (`provenance.py`).  With --parent, a
 result file written by this script for another checkout of the package
 (the parent commit, say, run with that checkout's `src` on PYTHONPATH) is
@@ -26,13 +25,13 @@ OUT defaults to BENCH_basis.json.
 import argparse
 import json
 import random
-import statistics
 import time
 
 from bsbimod import locmod
 from bsbimod.polyring import Polynomial
 from provenance import provenance
 from res_tensor_scale import N, instance
+from timing import interleaved_medians
 
 M_RANGE = range(4, 10)
 REPEATS = 7
@@ -40,7 +39,8 @@ PHASES = ("basis_s", "membership_s", "combine_s", "express_s")
 
 
 def round_trip(m: int) -> dict:
-    """One round trip at m: the process time of each phase."""
+    """One round trip at m: the process time of each phase, and their
+    total."""
     t, _ = instance(m)
     rng = random.Random(m)
     clock = time.process_time
@@ -59,23 +59,15 @@ def round_trip(m: int) -> dict:
     c4 = clock()
     if coeffs != want:
         raise SystemExit(f"m={m}: express_in_basis missed the coefficients")
-    return dict(zip(PHASES, (c1 - c0, c2 - c1, c3 - c2, c4 - c3)))
+    return {**dict(zip(PHASES, (c1 - c0, c2 - c1, c3 - c2, c4 - c3))),
+            "total_s": c4 - c0}
 
 
 def main(out_path: str, parent_path) -> None:
-    times = {m: [] for m in M_RANGE}
-    for r in range(REPEATS):
-        for m in M_RANGE:
-            times[m].append(round_trip(m))
-        print(f"repeat {r + 1}/{REPEATS} done", flush=True)
+    medians = interleaved_medians(round_trip, M_RANGE, REPEATS)
     rows = []
     for m in M_RANGE:
-        row = {"m": m, "elements": 2 ** m}
-        for phase in PHASES:
-            row[phase] = round(statistics.median(
-                run[phase] for run in times[m]), 4)
-        row["total_s"] = round(statistics.median(
-            sum(run.values()) for run in times[m]), 4)
+        row = {"m": m, "elements": 2 ** m, **medians[m]}
         rows.append(row)
         print("  ".join(f"{k}={v}" for k, v in row.items()), flush=True)
     result = {

@@ -1,49 +1,64 @@
 """
 Time the D-sequence dichotomy report in-process for n = 8..15 and write
-the curve to a JSON file: per n, the wall time of `dseq.dichotomy_report`
-(one run, shift k = 1), pd of the residual string module and pd of its
-dual.  The file also records the commit of the imported `bsbimod`, whether
-the package had uncommitted changes, a SHA-256 over its source files, the
-Python version and the machine, so that every figure names the code and
-hardware it came from.
+the curve to a JSON file: per n, the median process time of
+`dseq.dichotomy_report` (shift k = 1) over REPEATS interleaved repeats
+(`timing.py`), pd of the residual string module and pd of its dual.  The
+file also records the provenance of the measurement (`provenance.py`).
+With --parent, a result file written by this script for another checkout
+of the package (the parent commit, say, run with that checkout's `src` on
+PYTHONPATH) is embedded under "parent", so the two curves travel together.
 
-    PYTHONPATH=src python3 tools/dseq_scale.py [OUT]
+    PYTHONPATH=src python3 tools/dseq_scale.py [OUT] [--parent PARENT_JSON]
 
 OUT defaults to BENCH_dseq_scale.json.
 """
 
+import argparse
 import json
-import sys
 import time
 
 from bsbimod import dseq
 from provenance import provenance
+from timing import interleaved_medians
 
 N_RANGE = range(8, 16)
 K = 1
+REPEATS = 5
 
 
-def main(out_path: str) -> None:
+def main(out_path: str, parent_path) -> None:
+    reports = {}
+
+    def report_time(n: int) -> dict:
+        start = time.process_time()
+        reports[n] = dseq.dichotomy_report(n, K)
+        return {"report_s": time.process_time() - start}
+
+    medians = interleaved_medians(report_time, N_RANGE, REPEATS)
     rows = []
     for n in N_RANGE:
-        start = time.perf_counter()
-        report = dseq.dichotomy_report(n, K)
-        wall = time.perf_counter() - start
-        rows.append({"n": n, "k": K, "wall_s": round(wall, 3),
+        report = reports[n]
+        rows.append({"n": n, "k": K, **medians[n],
                      "pd_string": report["pd_string"],
                      "pd_dual": report["dual"]["pd"]})
-        print(f"n={n}: {wall:.3f} s, pd(string) = {report['pd_string']}, "
-              f"pd(dual) = {report['dual']['pd']}", flush=True)
+        print("  ".join(f"{k}={v}" for k, v in rows[-1].items()), flush=True)
     result = {
-        "what": "in-process wall time of dseq.dichotomy_report(n, k), "
-                "one run per n",
+        "what": f"in-process process time of dseq.dichotomy_report(n, {K}), "
+                f"median of {REPEATS} interleaved repeats per n",
         **provenance(),
         "runs": rows,
     }
+    if parent_path:
+        with open(parent_path) as fh:
+            result["parent"] = json.load(fh)
     with open(out_path, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
 
 
 if __name__ == "__main__":
-    main(sys.argv[1] if len(sys.argv) > 1 else "BENCH_dseq_scale.json")
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out", nargs="?", default="BENCH_dseq_scale.json")
+    ap.add_argument("--parent", help="a result of this script to embed")
+    args = ap.parse_args()
+    main(args.out, args.parent)
