@@ -136,25 +136,25 @@ def closeness(sub: SubSet, Phi, eps: Subexpr, mode: str = "plain"
     every p with M_p nonempty; condition (b)/(b'): the frozen set (or its
     connected component through eps) avoids Phi.  Returns the first valid
     certificate in canonical order, or None.  ValueError if eps or a member
-    of Phi is not in Sub(t, w).
-
-    Phi_p(eps) is the set of X inside M_p(eps) whose unfrozen set
-    {f_Y eps : Y even inside X} lies in Phi u {eps}; it is read from the
-    cached analysis of `sub`, as is the graph the con mode searches.  An
-    M_p row's candidates depend on Phi only through the members that row's
-    folds reach, so they are computed once per intersection with those,
-    and the candidate products, with the masks and certificates tried so
-    far, once per tuple of distinct row entries (`_closeness_memo`).
+    of Phi is not in Sub(t, w); `_closeness` decides on member indices.
     """
     an = sub.analysis()
     i = an.require(eps)
-    last, phi = an.last_phi      # the same frozenset for every eps of a family
-    if Phi is not last:
-        phi = an.mask_of(Phi.members if isinstance(Phi, SubSet) else Phi)
-        if isinstance(Phi, frozenset):
-            an.last_phi = (Phi, phi)
+    phi = an.mask_of(Phi.members if isinstance(Phi, SubSet) else Phi)
     if phi >> i & 1:
         raise ValueError("eps must not lie in Phi")
+    return _closeness(an, i, phi, mode)
+
+
+def _closeness(an: SubAnalysis, i: int, phi: int, mode: str
+               ) -> Optional[ClosenessCert]:
+    """`closeness` of member i of `an` to the member mask phi, without i.
+    Phi_p(eps), the X inside M_p(eps) whose unfrozen set {f_Y eps : Y even
+    inside X} lies in Phi u {eps}, is read from `an`, as is the graph the
+    con mode searches.  An M_p row's candidates depend on Phi only through
+    the members that row's folds reach, so they are computed once per
+    intersection with those, and the candidate products, with the masks and
+    certificates tried so far, once per tuple of distinct row entries."""
     memo = an.closeness_memo.get((i, mode)) or _closeness_memo(an, i, mode)
     U, _, tables, _ = memo
     key = (phi | 1 << i) & U
@@ -197,38 +197,36 @@ def _run_family_algorithm(t: ReflExpr, w: Permutation, mode: str,
         sub = enumerate_sub(t, w)
     elif sub.expr != t or sub.target != w:
         raise ValueError("sub is not Sub(t, w)")
-    subexprs = sub.subexprs()
+    an = sub.analysis()
     msub = len(sub)
     trace: List[Dict[FrozenSet[Bits], GradedRank]] = [
         {frozenset(): GradedRank.constant(0)}]
     increments: List[Dict[FrozenSet[Bits], set]] = [{frozenset(): set()}]
     last_additions: List[Tuple[FrozenSet[Bits], Bits, int]] = []
-    k = 0
-    while k < msub:
-        nxt: Dict[FrozenSet[Bits], GradedRank] = {}
-        incs: Dict[FrozenSet[Bits], set] = {}
-        for phi, P in sorted(trace[k].items(), key=lambda kv: sorted(kv[0])):
-            for eps in subexprs:
-                bits = eps.bits
-                if bits in phi:
-                    continue
-                cert = closeness(sub, phi, eps, mode)
+    level = {0: (frozenset(), {}, set())}  # mask: (Phi, P.coeffs, cdists)
+    for k in range(msub):
+        nxt: Dict[int, Tuple[FrozenSet[Bits], dict, set]] = {}
+        # members are in lexicographic order, so this is sorted(phi)
+        for phi_mask in sorted(level, key=lambda mk: list(_indices(mk))):
+            phi, base, _ = level[phi_mask]
+            for i in _indices(~phi_mask & (1 << msub) - 1):
+                cert = _closeness(an, i, phi_mask, mode)
                 if cert is None:
                     continue
-                newphi = phi | {bits}
-                coeffs = dict(P.coeffs)     # P + v^{-dist}
+                coeffs = dict(base)         # P + v^{-dist}
                 coeffs[-cert.dist] = coeffs.get(-cert.dist, 0) + 1
-                old = nxt.get(newphi)
+                old = nxt.get(phi_mask | 1 << i)
                 if old is None:
-                    nxt[newphi] = GradedRank(coeffs)
-                elif old.coeffs != coeffs:
+                    old = nxt[phi_mask | 1 << i] = (phi | {an.members[i]},
+                                                    coeffs, set())
+                elif old[1] != coeffs:
                     # equal families must carry equal graded ranks
                     raise InvariantError(
-                        f"rank mismatch at {sorted(newphi)}: "
-                        f"{old} vs {GradedRank(coeffs)}")
-                incs.setdefault(newphi, set()).add(cert.dist)
+                        f"rank mismatch at {sorted(old[0])}: "
+                        f"{GradedRank(old[1])} vs {GradedRank(coeffs)}")
+                old[2].add(cert.dist)
                 if k == msub - 1:
-                    last_additions.append((phi, bits, cert.dist))
+                    last_additions.append((phi, an.members[i], cert.dist))
                 if greedy:
                     break
             if greedy and nxt:
@@ -236,12 +234,14 @@ def _run_family_algorithm(t: ReflExpr, w: Permutation, mode: str,
         if not nxt:
             return AlgoResult("premature", k, trace, None, increments,
                               last_additions)
+        ranks = {fam: GradedRank(coeffs) for fam, coeffs, _ in nxt.values()}
+        incs = {fam: dists for fam, _, dists in nxt.values()}
         if max_family is not None and len(nxt) > max_family:
-            return AlgoResult("cap", k + 1, trace + [nxt], None,
+            return AlgoResult("cap", k + 1, trace + [ranks], None,
                               increments + [incs], last_additions)
-        trace.append(nxt)
+        trace.append(ranks)
         increments.append(incs)
-        k += 1
+        level = nxt
     final = trace[-1]
     P = next(iter(final.values()))
     return AlgoResult("completed", msub, trace, P, increments, last_additions)
@@ -278,16 +278,18 @@ def chain_run(t: ReflExpr, w: Permutation, order: Sequence[Subexpr],
     sub = enumerate_sub(t, w)
     if sorted(eps.bits for eps in order) != sorted(sub.members):
         raise ValueError("order must list Sub(t, w) exactly")
-    phi: set = set()
+    an = sub.analysis()
+    phi = 0
     certs = []
     P = GradedRank.constant(0)
     for eps in order:
-        cert = closeness(sub, phi, eps, mode)
+        i = an.require(eps)
+        cert = _closeness(an, i, phi, mode)
         if cert is None:
             raise InvariantError(f"chain step failed at {eps}")
         certs.append(cert)
         P = P + GradedRank.v_power(-cert.dist)
-        phi.add(eps.bits)
+        phi |= 1 << i
     return certs, P
 
 
@@ -322,10 +324,11 @@ def balanced_order(t: ReflExpr, w: Permutation):
 
     ordered_bits = sorted(sub.members, key=functools.cmp_to_key(cmp))
     ordered = [Subexpr(t, b) for b in ordered_bits]
+    an = sub.analysis()
     dists = []
-    phi: set = set()
+    phi = 0
     for eps in ordered:
-        cert = closeness(sub, phi, eps, "plain")
+        cert = _closeness(an, an.index[eps.bits], phi, "plain")
         if cert is None:
             raise InvariantError(f"perfect-order step failed at {eps}")
         expected = 2 * len(infos[eps.bits])
@@ -333,7 +336,7 @@ def balanced_order(t: ReflExpr, w: Permutation):
             raise InvariantError(
                 f"dist {cert.dist} != 2*#positive {expected} at {eps}")
         dists.append(cert.dist)
-        phi.add(eps.bits)
+        phi |= 1 << an.index[eps.bits]
     return ordered, dists
 
 

@@ -353,9 +353,7 @@ class SubAnalysis:
     intersection of Phi u {eps} with the members that row's folds reach,
     and the candidate products, once per tuple of distinct row entries,
     with the frozen masks (con components in con mode) and certificates
-    tried so far.  `last_phi` is the last frozenset Phi that closeness
-    converted, with its mask.  Neither refers to anything that refers back
-    to the analysis.
+    tried so far.  It refers to nothing that refers back to the analysis.
     """
 
     def __init__(self, sub: SubSet):
@@ -397,7 +395,6 @@ class SubAnalysis:
         self._reach: Dict[int, tuple] = {}
         self._conditions: Dict[bool, list] = {}  # [listed, source or None]
         self.closeness_memo: Dict[Tuple[int, str], tuple] = {}
-        self.last_phi: Tuple[Optional[frozenset], int] = (None, 0)
 
     def reach(self, i: int) -> tuple:
         """(p, M_p, reach) over the rows of `per_p[i]`, built on first use:

@@ -3,34 +3,35 @@ Reference implementations: the depth-first enumerator of Sub(t, w) pruned
 by suffix reachability, and the meet in the middle on tuples that builds
 every head product and inverts it; the M_p and fold tables of `SubAnalysis`
 built from one `Subexpr` per member; brute-force versions of the
-subexpression graph, frozen sets, connected components, closeness, the
-forest rank and its cycle witness, the divisibility conditions behind
-membership and sigma, the condition stream with each submask's folds found
-by scanning 0..S, the residual constraints, exact division with two
-`Polynomial`s per long-division step, root-power divisibility by repeated
-exact division, and the substitution test on exponent tuples after summing
-the signed parts; module division that scans every basis element for a
-divisor and subtracts one new element per step, with a dense quotient list;
-the Delta/nabla elements (basis, nabla_X, mu) built by climbing the
-copy/concentration ladder one position at a time, and the basis
-coefficients found by descending the copy/restriction/divided-difference
-ladder; the localization of a pure tensor member by member, the polynomial
-product with exponents summed by a generator, the row reduction of linear
-forms on `Fraction` rows; and Buchberger completion with dense
-representation tracking followed by a second pass that reduces every S-pair
-of the finished basis again for its syzygies, and the free resolution on
-those dense syzygies, minimised by unit cancellation on dense matrices that
-rescans from the lowest level after every pivot; and the Hilbert-series
-numerator of a leading-term module by the colon-ideal recursion, which any
-resolution's graded Euler characteristic must equal, however it was built.
+subexpression graph, frozen sets, connected components, closeness and the
+family growth it drives on frozensets of bits, the forest rank and its
+cycle witness, the divisibility conditions behind membership and sigma, the
+condition stream with each submask's folds found by scanning 0..S, the
+residual constraints, exact division with two `Polynomial`s per
+long-division step, root-power divisibility by repeated exact division, and
+the substitution test on exponent tuples after summing the signed parts;
+module division that scans every basis element for a divisor and subtracts
+one new element per step, with a dense quotient list; the Delta/nabla
+elements (basis, nabla_X, mu) built by climbing the copy/concentration
+ladder one position at a time, and the basis coefficients found by
+descending the copy/restriction/divided-difference ladder; the localization
+of a pure tensor member by member, the polynomial product with exponents
+summed by a generator, the row reduction of linear forms on `Fraction`
+rows; and Buchberger completion with dense representation tracking followed
+by a second pass that reduces every S-pair of the finished basis again for
+its syzygies, and the free resolution on those dense syzygies, minimised by
+unit cancellation on dense matrices that rescans from the lowest level
+after every pivot; and the Hilbert-series numerator of a leading-term
+module by the colon-ideal recursion, which any resolution's graded Euler
+characteristic must equal, however it was built.
 They scan every prefix, fold `Subexpr` objects, rebuild graphs and
 edge-list adjacencies, divide polynomials, build a `Polynomial` per
 division step, enumerate a prefix domain per ladder step and reduce every
 S-pair twice on every call, as the library did before it enumerated by meet
 in the middle, keyed the heads by left action on `bytes` words, found M_p
-by one prefix walk per member, read these from the cached
-`SubSet.analysis()`, tested divisibility by substitution on packed
-monomials, listed conditions from per-size fold templates, divided
+by one prefix walk per member, grew families on member masks, read these
+from the cached `SubSet.analysis()`, tested divisibility by substitution on
+packed monomials, listed conditions from per-size fold templates, divided
 polynomials and module elements on one coefficient dict, divided by a root
 in one linear pass, addressed the values of the basis recursion by member
 index, evaluated the nabla products in closed form, read the syzygies from
@@ -47,8 +48,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from bsbimod.coxeter import Reflection, ReflExpr, truncate
 from bsbimod.locmod import DecoTree, FnOnSub, unit
-from bsbimod.orderalg import (ClosenessCert, Congruence, ResidualReport,
-                              _detect_string)
+from bsbimod.orderalg import (AlgoResult, ClosenessCert, Congruence,
+                              ResidualReport, _detect_string)
 from bsbimod.polyring import (GradedRank, InvariantError, NotDivisible,
                               Polynomial, act)
 from bsbimod.strmod import (FreeModElem, FreeModule, ModOrder, _mono_lcm,
@@ -362,6 +363,51 @@ def closeness(sub: SubSet, Phi, eps: Subexpr, mode: str = "plain"):
                       for (p, Mp, np, _), Yp in zip(per_p_choices, combo))
         return ClosenessCert(Y=Y, per_p=per_p, dist=2 * len(Y), mode=mode)
     return None
+
+
+def family_growth(t: ReflExpr, w, mode: str, max_family: Optional[int] = None,
+                  greedy: bool = False) -> AlgoResult:
+    """The family growth of `algorithm1` ("plain") or `algorithm2` ("con")
+    on frozensets of bits, driven by `closeness` above: the families of a
+    step visited in sorted order, each member tried in lexicographic order,
+    with the same trace, increments, last additions, rank-mismatch check,
+    greedy stop and family cap."""
+    sub = enumerate_sub(t, w)
+    subexprs = sub.subexprs()
+    msub = len(sub)
+    trace = [{frozenset(): GradedRank.constant(0)}]
+    increments = [{frozenset(): set()}]
+    last_additions = []
+    for k in range(msub):
+        nxt, incs = {}, {}
+        for phi, P in sorted(trace[k].items(), key=lambda kv: sorted(kv[0])):
+            for eps in subexprs:
+                if eps.bits in phi:
+                    continue
+                cert = closeness(sub, phi, eps, mode)
+                if cert is None:
+                    continue
+                newphi = phi | {eps.bits}
+                rank = P + GradedRank.v_power(-cert.dist)
+                if nxt.setdefault(newphi, rank) != rank:
+                    raise InvariantError(f"rank mismatch at {sorted(newphi)}")
+                incs.setdefault(newphi, set()).add(cert.dist)
+                if k == msub - 1:
+                    last_additions.append((phi, eps.bits, cert.dist))
+                if greedy:
+                    break
+            if greedy and nxt:
+                break
+        if not nxt:
+            return AlgoResult("premature", k, trace, None, increments,
+                              last_additions)
+        if max_family is not None and len(nxt) > max_family:
+            return AlgoResult("cap", k + 1, trace + [nxt], None,
+                              increments + [incs], last_additions)
+        trace.append(nxt)
+        increments.append(incs)
+    P = next(iter(trace[-1].values())) if mode == "con" else None
+    return AlgoResult("completed", msub, trace, P, increments, last_additions)
 
 
 def sigma(g: FnOnSub, eps: Subexpr, X: Sequence[int], variant: str = "full"

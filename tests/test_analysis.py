@@ -9,11 +9,11 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bsbimod import orderalg
 from bsbimod.coxeter import Permutation, Reflection, ReflExpr
 from bsbimod.locmod import FnOnSub, membership, res_tensor, sigma
 from bsbimod.polyring import Polynomial
@@ -240,7 +240,9 @@ class TestAgainstOracle:
         full = enumerate_sub(sub.expr, "all")
         assert graph(full) == oracle.graph(full)
 
-    def test_family_growth(self, monkeypatch):
+    def test_family_growth(self):
+        # against the frozenset family loop driven by the brute-force
+        # closeness, which shares no code with the mask-level loop
         rng = random.Random(20261018)
         cases = []
         while len(cases) < 12:
@@ -249,10 +251,12 @@ class TestAgainstOracle:
             w = Subexpr(t, bits).target()
             if 3 <= len(enumerate_sub(t, w)) <= 10:
                 cases.append((t, w))
-        fast = [(algorithm1(t, w), algorithm2(t, w)) for t, w in cases]
-        monkeypatch.setattr(orderalg, "closeness", oracle.closeness)
-        slow = [(algorithm1(t, w), algorithm2(t, w)) for t, w in cases]
-        assert fast == slow
+        for (t, w), options in product(cases, [{}, {"greedy": True},
+                                               {"max_family": 3}]):
+            assert algorithm1(t, w, **options) == \
+                oracle.family_growth(t, w, "plain", **options)
+            assert algorithm2(t, w, **options) == \
+                oracle.family_growth(t, w, "con", **options)
 
 
 class TestConditionsAgainstOracle:

@@ -8,6 +8,7 @@ import textwrap
 
 import pytest
 
+from bsbimod import orderalg
 from bsbimod.coxeter import Permutation, Reflection, ReflExpr, make_sequence
 from bsbimod.polyring import GradedRank
 from bsbimod.subexpr import Subexpr, enumerate_sub, graph, components
@@ -16,6 +17,7 @@ from bsbimod.orderalg import (closeness, step_generator, algorithm1,
                               acyclic_rank, residual_constraints)
 from bsbimod.locmod import membership
 from conftest import random_expr, reachable_targets
+import oracle
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -131,12 +133,12 @@ class TestRankInvariant:
             from bsbimod.cli import parse_expr
             from bsbimod.coxeter import Permutation
             assert not __debug__
-            real, calls = orderalg.closeness, itertools.count()
+            real, calls = orderalg._closeness, itertools.count()
             def skewed(*args):
                 cert = real(*args)
                 return cert and dataclasses.replace(
                     cert, dist=cert.dist + 2 * next(calls))
-            orderalg.closeness = skewed
+            orderalg._closeness = skewed
             t = parse_expr("(1,3)(2,4)(1,2)(3,4)(1,4)(2,3)")
             try:
                 orderalg.algorithm2(t, Permutation.identity(4))
@@ -173,6 +175,41 @@ class TestRankInvariant:
         assert orderalg.InvariantError is polyring.InvariantError
         assert strmod.InvariantError is dseq.InvariantError \
             is polyring.InvariantError
+
+
+class TestClosenessCount:
+    @pytest.mark.parametrize("algo, mode", [(algorithm1, "plain"),
+                                            (algorithm2, "con")])
+    def test_one_evaluation_per_family_and_member(self, algo, mode,
+                                                  monkeypatch):
+        # each step the growth scans evaluates closeness once per family
+        # and member outside it, and each certificate is one addition
+        rng = random.Random(20261019)
+        cases = [(two_solution_expr(), Permutation.identity(4)),
+                 (make_sequence("D", (1, 2, 3), 3), Permutation.identity(3)),
+                 (make_sequence("D", (1, 2, 3, 4), 4), Permutation.identity(4))]
+        while len(cases) < 8:
+            t = random_expr(rng, 4, rng.randint(5, 8))
+            w = Subexpr(t, [rng.randint(0, 1) for _ in range(len(t))]).target()
+            if 4 <= len(enumerate_sub(t, w)) <= 8:
+                cases.append((t, w))
+        real = orderalg._closeness
+        for t, w in cases:
+            certs = []
+
+            def counted(*args):
+                certs.append(real(*args))
+                return certs[-1]
+            monkeypatch.setattr(orderalg, "_closeness", counted)
+            res = algo(t, w)
+            sub = enumerate_sub(t, w)
+            scanned = res.trace[:len(sub)]   # the full families end the scan
+            assert len(certs) == sum(len(fams) * (len(sub) - k)
+                                     for k, fams in enumerate(scanned))
+            additions = sum(oracle.closeness(sub, phi, eps, mode) is not None
+                            for fams in scanned for phi in fams
+                            for eps in sub.subexprs() if eps.bits not in phi)
+            assert sum(c is not None for c in certs) == additions
 
 
 class TestChainRun:
