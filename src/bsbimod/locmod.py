@@ -14,22 +14,23 @@ __all__ = [
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
-from operator import itemgetter, mul
+from itertools import islice, product
+from operator import add
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .polyring import (Polynomial, RationalFn, exact_div, _clean, _pack,
                        _power_divides)
 from .coxeter import Permutation, ReflExpr
 from .subexpr import (ALL_CAP, Subexpr, SubSet, enumerate_sub,
-                      _fold_members, _fold_template)
+                      _fold_members, _fold_template, _prefix_walk, _root)
 
 Bits = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class FnOnSub:
-    """A function from a subexpression set to polynomials."""
+    """A function from a subexpression set to polynomials, keyed by every
+    member in member order."""
     domain: SubSet
     values: Mapping[Bits, Polynomial]
 
@@ -39,14 +40,12 @@ class FnOnSub:
         if any(v.n != n for v in vals.values()):
             raise ValueError(f"a value is not in the rank-{n} polynomial "
                              "ring of the domain")
-        missing = set(self.domain.members) - set(vals)
-        zero = Polynomial.zero(n)
-        for b in missing:
-            vals[b] = zero
-        extra = set(vals) - set(self.domain.members)
+        extra = sorted(b for b in vals if b not in self.domain)
         if extra:
-            raise ValueError(f"values off the domain: {sorted(extra)[:3]}")
-        object.__setattr__(self, "values", vals)
+            raise ValueError(f"values off the domain: {extra[:3]}")
+        zero = Polynomial.zero(n)
+        object.__setattr__(self, "values", {b: vals.get(b, zero)
+                                            for b in self.domain.members})
 
     @classmethod
     def _of(cls, domain: SubSet, values: Dict[Bits, Polynomial]) -> "FnOnSub":
@@ -87,8 +86,9 @@ class FnOnSub:
 
     def __add__(self, other: "FnOnSub") -> "FnOnSub":
         self._check(other)
-        return self._of(self.domain, {b: self.values[b] + other.values[b]
-                                      for b in self.domain.members})
+        return self._of(self.domain, {
+            b: v + w if w.terms else v
+            for (b, v), w in zip(self.values.items(), other.values.values())})
 
     def __sub__(self, other: "FnOnSub") -> "FnOnSub":
         self._check(other)
@@ -96,8 +96,10 @@ class FnOnSub:
                                       for b in self.domain.members})
 
     def left_mul(self, r: Polynomial) -> "FnOnSub":
-        return self._of(self.domain, {b: r * self.values[b]
-                                      for b in self.domain.members})
+        if r.n != self.domain.expr.n:
+            raise ValueError(f"rank mismatch: {self.domain.expr.n} != {r.n}")
+        return self._of(self.domain, {b: r * v if v.terms else v
+                                      for b, v in self.values.items()})
 
     def __mul__(self, other: "FnOnSub") -> "FnOnSub":
         self._check(other)
@@ -112,8 +114,7 @@ class FnOnSub:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FnOnSub) and self.domain == other.domain
-                and all(self.values[b] == other.values[b]
-                        for b in self.domain.members))
+                and self.values == other.values)
 
     def __hash__(self):
         raise TypeError("FnOnSub is unhashable")
@@ -244,10 +245,11 @@ def membership(g: FnOnSub, kind: str, Phi: Optional[SubSet] = None):
       "X^w"  : even-variant divisibility by alpha_p^{|X|} over Sub(t,w);
       "XwPhi": "Xw" plus vanishing on Phi.
     Returns (True, None) or (False, (eps, p, X)) with the lexicographically
-    least violation ((eps, "vanish", None) for a Phi violation).  The values
-    are scaled to int coefficients and packed once per call
+    least violation ((eps, "vanish", None) for a Phi violation).  The nonzero
+    values are scaled to int coefficients and packed once per call
     (`polyring._pack`), and each condition is one `_power_divides` call on
-    the packed values its signed sum reads.
+    the packed values its signed sum reads, skipping those on zero values
+    alone when some value is zero (`SubAnalysis.condition_table`).
     """
     if kind == "X(t)":
         if g.domain.target is not None:
@@ -271,18 +273,22 @@ def membership(g: FnOnSub, kind: str, Phi: Optional[SubSet] = None):
             if not g.values[tuple(bits)].is_zero():
                 return False, (Subexpr(g.domain.expr, bits), "vanish", None)
 
-    # one common denominator for all values: a nonzero scalar does not
-    # change divisibility
-    w, values = _pack([g.values[b] for b in g.domain.members])
-    zeros = not all(values)
-    an = g.domain.analysis()
-    for i, p, X, terms in an.conditions(variant == "even"):
-        if zeros:
-            for j, _ in terms:
-                if values[j]:
-                    break
-            else:
-                continue   # its parts are all zero values, so it holds
+    # one common denominator for the nonzero values: a nonzero scalar does
+    # not change divisibility
+    an, even = g.domain.analysis(), variant == "even"
+    polys = list(g.values.values())
+    table = None if all(f.terms for f in polys) else an.condition_table(even)
+    if table is None:   # no zero value, or a fold leaves the set
+        w, values = _pack(polys)
+        conds = an.conditions(even)
+    else:
+        listed, touching = table
+        w, packed = _pack([f for f in polys if f.terms])
+        packed = iter(packed)
+        values = [next(packed) if f.terms else {} for f in polys]
+        conds = [listed[k] for k in sorted(set().union(
+            *[touching[j] for j, f in enumerate(polys) if f.terms]))]
+    for i, p, X, terms in conds:
         if not _power_divides(values, terms, w, p.i - 1, p.j - 1,
                               len(X) + excess):
             return False, (Subexpr(g.domain.expr, an.members[i]), p, X)
@@ -323,21 +329,23 @@ def _paths(m: int):
     return (path for depth in range(m) for path in product("DN", repeat=depth))
 
 
+def _concentrate(f: FnOnSub, j: int, e: int) -> FnOnSub:
+    """[delta_j = e] delta^{->j} times f: one product per nonzero value of f
+    at a member with bit e at position j, and zero elsewhere."""
+    zero = Polynomial.zero(f.domain.expr.n)
+    return FnOnSub._of(f.domain, {
+        b: v * roots[j - 1] if v.terms and b[j - 1] == e else zero
+        for (b, v), roots in zip(f.values.items(), f.domain.roots())})
+
+
 def _nabla_product(dom: SubSet, conc: Mapping[int, int]) -> FnOnSub:
     """The product over positions i in conc of [delta_i = conc[i]] delta^{->i},
     evaluated at every delta of dom: the closed form of the ladder that
     concentrates at conc[i] on the positions in conc and copies elsewhere."""
-    n, members = dom.expr.n, dom.members
-    if not conc:
-        return FnOnSub._of(dom, dict.fromkeys(members, Polynomial.one(n)))
-    # the bits at the positions of conc, read off each member at once
-    at = itemgetter(*[i - 1 for i in conc])
-    want = at([conc.get(i, 0) for i in range(1, len(dom.expr) + 1)])
-    values = dict.fromkeys(members, Polynomial.zero(n))
-    for b, roots in zip(members, dom.roots()):
-        if at(b) == want:
-            values[b] = reduce(mul, [roots[i - 1] for i in conc])
-    return FnOnSub._of(dom, values)
+    f = unit(dom)
+    for i, e in conc.items():
+        f = _concentrate(f, i, e)
+    return f
 
 
 def basis(t: ReflExpr, tree: Optional[DecoTree] = None) -> Dict[Tuple[str, ...], FnOnSub]:
@@ -347,7 +355,8 @@ def basis(t: ReflExpr, tree: Optional[DecoTree] = None) -> Dict[Tuple[str, ...],
     every nabla position j, at the label e_j(L) of the path
     (L_m, ..., L_{j+1}): B(L)(delta) is the product over the nabla positions
     j of [delta_j = e_j(L)] delta^{->j}.  All elements share one domain
-    Sub(t), so its analysis is built once for all of them.  ValueError,
+    Sub(t).  B(L) is the element with a Delta at L's lowest nabla position
+    j, whose labels above j agree, concentrated at e_j(L) on j.  ValueError,
     before anything is built, if the elements would hold more than ALL_CAP
     values in all (4^m > ALL_CAP, so m > 10).
     """
@@ -357,15 +366,14 @@ def basis(t: ReflExpr, tree: Optional[DecoTree] = None) -> Dict[Tuple[str, ...],
                          f"values, more than the cap ALL_CAP = {ALL_CAP}")
     if tree is None:
         tree = DecoTree.default(m)
-    dom = enumerate_sub(t, "all")
-    out = {}
+    out = {("D",) * m: unit(enumerate_sub(t, "all"))}
     # rev = (L_m, ..., L_1) lists the words in the order of the recursive
     # construction, and rev[:m - j] is the path above position j
-    for rev in product("DN", repeat=m):
+    for rev in islice(product("DN", repeat=m), 1, None):
         L = rev[::-1]
-        out[L] = _nabla_product(dom, {j: tree.label(rev[:m - j])
-                                      for j in range(1, m + 1)
-                                      if L[j - 1] == "N"})
+        j = L.index("N") + 1
+        out[L] = _concentrate(out[L[:j - 1] + ("D",) + L[j:]], j,
+                              tree.label(rev[:m - j]))
     return out
 
 
@@ -387,7 +395,9 @@ def mu(eps: Subexpr, sub: Optional[SubSet] = None) -> FnOnSub:
         sub = enumerate_sub(eps.expr, eps.target())
     elif sub.expr != eps.expr:
         raise ValueError("sub is a set of subexpressions of another expression")
-    return FnOnSub(sub, {eps.bits: eps.weight()} if eps in sub else {})
+    zero = Polynomial.zero(eps.expr.n)
+    return FnOnSub._of(sub, {b: eps.weight() if b == eps.bits else zero
+                             for b in sub.members})
 
 
 def express_in_basis(g: FnOnSub, tree: Optional[DecoTree] = None
@@ -416,7 +426,8 @@ def express_in_basis(g: FnOnSub, tree: Optional[DecoTree] = None
         e = tree.label(path)
         out = {L + ("D",): c
                for L, c in run(h[1 - e::2], j - 1, path + ("D",)).items()}
-        v = [exact_div(h[i] - h[i ^ 1], roots[i << (m - j)][j - 1])
+        v = [exact_div(d, roots[i << (m - j)][j - 1])
+             if (d := h[i] - h[i ^ 1]).terms else d
              for i in range(e, len(h), 2)]
         out.update((L + ("N",), c)
                    for L, c in run(v, j - 1, path + ("N",)).items())
@@ -428,16 +439,16 @@ def express_in_basis(g: FnOnSub, tree: Optional[DecoTree] = None
 # -- inner product ----------------------------------------------------------
 
 def inner(g: FnOnSub, h: FnOnSub) -> RationalFn:
-    """<g|h> = sum over eps of g(eps) h(eps) / o(eps)."""
+    """<g|h> = sum over eps of g(eps) h(eps) / o(eps), on the common support."""
     g._check(h)
     if g.domain.target is None:
         raise ValueError("the inner product lives on Sub(t, w)")
-    total = RationalFn(Polynomial.zero(g.domain.expr.n))
-    for bits, roots in zip(g.domain.members, g.domain.roots()):
-        num = g.values[bits] * h.values[bits]
-        if not num.is_zero():
-            total = total + RationalFn(num, roots)
-    return total
+    n = g.domain.expr.n
+    common = [b for b, v in g.values.items() if v.terms and h.values[b].terms]
+    terms = [RationalFn(g.values[b] * h.values[b],
+                        [_root(n, x, y) for x, y in pairs])
+             for b, pairs in zip(common, _prefix_walk(g.domain.expr, common))]
+    return reduce(add, terms) if terms else RationalFn(Polynomial.zero(n))
 
 
 def pairing_matrix(A: Sequence[FnOnSub], B: Sequence[FnOnSub]):

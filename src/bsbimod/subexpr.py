@@ -37,6 +37,7 @@ __all__ = [
 
 import itertools
 from dataclasses import dataclass
+from functools import cache, reduce
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .polyring import Polynomial, act
@@ -140,13 +141,12 @@ class Subexpr:
             self.refl_at(i) for i in range(1, len(self) + 1)))
 
     def weight(self) -> Polynomial:
-        """o(eps) = prod_i eps^{->i}, the roots read from one prefix walk
-        (`_prefix_walk`)."""
+        """o(eps) = prod_i eps^{->i}, the product of the roots read from one
+        prefix walk (`_prefix_walk`), from the first root on."""
         n = self.expr.n
-        out = Polynomial.one(n)
-        for x, y in next(_prefix_walk(self.expr, [self.bits])):
-            out = out * _root(n, x, y)
-        return out
+        roots = [_root(n, x, y)
+                 for x, y in next(_prefix_walk(self.expr, [self.bits]))]
+        return reduce(Polynomial.__mul__, roots) if roots else Polynomial.one(n)
 
 
 @dataclass(frozen=True)
@@ -205,17 +205,8 @@ class SubSet:
         cached = getattr(self, "_roots_cache", None)
         if cached is None:
             n = self.expr.n
-            made: Dict[Tuple[int, int], Polynomial] = {}
-            rows = []
-            for pairs in _prefix_walk(self.expr, self.members):
-                row = []
-                for key in pairs:
-                    root = made.get(key)
-                    if root is None:
-                        root = made[key] = _root(n, *key)
-                    row.append(root)
-                rows.append(tuple(row))
-            cached = tuple(rows)
+            cached = tuple(tuple(_root(n, x, y) for x, y in pairs)
+                           for pairs in _prefix_walk(self.expr, self.members))
             object.__setattr__(self, "_roots_cache", cached)
         return cached
 
@@ -254,10 +245,12 @@ def _prefix_walk(expr: ReflExpr, members: Sequence[Bits]):
         yield pairs
 
 
+@cache
 def _root(n: int, x: int, y: int) -> Polynomial:
-    """e_x - e_y, 0-based."""
-    return Polynomial(n, {tuple(int(k == x) for k in range(n)): 1,
-                          tuple(int(k == y) for k in range(n)): -1})
+    """e_x - e_y, 0-based: one shared, immutable object per (n, x, y), so
+    at most n(n - 1) per rank are ever built."""
+    return Polynomial._of(n, {tuple(int(k == x) for k in range(n)): 1,
+                              tuple(int(k == y) for k in range(n)): -1})
 
 
 def _mask(positions: Sequence[int]) -> int:
@@ -394,6 +387,7 @@ class SubAnalysis:
         self.adj = tuple(adj)
         self._reach: Dict[int, tuple] = {}
         self._conditions: Dict[bool, list] = {}  # [listed, source or None]
+        self._tables: Dict[bool, Optional[tuple]] = {}  # condition_table
         self.closeness_memo: Dict[Tuple[int, str], tuple] = {}
 
     def reach(self, i: int) -> tuple:
@@ -446,6 +440,22 @@ class SubAnalysis:
                     raise item
                 yield item
         return iter(listed) if source is None else replay()
+
+    def condition_table(self, even: bool) -> Optional[tuple]:
+        """(all of `conditions(even)`, per member j the indices of those that
+        read j), built once; None if a fold leaves the set."""
+        if even not in self._tables:
+            self._tables[even] = None
+            try:
+                listed = list(self.conditions(even))
+            except ValueError:
+                return None
+            touching = [[] for _ in self.members]
+            for k, (_, _, _, terms) in enumerate(listed):
+                for j, _ in terms:
+                    touching[j].append(k)
+            self._tables[even] = listed, touching
+        return self._tables[even]
 
     def require(self, eps: Subexpr) -> int:
         """The index of eps; ValueError if eps is not a member."""

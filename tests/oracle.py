@@ -5,21 +5,23 @@ every head product and inverts it; the M_p and fold tables of `SubAnalysis`
 built from one `Subexpr` per member; brute-force versions of the
 subexpression graph, frozen sets, connected components, closeness and the
 family growth it drives on frozensets of bits, the forest rank and its
-cycle witness, the divisibility conditions behind membership and sigma, the
-condition stream with each submask's folds found by scanning 0..S, the
-residual constraints, exact division with two `Polynomial`s per
-long-division step, root-power divisibility by repeated exact division, and
-the substitution test on exponent tuples after summing the signed parts;
-module division that scans every basis element for a divisor and subtracts
-one new element per step, with a dense quotient list; the Delta/nabla
-elements (basis, nabla_X, mu) built by climbing the copy/concentration
-ladder one position at a time, and the basis coefficients found by
-descending the copy/restriction/divided-difference ladder; the localization
-of a pure tensor member by member, the polynomial product with exponents
-summed by a generator, the row reduction of linear forms on `Fraction`
-rows; and Buchberger completion with dense representation tracking followed
-by a second pass that reduces every S-pair of the finished basis again for
-its syzygies, and the free resolution on those dense syzygies, minimised by
+cycle witness, the divisibility conditions behind membership and sigma
+(raising where a fold leaves a restricted domain), the condition stream
+with each submask's folds found by scanning 0..S, the residual constraints,
+exact division with two `Polynomial`s per long-division step, root-power
+divisibility by repeated exact division, and the substitution test on
+exponent tuples after summing the signed parts; module division that scans
+every basis element for a divisor and subtracts one new element per step,
+with a dense quotient list; the Delta/nabla elements (basis, nabla_X, mu)
+built by climbing the copy/concentration ladder one position at a time, and
+the basis coefficients found by descending the
+copy/restriction/divided-difference ladder; the pairing summed over every
+member, with the roots of one `Subexpr` each; the localization of a pure
+tensor member by member, the polynomial product with exponents summed by a
+generator, the row reduction of linear forms on `Fraction` rows; and
+Buchberger completion with dense representation tracking followed by a
+second pass that reduces every S-pair of the finished basis again for its
+syzygies, and the free resolution on those dense syzygies, minimised by
 unit cancellation on dense matrices that rescans from the lowest level
 after every pivot; and the Hilbert-series numerator of a leading-term
 module by the colon-ideal recursion, which any resolution's graded Euler
@@ -29,9 +31,10 @@ edge-list adjacencies, divide polynomials, build a `Polynomial` per
 division step, enumerate a prefix domain per ladder step and reduce every
 S-pair twice on every call, as the library did before it enumerated by meet
 in the middle, keyed the heads by left action on `bytes` words, found M_p
-by one prefix walk per member, grew families on member masks, read these
-from the cached `SubSet.analysis()`, tested divisibility by substitution on
-packed monomials, listed conditions from per-size fold templates, divided
+by one prefix walk per member, grew families on member masks, paired and
+checked membership on supports, read these from the cached
+`SubSet.analysis()`, tested divisibility by substitution on packed
+monomials, listed conditions from per-size fold templates, divided
 polynomials and module elements on one coefficient dict, divided by a root
 in one linear pass, addressed the values of the basis recursion by member
 index, evaluated the nabla products in closed form, read the syzygies from
@@ -51,7 +54,7 @@ from bsbimod.locmod import DecoTree, FnOnSub, unit
 from bsbimod.orderalg import (AlgoResult, ClosenessCert, Congruence,
                               ResidualReport, _detect_string)
 from bsbimod.polyring import (GradedRank, InvariantError, NotDivisible,
-                              Polynomial, act)
+                              Polynomial, RationalFn, act)
 from bsbimod.strmod import (FreeModElem, FreeModule, ModOrder, _mono_lcm,
                             _mono_sub)
 from bsbimod.subexpr import (Subexpr, SubSet, SubGraph, enumerate_sub,
@@ -429,7 +432,8 @@ def sigma(g: FnOnSub, eps: Subexpr, X: Sequence[int], variant: str = "full"
 
 def condition_stream(g: FnOnSub, variant: str):
     """(eps, p, X) with X a nonempty subset of M_p(eps), deduplicated across
-    the =._p class action, in lexicographic order."""
+    the =._p class action, in lexicographic order.  ValueError at the first
+    (eps, p, X) one of whose folds leaves the domain."""
     seen = set()
     for bits in g.domain.members:
         eps = Subexpr(g.domain.expr, bits)
@@ -439,7 +443,11 @@ def condition_stream(g: FnOnSub, variant: str):
                     continue
                 folds = (_all_subsets(X) if variant == "full"
                          else _even_subsets(X))
-                rep = min(eps.fold(Y).bits for Y in folds)
+                reached = [eps.fold(Y).bits for Y in folds]
+                if any(b not in g.domain for b in reached):
+                    raise ValueError("a fold of the subexpression leaves "
+                                     "the set")
+                rep = min(reached)
                 key = (p, X, rep)
                 if key in seen:
                     continue
@@ -725,6 +733,19 @@ def mu(eps: Subexpr, sub: Optional[SubSet] = None) -> FnOnSub:
     if sub is None:
         sub = enumerate_sub(eps.expr, eps.target())
     return nabla_X(eps, range(1, len(eps) + 1)).restrict_to(sub)
+
+
+def inner(g: FnOnSub, h: FnOnSub) -> RationalFn:
+    """<g|h> summed over every member: g(eps) h(eps) / o(eps), with the
+    roots of o(eps) read off one `Subexpr` per member."""
+    total = RationalFn(Polynomial.zero(g.domain.expr.n))
+    for bits in g.domain.members:
+        num = g.values[bits] * h.values[bits]
+        if not num.is_zero():
+            eps = Subexpr(g.domain.expr, bits)
+            total = total + RationalFn(num, [eps.root_before(k)
+                                             for k in range(1, len(eps) + 1)])
+    return total
 
 
 def res_tensor(t: ReflExpr, a: Sequence[Polynomial]) -> FnOnSub:

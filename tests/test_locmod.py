@@ -84,6 +84,21 @@ class TestFnOnSub:
             assert (g * h)(b) == g(b) * h(b)
             assert g.left_mul(e(1))(b) == e(1) * g(b)
 
+    def test_values_in_member_order(self):
+        # the constructor keys every member in member order, whatever order
+        # its values come in, so pointwise operations can pair two
+        # functions' values in turn; zero values pass through them
+        sub = enumerate_sub(small_expr(), "all")
+        first, last = sub.members[0], sub.members[-1]
+        g = FnOnSub(sub, {last: e(1), first: e(2)})
+        h = FnOnSub(sub, {first: e(3)})
+        for f in (g, h, g + h, h + g, g.left_mul(e(1))):
+            assert list(f.values) == list(sub.members)
+        assert (g + h).values == {**g.values, first: e(2) + e(3)}
+        assert (h + g).values == (g + h).values
+        with pytest.raises(ValueError, match="rank mismatch"):
+            FnOnSub(sub, {}).left_mul(Polynomial.var(4, 1))
+
     def test_json_round_trip(self, rng):
         sub = enumerate_sub(small_expr(), Permutation.identity(3))
         g = random_fn(rng, sub)
@@ -538,3 +553,120 @@ class TestNablaAgainstLadder:
             nabla_X(eps, (3,))
         with pytest.raises(ValueError):
             mu(eps, enumerate_sub(ReflExpr(3, t.entries[:1]), "all"))
+
+
+@st.composite
+def sparse_fns(draw, sub):
+    """A function on sub, zero off a random subset of its members, with
+    constant, linear and inhomogeneous nonzero values."""
+    factors = tensor_factors(sub.expr.n).filter(lambda f: not f.is_zero())
+    return FnOnSub(sub, {b: draw(factors) for b in sub.members
+                         if draw(st.booleans())})
+
+
+def same_rational(got, want) -> bool:
+    """Equal numerators, denominator factors and scalars, not just equal
+    values."""
+    return (got.num, got.den_factors, got.den_scalar) == \
+        (want.num, want.den_factors, want.den_scalar)
+
+
+class TestSupportsAgainstOracle:
+    """The pairing on the common support against the all-member sum of the
+    oracle, and membership on the conditions a support touches against the
+    oracle's scan of every condition."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(exprs(max_len=5), st.data())
+    def test_inner_on_sparse_functions(self, t, data):
+        # two sparse functions, a function on the members where the first
+        # is zero (disjoint supports), and the zero function
+        sub = enumerate_sub(t, draw_member(data, t).target())
+        g, h = data.draw(sparse_fns(sub)), data.draw(sparse_fns(sub))
+        off = FnOnSub(sub, {b: v for b, v in h.values.items()
+                            if g.values[b].is_zero()})
+        zero = FnOnSub(sub, {})
+        for a, b in ((g, h), (h, g), (g, g), (g, off), (off, g), (g, zero),
+                     (zero, zero)):
+            assert same_rational(inner(a, b), oracle.inner(a, b))
+        assert inner(g, off).num.is_zero() and inner(g, zero).num.is_zero()
+
+    @settings(max_examples=40, deadline=None)
+    @given(exprs(max_len=5), st.data())
+    def test_mu_against_restricted_basis_element(self, t, data):
+        B = basis(t, data.draw(trees(len(t))))
+        eps = draw_member(data, t)
+        sub = enumerate_sub(t, eps.target())
+        r = B[data.draw(st.sampled_from(sorted(B)))].restrict_to(sub)
+        got = inner(mu(eps), r)
+        assert same_rational(got, oracle.inner(oracle.mu(eps), r))
+        assert got.in_R() and got.as_poly() == r(eps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(exprs(max_len=5), st.data())
+    def test_membership_with_a_perturbed_member(self, t, data):
+        # a sparse combination of basis elements on Sub(t), and restricted to
+        # Sub(t, w), each with one member perturbed, on or off the support
+        n = t.n
+        B = basis(t, data.draw(trees(len(t))))
+        g = FnOnSub(enumerate_sub(t, "all"), {})
+        for L in data.draw(st.lists(st.sampled_from(sorted(B)), min_size=1,
+                                    max_size=3)):
+            g = g + B[L].left_mul(Polynomial.var(
+                n, data.draw(st.integers(1, n))))
+        sub = enumerate_sub(t, draw_member(data, t).target())
+        for kind, h in (("X(t)", g), ("Xw", g.restrict_to(sub)),
+                        ("X^w", g.restrict_to(sub))):
+            b = data.draw(st.sampled_from(h.domain.members))
+            extra = data.draw(st.sampled_from([
+                Polynomial.const(n, data.draw(scalars.filter(bool))),
+                Polynomial.var(n, 1),
+                Polynomial.var(n, 1) - Polynomial.var(n, 2)]))
+            f = FnOnSub(h.domain, {**h.values, b: h.values[b] + extra})
+            for x in (h, f):
+                assert membership(x, kind) == oracle.membership(x, kind)
+
+    def test_first_failure_is_not_the_first_condition(self):
+        # B(NNN) is nonzero at member 000 alone; a constant added at member
+        # 111 breaks only conditions that read 111, and the first of them
+        # comes after conditions that read 000
+        t = ReflExpr(3, (s12(), Reflection(2, 3, 3), s12()))
+        g = basis(t)[("N", "N", "N")]
+        assert [b for b, v in g.values.items() if v.terms] == [(0, 0, 0)]
+        f = FnOnSub(g.domain, {**g.values, (1, 1, 1): Polynomial.one(3)})
+        got = membership(f, "X(t)")
+        assert got == oracle.membership(f, "X(t)")
+        first = next(g.domain.analysis().conditions(False))
+        assert not got[0] and got[1][0].bits != g.domain.members[first[0]]
+        assert membership(g, "X(t)") == (True, None)
+
+    @settings(max_examples=80, deadline=None)
+    @given(exprs(max_len=5), st.booleans(), st.data())
+    def test_membership_on_restricted_domains(self, t, on_all, data):
+        # a SubSet.restrict-built domain need not be closed under folds: a
+        # fold leaving it raises ValueError where the scan meets it, unless
+        # an earlier condition fails
+        sub = enumerate_sub(t, "all" if on_all else
+                            draw_member(data, t).target())
+        sub = sub.restrict([b for b in sub.members if data.draw(st.booleans())])
+        f = data.draw(sparse_fns(sub))
+        kind = "X(t)" if on_all else data.draw(st.sampled_from(["Xw", "X^w"]))
+        try:
+            want = oracle.membership(f, kind)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                membership(f, kind)
+        else:
+            assert membership(f, kind) == want
+
+    def test_fold_leaving_a_restricted_domain_raises(self):
+        # on {00, 01} of Sub((1,2)(1,2)) the fold of 00 at position 1 leaves
+        # the set, in the first condition: a function with a zero value
+        # raises there as one without
+        t = ReflExpr(2, (Reflection(1, 2, 2), Reflection(1, 2, 2)))
+        sub = enumerate_sub(t, "all").restrict([(0, 0), (0, 1)])
+        one = Polynomial.one(2)
+        for values in ({(0, 0): one}, {(0, 1): one}, {(0, 0): one, (0, 1): one}):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="leaves the set"):
+                    membership(FnOnSub(sub, values), "X(t)")

@@ -8,9 +8,14 @@ expression.  Per m, each phase is timed on its own:
   membership_s  `locmod.membership(B(L), "X(t)")` for all 2^m elements;
   combine_s     g = sum_L c_L B(L) by `left_mul` by a constant and `+`,
                 with seeded integer c_L in -3..3;
-  express_s     `locmod.express_in_basis(g)`, checked to give back c_L.
+  express_s     `locmod.express_in_basis(g)`, checked to give back c_L;
+  pair_s        as the basis workload pairs: <mu_b | r> by `locmod.mu` and
+                `locmod.inner` for 4 seeded elements B(L) restricted to
+                Sub(t, w), w the target of a seeded member, and up to 3
+                seeded members b of Sub(t, w), with a fresh Sub(t, w) per
+                mu_b; each pairing is checked to be r(b).
 
-Each phase, and the total of the four, reports the median process time
+Each phase, and the total of the five, reports the median process time
 over REPEATS interleaved repeats (`timing.py`).  The file also records
 the provenance of the measurement (`provenance.py`).  With --parent, a
 result file written by this script for another checkout of the package
@@ -29,13 +34,14 @@ import time
 
 from bsbimod import locmod
 from bsbimod.polyring import Polynomial
+from bsbimod.subexpr import Subexpr, enumerate_sub
 from provenance import provenance
 from res_tensor_scale import N, instance
 from timing import interleaved_medians
 
 M_RANGE = range(4, 10)
 REPEATS = 7
-PHASES = ("basis_s", "membership_s", "combine_s", "express_s")
+PHASES = ("basis_s", "membership_s", "combine_s", "express_s", "pair_s")
 
 
 def round_trip(m: int) -> dict:
@@ -59,8 +65,20 @@ def round_trip(m: int) -> dict:
     c4 = clock()
     if coeffs != want:
         raise SystemExit(f"m={m}: express_in_basis missed the coefficients")
-    return {**dict(zip(PHASES, (c1 - c0, c2 - c1, c3 - c2, c4 - c3))),
-            "total_s": c4 - c0}
+    pick = random.Random(f"pair-{m}")
+    subw = enumerate_sub(t, Subexpr(t, [pick.randint(0, 1)
+                                        for _ in range(m)]).target())
+    rs = [B[L].restrict_to(subw) for L in pick.sample(sorted(B), 4)]
+    members = pick.sample(subw.members, min(3, len(subw)))
+    c5 = clock()
+    pairings = [[locmod.inner(locmod.mu(Subexpr(t, b)), r) for r in rs]
+                for b in members]
+    c6 = clock()
+    for b, row in zip(members, pairings):
+        if any(not v.in_R() or v.as_poly() != r(b) for v, r in zip(row, rs)):
+            raise SystemExit(f"m={m}: a pairing <mu_b | r> is not r(b)")
+    times = (c1 - c0, c2 - c1, c3 - c2, c4 - c3, c6 - c5)
+    return {**dict(zip(PHASES, times)), "total_s": sum(times)}
 
 
 def main(out_path: str, parent_path) -> None:
@@ -73,8 +91,8 @@ def main(out_path: str, parent_path) -> None:
     result = {
         "what": f"in-process process time of the basis round trip on S_{N} "
                 f"(basis, X(t) membership of every element, combination, "
-                f"express_in_basis), median of {REPEATS} interleaved "
-                f"repeats per m",
+                f"express_in_basis, mu/inner pairings on Sub(t, w)), median "
+                f"of {REPEATS} interleaved repeats per m",
         **provenance(),
         "runs": rows,
     }
