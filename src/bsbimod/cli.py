@@ -297,11 +297,11 @@ def cmd_st(args) -> int:
     gens = strmod.st_generators(n_roots, extra=extra)
     _, order = strmod.st_ambient(n_roots, extra=extra)
     if args.action == "pd":
-        p, degrees = strmod.pd(gens, order)
+        p, degrees, certified = strmod.certified_pd(gens, order)
         print(f"pd = {p}")
         print(f"resolution degrees: {degrees}")
         if args.json:
-            _emit_json({"pd": p, "degrees": degrees,
+            _emit_json({"pd": p, "degrees": degrees, "certified": certified,
                         "ranks": [str(r)
                                   for r in strmod.resolution_ranks(degrees)]},
                        args.json)

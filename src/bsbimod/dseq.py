@@ -139,11 +139,14 @@ def verify_solutions(table: SolutionTable) -> bool:
 def chord_label(table: SolutionTable) -> SolutionTable:
     """Attach the two chord labelings: for each row there are exactly two
     doubled reflections p, q with residue sets A and 1+A; the row is
-    e^{A, .} = e^{., 1+A}, with t(A) = p and alpha^A the root of p."""
+    e^{A, .} = e^{., 1+A}, with t(A) = p and alpha^A the root of p.  The
+    M_p sets are read from the analysis of `table.sub`."""
     n, N = table.n, 2 * table.n - 1
     chords = {c.members(): c for c in all_chords(n)}
+    an = table.sub.analysis()
     for l, eps in table.rows.items():
-        doubled = [(p, M) for p, M in eps.all_M().items() if len(M) == 2]
+        doubled = [(p, M) for p, M, _ in an.per_p[an.index[eps.bits]]
+                   if len(M) == 2]
         if len(doubled) != 2:
             raise InvariantError(f"row {l}: expected two doubled reflections")
         data = []
@@ -215,12 +218,9 @@ def structure_checks(table: SolutionTable) -> dict:
 
     # one-step row folding: f_{l, l+n-1} e^(l-1) = e^(l), cyclically
     # (positions taken in the unshifted table, then moved by -k)
-    ok = True
-    for l in range(N):
-        pos = tuple(sorted({_cyc(l - k, N), _cyc(l + n - 1 - k, N)}))
-        if table.row(l - 1).fold(pos).bits != table.row(l).bits:
-            ok = False
-    rep["row_folding"] = ok
+    rep["row_folding"] = all(
+        table.row(l - 1).fold((_cyc(l - k, N), _cyc(l + n - 1 - k, N))).bits
+        == table.row(l).bits for l in range(N))
 
     # folding formulas on expressions; the first is valid for
     # 1-n <= k <= n-1 (all of the canonical window), the second for
@@ -290,12 +290,9 @@ def structure_checks(table: SolutionTable) -> dict:
                     and all(a.bit_count() == 2 for a in sub.analysis().adj))
 
     # linear independence of alpha^{1+A}..alpha^{n-1+A}
-    ok = True
-    for A in table.label_first:
-        roots = [table.alpha[A + j] for j in range(1, n)]
-        if not _roots_independent(roots):
-            ok = False
-    rep["roots_independent"] = ok
+    rep["roots_independent"] = all(
+        _roots_independent([table.alpha[A + j] for j in range(1, n)])
+        for A in table.label_first)
 
     rep["ok"] = all(bool(v) for v in rep.values())
     return rep

@@ -391,8 +391,12 @@ def mu(eps: Subexpr, sub: Optional[SubSet] = None) -> FnOnSub:
     """mu_eps: nabla at every position, on Sub(t, target(eps)) unless sub is
     given; nonzero only at eps (when eps lies in the domain), with value
     o(eps)."""
-    if sub is None:
-        sub = enumerate_sub(eps.expr, eps.target())
+    if sub is None:   # eps^max in one walk of its images
+        w = list(range(1, eps.expr.n + 1))
+        for r, bit in zip(eps.expr.entries, eps.bits):
+            if bit:
+                w[r.i - 1], w[r.j - 1] = w[r.j - 1], w[r.i - 1]
+        sub = enumerate_sub(eps.expr, Permutation(tuple(w)))
     elif sub.expr != eps.expr:
         raise ValueError("sub is a set of subexpressions of another expression")
     zero = Polynomial.zero(eps.expr.n)

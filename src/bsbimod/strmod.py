@@ -6,12 +6,16 @@ together with their duals.  Buchberger is a completion only: it reduces
 each S-pair once and keeps no relation.
 
 A resolution completes once, for F_0; every level above is Schreyer's,
-ordered as the level below induces, and its columns, S-pairs reduced once
-each, are already a Groebner basis of the next syzygies.  It has at most
-as many levels as variables.  Those sparse columns are the differentials,
-and minimization cancels units on them.  The first level is the one place
-where syzygies are built: `syzygies` of a Groebner basis reads it, mapped
-back to input order.
+ordered as the level below induces, with at most as many levels as
+variables.  Its shape (which S-pairs each level reduces, their leading
+terms and degrees) comes from leading monomials alone.  Its columns, those
+S-pairs reduced once each, are already a Groebner basis of the next
+syzygies; they are the sparse differentials, and minimization cancels
+units on them.  A unit joins two generators of one degree at consecutive
+levels, so where no two consecutive levels share a degree, `pd` reads the
+minimal degrees off the shape and reduces no S-pair above F_0.  The first
+level is the one place where syzygies are built: `syzygies` of a Groebner
+basis reads it, mapped back to input order.
 
 A module element is immutable and stored as one coefficient dict
 {(generator index, exponent): coefficient}, with `Polynomial` coordinate
@@ -36,7 +40,7 @@ __all__ = [
     "FreeModule", "FreeModElem", "ModOrder", "GroebnerBasis",
     "reduce_elem", "buchberger", "syzygies", "free_resolution", "pd",
     "coordinate_change", "st_generators", "st_membership", "st_ambient",
-    "q_generators", "theta_generators", "dual_toolkit",
+    "q_generators", "theta_generators", "dual_toolkit", "certified_pd",
     "minimize_resolution", "resolution_ranks",
 ]
 
@@ -45,6 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from bisect import insort
+from itertools import combinations
 from operator import add, le, sub
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -386,7 +391,9 @@ def syzygies(gb: GroebnerBasis, n_gens: int) -> List[List[Polynomial]]:
     if not G:
         return []
     perm = _position_first(G, gb.order)
-    cols, _, _ = _schreyer_level([G[k] for k in perm], gb.order)
+    elems = [G[k] for k in perm]
+    cols, _ = _schreyer_level(elems, gb.order, _frame_pairs(
+        [f.leading(gb.order)[:2] for f in elems]))
     zero = Polynomial.zero(G[0].ambient.n_vars)
     rows = [{perm[i]: p for i, p in col.coords.items()} for col in cols]
     return [[row.get(k, zero) for k in range(n_gens)] for row in rows]
@@ -401,13 +408,14 @@ def free_resolution(gens: Sequence[FreeModElem], order: ModOrder):
     F_{k+1}, with no zero entries.
 
     F_0 is free on the Groebner basis that `buchberger` completes `gens`
-    to, the one completion, and every level above is one `_schreyer_level`
-    step over the columns of the level below.  In the order of that step
-    level k's leading monomials miss the top k variables, so there are at
-    most n_vars levels after F_0 (Eisenbud, Commutative Algebra, Cor.
-    15.11).
+    to, the one completion; every level above is one `_schreyer_level` on
+    the pairs of `_frame_shape`.  In the order of that step level k's
+    leading monomials miss the top k variables, so there are at most n_vars
+    levels after F_0 (Eisenbud, Commutative Algebra, Cor. 15.11).
     """
-    return _schreyer_frame(buchberger(gens, order), order)
+    gb = buchberger(gens, order)
+    return _schreyer_frame(
+        [gb.elements[k] for k in _position_first(gb.elements, order)], order)
 
 
 def _position_first(elems: Sequence[FreeModElem], order: ModOrder
@@ -421,22 +429,57 @@ def _position_first(elems: Sequence[FreeModElem], order: ModOrder
     return sorted(range(len(elems)), key=key)
 
 
-def _schreyer_level(elems: Sequence[FreeModElem], order: ModOrder):
+def _frame_pairs(leads: Sequence[Tuple[int, Mono]]):
     """
-    One level of Schreyer's frame: generators of the syzygies of the
-    Groebner basis `elems` under `order`, listed as `_position_first`
-    lists them.  Returns (cols, degrees, upper): the columns as elements of
-    the free module on `elems`, each of which gets the degree of its
-    leading term, their degrees, and Schreyer's order `upper` that `elems`
-    induce, under which the columns are again a Groebner basis.
+    The pairs (a, ua, b, ub) whose S-pairs give one level of Schreyer's
+    frame, in column order, over leading terms [(position, exponent)]
+    `leads`: for a < b in one position and m the lcm of their monomials,
+    ua = m/m_a and ub = m/m_b.  Per b, the ub that minimally generate are
+    enough (Schreyer's theorem), each from its first a, in ascending order.
+    """
+    buckets: Dict[int, List[Tuple[Mono, int]]] = {}
+    for k, (g, e) in enumerate(leads):
+        buckets.setdefault(g, []).append((e, k))
+    out = []
+    # positions and indices ascend together, so b ascends
+    for bucket in buckets.values():
+        for t, (mb, b) in enumerate(bucket):
+            pairs: Dict[Mono, Tuple[Mono, int]] = {}
+            for ma, a in bucket[:t]:
+                pairs.setdefault(_mono_sub(_mono_lcm(ma, mb), mb), (ma, a))
+            kept: List[Mono] = []
+            # ascending, so a divisor of ub comes before ub
+            for ub in sorted(pairs, key=lambda u: u[::-1]):
+                if any(all(map(le, v, ub)) for v in kept):
+                    continue
+                kept.append(ub)
+                ma, a = pairs[ub]
+                out.append((a, _mono_sub(tuple(map(add, mb, ub)), ma), b, ub))
+    return out
 
-    For a < b with leading terms c_a m_a, c_b m_b in one position and m =
-    lcm(m_a, m_b), the S-pair (m/m_a) f_a / c_a - (m/m_b) f_b / c_b
-    reduces to sum q_k f_k, and the syzygy (m/m_a) E_a / c_a - (m/m_b) E_b
-    / c_b - sum q_k E_k leads with (m/m_b) E_b.  Per b, the pairs whose
-    m/m_b minimally generate are still a Groebner basis of the syzygies
-    (Schreyer's theorem), so each is reduced once, in ascending order of
-    m/m_b.
+
+def _frame_shape(elems: Sequence[FreeModElem], order: ModOrder):
+    """(degrees, levels): the degrees of every F_k of `_schreyer_frame`
+    over `elems`, and the `_frame_pairs` of every F_k above F_0, with no
+    column built: the column of (a, ua, b, ub) leads with ub E_b."""
+    degrees = [[f.homogeneous_degree() for f in elems]] if elems else []
+    levels = []
+    pairs = _frame_pairs([f.leading(order)[:2] for f in elems])
+    while pairs:
+        levels.append(pairs)
+        degrees.append([2 * sum(ub) + degrees[-1][b] for _, _, b, ub in pairs])
+        pairs = _frame_pairs([(b, ub) for _, _, b, ub in pairs])
+    return degrees, levels
+
+
+def _schreyer_level(elems: Sequence[FreeModElem], order: ModOrder, pairs):
+    """
+    (cols, upper): the columns of one level of Schreyer's frame over the
+    Groebner basis `elems` under `order`, one per pair of `_frame_pairs`,
+    and the order `upper` that `elems` induce, under which they are again a
+    Groebner basis.  With c the leading coefficients, the S-pair ua f_a /
+    c_a - ub f_b / c_b reduces to sum q_k f_k, and the syzygy ua E_a / c_a
+    - ub E_b / c_b - sum q_k E_k leads with ub E_b.
     """
     index = _LeadIndex(elems, order)
     leads = [f.leading(order) for f in elems]
@@ -446,56 +489,36 @@ def _schreyer_level(elems: Sequence[FreeModElem], order: ModOrder):
     upper = ModOrder(tuple(order.rank[g] for g, _, _ in leads),
                      tuple(tuple(map(add, e, order.shift[g]))
                            for g, e, _ in leads))
-    cols, deg = [], []
-    # positions and indices ascend together, so b ascends
-    for bucket in index.buckets.values():
-        for t, (mb, b, cb) in enumerate(bucket):
-            pairs: Dict[Mono, Tuple[Mono, int, Scalar]] = {}
-            for ma, a, ca in bucket[:t]:
-                pairs.setdefault(_mono_sub(_mono_lcm(ma, mb), mb),
-                                 (ma, a, ca))
-            xb = _ratio(-1, cb)
-            kept: List[Mono] = []
-            # ascending, so a divisor of ub comes before ub
-            for ub in sorted(pairs, key=lambda u: u[::-1]):
-                if any(all(map(le, v, ub)) for v in kept):
-                    continue
-                kept.append(ub)
-                ma, a, ca = pairs[ub]
-                ua = _mono_sub(tuple(map(add, mb, ub)), ma)
-                xa = _ratio(1, ca)
-                quots, rem = reduce_elem(
-                    _spair(elems[a], ua, xa, elems[b], ub, xb), index, order)
-                if rem.terms:
-                    raise InvariantError("an S-pair of a Groebner basis "
-                                         "left a remainder")
-                # every q_k E_k is below both pair terms: no key repeats
-                terms = {(a, ua): xa, (b, ub): xb}
-                for k, q in quots.items():
-                    for e, c in q.terms.items():
-                        terms[(k, e)] = -c
-                col = FreeModElem._raw(amb, terms)
-                col._leads[upper] = (b, ub, xb)
-                cols.append(col)
-                deg.append(2 * sum(ub) + amb.gen_degrees[b])
-    return cols, deg, upper
+    cols = []
+    for a, ua, b, ub in pairs:
+        xa, xb = _ratio(1, leads[a][2]), _ratio(-1, leads[b][2])
+        quots, rem = reduce_elem(
+            _spair(elems[a], ua, xa, elems[b], ub, xb), index, order)
+        if rem.terms:
+            raise InvariantError("an S-pair of a Groebner basis left a "
+                                 "remainder")
+        # every q_k E_k is below both pair terms: no key repeats
+        terms = {(a, ua): xa, (b, ub): xb}
+        for k, q in quots.items():
+            for e, c in q.terms.items():
+                terms[(k, e)] = -c
+        col = FreeModElem._raw(amb, terms)
+        col._leads[upper] = (b, ub, xb)
+        cols.append(col)
+    return cols, upper
 
 
-def _schreyer_frame(gb: GroebnerBasis, order: ModOrder):
-    """The resolution of `free_resolution`, from the completed basis `gb`
-    of the module under `order`."""
-    elems = [gb.elements[k] for k in _position_first(gb.elements, order)]
+def _schreyer_frame(elems: Sequence[FreeModElem], order: ModOrder, shape=None):
+    """The resolution of `free_resolution` over its basis `elems`, listed
+    by `_position_first`, on `shape` (`_frame_shape` when None)."""
     if not elems:
         return [[]], []
-    degrees = [[f.homogeneous_degree() for f in elems]]
+    degrees, levels = shape or _frame_shape(elems, order)
     diffs: List[List[Dict[int, Polynomial]]] = []
-    while True:
-        cols, deg, order = _schreyer_level(elems, order)
-        if not cols:
-            return degrees, diffs
-        degrees.append(deg)
-        diffs.append([f.coords for f in cols])
-        elems = cols
+    for pairs in levels:
+        elems, order = _schreyer_level(elems, order, pairs)
+        diffs.append([f.coords for f in elems])
+    return degrees, diffs
 
 
 def minimize_resolution(degrees, diffs):
@@ -562,16 +585,22 @@ def resolution_ranks(degrees) -> List[GradedRank]:
 
 
 def pd(gens: Sequence[FreeModElem], order: ModOrder):
-    """Projective dimension via the minimized resolution.  Returns
-    (pd, degrees of the minimal resolution, each level in ascending
-    order)."""
-    return _pd(free_resolution(gens, order))
+    """(pd, degrees of the minimal resolution, each level in ascending
+    order), as `certified_pd` finds them."""
+    return certified_pd(gens, order)[:2]
 
 
-def _pd(resolution):
-    """`pd` from the (degrees, diffs) of a free resolution."""
-    degrees, _ = minimize_resolution(*resolution)
-    return len(degrees) - 1, [sorted(level) for level in degrees]
+def certified_pd(gens: Sequence[FreeModElem], order: ModOrder):
+    """(pd, degrees, certified): certified when no two consecutive levels
+    of the frame's shape share a degree, so the frame is minimal and no
+    column is built; otherwise the shape's columns are minimized."""
+    gb = buchberger(gens, order)
+    elems = [gb.elements[k] for k in _position_first(gb.elements, order)]
+    shape = degrees, _ = _frame_shape(elems, order)
+    certified = not any(set(a) & set(b) for a, b in zip(degrees, degrees[1:]))
+    if not certified:
+        degrees = minimize_resolution(*_schreyer_frame(elems, order, shape))[0]
+    return len(degrees) - 1, [sorted(level) for level in degrees], certified
 
 
 # -- string modules ----------------------------------------------------------
@@ -607,13 +636,9 @@ def st_generators(n: int, extra: int = 0) -> List[FreeModElem]:
     amb, _ = st_ambient(n, extra)
     nv = amb.n_vars
     out = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            xi = Polynomial.var(nv, i)
-            xj = Polynomial.var(nv, j)
-            prod = xi * xj
-            coords = {k - 1: prod for k in range(i, j)}
-            out.append(FreeModElem(amb, coords))
+    for i, j in combinations(range(1, n + 1), 2):
+        prod = Polynomial.var(nv, i) * Polynomial.var(nv, j)
+        out.append(FreeModElem(amb, {k - 1: prod for k in range(i, j)}))
     return out
 
 
@@ -637,9 +662,8 @@ def st_membership(f: FreeModElem, n: int) -> bool:
 
 
 def _pair_index(n: int):
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    idx = {p: k for k, p in enumerate(pairs)}
-    return pairs, idx
+    pairs = list(combinations(range(1, n + 1), 2))
+    return pairs, {p: k for k, p in enumerate(pairs)}
 
 
 def _pair_order(n: int, n_vars: int) -> ModOrder:
@@ -658,14 +682,12 @@ def q_generators(n: int, extra: int = 0):
     amb = FreeModule(nv, (4,) * len(pairs))
     order = _pair_order(n, nv)
     out = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                out.append(FreeModElem(amb, {
-                    idx[(i, k)]: Polynomial.var(nv, j),
-                    idx[(i, j)]: -Polynomial.var(nv, k),
-                    idx[(j, k)]: -Polynomial.var(nv, i),
-                }))
+    for i, j, k in combinations(range(1, n + 1), 3):
+        out.append(FreeModElem(amb, {
+            idx[(i, k)]: Polynomial.var(nv, j),
+            idx[(i, j)]: -Polynomial.var(nv, k),
+            idx[(j, k)]: -Polynomial.var(nv, i),
+        }))
     return out, amb, order
 
 
@@ -708,14 +730,11 @@ def dual_toolkit(n: int, extra: int = 0) -> dict:
     for th in thetas:
         coords = th.coords
         entry = {p: coords.get(idx[p], zero) for p in pairs}
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for k in range(j + 1, n + 1):
-                    lhs = (Polynomial.var(nv, k) * entry[(i, j)]
-                           + Polynomial.var(nv, i) * entry[(j, k)])
-                    rhs = Polynomial.var(nv, j) * entry[(i, k)]
-                    if lhs != rhs:
-                        ok = False
+        for i, j, k in combinations(range(1, n + 1), 3):
+            lhs = (Polynomial.var(nv, k) * entry[(i, j)]
+                   + Polynomial.var(nv, i) * entry[(j, k)])
+            if lhs != Polynomial.var(nv, j) * entry[(i, k)]:
+                ok = False
     report["triple_relations"] = ok
 
     # sum x_h theta^(h) = 0
@@ -731,8 +750,8 @@ def dual_toolkit(n: int, extra: int = 0) -> dict:
     # the one resolution, from the one completion gb; when the thetas are
     # the basis, its first level, read in theta order, generates their
     # syzygies, and each must reduce to a multiple of w
-    resolution = _schreyer_frame(gb, order)
     perm = _position_first(gb.elements, order)
+    resolution = _schreyer_frame([gb.elements[k] for k in perm], order)
     eps_amb = FreeModule(nv, (-2,) * n)
     eps_order = ModOrder.standard(n, nv)
     w = FreeModElem(eps_amb, {h: Polynomial.var(nv, h + 1) for h in range(n)})
@@ -744,9 +763,9 @@ def dual_toolkit(n: int, extra: int = 0) -> dict:
     report["kernel_is_w"] = all_in_w and report["sum_zero"]
 
     # minimal resolution shape 0 -> R -> R(2)^n -> dual -> 0
-    p, degrees = _pd(resolution)
+    degrees = [sorted(level) for level in minimize_resolution(*resolution)[0]]
     report["resolution_degrees"] = degrees
-    report["pd"] = p
+    report["pd"] = len(degrees) - 1
     report["shape_ok"] = (degrees[0] == [-2] * n
                           and len(degrees) == 2 and degrees[1] == [0])
     return report

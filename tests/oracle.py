@@ -25,7 +25,9 @@ syzygies, and the free resolution on those dense syzygies, minimised by
 unit cancellation on dense matrices that rescans from the lowest level
 after every pivot; and the Hilbert-series numerator of a leading-term
 module by the colon-ideal recursion, which any resolution's graded Euler
-characteristic must equal, however it was built.
+characteristic must equal, however it was built; pd from the library's
+frame with every S-pair reduced and then minimised, and the chord labels
+of a D-sequence table from each row's `Subexpr.all_M`.
 They scan every prefix, fold `Subexpr` objects, rebuild graphs and
 edge-list adjacencies, divide polynomials, build a `Polynomial` per
 division step, enumerate a prefix domain per ladder step and reduce every
@@ -39,8 +41,10 @@ polynomials and module elements on one coefficient dict, divided by a root
 in one linear pass, addressed the values of the basis recursion by member
 index, evaluated the nabla products in closed form, read the syzygies from
 Buchberger's own reductions, kept the differentials as those sparse rows,
-walked the prefix tree once per localization and found pivots
-fraction-free; the differential tests compare the two.
+walked the prefix tree once per localization, found pivots
+fraction-free, read pd off the frame's shape where no two consecutive
+levels share a degree and read the chord labels from the analysis; the
+differential tests compare the two.
 """
 
 from dataclasses import dataclass
@@ -49,7 +53,9 @@ from itertools import combinations, product
 from math import comb, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from bsbimod import strmod
 from bsbimod.coxeter import Reflection, ReflExpr, truncate
+from bsbimod.dseq import all_chords
 from bsbimod.locmod import DecoTree, FnOnSub, unit
 from bsbimod.orderalg import (AlgoResult, ClosenessCert, Congruence,
                               ResidualReport, _detect_string)
@@ -1093,3 +1099,29 @@ def densify(degrees, diffs, n_vars: int) -> List[List[List[Polynomial]]]:
     zero = Polynomial.zero(n_vars)
     return [[[col.get(i, zero) for col in cols] for i in range(len(level))]
             for level, cols in zip(degrees, diffs)]
+
+
+def pd(gens: Sequence[FreeModElem], order: ModOrder):
+    """`strmod.pd` without the degree certificate: every S-pair of every
+    level of the library's Schreyer frame reduced
+    (`strmod.free_resolution`), then minimised
+    (`strmod.minimize_resolution`)."""
+    degrees, _ = strmod.minimize_resolution(*strmod.free_resolution(gens,
+                                                                    order))
+    return len(degrees) - 1, [sorted(level) for level in degrees]
+
+
+def chord_labels(table):
+    """(label_first, label_second, t_of, alpha) of `dseq.chord_label` on
+    the solution table `table`, with each row's two doubled reflections
+    found through `Subexpr.all_M`."""
+    N = 2 * table.n - 1
+    chords = {c.members(): c for c in all_chords(table.n)}
+    first, second, t_of = {}, {}, {}
+    for l, eps in table.rows.items():
+        (A, p), (B, q) = [(chords[frozenset(x % N for x in M)], p)
+                          for p, M in eps.all_M().items() if len(M) == 2]
+        if (A + 1).members() != B.members():
+            (A, p), (B, q) = (B, q), (A, p)
+        first[A], second[B], t_of[A], t_of[B] = l, l, p, q
+    return first, second, t_of, {A: p.root() for A, p in t_of.items()}

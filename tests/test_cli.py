@@ -233,6 +233,15 @@ class TestSt:
         rc, out = run(capsys, ["st", "pd", "--nroots", "3"])
         assert rc == 0 and "pd = 1" in out
 
+    def test_pd_json_says_certified(self, capsys, tmp_path):
+        # St's frame has no degree shared by consecutive levels
+        out_path = tmp_path / "pd.json"
+        rc, _ = run(capsys, ["st", "pd", "--nroots", "5",
+                             "--json", str(out_path)])
+        got = json.loads(out_path.read_text())
+        assert rc == 0 and got["certified"] is True
+        assert got["pd"] == 3 and got["degrees"][-1] == [10]
+
     def test_resolve_with_roots_and_dual(self, capsys):
         rc, out = run(capsys, ["st", "resolve",
                                "--roots", "e1-e2,e2-e3,e3-e4", "--dual"])

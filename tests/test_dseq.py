@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracle
 from bsbimod.polyring import GradedRank
 from bsbimod.dseq import (Chord, all_chords, e_base_bits, e_table,
                           verify_solutions, chord_label, structure_checks,
@@ -81,6 +82,14 @@ class TestTable:
                 e1 = T.e_first(A)
                 e2 = T.e_second(A)
                 assert e1.fold(A.positions()).bits == e2.bits
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_labels_match_all_M(self, n):
+        # the labels read from the analysis are those of each row's all_M
+        for k in range(2 * n - 1):
+            T = chord_label(e_table(n, k))
+            assert (T.label_first, T.label_second, T.t_of, T.alpha) \
+                == oracle.chord_labels(e_table(n, k)), f"n={n} k={k}"
 
     def test_t_of_and_alpha(self):
         T = chord_label(e_table(3, 0))

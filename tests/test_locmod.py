@@ -528,6 +528,13 @@ class TestNablaAgainstLadder:
             [other.target(), "all"])))
         assert mu(eps, sub) == oracle.mu(eps, sub)
 
+    @settings(max_examples=100, deadline=None)
+    @given(exprs(), st.data())
+    def test_mu_domain_target(self, t, data):
+        # mu walks eps^max once; it is the last of eps's prefix products
+        eps = draw_member(data, t)
+        assert mu(eps).domain.target == eps.target()
+
     @settings(max_examples=60, deadline=None)
     @given(exprs(), st.sampled_from(["plain", "con"]), st.data())
     def test_step_generator(self, t, mode, data):

@@ -641,3 +641,55 @@ class TestSchreyer:
         amb = FreeModule(2, (0,))
         gens = [FreeModElem(amb, {})]
         assert free_resolution(gens, ModOrder.standard(1, 2)) == ([[]], [])
+        assert strmod.certified_pd(gens, ModOrder.standard(1, 2)) \
+            == (-1, [], True)
+        assert oracle.pd(gens, ModOrder.standard(1, 2)) == (-1, [])
+
+
+class TestCertifiedPd:
+    """Where no two consecutive levels of the frame's shape share a degree,
+    `pd` reads the minimal degrees off the shape; elsewhere it minimises
+    the shape's columns.  Both against the reduce-and-minimise path."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(modules())
+    @example(_redundant_ideal())
+    @example(_seed7())
+    @example(_found_module())
+    def test_against_reduce_and_minimise(self, case):
+        gens, order = case
+        assert pd(gens, order) == oracle.pd(gens, order)
+
+    @pytest.mark.parametrize("case", [_redundant_ideal, _seed7,
+                                      _found_module])
+    def test_certificate_fails(self, case):
+        # a redundant basis puts a unit into the first differential
+        assert strmod.certified_pd(*case())[2] is False
+
+    def test_certified_pd_reduces_nothing_above_level_0(self, monkeypatch):
+        completions, above = [], []
+        inside = [False]
+
+        def counting_buchberger(gens, order):
+            completions.append(len(gens))
+            inside[0] = True
+            try:
+                return buchberger(gens, order)
+            finally:
+                inside[0] = False
+
+        def counting_reduce(f, G, order):
+            if not inside[0]:
+                above.append(f)
+            return reduce_elem(f, G, order)
+
+        monkeypatch.setattr(strmod, "buchberger", counting_buchberger)
+        monkeypatch.setattr(strmod, "reduce_elem", counting_reduce)
+        gens = st_generators(6)
+        _, order = st_ambient(6, 0)
+        assert strmod.certified_pd(gens, order) \
+            == (4, [[2 * k + 4] * comb(6, k + 2) for k in range(5)], True)
+        assert completions == [len(gens)] and above == []
+        # the columns of the same frame are reductions above level 0
+        free_resolution(gens, order)
+        assert len(completions) == 2 and above
