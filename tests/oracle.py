@@ -1106,8 +1106,8 @@ def pd(gens: Sequence[FreeModElem], order: ModOrder):
     level of the library's Schreyer frame reduced
     (`strmod.free_resolution`), then minimised
     (`strmod.minimize_resolution`)."""
-    degrees, _ = strmod.minimize_resolution(*strmod.free_resolution(gens,
-                                                                    order))
+    resolution = strmod.free_resolution(gens, order)
+    degrees, _ = strmod.minimize_resolution(*resolution)
     return len(degrees) - 1, [sorted(level) for level in degrees]
 
 
