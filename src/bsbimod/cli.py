@@ -34,16 +34,30 @@ class UsageError(ValueError):
 
 def parse_expr(text: str, n: Optional[int] = None) -> ReflExpr:
     """A reflection expression from a JSON file or an inline pair list like
-    "(1,3),(2,4),(1,2)"."""
+    "(1,3),(2,4),(1,2)", the pairs separated by commas, whitespace or
+    nothing.  UsageError for any other text, a file that is not an
+    expression, or an n other than the file's."""
     try:
-        with open(text) as fh:
-            return ReflExpr.from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError):
-        pass
-    pairs = re.findall(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", text)
-    if not pairs:
-        raise UsageError(f"cannot read reflection expression from {text!r}")
-    pairs = [(int(a), int(b)) for a, b in pairs]
+        fh = open(text)
+    except OSError:
+        fh = None
+    if fh is not None:
+        with fh:
+            try:
+                t = ReflExpr.from_json(json.load(fh))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise UsageError(f"--expr {text}: not a reflection "
+                                 f"expression: {exc!r}") from exc
+        if n not in (None, t.n):
+            raise UsageError(f"--n {n}: the expression in {text} has "
+                             f"n = {t.n}")
+        return t
+    parts = re.split(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", text)  # text, i, j, ..
+    pairs = [(int(a), int(b)) for a, b in zip(parts[1::3], parts[2::3])]
+    left = [g.strip() for g in parts[::3] if re.sub(r"[\s,]", "", g)]
+    if left or not pairs:
+        raise UsageError(f"cannot read reflection expression from {text!r}"
+                         + "".join(f"; unexpected {g!r}" for g in left))
     if n is None:
         n = max(max(p) for p in pairs)
     try:
@@ -99,15 +113,10 @@ def parse_roots(text: str, n: int) -> List[Polynomial]:
 # -- output helpers ----------------------------------------------------------
 
 def _emit_json(obj, path: Optional[str]):
-    blob = json.dumps(obj, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(blob + "\n")
-    else:
-        print(blob)
+    _emit_text(json.dumps(obj, indent=2, sort_keys=True), path)
 
 
-def _emit_dot(text: str, path: Optional[str]):
+def _emit_text(text: str, path: Optional[str]):
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -139,7 +148,7 @@ def cmd_graph(args) -> int:
     G = graph(sub)
     print(f"vertices: {len(sub)}  edges: {len(G.edges)}  "
           f"components: {len(components(sub))}")
-    _emit_dot(G.to_dot(), args.dot)
+    _emit_text(G.to_dot(), args.dot)
     if args.json:
         _emit_json({"vertices": [_bits_str(b) for b in sub.members],
                     "edges": [{"a": _bits_str(a), "b": _bits_str(b),
@@ -209,13 +218,13 @@ def cmd_express(args) -> int:
     return 0
 
 
-def _run_algo(args, which: int) -> int:
+def cmd_algo(args) -> int:
     t = parse_expr(args.expr, args.n)
     w = parse_perm(args.target, t.n)
     if args.max_family is not None and args.max_family < 0:
         raise UsageError(f"--max-family {args.max_family}: must not be "
                          "negative")
-    algo = algorithm1 if which == 1 else algorithm2
+    algo = algorithm1 if args.which == 1 else algorithm2
     res = algo(t, w, max_family=args.max_family, greedy=args.greedy)
     if res.outcome == "cap":
         print(f"cap: step {res.step} has {len(res.trace[-1])} families, "
@@ -233,14 +242,6 @@ def _run_algo(args, which: int) -> int:
     return 0 if res.outcome == "completed" else 1
 
 
-def cmd_algo1(args) -> int:
-    return _run_algo(args, 1)
-
-
-def cmd_algo2(args) -> int:
-    return _run_algo(args, 2)
-
-
 def cmd_balanced(args) -> int:
     t = parse_expr(args.expr, args.n)
     w = parse_perm(args.target, t.n)
@@ -249,9 +250,7 @@ def cmd_balanced(args) -> int:
         print(f"NotBalanced: witness {_bits_str(res[1].bits)}")
         return 1
     order, dists = res
-    P = GradedRank.zero()
-    for d in dists:
-        P = P + GradedRank.v_power(-d)
+    P = sum((GradedRank.v_power(-d) for d in dists), GradedRank.zero())
     for eps, d in zip(order, dists):
         print(f"{_bits_str(eps.bits)}: dist {d}")
     print(f"P = {P}")
@@ -349,7 +348,7 @@ def cmd_dseq(args) -> int:
         print(f"pd(string module) = {report['pd_string']}")
         print(f"pd(dual) = {report['dual']['pd']}")
     if args.dot:
-        _emit_dot(graph(table.sub).to_dot(), args.dot)
+        _emit_text(graph(table.sub).to_dot(), args.dot)
     if args.json:
         obj = {"n": n, "k": table.k, "i": list(table.i),
                "outcome": report["outcome"], "step": report["step"],
@@ -470,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p, expr=True, target=True)
         p.add_argument("--max-family", type=int, default=None)
         p.add_argument("--greedy", action="store_true")
-        p.set_defaults(handler=cmd_algo1 if which == 1 else cmd_algo2)
+        p.set_defaults(handler=cmd_algo, which=which)
 
     p = sp.add_parser("balanced", help="the balanced-order shortcut")
     _add_common(p, expr=True, target=True)

@@ -45,11 +45,10 @@ class AlgoResult:
     last_additions: List[Tuple[FrozenSet[Bits], Bits, int]] = field(default_factory=list)
 
 
-def _candidates_plain(F: List[int], np: int, Mp: Tuple[int, ...]
-                      ) -> Tuple[Tuple[int, ...], ...]:
-    """Subsets cotransversal to F: size np-1, contained in a maximum member
+def _candidates_plain(F: List[int], np: int) -> List[int]:
+    """Submasks cotransversal to F: size np-1, contained in a maximum member
     Z with every X in F satisfying |X \\ Z| <= 1, and containing the core
-    union of X cap Z over X not inside Z.  F holds submasks of M_p."""
+    union of X cap Z over X not inside Z."""
     out = set()
     for Z in F:
         if Z.bit_count() != np:
@@ -61,35 +60,42 @@ def _candidates_plain(F: List[int], np: int, Mp: Tuple[int, ...]
             if X & ~Z:
                 core |= X & Z
         for b in _indices(Z & ~core):
-            out.add(_positions(Mp, Z & ~(1 << b)))
-    return tuple(sorted(out))
+            out.add(Z & ~(1 << b))
+    return sorted(out, key=lambda S: list(_indices(S)))
 
 
-def _candidates_con(Mp: Tuple[int, ...], np: int) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(tuple(sorted(c)) for c in combinations(sorted(Mp), np - 1))
-
-
-def _row_entry(p, Mp: Tuple[int, ...], reach, allowed: int, mode: str):
-    """(p, M_p, n_p, candidates) of one M_p row, given `allowed`, the members
-    Phi u {eps} may fold into."""
-    F = [S for S, r in enumerate(reach) if r is not None and not r & ~allowed]
-    np = max(S.bit_count() for S in F)
-    if mode == "plain":
-        return p, Mp, np, _candidates_plain(F, np, Mp)
-    return p, Mp, np, _candidates_con(Mp, np)
+def _row_entry(shapes: dict, p, Mp: Tuple[int, ...], reach, allowed: int,
+               mode: str) -> tuple:
+    """(id, (p, M_p, n_p, candidates)) of one M_p row, given `allowed`, the
+    members Phi u {eps} may fold into.  n_p and the candidates as submasks
+    depend only on |M_p|, the mode and the mask F of the S with reach[S]
+    inside `allowed`, so they come from `shapes` (`SubAnalysis.row_shapes`);
+    mapping them through M_p, which is increasing, keeps their order."""
+    F = sum(1 << S for S, r in enumerate(reach)
+            if r is not None and not r & ~allowed)
+    shape = shapes.get((F, len(Mp), mode))
+    if shape is None:
+        subs = list(_indices(F))
+        np = max(S.bit_count() for S in subs)
+        cands = tuple(_candidates_plain(subs, np) if mode == "plain" else
+                      (sum(1 << b for b in c)
+                       for c in combinations(range(len(Mp)), np - 1)))
+        shape = shapes[F, len(Mp), mode] = shapes.setdefault(
+            (np, cands), (np, cands, len(shapes)))
+    np, cands, sid = shape
+    return sid, (p, Mp, np, tuple(_positions(Mp, S) for S in cands))
 
 
 def _closeness_memo(an: SubAnalysis, i: int, mode: str) -> tuple:
     """The memo of member i in `mode`, stored in `an.closeness_memo`:
 
     - U, the members that the even folds of i reach;
-    - per row of `an.reach(i)`, (U_row, p, M_p, reach, entries, first):
-      U_row is the part of U that row reaches, entries maps a row mask
-      allowed & U_row to (c, `_row_entry`), and c is the first row mask
-      whose entry had the same n_p and candidates (`first` maps those to
-      it);
+    - per row of `an.reach(i)`, (U_row, p, M_p, reach, entries): U_row is
+      the part of U that row reaches, and entries maps a row mask
+      allowed & U_row to its `_row_entry`;
     - the table per key allowed & U;
-    - the table per tuple of the rows' c, shared by the keys that give it.
+    - the table per tuple of the rows' entry ids, shared by the keys
+      that give it.
     """
     rows = []
     U = 0
@@ -98,13 +104,13 @@ def _closeness_memo(an: SubAnalysis, i: int, mode: str) -> tuple:
         for r in reach:
             if r is not None:
                 U_row |= r
-        rows.append((U_row, p, Mp, reach, {}, {}))
+        rows.append((U_row, p, Mp, reach, {}))
         U |= U_row
     memo = an.closeness_memo[(i, mode)] = (U, tuple(rows), {}, {})
     return memo
 
 
-def _closeness_table(memo: tuple, key: int, mode: str) -> tuple:
+def _closeness_table(shapes: dict, memo: tuple, key: int, mode: str) -> tuple:
     """The table of key = allowed & U, built from the rows' entries on
     first use: (choices, tried, source).  choices lists the row entries;
     tried holds the candidate products taken from the iterator `source` so
@@ -112,13 +118,13 @@ def _closeness_table(memo: tuple, key: int, mode: str) -> tuple:
     product, or its connected component through the member in con mode."""
     _, rows, tables, shared = memo
     picked = []
-    for U_row, p, Mp, reach, entries, first in rows:
+    for U_row, p, Mp, reach, entries in rows:
         rk = key & U_row
-        if rk not in entries:
-            entry = _row_entry(p, Mp, reach, rk, mode)
-            entries[rk] = first.setdefault(entry[2:], rk), entry
-        picked.append(entries[rk])
-    shared_key = tuple(c for c, _ in picked)
+        entry = entries.get(rk)
+        if entry is None:
+            entry = entries[rk] = _row_entry(shapes, p, Mp, reach, rk, mode)
+        picked.append(entry)
+    shared_key = tuple(sid for sid, _ in picked)
     table = shared.get(shared_key)
     if table is None:
         choices = [entry for _, entry in picked]
@@ -152,14 +158,15 @@ def _closeness(an: SubAnalysis, i: int, phi: int, mode: str
     Phi_p(eps), the X inside M_p(eps) whose unfrozen set {f_Y eps : Y even
     inside X} lies in Phi u {eps}, is read from `an`, as is the graph the
     con mode searches.  An M_p row's candidates depend on Phi only through
-    the members that row's folds reach, so they are computed once per
-    intersection with those, and the candidate products, with the masks and
-    certificates tried so far, once per tuple of distinct row entries."""
+    the members that row's folds reach, so they are looked up once per
+    intersection with those, and computed once per row shape of the
+    analysis; the candidate products, with the masks and certificates tried
+    so far, are kept once per tuple of distinct row entries."""
     memo = an.closeness_memo.get((i, mode)) or _closeness_memo(an, i, mode)
     U, _, tables, _ = memo
     key = (phi | 1 << i) & U
-    choices, tried, source = (tables.get(key)
-                              or _closeness_table(memo, key, mode))
+    choices, tried, source = (tables.get(key) or _closeness_table(
+        an.row_shapes, memo, key, mode))
     for mask, cert in tried:
         if not mask & phi:
             return cert
@@ -204,10 +211,13 @@ def _run_family_algorithm(t: ReflExpr, w: Permutation, mode: str,
     increments: List[Dict[FrozenSet[Bits], set]] = [{frozenset(): set()}]
     last_additions: List[Tuple[FrozenSet[Bits], Bits, int]] = []
     level = {0: (frozenset(), {}, set())}  # mask: (Phi, P.coeffs, cdists)
+    width = f"0{msub}b"
     for k in range(msub):
         nxt: Dict[int, Tuple[FrozenSet[Bits], dict, set]] = {}
-        # members are in lexicographic order, so this is sorted(phi)
-        for phi_mask in sorted(level, key=lambda mk: list(_indices(mk))):
+        # sorted(phi), as members are in lexicographic order and a level's
+        # families have one size: decreasing reversed binary masks
+        for phi_mask in sorted(level, key=lambda mk: format(mk, width)[::-1],
+                               reverse=True):
             phi, base, _ = level[phi_mask]
             for i in _indices(~phi_mask & (1 << msub) - 1):
                 cert = _closeness(an, i, phi_mask, mode)
@@ -234,7 +244,10 @@ def _run_family_algorithm(t: ReflExpr, w: Permutation, mode: str,
         if not nxt:
             return AlgoResult("premature", k, trace, None, increments,
                               last_additions)
-        ranks = {fam: GradedRank(coeffs) for fam, coeffs, _ in nxt.values()}
+        ranks = {}
+        for fam, coeffs, _ in nxt.values():  # positive ints, taken uncopied
+            ranks[fam] = rank = object.__new__(GradedRank)
+            rank.coeffs = coeffs
         incs = {fam: dists for fam, _, dists in nxt.values()}
         if max_family is not None and len(nxt) > max_family:
             return AlgoResult("cap", k + 1, trace + [ranks], None,
@@ -461,7 +474,6 @@ def _detect_string(free: Tuple[Bits, ...], congs: Sequence[Congruence]):
             pair_adj[a].append((b, c.root))
             pair_adj[b].append((a, c.root))
     degrees = {b: len(v) for b, v in pair_adj.items()}
-    ends = [b for b in free if degrees[b] <= 1]
     if len(free) == 1:
         zr = zero_roots[free[0]]
         if len(zr) == 2:

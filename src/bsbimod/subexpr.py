@@ -342,11 +342,13 @@ class SubAnalysis:
     (`_prefix_walk`, shared with `SubSet.roots`): the k-th pair (x, y) of
     member eps gives eps^k = (x y), one `Reflection` per pair.
     `closeness_memo` holds, per (member, mode), what `orderalg.closeness`
-    has computed for that member: each M_p row's n_p and candidates, per
-    intersection of Phi u {eps} with the members that row's folds reach,
-    and the candidate products, once per tuple of distinct row entries,
-    with the frozen masks (con components in con mode) and certificates
-    tried so far.  It refers to nothing that refers back to the analysis.
+    has computed for that member: each M_p row's entry (n_p and the
+    candidates) per intersection of Phi u {eps} with the members that row's
+    folds reach, and the candidate products, once per tuple of the rows'
+    entry ids, with the frozen masks (con components in con mode) and
+    certificates tried so far.  `row_shapes` maps (F, |M_p|, mode), F a
+    row's admissible submasks, and (n_p, candidates) to (n_p, candidates as
+    submasks, id numbering the pairs).  Neither refers back to the analysis.
     """
 
     def __init__(self, sub: SubSet):
@@ -389,6 +391,7 @@ class SubAnalysis:
         self._conditions: Dict[bool, list] = {}  # [listed, source or None]
         self._tables: Dict[bool, Optional[tuple]] = {}  # condition_table
         self.closeness_memo: Dict[Tuple[int, str], tuple] = {}
+        self.row_shapes: Dict[tuple, tuple] = {}
 
     def reach(self, i: int) -> tuple:
         """(p, M_p, reach) over the rows of `per_p[i]`, built on first use:

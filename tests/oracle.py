@@ -26,8 +26,10 @@ unit cancellation on dense matrices that rescans from the lowest level
 after every pivot; and the Hilbert-series numerator of a leading-term
 module by the colon-ideal recursion, which any resolution's graded Euler
 characteristic must equal, however it was built; pd from the library's
-frame with every S-pair reduced and then minimised, and the chord labels
-of a D-sequence table from each row's `Subexpr.all_M`.
+frame with every S-pair reduced and then minimised, the chord labels
+of a D-sequence table from each row's `Subexpr.all_M`, and the closeness
+entry (n_p and candidates) of an M_p row computed afresh for each row and
+allowed mask.
 They scan every prefix, fold `Subexpr` objects, rebuild graphs and
 edge-list adjacencies, divide polynomials, build a `Polynomial` per
 division step, enumerate a prefix domain per ladder step and reduce every
@@ -43,7 +45,8 @@ index, evaluated the nabla products in closed form, read the syzygies from
 Buchberger's own reductions, kept the differentials as those sparse rows,
 walked the prefix tree once per localization, found pivots
 fraction-free, read pd off the frame's shape where no two consecutive
-levels share a degree and read the chord labels from the analysis; the
+levels share a degree, read the chord labels from the analysis and
+read row entries from one table of row shapes per analysis; the
 differential tests compare the two.
 """
 
@@ -341,6 +344,36 @@ def _candidates_plain(F: List[Tuple[int, ...]], np: int) -> List[Tuple[int, ...]
         for drop in Zs - core:
             out.add(tuple(sorted(Zs - {drop})))
     return sorted(out)
+
+
+def _mask_candidates_plain(F: List[int], np: int, Mp: Tuple[int, ...]
+                           ) -> Tuple[Tuple[int, ...], ...]:
+    """`_candidates_plain` on the submasks F of M_p, giving positions."""
+    out = set()
+    for Z in F:
+        if Z.bit_count() != np:
+            continue
+        if any((X & ~Z).bit_count() > 1 for X in F):
+            continue
+        core = 0
+        for X in F:
+            if X & ~Z:
+                core |= X & Z
+        for b in _indices(Z & ~core):
+            out.add(_positions(Mp, Z & ~(1 << b)))
+    return tuple(sorted(out))
+
+
+def row_entry(p, Mp: Tuple[int, ...], reach, allowed: int, mode: str):
+    """(p, M_p, n_p, candidates) of one M_p row with `reach` as
+    `SubAnalysis.reach` gives it, given `allowed`, the members Phi u {eps}
+    may fold into, computed for this row and mask alone."""
+    F = [S for S, r in enumerate(reach) if r is not None and not r & ~allowed]
+    np = max(S.bit_count() for S in F)
+    if mode == "plain":
+        return p, Mp, np, _mask_candidates_plain(F, np, Mp)
+    return p, Mp, np, tuple(tuple(sorted(c))
+                            for c in combinations(sorted(Mp), np - 1))
 
 
 def closeness(sub: SubSet, Phi, eps: Subexpr, mode: str = "plain"):

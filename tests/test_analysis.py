@@ -19,6 +19,7 @@ from bsbimod.locmod import FnOnSub, membership, res_tensor, sigma
 from bsbimod.polyring import Polynomial
 from bsbimod.subexpr import (Subexpr, enumerate_sub, graph, components,
                              frozen_set, unfrozen_set, con_component)
+from bsbimod import orderalg
 from bsbimod.orderalg import (closeness, algorithm1, algorithm2,
                               acyclic_rank, residual_constraints)
 import oracle
@@ -195,6 +196,63 @@ class TestAgainstOracle:
                 tables = memo[2].values()
                 shared += len(tables) - len({id(tab) for tab in tables})
         assert shared > 0    # some table serves two distinct keys
+
+    @staticmethod
+    def check_row_entries(an, calls):
+        """Each (i, allowed, mode) of calls, entry by entry against the
+        oracle, on the one row-shape table of `an`; returns the (i, p,
+        |M_p|, mode, n_p, candidates) seen.  Equal entry ids must mean
+        equal (n_p, candidates as submasks) and the other way round."""
+        ids, seen = {}, set()
+        for i, allowed, mode in calls:
+            for p, Mp, reach in an.reach(i):
+                sid, entry = orderalg._row_entry(an.row_shapes, p, Mp, reach,
+                                                 allowed | 1 << i, mode)
+                assert entry == oracle.row_entry(p, Mp, reach,
+                                                 allowed | 1 << i, mode)
+                pair = (entry[2], tuple(sum(1 << Mp.index(x) for x in c)
+                                        for c in entry[3]))
+                assert ids.setdefault(sid, pair) == pair
+                seen.add((i, p, len(Mp), mode) + entry[2:])
+        assert len(set(ids.values())) == len(ids)
+        return seen
+
+    @settings(max_examples=150, deadline=None)
+    @given(analysed_sets(), st.data())
+    def test_row_entries(self, sub, data):
+        # random members, allowed masks and modes, in any order, on one
+        # analysis, so that later calls read shapes that earlier ones built
+        if not len(sub):
+            return
+        full = (1 << len(sub)) - 1
+        calls = data.draw(st.lists(st.tuples(
+            st.integers(0, len(sub) - 1), st.integers(0, full),
+            st.sampled_from(["plain", "con"])), min_size=1, max_size=12))
+        self.check_row_entries(sub.analysis(), calls)
+
+    def test_row_entries_every_mask(self):
+        # every member, every part of the members its rows reach, both
+        # modes; the rows of three positions give candidates that vary with
+        # the admissible submasks in plain mode
+        t = ReflExpr(3, (Reflection(1, 2, 3), Reflection(1, 3, 3),
+                         Reflection(1, 2, 3), Reflection(2, 3, 3),
+                         Reflection(1, 2, 3)))
+        an = enumerate_sub(t, "all").analysis()
+        calls = []
+        for i in range(len(an.members)):
+            U = fold_reach(an, i)
+            part = U
+            while True:
+                calls += [(i, part, "plain"), (i, part, "con")]
+                if not part:
+                    break
+                part = (part - 1) & U
+        seen = self.check_row_entries(an, calls)
+        varying = [row for row in seen if row[2:4] == (3, "plain") and
+                   any(other[:5] == row[:5] and other != row
+                       for other in seen)]
+        assert varying     # one row, one n_p, two sets of candidates
+        assert len(an.row_shapes) < len(calls)
 
     @settings(max_examples=150, deadline=None)
     @given(analysed_sets())

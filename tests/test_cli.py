@@ -352,10 +352,49 @@ class TestUsage:
         ["dseq", "report", "--n", "4", "--perm", "1,2,,3,4"],
         ["algo1", "--expr", EX2, "--target", "1,2,3,4", "--max-family", "-1"],
         ["algo2", "--expr", EX2, "--target", "1,2,3,4", "--max-family", "-1"],
+        ["enumerate", "--expr", "(1,3),(2,4"],
+        ["enumerate", "--expr", "(1,3);(2,4)x"],
+        ["enumerate", "--expr", "(1,2) (2,3) ,, (1,3"],
     ])
     def test_bad_input_exits_2(self, capsys, args):
         rc = cli.main(args)
         assert rc == 2 and capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("text, n, pairs", [
+        ("(1,2)(2,3)", 3, ((1, 2), (2, 3))),
+        ("(1,3),(2,4)", 4, ((1, 3), (2, 4))),
+        ("(1, 3) (2, 4)", 4, ((1, 3), (2, 4))),
+        (" (1,2) ,\t(1,2), ", 2, ((1, 2), (1, 2))),
+    ])
+    def test_inline_pairs(self, text, n, pairs):
+        t = cli.parse_expr(text)
+        assert t.n == n and tuple((p.i, p.j) for p in t.entries) == pairs
+
+    @pytest.mark.parametrize("text, left", [
+        ("(1,3),(2,4", ["',(2,4'"]),
+        ("(1,3);(2,4)x", ["';'", "'x'"]),
+        ("(1,2)x(2,3)", ["'x'"]),
+    ])
+    def test_leftover_text_is_named(self, text, left):
+        with pytest.raises(cli.UsageError) as ei:
+            cli.parse_expr(text)
+        assert str(ei.value).split("; unexpected ")[1:] == left
+
+    def test_expression_files(self, capsys, tmp_path):
+        # a file that is not an expression, and an --n other than the
+        # file's, are usage errors; an --n equal to the file's is not
+        good = tmp_path / "t.json"
+        good.write_text(json.dumps(ReflExpr(3, (Reflection(1, 2, 3),))
+                                   .to_json()))
+        for body in ('{"foo": 1}', "[1,2]", "(1,2)"):
+            bad = tmp_path / "bad.json"
+            bad.write_text(body)
+            assert cli.main(["enumerate", "--expr", str(bad)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: --expr {bad}")
+        assert cli.main(["enumerate", "--expr", str(good), "--n", "5"]) == 2
+        assert capsys.readouterr().err.startswith("error: --n 5")
+        rc, out = run(capsys, ["enumerate", "--expr", str(good), "--n", "3"])
+        assert rc == 0 and out.split() == ["0", "1"]
 
     def test_python_m(self):
         # `python -m bsbimod` runs the command line from a plain checkout

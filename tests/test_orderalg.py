@@ -11,7 +11,8 @@ import pytest
 from bsbimod import orderalg
 from bsbimod.coxeter import Permutation, Reflection, ReflExpr, make_sequence
 from bsbimod.polyring import GradedRank
-from bsbimod.subexpr import Subexpr, enumerate_sub, graph, components
+from bsbimod.subexpr import (Subexpr, enumerate_sub, graph, components,
+                             _indices)
 from bsbimod.orderalg import (closeness, step_generator, algorithm1,
                               algorithm2, chain_run, balanced_order,
                               acyclic_rank, residual_constraints)
@@ -195,10 +196,11 @@ class TestClosenessCount:
                 cases.append((t, w))
         real = orderalg._closeness
         for t, w in cases:
-            certs = []
+            certs, visited = [], {}
 
-            def counted(*args):
-                certs.append(real(*args))
+            def counted(an, i, phi, mode):
+                certs.append(real(an, i, phi, mode))
+                visited.setdefault(phi.bit_count(), {})[phi] = None
                 return certs[-1]
             monkeypatch.setattr(orderalg, "_closeness", counted)
             res = algo(t, w)
@@ -210,6 +212,16 @@ class TestClosenessCount:
                             for fams in scanned for phi in fams
                             for eps in sub.subexprs() if eps.bits not in phi)
             assert sum(c is not None for c in certs) == additions
+            # each level's families are visited in sorted order, and every
+            # rank is one the checking constructor gives back unchanged
+            for level in visited.values():
+                assert list(level) == sorted(
+                    level, key=lambda mk: list(_indices(mk)))
+            for fams in res.trace:
+                for rank in fams.values():
+                    assert rank == GradedRank(rank.coeffs)
+                    assert all(type(c) is int and c > 0
+                               for c in rank.coeffs.values())
 
 
 class TestChainRun:
