@@ -170,6 +170,12 @@ def read_fn(path: str) -> FnOnSub:
 
 def cmd_membership(args) -> int:
     g = read_fn(args.fn_file)
+    full = args.variant == "X(t)"
+    if (g.domain.target is None) != full:
+        raise UsageError(f"--variant {args.variant} needs a function on "
+                         f"{'Sub(t)' if full else 'Sub(t, w)'}")
+    if args.variant == "XwPhi" and not args.phi:
+        raise UsageError("--variant XwPhi needs --phi")
     Phi = None
     if args.phi:
         names = [b.strip() for b in args.phi.split(",")]
@@ -284,7 +290,10 @@ def cmd_st(args) -> int:
         if len(roots) < 2:
             raise UsageError(f"--roots {args.roots!r}: need at least two "
                              "roots")
-        n_roots, _, _ = strmod.coordinate_change(roots)
+        try:
+            n_roots, _, _ = strmod.coordinate_change(roots)
+        except ValueError as exc:
+            raise UsageError(f"--roots {args.roots!r}: {exc}") from exc
         extra = amb_n - n_roots
     else:
         n_roots = 4 if args.nroots is None else args.nroots

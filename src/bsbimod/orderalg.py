@@ -359,6 +359,7 @@ def _find_cycle(an: SubAnalysis) -> Optional[List[Bits]]:
     """A cycle of the graph of the analysed set, or None: a depth-first
     search from each unvisited member, neighbours in index order."""
     parent: Dict[int, Optional[int]] = {}
+    adj = an.adj
     for start in range(len(an.members)):
         if start in parent:
             continue
@@ -366,7 +367,7 @@ def _find_cycle(an: SubAnalysis) -> Optional[List[Bits]]:
         stack = [(start, None)]
         while stack:
             v, par = stack.pop()
-            for u in _indices(an.adj[v]):
+            for u in _indices(adj[v]):
                 if u == par:
                     continue
                 if u in parent:

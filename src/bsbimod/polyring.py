@@ -23,7 +23,7 @@ __all__ = [
 
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import add
+from operator import add, lshift
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -402,11 +402,13 @@ def _pack(polys: Sequence[Polynomial]) -> Tuple[int, list]:
     denominators to int coefficients, each exponent vector x packed as the
     int sum of x_i * 2^{w*i}, so that field i of w bits holds x_i.  The
     field width w is the bit length of the largest total degree: a field
-    then holds x_a + x_b with no carry.  Each distinct exponent vector is
-    packed once."""
+    then holds x_a + x_b with no carry.  (A byte per field packs faster,
+    but its wider keys slow `_power_divides` down.)  Each distinct exponent
+    vector is packed once, by one `map` over the field shifts."""
     monos = set().union(*[f.terms for f in polys])
     w = max(map(sum, monos), default=0).bit_length() or 1
-    code = {x: sum(e << w * i for i, e in enumerate(x)) for x in monos}
+    shifts = range(0, w * len(next(iter(monos), ())), w)
+    code = {x: sum(map(lshift, x, shifts)) for x in monos}
     den = lcm(*{c.denominator for f in polys for c in f.terms.values()})
     return w, [dict(zip(map(code.__getitem__, f.terms),
                         f.terms.values() if den == 1 else

@@ -274,11 +274,12 @@ def _indices(mask: int):
         mask ^= low
 
 
+@cache
 def _fold_template(S: int, even: bool) -> Tuple[tuple, tuple, tuple]:
     """(bits, Ys, signs) for the nonempty submask S of an M_p row: the
     indices of the set bits of S, the submasks Y of S, increasing and even
     only if `even`, and the sign (-1)^{|Y|_S} of each.  The condition on
-    X = M_p[bits] sums sign * g(f_Y eps) over these Y."""
+    X = M_p[bits] sums sign * g(f_Y eps) over these Y; cached per process."""
     bits = tuple(_indices(S))
     odd = sum(1 << b for b in bits[::-2])  # odd positions, from the top
     Ys, signs = [], []
@@ -301,22 +302,24 @@ def _fold_members(folds: Sequence[int], Ys: Sequence[int]) -> list:
     return js
 
 
-def _generate_conditions(per_p, even: bool):
+def _generate_conditions(per_p, even: bool, full: bool):
     """The stream behind `SubAnalysis.conditions`.  It reads `per_p` alone,
-    so the analysis that caches it is not kept alive by a cycle.  The
-    `_fold_template`s of a row size are built once per stream.  The folds
+    so the analysis that caches it is not kept alive by a cycle.  The folds
     by subsets of X keep M_p, so the members they reach share the (p, X)
-    condition: it is emitted at the least of them."""
-    templates: Dict[int, list] = {}
+    condition: it is emitted at the least of them.  In the full variant on
+    a full Sub(t) every such fold stays in the set, and the least member
+    has a 0 at every position of X: f_S eps = i ^ bits(X) must not share a
+    set bit with i."""
+    closed = full and not even
     for i, rows in enumerate(per_p):
         for p, Mp, folds in rows:
-            template = templates.get(len(Mp))
-            if template is None:
-                template = templates[len(Mp)] = [
-                    _fold_template(S, even) for S in range(1, len(folds))]
-            for bits, Ys, signs in template:
-                js = _fold_members(folds, Ys)
-                if min(js) == i:
+            for S in range(1, len(folds)):
+                if closed and (folds[S] ^ i) & i:
+                    continue
+                bits, Ys, signs = _fold_template(S, even)
+                js = ([folds[Y] for Y in Ys] if closed else
+                      _fold_members(folds, Ys))
+                if closed or min(js) == i:
                     X = tuple([Mp[b] for b in bits])
                     yield i, p, X, tuple(zip(js, signs))
 
@@ -331,12 +334,16 @@ class SubAnalysis:
     eps = i, sorted by p.  A subset of M_p is a submask S, whose bit b picks
     M_p[b].  folds[S] is the index of f_S eps, or -1 when that fold leaves
     the set.  Odd folds change the target, so they leave Sub(t, w); on
-    Sub(t) they stay, and the full-variant conditions read them.
+    Sub(t) they stay, and the full-variant conditions read them.  On a full
+    Sub(t) (`full`: 2^m members, however built) f_S eps is i XOR flip[S],
+    one flip list per M_p tuple; elsewhere folds are looked up by position
+    mask, on a set with a target the even ones only.
 
-    `adj[i]` is the mask of the neighbours of member i in the graph of the
-    whole set, whose edges are the even folds.  The graph on a subset Phi
-    is the subgraph induced on Phi, because whether two members are joined
-    depends on those two alone.  `reach` and `graph` read even folds only.
+    `adj[i]`, built on first use, is the mask of the neighbours of member
+    i in the graph of the whole set, whose edges are the even folds.  The
+    graph on a subset Phi is the subgraph induced on Phi, since whether
+    two members are joined depends on them alone.  `reach` and `graph`
+    read even folds only.
 
     The M_p sets come from one walk of the prefix products per member
     (`_prefix_walk`, shared with `SubSet.roots`): the k-th pair (x, y) of
@@ -357,12 +364,15 @@ class SubAnalysis:
         self.masks = tuple(_mask([i + 1 for i, b in enumerate(bits) if b])
                            for bits in sub.members)
         self.index = {bits: i for i, bits in enumerate(sub.members)}
-        by_mask = {mk: i for i, mk in enumerate(self.masks)}
-        n = self.expr.n
+        m, n = len(self.expr), self.expr.n
+        full = self.full = len(self.members) == 1 << m
+        flips: Dict[Tuple[int, ...], list] = {}  # per M_p, on a full set
+        get = None if full else {mk: i for i, mk in enumerate(self.masks)}.get
+        odd_leave = sub.target is not None     # odd folds change a target
         refl: Dict[Tuple[int, int], Reflection] = {}
-        adj = [0] * len(self.members)
         per_p = []
         for i, pairs in enumerate(_prefix_walk(self.expr, self.members)):
+            mi = self.masks[i]
             allM: Dict[Tuple[int, int], list] = {}
             for k, (x, y) in enumerate(pairs, 1):
                 allM.setdefault((x, y) if x < y else (y, x), []).append(k)
@@ -372,26 +382,48 @@ class SubAnalysis:
                 if p is None:
                     p = refl[key] = Reflection(key[0] + 1, key[1] + 1, n)
                 Mp = tuple(allM[key])
+                if full:    # position k is bit m - k of the index
+                    flip = flips.get(Mp)
+                    if flip is None:    # flip[S]: the bits of S's positions
+                        flip = flips[Mp] = [0]
+                        for x in Mp:
+                            flip += [f | 1 << (m - x) for f in flip]
+                    rows.append((p, Mp, tuple([i ^ f for f in flip])))
+                    continue
                 size = 1 << len(Mp)
                 pos = [0] * size
                 folds = [-1] * size
                 for S in range(1, size):
                     low = S & -S
                     pos[S] = pos[S ^ low] | 1 << (Mp[low.bit_length() - 1] - 1)
-                    j = folds[S] = by_mask.get(self.masks[i] ^ pos[S], -1)
-                    if j >= 0 and not S.bit_count() % 2:
-                        adj[i] |= 1 << j
-                        adj[j] |= 1 << i
+                    if not (odd_leave and S.bit_count() % 2):
+                        folds[S] = get(mi ^ pos[S], -1)
                 folds[0] = i
                 rows.append((p, Mp, tuple(folds)))
             per_p.append(tuple(rows))
         self.per_p = tuple(per_p)
-        self.adj = tuple(adj)
+        self._adj: Optional[Tuple[int, ...]] = None
         self._reach: Dict[int, tuple] = {}
         self._conditions: Dict[bool, list] = {}  # [listed, source or None]
         self._tables: Dict[bool, Optional[tuple]] = {}  # condition_table
         self.closeness_memo: Dict[Tuple[int, str], tuple] = {}
         self.row_shapes: Dict[tuple, tuple] = {}
+
+    @property
+    def adj(self) -> Tuple[int, ...]:
+        """adj[i], the mask of the neighbours of member i, from the even
+        folds of `per_p`, built on first use.  (Not a `cached_property`: its
+        `__dict__` write slows every attribute read on CPython 3.11.)"""
+        if self._adj is None:
+            adj = [0] * len(self.members)
+            for i, rows in enumerate(self.per_p):
+                for _, _, folds in rows:
+                    for S in range(3, len(folds)):
+                        j = folds[S]
+                        if j >= 0 and not S.bit_count() % 2:
+                            adj[i] |= 1 << j
+            self._adj = tuple(adj)
+        return self._adj
 
     def reach(self, i: int) -> tuple:
         """(p, M_p, reach) over the rows of `per_p[i]`, built on first use:
@@ -425,7 +457,7 @@ class SubAnalysis:
         iterates over the finished list.  A fold leaving the set is a
         ValueError, listed too, so every call raises it at the same place."""
         listed, source = state = self._conditions.setdefault(
-            even, [[], _generate_conditions(self.per_p, even)])
+            even, [[], _generate_conditions(self.per_p, even, self.full)])
 
         def replay():
             for k in itertools.count():
@@ -495,11 +527,12 @@ class SubAnalysis:
     def component(self, i: int, within: int) -> int:
         """The connected component of member i in the graph induced on the
         members of `within`, which must contain i."""
+        adj = self.adj
         comp = frontier = 1 << i
         while frontier:
             nxt = 0
             for j in _indices(frontier):
-                nxt |= self.adj[j]
+                nxt |= adj[j]
             frontier = nxt & within & ~comp
             comp |= frontier
         return comp

@@ -27,16 +27,22 @@ from conftest import random_expr
 
 
 @st.composite
+def exprs(draw, n, m):
+    """A random S_n expression of length m."""
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
+                          .filter(lambda ab: ab[0] != ab[1]),
+                          min_size=m, max_size=m))
+    return ReflExpr(n, tuple(Reflection(min(a, b), max(a, b), n)
+                             for a, b in pairs))
+
+
+@st.composite
 def sub_sets(draw, max_len=7):
     """Sub(t, w) for a random S_3/S_4 expression t, with w the target of a
     random subexpression, so that the set is never empty."""
     n = draw(st.sampled_from([3, 4]))
     m = draw(st.integers(1, max_len))
-    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
-                          .filter(lambda ab: ab[0] != ab[1]),
-                          min_size=m, max_size=m))
-    t = ReflExpr(n, tuple(Reflection(min(a, b), max(a, b), n)
-                          for a, b in pairs))
+    t = draw(exprs(n, m))
     bits = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
     return enumerate_sub(t, Subexpr(t, bits).target())
 
@@ -57,11 +63,7 @@ def analysed_sets(draw):
     S_3-S_6 expression t of length at most 8."""
     n = draw(st.integers(3, 6))
     m = draw(st.integers(1, 8))
-    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
-                          .filter(lambda ab: ab[0] != ab[1]),
-                          min_size=m, max_size=m))
-    t = ReflExpr(n, tuple(Reflection(min(a, b), max(a, b), n)
-                          for a, b in pairs))
+    t = draw(exprs(n, m))
     if draw(st.booleans()):
         sub = enumerate_sub(t, "all")
     else:
@@ -259,6 +261,23 @@ class TestAgainstOracle:
     def test_per_p_and_adjacency(self, sub):
         an = sub.analysis()
         assert (an.per_p, an.adj) == oracle.analysis_tables(sub)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 5), st.integers(1, 7), st.data())
+    def test_restricted_full_sets(self, n, m, data):
+        # Sub(t) restricted to all but one member, and to every member: the
+        # second is a full set again, whatever built it
+        t = data.draw(exprs(n, m))
+        full = enumerate_sub(t, "all")
+        drop = data.draw(st.sampled_from(full.members))
+        for sub in (full.restrict(b for b in full.members if b != drop),
+                    full.restrict(full.members)):
+            an = sub.analysis()
+            per_p, adj = oracle.analysis_tables(sub)
+            assert (an.per_p, an.adj) == (per_p, adj)
+            for even in (False, True):
+                assert listed(an.conditions(even)) == \
+                    listed(oracle.generate_conditions(per_p, even))
 
     @settings(max_examples=150, deadline=None)
     @given(sub_sets(), st.data())
@@ -500,6 +519,16 @@ class TestAnalysis:
         assert getattr(sub, "_analysis_cache", None) is None  # lazy
         assert sub.analysis() is sub.analysis()
         assert enumerate_sub(t, "all").analysis() is not sub.analysis()
+
+    def test_membership_leaves_the_graph_unbuilt(self):
+        t = ReflExpr(3, (Reflection(1, 2, 3), Reflection(2, 3, 3),
+                         Reflection(1, 2, 3), Reflection(1, 3, 3)))
+        g = res_tensor(t, [Polynomial.var(3, 1)] * 5)
+        an = g.domain.analysis()
+        assert membership(g, "X(t)") == (True, None)
+        assert an._adj is None
+        assert an.adj == oracle.analysis_tables(g.domain)[1]
+        assert an.adj is an.adj
 
     def test_fold_reach_marks_leaving_folds(self):
         # t = (1,2)(1,2): M_p(00) = (1, 2) and f_{1,2} 00 = 11, which lies in

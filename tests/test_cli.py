@@ -106,6 +106,23 @@ class TestMembershipExpress:
         assert rc == 2 and out == ""
         assert "not in the domain: 101010, 01x" in err
 
+    @pytest.mark.parametrize("variant, on_all, phi", [
+        ("X(t)", False, None), ("Xw", True, None), ("X^w", True, None),
+        ("XwPhi", True, "000000"), ("XwPhi", False, None)])
+    def test_variant_outside_its_domain_is_usage_error(
+            self, capsys, tmp_path, variant, on_all, phi):
+        # X(t) needs a function on Sub(t), the other variants one on
+        # Sub(t, w), and XwPhi needs --phi
+        t = cli.parse_expr("(1,2)(2,3)(1,2)(1,3)(1,2)(2,3)")
+        sub = enumerate_sub(t, "all" if on_all else Permutation.identity(3))
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(indicator(sub, ()).to_json()))
+        args = ["membership", "--fn", str(path), "--variant", variant]
+        rc = cli.main(args + (["--phi", phi] if phi else []))
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: --variant {variant} needs ")
+
     def test_divisibility_witness(self, capsys, tmp_path):
         # 1 at 00 only, on Sub((1,2)(1,2)): Sigma_{1}^00 = 1 is not
         # divisible by the root of (1,2)
@@ -248,8 +265,16 @@ class TestSt:
         assert rc == 0
 
     def test_independence_failure(self, capsys):
+        # dependent roots are bad input: a usage error
         rc, _ = run(capsys, ["st", "pd", "--roots", "e1-e2,e1-e2"])
-        assert rc == 1
+        assert rc == 2
+
+    def test_resolve_independence_failure_is_one_line(self, capsys):
+        rc = cli.main(["st", "resolve", "--roots", "e1-e2,e2-e3,e1-e3"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == "error: --roots 'e1-e2,e2-e3,e1-e3': roots are " \
+            "linearly dependent\n"
 
 
 class TestDseq:

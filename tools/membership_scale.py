@@ -5,13 +5,16 @@ the accept path over REPEATS repeats, interleaved over m (`timing.py`),
 with g the localization `res_tensor(t, a)` of the seeded instance of
 `res_tensor_scale.py` (the first m entries of one S_4 expression and
 m + 1 linear factors), which lies in X(t).  Each run is on a freshly
-enumerated Sub(t) whose analysis is built before the clock starts, so a
-run times the condition stream and the divisibility checks.  The file
-names that statistic and records the provenance of the measurement
-(`provenance.py`).  With --parent, a result file written by this script
-for another checkout of the package (the parent commit, say, run with that
-checkout's `src` on PYTHONPATH) is embedded under "parent", so the two
-curves travel together.
+enumerated Sub(t) and takes two times: `membership_s` starts after the
+analysis is built, so it times the condition stream and the divisibility
+checks; `fresh_s` starts before the enumeration, so it times a one-off
+call as `bsbimod membership --fn` makes it: `enumerate_sub`, the
+`FnOnSub`, the analysis and membership.  The file names that statistic
+and records the provenance of the measurement (`provenance.py`).  With
+--parent, a result file written by this script for another checkout of
+the package (the parent commit, say, run with that checkout's `src` on
+PYTHONPATH) is embedded under "parent", so the two curves travel
+together.
 
     PYTHONPATH=src python3 tools/membership_scale.py [OUT] [--parent PARENT_JSON]
 
@@ -40,23 +43,27 @@ def main(out_path: str, parent_path) -> None:
 
     def membership_time(m: int) -> dict:
         t, vals = values[m]
+        start = time.process_time()
         g = locmod.FnOnSub(enumerate_sub(t, "all"), vals)
         g.domain.analysis()
-        start = time.process_time()
+        built = time.process_time()
         ok, _ = locmod.membership(g, "X(t)")
-        elapsed = time.process_time() - start
+        end = time.process_time()
         if not ok:
             raise SystemExit(f"m={m}: the localization is not in X(t)")
-        return {"membership_s": elapsed}
+        return {"membership_s": end - built, "fresh_s": end - start}
 
     medians = interleaved_medians(membership_time, M_RANGE, REPEATS)
     rows = []
     for m in M_RANGE:
         rows.append({"m": m, "members": len(values[m][1]), **medians[m]})
-        print(f"m={m}: {medians[m]['membership_s']:.4f} s", flush=True)
+        print(f"m={m}: {medians[m]['membership_s']:.4f} s, fresh "
+              f"{medians[m]['fresh_s']:.4f} s", flush=True)
     result = {
         "what": f"in-process process time of locmod.membership(g, 'X(t)') "
-                f"on the localization of a pure tensor on S_{N}, accept path",
+                f"on the localization of a pure tensor on S_{N}, accept path: "
+                f"membership_s after the analysis is built, fresh_s from "
+                f"the enumeration of Sub(t) on",
         "statistic": f"median process time of {REPEATS} repeats per m, "
                      f"interleaved over m",
         **provenance(),
