@@ -18,8 +18,8 @@ from itertools import islice, product
 from operator import add
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .polyring import (Polynomial, RationalFn, exact_div, _clean, _pack,
-                       _power_divides)
+from .polyring import (Polynomial, RationalFn, exact_div, try_exact_div,
+                       _clean, _pack, _power_divides)
 from .coxeter import Permutation, ReflExpr
 from .subexpr import (ALL_CAP, Subexpr, SubSet, enumerate_sub,
                       _fold_members, _fold_template, _prefix_walk, _root)
@@ -443,15 +443,28 @@ def express_in_basis(g: FnOnSub, tree: Optional[DecoTree] = None
 # -- inner product ----------------------------------------------------------
 
 def inner(g: FnOnSub, h: FnOnSub) -> RationalFn:
-    """<g|h> = sum over eps of g(eps) h(eps) / o(eps), on the common support."""
+    """<g|h> = sum over eps of g(eps) h(eps) / o(eps), on the common support.
+    A root of o(eps) is prime: it is cancelled from the factor it divides
+    before they multiply, the reduction `RationalFn` makes of the product."""
     g._check(h)
     if g.domain.target is None:
         raise ValueError("the inner product lives on Sub(t, w)")
     n = g.domain.expr.n
     common = [b for b, v in g.values.items() if v.terms and h.values[b].terms]
-    terms = [RationalFn(g.values[b] * h.values[b],
-                        [_root(n, x, y) for x, y in pairs])
-             for b, pairs in zip(common, _prefix_walk(g.domain.expr, common))]
+    terms = []
+    for b, pairs in zip(common, _prefix_walk(g.domain.expr, common)):
+        u, v, left = g.values[b], h.values[b], []
+        for x, y in pairs:
+            root = _root(n, x, y)
+            if (q := try_exact_div(u, root)) is not None:
+                u = q
+            elif (q := try_exact_div(v, root)) is not None:
+                v = q
+            else:
+                left.append(root)
+        term = object.__new__(RationalFn)       # reduced already
+        term.num, term.den_factors, term.den_scalar = u * v, tuple(left), 1
+        terms.append(term)
     return reduce(add, terms) if terms else RationalFn(Polynomial.zero(n))
 
 

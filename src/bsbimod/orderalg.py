@@ -12,13 +12,15 @@ __all__ = [
 ]
 
 from dataclasses import dataclass, field
+from functools import cmp_to_key, reduce
 from itertools import combinations, product
+from operator import or_
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .polyring import Polynomial, GradedRank, InvariantError, _linear_rows
 from .coxeter import Permutation, Reflection, ReflExpr
 from .subexpr import (Subexpr, SubSet, SubAnalysis, enumerate_sub, components,
-                      con_component, balance, _indices, _mask, _positions)
+                      con_component, balance, _indices)
 from .locmod import FnOnSub, indicator, _nabla_product
 
 Bits = Tuple[int, ...]
@@ -27,7 +29,8 @@ Bits = Tuple[int, ...]
 @dataclass(frozen=True)
 class ClosenessCert:
     """Certificate that eps is (con-)close to Phi: the index set Y, the
-    per-reflection data (M_p, n_p, Y cap M_p), and dist = 2|Y|."""
+    per-reflection data (M_p, n_p, Y cap M_p), and dist = 2|Y|.  Built from
+    a `_closeness` entry for the callers that return it, not in growth."""
     Y: Tuple[int, ...]
     per_p: Tuple[Tuple[Reflection, Tuple[int, ...], int, Tuple[int, ...]], ...]
     dist: int
@@ -69,8 +72,8 @@ def _row_entry(shapes: dict, p, Mp: Tuple[int, ...], reach, allowed: int,
     """(id, (p, M_p, n_p, candidates)) of one M_p row, given `allowed`, the
     members Phi u {eps} may fold into.  n_p and the candidates as submasks
     depend only on |M_p|, the mode and the mask F of the S with reach[S]
-    inside `allowed`, so they come from `shapes` (`SubAnalysis.row_shapes`);
-    mapping them through M_p, which is increasing, keeps their order."""
+    inside `allowed`; they come from `shapes` (`SubAnalysis.row_shapes`),
+    with M_p's table of position masks (bit x - 1 for x) to map them."""
     F = sum(1 << S for S, r in enumerate(reach)
             if r is not None and not r & ~allowed)
     shape = shapes.get((F, len(Mp), mode))
@@ -83,7 +86,12 @@ def _row_entry(shapes: dict, p, Mp: Tuple[int, ...], reach, allowed: int,
         shape = shapes[F, len(Mp), mode] = shapes.setdefault(
             (np, cands), (np, cands, len(shapes)))
     np, cands, sid = shape
-    return sid, (p, Mp, np, tuple(_positions(Mp, S) for S in cands))
+    pos = shapes.get(Mp)
+    if pos is None:     # pos[S]: the position mask of the submask S
+        pos = shapes[Mp] = [0]
+        for x in Mp:
+            pos += [q | 1 << (x - 1) for q in pos]
+    return sid, (p, Mp, np, tuple([pos[S] for S in cands]))
 
 
 def _closeness_memo(an: SubAnalysis, i: int, mode: str) -> tuple:
@@ -97,16 +105,10 @@ def _closeness_memo(an: SubAnalysis, i: int, mode: str) -> tuple:
     - the table per tuple of the rows' entry ids, shared by the keys
       that give it.
     """
-    rows = []
-    U = 0
-    for p, Mp, reach in an.reach(i):
-        U_row = 0
-        for r in reach:
-            if r is not None:
-                U_row |= r
-        rows.append((U_row, p, Mp, reach, {}))
-        U |= U_row
-    memo = an.closeness_memo[(i, mode)] = (U, tuple(rows), {}, {})
+    rows = tuple((reduce(or_, filter(None, reach), 0), p, Mp, reach, {})
+                 for p, Mp, reach in an.reach(i))
+    U = reduce(or_, (row[0] for row in rows), 0)
+    memo = an.closeness_memo[(i, mode)] = (U, rows, {}, {})
     return memo
 
 
@@ -114,7 +116,7 @@ def _closeness_table(shapes: dict, memo: tuple, key: int, mode: str) -> tuple:
     """The table of key = allowed & U, built from the rows' entries on
     first use: (choices, tried, source).  choices lists the row entries;
     tried holds the candidate products taken from the iterator `source` so
-    far, each as (mask, certificate), the mask being the frozen set of the
+    far as `_closeness` entries, the mask being the frozen set of the
     product, or its connected component through the member in con mode."""
     _, rows, tables, shared = memo
     picked = []
@@ -124,12 +126,11 @@ def _closeness_table(shapes: dict, memo: tuple, key: int, mode: str) -> tuple:
         if entry is None:
             entry = entries[rk] = _row_entry(shapes, p, Mp, reach, rk, mode)
         picked.append(entry)
-    shared_key = tuple(sid for sid, _ in picked)
-    table = shared.get(shared_key)
+    sids = tuple(sid for sid, _ in picked)
+    table = shared.get(sids)
     if table is None:
         choices = [entry for _, entry in picked]
-        table = shared[shared_key] = (
-            choices, [], product(*(entry[3] for entry in choices)))
+        table = shared[sids] = (choices, [], product(*(e[3] for e in choices)))
     tables[key] = table
     return table
 
@@ -149,38 +150,47 @@ def closeness(sub: SubSet, Phi, eps: Subexpr, mode: str = "plain"
     phi = an.mask_of(Phi.members if isinstance(Phi, SubSet) else Phi)
     if phi >> i & 1:
         raise ValueError("eps must not lie in Phi")
-    return _closeness(an, i, phi, mode)
+    return _cert(_closeness(an, i, phi, mode), mode)
+
+
+def _cert(entry: Optional[tuple], mode: str) -> Optional[ClosenessCert]:
+    """The certificate of an entry of `_closeness`; None for None."""
+    return entry and ClosenessCert(
+        Y=tuple(b + 1 for b in _indices(sum(entry[3]))), dist=entry[1],
+        per_p=tuple((p, Mp, np, tuple(b + 1 for b in _indices(Yp)))
+                    for (p, Mp, np, _), Yp in zip(entry[2], entry[3])),
+        mode=mode)
 
 
 def _closeness(an: SubAnalysis, i: int, phi: int, mode: str
-               ) -> Optional[ClosenessCert]:
-    """`closeness` of member i of `an` to the member mask phi, without i.
-    Phi_p(eps), the X inside M_p(eps) whose unfrozen set {f_Y eps : Y even
-    inside X} lies in Phi u {eps}, is read from `an`, as is the graph the
-    con mode searches.  An M_p row's candidates depend on Phi only through
-    the members that row's folds reach, so they are looked up once per
-    intersection with those, and computed once per row shape of the
-    analysis; the candidate products, with the masks and certificates tried
-    so far, are kept once per tuple of distinct row entries."""
+               ) -> Optional[tuple]:
+    """`closeness` of member i of `an` to the member mask phi, without i, as
+    the entry (mask, dist, row entries, their disjoint position masks, whose
+    sum is Y) of the first valid product, or None.  Phi_p(eps), the X inside
+    M_p(eps) whose unfrozen set {f_Y eps : Y even inside X} lies in
+    Phi u {eps}, is read from `an`, as is the graph the con mode searches.
+    An M_p row's candidates depend on Phi only through the members that
+    row's folds reach, so they are looked up once per intersection with
+    those, and computed once per row shape of the analysis; the candidate
+    products, with the entries tried so far, are kept once per tuple of
+    distinct row entries."""
     memo = an.closeness_memo.get((i, mode)) or _closeness_memo(an, i, mode)
     U, _, tables, _ = memo
     key = (phi | 1 << i) & U
     choices, tried, source = (tables.get(key) or _closeness_table(
         an.row_shapes, memo, key, mode))
-    for mask, cert in tried:
-        if not mask & phi:
-            return cert
+    for entry in tried:
+        if not entry[0] & phi:
+            return entry
     for combo in source:
-        Y = tuple(sorted(set().union(*map(set, combo)))) if combo else ()
-        per_p = tuple((p, Mp, np, Yp)
-                      for (p, Mp, np, _), Yp in zip(choices, combo))
-        cert = ClosenessCert(Y=Y, per_p=per_p, dist=2 * len(Y), mode=mode)
-        mask = an.frozen(i, _mask(Y))
+        Y = sum(combo)
+        mask = an.frozen(i, Y)
         if mode == "con":
             mask = an.component(i, mask)
-        tried.append((mask, cert))
+        entry = (mask, 2 * Y.bit_count(), choices, combo)
+        tried.append(entry)
         if not mask & phi:
-            return cert
+            return entry
     return None
 
 
@@ -220,11 +230,12 @@ def _run_family_algorithm(t: ReflExpr, w: Permutation, mode: str,
                                reverse=True):
             phi, base, _ = level[phi_mask]
             for i in _indices(~phi_mask & (1 << msub) - 1):
-                cert = _closeness(an, i, phi_mask, mode)
-                if cert is None:
+                entry = _closeness(an, i, phi_mask, mode)
+                if entry is None:
                     continue
+                dist = entry[1]
                 coeffs = dict(base)         # P + v^{-dist}
-                coeffs[-cert.dist] = coeffs.get(-cert.dist, 0) + 1
+                coeffs[-dist] = coeffs.get(-dist, 0) + 1
                 old = nxt.get(phi_mask | 1 << i)
                 if old is None:
                     old = nxt[phi_mask | 1 << i] = (phi | {an.members[i]},
@@ -234,9 +245,9 @@ def _run_family_algorithm(t: ReflExpr, w: Permutation, mode: str,
                     raise InvariantError(
                         f"rank mismatch at {sorted(old[0])}: "
                         f"{GradedRank(old[1])} vs {GradedRank(coeffs)}")
-                old[2].add(cert.dist)
+                old[2].add(dist)
                 if k == msub - 1:
-                    last_additions.append((phi, an.members[i], cert.dist))
+                    last_additions.append((phi, an.members[i], dist))
                 if greedy:
                     break
             if greedy and nxt:
@@ -297,11 +308,11 @@ def chain_run(t: ReflExpr, w: Permutation, order: Sequence[Subexpr],
     P = GradedRank.constant(0)
     for eps in order:
         i = an.require(eps)
-        cert = _closeness(an, i, phi, mode)
-        if cert is None:
+        entry = _closeness(an, i, phi, mode)
+        if entry is None:
             raise InvariantError(f"chain step failed at {eps}")
-        certs.append(cert)
-        P = P + GradedRank.v_power(-cert.dist)
+        certs.append(_cert(entry, mode))
+        P = P + GradedRank.v_power(-entry[1])
         phi |= 1 << i
     return certs, P
 
@@ -326,8 +337,6 @@ def balanced_order(t: ReflExpr, w: Permutation):
             return "NotBalanced", eps
         infos[bits] = set(pos)
 
-    import functools
-
     def cmp(a: Bits, b: Bits) -> int:
         if a == b:
             return 0
@@ -335,20 +344,19 @@ def balanced_order(t: ReflExpr, w: Permutation):
         # b <<< a iff i is positive for a
         return 1 if i in infos[a] else -1
 
-    ordered_bits = sorted(sub.members, key=functools.cmp_to_key(cmp))
-    ordered = [Subexpr(t, b) for b in ordered_bits]
+    ordered = [Subexpr(t, b)
+               for b in sorted(sub.members, key=cmp_to_key(cmp))]
     an = sub.analysis()
-    dists = []
-    phi = 0
+    dists, phi = [], 0
     for eps in ordered:
-        cert = _closeness(an, an.index[eps.bits], phi, "plain")
-        if cert is None:
+        entry = _closeness(an, an.index[eps.bits], phi, "plain")
+        if entry is None:
             raise InvariantError(f"perfect-order step failed at {eps}")
         expected = 2 * len(infos[eps.bits])
-        if cert.dist != expected:
+        if entry[1] != expected:
             raise InvariantError(
-                f"dist {cert.dist} != 2*#positive {expected} at {eps}")
-        dists.append(cert.dist)
+                f"dist {entry[1]} != 2*#positive {expected} at {eps}")
+        dists.append(entry[1])
         phi |= 1 << an.index[eps.bits]
     return ordered, dists
 

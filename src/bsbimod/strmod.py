@@ -55,6 +55,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .polyring import (Polynomial, GradedRank, InvariantError, Scalar, _exact,
                        _linear_rows, _ratio)
+from .subexpr import ALL_CAP
 
 Mono = Tuple[int, ...]
 
@@ -461,11 +462,14 @@ def _frame_pairs(leads: Sequence[Tuple[int, Mono]]):
 def _frame_shape(elems: Sequence[FreeModElem], order: ModOrder):
     """(degrees, levels): the degrees of every F_k of `_schreyer_frame`
     over `elems`, and the `_frame_pairs` of every F_k above F_0, with no
-    column built: the column of (a, ua, b, ub) leads with ub E_b."""
+    column built: the column of (a, ua, b, ub) leads with ub E_b.
+    ValueError before a level takes the frame past ALL_CAP generators."""
     degrees = [[f.homogeneous_degree() for f in elems]] if elems else []
     levels = []
     pairs = _frame_pairs([f.leading(order)[:2] for f in elems])
     while pairs:
+        if len(pairs) + sum(map(len, degrees)) > ALL_CAP:
+            raise ValueError(f"the frame tops ALL_CAP = {ALL_CAP} generators")
         levels.append(pairs)
         degrees.append([2 * sum(ub) + degrees[-1][b] for _, _, b, ub in pairs])
         pairs = _frame_pairs([(b, ub) for _, _, b, ub in pairs])

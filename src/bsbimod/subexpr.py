@@ -261,11 +261,6 @@ def _mask(positions: Sequence[int]) -> int:
     return out
 
 
-def _positions(Mp: Sequence[int], S: int) -> Tuple[int, ...]:
-    """The positions of Mp picked by the submask S (bit b picks Mp[b])."""
-    return tuple(x for b, x in enumerate(Mp) if S >> b & 1)
-
-
 def _indices(mask: int):
     """The indices of the set bits of mask, increasing."""
     while mask:
@@ -350,12 +345,13 @@ class SubAnalysis:
     member eps gives eps^k = (x y), one `Reflection` per pair.
     `closeness_memo` holds, per (member, mode), what `orderalg.closeness`
     has computed for that member: each M_p row's entry (n_p and the
-    candidates) per intersection of Phi u {eps} with the members that row's
-    folds reach, and the candidate products, once per tuple of the rows'
-    entry ids, with the frozen masks (con components in con mode) and
-    certificates tried so far.  `row_shapes` maps (F, |M_p|, mode), F a
-    row's admissible submasks, and (n_p, candidates) to (n_p, candidates as
-    submasks, id numbering the pairs).  Neither refers back to the analysis.
+    candidates as position masks) per intersection of Phi u {eps} with the
+    members that row's folds reach, and the candidate products, once per
+    tuple of the rows' entry ids, with the entries (frozen mask or con
+    component, dist, product) tried so far.  `row_shapes` maps (F, |M_p|,
+    mode), F a row's admissible submasks, and (n_p, candidates) to (n_p,
+    candidates as submasks, id numbering the pairs), and M_p to the position
+    masks of its submasks.  Neither refers back to the analysis.
     """
 
     def __init__(self, sub: SubSet):
@@ -403,6 +399,7 @@ class SubAnalysis:
             per_p.append(tuple(rows))
         self.per_p = tuple(per_p)
         self._adj: Optional[Tuple[int, ...]] = None
+        self._at: Optional[Tuple[Tuple[int, int], ...]] = None  # `frozen`
         self._reach: Dict[int, tuple] = {}
         self._conditions: Dict[bool, list] = {}  # [listed, source or None]
         self._tables: Dict[bool, Optional[tuple]] = {}  # condition_table
@@ -516,12 +513,16 @@ class SubAnalysis:
 
     def frozen(self, i: int, X: int) -> int:
         """The members agreeing with member i at the positions of mask X;
-        with X = ~mask, the members differing from it only inside mask."""
-        mi = self.masks[i]
-        out = 0
-        for j, mj in enumerate(self.masks):
-            if not (mi ^ mj) & X:
-                out |= 1 << j
+        with X = ~mask, the members differing from it only inside mask.  One
+        AND per position of X: the members with i's bit there, built once."""
+        m, out = len(self.expr), (1 << len(self.members)) - 1
+        if self._at is None:
+            self._at = tuple((out ^ o, o) for o in (sum(
+                1 << j for j, mj in enumerate(self.masks) if mj >> k & 1)
+                for k in range(m)))
+        at, mi = self._at, self.masks[i]
+        for k in _indices(X & (1 << m) - 1):
+            out &= at[k][mi >> k & 1]
         return out
 
     def component(self, i: int, within: int) -> int:
@@ -652,27 +653,13 @@ def enumerate_sub(t: ReflExpr, w: Union[Permutation, str, None] = "all"
     return SubSet._of(t, w, tuple(_target_members(t.n, trans, target)))
 
 
-def _even_subsets(X: Sequence[int]):
-    X = sorted(X)
-    k = len(X)
-    for mask in range(2 ** k):
-        if bin(mask).count("1") % 2 == 0:
-            yield tuple(X[i] for i in range(k) if (mask >> i) & 1)
-
-
-def _all_subsets(X: Sequence[int]):
-    X = sorted(X)
-    k = len(X)
-    for mask in range(2 ** k):
-        yield tuple(X[i] for i in range(k) if (mask >> i) & 1)
-
-
 def equiv_class(eps: Subexpr, p: Reflection, target_restricted: bool) -> SubSet:
     """The =._p class of eps: all f_X eps over X subset of M_p(eps), with X
     even when restricted to Sub(t, target)."""
     Mp = eps.M(p)
-    gen = _even_subsets(Mp) if target_restricted else _all_subsets(Mp)
-    seen = sorted({eps.fold(X).bits for X in gen})
+    seen = sorted({eps.fold(X).bits
+                   for k in range(0, len(Mp) + 1, 1 + target_restricted)
+                   for X in itertools.combinations(Mp, k)})
     tgt = eps.target() if target_restricted else None
     return SubSet._of(eps.expr, tgt, tuple(seen))
 
@@ -691,7 +678,7 @@ def graph(Phi: SubSet) -> SubGraph:
             for S, j in enumerate(folds):
                 if j < 0 or not S or S.bit_count() % 2:
                     continue
-                Y = _positions(Mp, S)
+                Y = tuple(x for b, x in enumerate(Mp) if S >> b & 1)
                 other = an.members[j]
                 key = (min(bits, other), max(bits, other))
                 if key not in edges or (p.i, p.j, Y) < (

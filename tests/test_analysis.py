@@ -18,7 +18,8 @@ from bsbimod.coxeter import Permutation, Reflection, ReflExpr
 from bsbimod.locmod import FnOnSub, membership, res_tensor, sigma
 from bsbimod.polyring import Polynomial
 from bsbimod.subexpr import (Subexpr, enumerate_sub, graph, components,
-                             frozen_set, unfrozen_set, con_component)
+                             frozen_set, unfrozen_set, con_component,
+                             equiv_class, _indices)
 from bsbimod import orderalg
 from bsbimod.orderalg import (closeness, algorithm1, algorithm2,
                               acyclic_rank, residual_constraints)
@@ -210,12 +211,15 @@ class TestAgainstOracle:
             for p, Mp, reach in an.reach(i):
                 sid, entry = orderalg._row_entry(an.row_shapes, p, Mp, reach,
                                                  allowed | 1 << i, mode)
-                assert entry == oracle.row_entry(p, Mp, reach,
-                                                 allowed | 1 << i, mode)
+                # candidates come as position masks: bit x - 1 for x
+                cands = tuple(tuple(b + 1 for b in _indices(c))
+                              for c in entry[3])
+                assert entry[:3] + (cands,) == oracle.row_entry(
+                    p, Mp, reach, allowed | 1 << i, mode)
                 pair = (entry[2], tuple(sum(1 << Mp.index(x) for x in c)
-                                        for c in entry[3]))
+                                        for c in cands))
                 assert ids.setdefault(sid, pair) == pair
-                seen.add((i, p, len(Mp), mode) + entry[2:])
+                seen.add((i, p, len(Mp), mode, entry[2], cands))
         assert len(set(ids.values())) == len(ids)
         return seen
 
@@ -256,6 +260,44 @@ class TestAgainstOracle:
         assert varying     # one row, one n_p, two sets of candidates
         assert len(an.row_shapes) < len(calls)
 
+    @settings(max_examples=100, deadline=None)
+    @given(analysed_sets(), st.data())
+    def test_closeness_entries(self, sub, data):
+        # random members and Phi masks, both modes, on one analysis: the
+        # certificate built from an entry is the oracle's, and the entry's
+        # mask is the frozen set of its Y, or its component in con mode
+        if not len(sub):
+            return
+        an, full = sub.analysis(), (1 << len(sub)) - 1
+        for _ in range(data.draw(st.integers(1, 4))):
+            i = data.draw(st.integers(0, len(sub) - 1))
+            phi = data.draw(st.integers(0, full)) & ~(1 << i)
+            Phi, eps = an.bits_of(phi), Subexpr(sub.expr, sub.members[i])
+            for mode in data.draw(st.permutations(["plain", "con"])):
+                cert = closeness(sub, Phi, eps, mode)
+                assert cert == oracle.closeness(sub, Phi, eps, mode)
+                entry = orderalg._closeness(an, i, phi, mode)
+                assert orderalg._cert(entry, mode) == cert
+                if cert is not None:
+                    reach = (oracle.frozen_set if mode == "plain" else
+                             oracle.con_component)(sub, eps, cert.Y)
+                    assert entry[0] == an.mask_of(reach.members)
+                    assert entry[1] == cert.dist
+
+    @settings(max_examples=150, deadline=None)
+    @given(analysed_sets(), st.data())
+    def test_frozen_masks(self, sub, data):
+        # the per-position ANDs against the loop over every member, for
+        # position masks and for the complements `unfrozen_set` passes
+        if not len(sub):
+            return
+        an, m = sub.analysis(), len(sub.expr)
+        for _ in range(data.draw(st.integers(1, 6))):
+            i = data.draw(st.integers(0, len(sub) - 1))
+            X = data.draw(st.integers(0, (1 << m) - 1))
+            for mask in (X, ~X):
+                assert an.frozen(i, mask) == oracle.frozen_mask(an, i, mask)
+
     @settings(max_examples=150, deadline=None)
     @given(analysed_sets())
     def test_per_p_and_adjacency(self, sub):
@@ -287,6 +329,16 @@ class TestAgainstOracle:
         assert frozen_set(sub, eps, X) == oracle.frozen_set(sub, eps, X)
         assert unfrozen_set(sub, eps, X) == oracle.unfrozen_set(sub, eps, X)
         assert con_component(sub, eps, X) == oracle.con_component(sub, eps, X)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sub_sets(), st.data())
+    def test_equiv_classes(self, sub, data):
+        eps = Subexpr(sub.expr, data.draw(st.sampled_from(sub.members)))
+        p = data.draw(st.sampled_from(sorted(eps.all_M(),
+                                             key=lambda q: (q.i, q.j))))
+        for restricted in (True, False):
+            assert equiv_class(eps, p, restricted) == \
+                oracle.equiv_class(eps, p, restricted)
 
     @settings(max_examples=150, deadline=None)
     @given(sub_sets(), st.data())

@@ -259,6 +259,31 @@ class TestSt:
         assert rc == 0 and got["certified"] is True
         assert got["pd"] == 3 and got["degrees"][-1] == [10]
 
+    @pytest.mark.parametrize("action", ["pd", "resolve"])
+    def test_frame_past_the_cap_is_refused_up_front(self, action):
+        # 21 roots give a frame of 2^21 - 22 generators, more than ALL_CAP:
+        # one line and exit 2, before anything is resolved
+        src = os.path.dirname(os.path.dirname(bsbimod.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bsbimod", "st", action, "--nroots", "21"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=30)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert "ALL_CAP" in proc.stderr
+
+    def test_frame_at_the_cap_is_accepted(self, capsys, monkeypatch):
+        # 20 roots give 2^20 - 21 generators, within ALL_CAP: the command
+        # goes on to resolve (stubbed here, as the frame is huge)
+        calls = []
+
+        def stub(gens, order):
+            calls.append(len(gens))
+            return 0, [[]], True
+        monkeypatch.setattr(cli.strmod, "certified_pd", stub)
+        rc, out = run(capsys, ["st", "pd", "--nroots", "20"])
+        assert rc == 0 and calls == [190] and "pd = 0" in out
+
     def test_resolve_with_roots_and_dual(self, capsys):
         rc, out = run(capsys, ["st", "resolve",
                                "--roots", "e1-e2,e2-e3,e3-e4", "--dual"])

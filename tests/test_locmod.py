@@ -598,6 +598,34 @@ class TestSupportsAgainstOracle:
             assert same_rational(inner(a, b), oracle.inner(a, b))
         assert inner(g, off).num.is_zero() and inner(g, zero).num.is_zero()
 
+    @settings(max_examples=80, deadline=None)
+    @given(exprs(max_len=5).filter(len), st.data())
+    def test_inner_cancels_before_it_multiplies(self, t, data):
+        # values built from the member's own roots, some negated or
+        # repeated, so that roots of o(eps) divide g(eps), h(eps), both or
+        # neither: each term, and the sum, equal the pairing that
+        # multiplies first, factor for factor and in order
+        sub = enumerate_sub(t, draw_member(data, t).target())
+
+        def rooty():
+            values = {}
+            for b in sub.members:
+                eps = Subexpr(t, b)
+                v = data.draw(tensor_factors(t.n).filter(
+                    lambda f: not f.is_zero()))
+                for k in data.draw(st.lists(st.integers(1, len(t)),
+                                            max_size=4)):
+                    v = v * eps.root_before(k).scale(data.draw(
+                        st.sampled_from([1, -1, Fraction(1, 2)])))
+                values[b] = v
+            return FnOnSub(sub, values)
+        g, h = rooty(), rooty()
+        for b in sub.members:
+            one = FnOnSub(sub, {b: g.values[b]})
+            assert same_rational(inner(one, h),
+                                 oracle.inner_by_product(one, h))
+        assert same_rational(inner(g, h), oracle.inner_by_product(g, h))
+
     @settings(max_examples=40, deadline=None)
     @given(exprs(max_len=5), st.data())
     def test_mu_against_restricted_basis_element(self, t, data):

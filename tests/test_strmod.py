@@ -693,3 +693,16 @@ class TestCertifiedPd:
         # the columns of the same frame are reductions above level 0
         free_resolution(gens, order)
         assert len(completions) == 2 and above
+
+    @pytest.mark.parametrize("cap, refused", [(25, True), (26, False)])
+    def test_frame_cap(self, monkeypatch, cap, refused):
+        # St on 5 roots has a frame of 2^5 - 6 = 26 generators, of which
+        # the last level adds one: a cap of 25 refuses it before that level
+        monkeypatch.setattr(strmod, "ALL_CAP", cap)
+        gens = st_generators(5)
+        _, order = st_ambient(5, 0)
+        if refused:
+            with pytest.raises(ValueError, match="ALL_CAP = 25 generators"):
+                strmod.certified_pd(gens, order)
+        else:
+            assert strmod.certified_pd(gens, order)[0] == 3

@@ -8,20 +8,31 @@ outcome and total number of families over all steps.  At the two smallest
 sizes both results must equal those of `oracle.family_growth` in
 `tests/oracle.py`, the family loop on frozensets driven by the brute-force
 closeness.  The file also records the provenance of the measurement
-(`provenance.py`).  With --parent, a result file written by this script for
-another checkout of the package (the parent commit, say, run with that
-checkout's `src` on PYTHONPATH) is embedded under "parent", so the two
-curves travel together.
+(`provenance.py`).
 
-    PYTHONPATH=src python3 tools/growth_scale.py [OUT] [--parent PARENT_JSON]
+With --parent-src DIR, another checkout of the package, whose `bsbimod`
+lies in DIR (the parent commit's `src`, say), is timed alongside: a child
+process runs this script with DIR first on PYTHONPATH and times the same
+instance right before or after this checkout does, the order alternating
+from one repeat to the next, so that a drift in machine speed touches
+both alike.  Its medians and provenance go under "parent" in each row and
+in the file; every run of the child must give the same traces,
+increments, last additions and outcomes as this checkout, or the script
+stops.  With --parent, a result file written by this script for another
+checkout is embedded under "parent" instead.
+
+    PYTHONPATH=src python3 tools/growth_scale.py [OUT]
+        [--parent-src DIR | --parent PARENT_JSON]
 
 OUT defaults to BENCH_growth.json.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import random
+import subprocess
 import sys
 import time
 
@@ -30,10 +41,6 @@ from bsbimod.coxeter import Reflection, ReflExpr
 from bsbimod.subexpr import Subexpr, enumerate_sub
 from provenance import provenance
 from timing import interleaved_medians
-
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "tests"))
-import oracle  # noqa: E402
 
 SIZES = range(8, 15)
 ORACLE_SIZES = SIZES[:2]
@@ -60,21 +67,89 @@ def instances() -> dict:
     return found
 
 
-def main(out_path: str, parent_path) -> None:
+def digest(res) -> str:
+    """A hash of the outcome, step, traces (each level's families in dict
+    order, members sorted), increments and last additions of a result."""
+    def fam(phi):
+        return sorted(map(list, phi))
+    return hashlib.sha256(json.dumps([
+        res.outcome, res.step,
+        [[(fam(phi), str(rank)) for phi, rank in level.items()]
+         for level in res.trace],
+        [[(fam(phi), sorted(d)) for phi, d in level.items()]
+         for level in res.increments],
+        [(fam(phi), list(b), d) for phi, b, d in res.last_additions],
+    ]).encode()).hexdigest()
+
+
+def time_growth(t, w) -> tuple:
+    """({label: process seconds}, [result per algorithm]) of one run."""
+    sub = enumerate_sub(t, w)
+    times, results = {}, []
+    for label, algo, _ in ALGOS:
+        start = time.process_time()
+        results.append(algo(t, w, sub=sub))
+        times[label] = time.process_time() - start
+    return times, results
+
+
+def serve() -> None:
+    """The child of --parent-src: its provenance as one JSON line, then,
+    per size read from stdin, one line of {label: [seconds, digest]}."""
+    cases = instances()
+    print(json.dumps(provenance()), flush=True)
+    for line in sys.stdin:
+        times, results = time_growth(*cases[int(line)])
+        print(json.dumps({label: [times[label], digest(res)]
+                          for (label, _, _), res in zip(ALGOS, results)}),
+              flush=True)
+
+
+def main(out_path: str, parent_src, parent_path) -> None:
+    # imported here, not at the top, so that the --serve child, which runs
+    # another checkout's bsbimod, never imports this checkout's oracle
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "tests"))
+    import oracle
+
     cases = instances()
     results = {}
+    child = None
+    if parent_src:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [parent_src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        child = subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--serve"], env=env,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        parent_provenance = json.loads(child.stdout.readline())
+    runs = [0]
+
+    def parent_run(size: int) -> dict:
+        child.stdin.write(f"{size}\n")
+        child.stdin.flush()
+        return json.loads(child.stdout.readline())
 
     def growth_time(size: int) -> dict:
-        t, w = cases[size]
-        sub = enumerate_sub(t, w)
-        times, results[size] = {}, []
-        for label, algo, _ in ALGOS:
-            start = time.process_time()
-            results[size].append(algo(t, w, sub=sub))
-            times[label] = time.process_time() - start
+        parent_first = runs[0] // len(SIZES) % 2    # odd repeats
+        runs[0] += 1
+        got = parent_run(size) if child and parent_first else None
+        times, results[size] = time_growth(*cases[size])
+        if child is None:
+            return times
+        got = got or parent_run(size)
+        for (label, _, _), res in zip(ALGOS, results[size]):
+            if got[label][1] != digest(res):
+                raise SystemExit(f"|Sub| = {size}: {label} of the parent "
+                                 "checkout gives other results")
+            times[f"parent_{label}"] = got[label][0]
         return times
 
-    medians = interleaved_medians(growth_time, SIZES, REPEATS)
+    try:
+        medians = interleaved_medians(growth_time, SIZES, REPEATS)
+    finally:
+        if child is not None:
+            child.stdin.close()
+            child.wait(timeout=60)
     rows = []
     for size in SIZES:
         t, w = cases[size]
@@ -89,19 +164,33 @@ def main(out_path: str, parent_path) -> None:
             row[label] = {"process_s": medians[size][label],
                           "outcome": res.outcome, "step": res.step,
                           "families": sum(map(len, res.trace))}
+        line = (f"|Sub|={size}: algo2 {row['algo2']['process_s']:.4f} s, "
+                f"algo1 {row['algo1']['process_s']:.4f} s, "
+                f"{row['algo2']['families']}/{row['algo1']['families']} "
+                "families")
+        if child is not None:
+            row["parent"] = {label: {"process_s": medians[size]["parent_" +
+                                                                label]}
+                             for label, _, _ in ALGOS}
+            line += "; parent " + " / ".join(
+                f"{row['parent'][label]['process_s']:.4f}"
+                for label, _, _ in ALGOS) + " s"
         rows.append(row)
-        print(f"|Sub|={size}: algo2 {row['algo2']['process_s']:.4f} s, "
-              f"algo1 {row['algo1']['process_s']:.4f} s, "
-              f"{row['algo2']['families']}/{row['algo1']['families']} "
-              "families", flush=True)
+        print(line, flush=True)
     result = {
         "what": "in-process process time of orderalg.algorithm2 and "
                 "orderalg.algorithm1 on one enumerated Sub(t, w) each, median "
-                f"of {REPEATS} interleaved repeats per size",
+                f"of {REPEATS} interleaved repeats per size"
+                + ("" if child is None else
+                   "; each size's run of the parent checkout, in a child "
+                   "process, right before or after this checkout's, "
+                   "alternating by repeat, with equal results"),
         **provenance(),
         "runs": rows,
     }
-    if parent_path:
+    if child is not None:
+        result["parent"] = parent_provenance
+    elif parent_path:
         with open(parent_path) as fh:
             result["parent"] = json.load(fh)
     with open(out_path, "w") as fh:
@@ -110,8 +199,14 @@ def main(out_path: str, parent_path) -> None:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--serve"]:
+        serve()
+        sys.exit()
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", nargs="?", default="BENCH_growth.json")
-    ap.add_argument("--parent", help="a result of this script to embed")
+    src = ap.add_mutually_exclusive_group()
+    src.add_argument("--parent-src", metavar="DIR",
+                     help="time the package in DIR alongside, interleaved")
+    src.add_argument("--parent", help="a result of this script to embed")
     args = ap.parse_args()
-    main(args.out, args.parent)
+    main(args.out, args.parent_src, args.parent)
