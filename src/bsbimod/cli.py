@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from .polyring import Polynomial, GradedRank, NotDivisible
 from .coxeter import Permutation, Reflection, ReflExpr
-from .subexpr import ALL_CAP, enumerate_sub, graph, components
+from .subexpr import enumerate_sub, graph, components
 from .locmod import FnOnSub, DecoTree, membership, basis, express_in_basis
 from .orderalg import algorithm1, algorithm2, balanced_order, acyclic_rank
 from . import strmod, dseq
@@ -302,9 +302,10 @@ def cmd_st(args) -> int:
             raise UsageError(f"--nroots {n_roots}: need at least two roots")
         if extra < 0:
             raise UsageError(f"--extra {extra}: must not be negative")
-    if 2 ** n_roots - 1 - n_roots > ALL_CAP:    # the frame's generators
-        raise UsageError(f"{n_roots} roots: the frame would have more "
-                         f"than ALL_CAP = {ALL_CAP} generators")
+    try:
+        strmod.check_st_frame(n_roots)
+    except ValueError as exc:
+        raise UsageError(f"{n_roots} roots: {exc}") from exc
     gens = strmod.st_generators(n_roots, extra=extra)
     _, order = strmod.st_ambient(n_roots, extra=extra)
     if args.action == "pd":

@@ -12,9 +12,7 @@ __all__ = [
 ]
 
 from dataclasses import dataclass, field
-from functools import cmp_to_key, reduce
 from itertools import combinations, product
-from operator import or_
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .polyring import Polynomial, GradedRank, InvariantError, _linear_rows
@@ -105,10 +103,16 @@ def _closeness_memo(an: SubAnalysis, i: int, mode: str) -> tuple:
     - the table per tuple of the rows' entry ids, shared by the keys
       that give it.
     """
-    rows = tuple((reduce(or_, filter(None, reach), 0), p, Mp, reach, {})
-                 for p, Mp, reach in an.reach(i))
-    U = reduce(or_, (row[0] for row in rows), 0)
-    memo = an.closeness_memo[(i, mode)] = (U, rows, {}, {})
+    rows = []
+    U = 0
+    for p, Mp, reach in an.reach(i):
+        U_row = 0
+        for r in reach:
+            if r is not None:
+                U_row |= r
+        rows.append((U_row, p, Mp, reach, {}))
+        U |= U_row
+    memo = an.closeness_memo[(i, mode)] = (U, tuple(rows), {}, {})
     return memo
 
 
@@ -126,11 +130,12 @@ def _closeness_table(shapes: dict, memo: tuple, key: int, mode: str) -> tuple:
         if entry is None:
             entry = entries[rk] = _row_entry(shapes, p, Mp, reach, rk, mode)
         picked.append(entry)
-    sids = tuple(sid for sid, _ in picked)
-    table = shared.get(sids)
+    shared_key = tuple(sid for sid, _ in picked)
+    table = shared.get(shared_key)
     if table is None:
         choices = [entry for _, entry in picked]
-        table = shared[sids] = (choices, [], product(*(e[3] for e in choices)))
+        table = shared[shared_key] = (
+            choices, [], product(*(entry[3] for entry in choices)))
     tables[key] = table
     return table
 
@@ -337,6 +342,8 @@ def balanced_order(t: ReflExpr, w: Permutation):
             return "NotBalanced", eps
         infos[bits] = set(pos)
 
+    import functools
+
     def cmp(a: Bits, b: Bits) -> int:
         if a == b:
             return 0
@@ -344,10 +351,11 @@ def balanced_order(t: ReflExpr, w: Permutation):
         # b <<< a iff i is positive for a
         return 1 if i in infos[a] else -1
 
-    ordered = [Subexpr(t, b)
-               for b in sorted(sub.members, key=cmp_to_key(cmp))]
+    ordered_bits = sorted(sub.members, key=functools.cmp_to_key(cmp))
+    ordered = [Subexpr(t, b) for b in ordered_bits]
     an = sub.analysis()
-    dists, phi = [], 0
+    dists = []
+    phi = 0
     for eps in ordered:
         entry = _closeness(an, an.index[eps.bits], phi, "plain")
         if entry is None:

@@ -40,6 +40,7 @@ __all__ = [
     "FreeModule", "FreeModElem", "ModOrder", "GroebnerBasis",
     "reduce_elem", "buchberger", "syzygies", "free_resolution", "pd",
     "coordinate_change", "st_generators", "st_membership", "st_ambient",
+    "check_st_frame",
     "q_generators", "theta_generators", "dual_toolkit", "certified_pd",
     "minimize_resolution", "resolution_ranks",
 ]
@@ -459,6 +460,12 @@ def _frame_pairs(leads: Sequence[Tuple[int, Mono]]):
     return out
 
 
+def _frame_cap(size: int) -> None:
+    """ValueError if a frame of `size` generators would top ALL_CAP."""
+    if size > ALL_CAP:
+        raise ValueError(f"the frame tops ALL_CAP = {ALL_CAP} generators")
+
+
 def _frame_shape(elems: Sequence[FreeModElem], order: ModOrder):
     """(degrees, levels): the degrees of every F_k of `_schreyer_frame`
     over `elems`, and the `_frame_pairs` of every F_k above F_0, with no
@@ -468,8 +475,7 @@ def _frame_shape(elems: Sequence[FreeModElem], order: ModOrder):
     levels = []
     pairs = _frame_pairs([f.leading(order)[:2] for f in elems])
     while pairs:
-        if len(pairs) + sum(map(len, degrees)) > ALL_CAP:
-            raise ValueError(f"the frame tops ALL_CAP = {ALL_CAP} generators")
+        _frame_cap(len(pairs) + sum(map(len, degrees)))
         levels.append(pairs)
         degrees.append([2 * sum(ub) + degrees[-1][b] for _, _, b, ub in pairs])
         pairs = _frame_pairs([(b, ub) for _, _, b, ub in pairs])
@@ -644,6 +650,14 @@ def st_generators(n: int, extra: int = 0) -> List[FreeModElem]:
         prod = Polynomial.var(nv, i) * Polynomial.var(nv, j)
         out.append(FreeModElem(amb, {k - 1: prod for k in range(i, j)}))
     return out
+
+
+def check_st_frame(n: int) -> None:
+    """`_frame_cap` on the frame of `st_generators(n)`, with nothing built:
+    it has 2^n - 1 - n generators, as `_frame_shape` counts them.  An n
+    two past the cap's bit length is refused without forming 2^n."""
+    _frame_cap(ALL_CAP + 1 if n > ALL_CAP.bit_length() + 1
+               else 2 ** n - 1 - n)
 
 
 def st_membership(f: FreeModElem, n: int) -> bool:

@@ -261,6 +261,11 @@ def _mask(positions: Sequence[int]) -> int:
     return out
 
 
+def _positions(Mp: Sequence[int], S: int) -> Tuple[int, ...]:
+    """The positions of Mp picked by the submask S (bit b picks Mp[b])."""
+    return tuple(x for b, x in enumerate(Mp) if S >> b & 1)
+
+
 def _indices(mask: int):
     """The indices of the set bits of mask, increasing."""
     while mask:
@@ -516,10 +521,12 @@ class SubAnalysis:
         with X = ~mask, the members differing from it only inside mask.  One
         AND per position of X: the members with i's bit there, built once."""
         m, out = len(self.expr), (1 << len(self.members)) - 1
-        if self._at is None:
-            self._at = tuple((out ^ o, o) for o in (sum(
-                1 << j for j, mj in enumerate(self.masks) if mj >> k & 1)
-                for k in range(m)))
+        if self._at is None:    # at[k]: (members with 0, with 1 at k)
+            ones = [0] * m
+            for j, mj in enumerate(self.masks):
+                for k in _indices(mj):
+                    ones[k] |= 1 << j
+            self._at = tuple((out ^ o, o) for o in ones)
         at, mi = self._at, self.masks[i]
         for k in _indices(X & (1 << m) - 1):
             out &= at[k][mi >> k & 1]
@@ -653,13 +660,27 @@ def enumerate_sub(t: ReflExpr, w: Union[Permutation, str, None] = "all"
     return SubSet._of(t, w, tuple(_target_members(t.n, trans, target)))
 
 
+def _even_subsets(X: Sequence[int]):
+    X = sorted(X)
+    k = len(X)
+    for mask in range(2 ** k):
+        if bin(mask).count("1") % 2 == 0:
+            yield tuple(X[i] for i in range(k) if (mask >> i) & 1)
+
+
+def _all_subsets(X: Sequence[int]):
+    X = sorted(X)
+    k = len(X)
+    for mask in range(2 ** k):
+        yield tuple(X[i] for i in range(k) if (mask >> i) & 1)
+
+
 def equiv_class(eps: Subexpr, p: Reflection, target_restricted: bool) -> SubSet:
     """The =._p class of eps: all f_X eps over X subset of M_p(eps), with X
     even when restricted to Sub(t, target)."""
     Mp = eps.M(p)
-    seen = sorted({eps.fold(X).bits
-                   for k in range(0, len(Mp) + 1, 1 + target_restricted)
-                   for X in itertools.combinations(Mp, k)})
+    gen = _even_subsets(Mp) if target_restricted else _all_subsets(Mp)
+    seen = sorted({eps.fold(X).bits for X in gen})
     tgt = eps.target() if target_restricted else None
     return SubSet._of(eps.expr, tgt, tuple(seen))
 
@@ -678,7 +699,7 @@ def graph(Phi: SubSet) -> SubGraph:
             for S, j in enumerate(folds):
                 if j < 0 or not S or S.bit_count() % 2:
                     continue
-                Y = tuple(x for b, x in enumerate(Mp) if S >> b & 1)
+                Y = _positions(Mp, S)
                 other = an.members[j]
                 key = (min(bits, other), max(bits, other))
                 if key not in edges or (p.i, p.j, Y) < (

@@ -30,8 +30,8 @@ frame with every S-pair reduced and then minimised, the chord labels
 of a D-sequence table from each row's `Subexpr.all_M`, the closeness
 entry (n_p and candidates) of an M_p row computed afresh for each row and
 allowed mask, the frozen mask of `SubAnalysis.frozen` by a loop over every
-member, the =_p classes from the subsets of M_p by mask, and the pairing
-that multiplies g(eps) h(eps) before `RationalFn` cancels the roots.
+member, and the pairing that multiplies g(eps) h(eps) before `RationalFn`
+cancels the roots.
 They scan every prefix, fold `Subexpr` objects, rebuild graphs and
 edge-list adjacencies, divide polynomials, build a `Polynomial` per
 division step, enumerate a prefix domain per ladder step and reduce every
@@ -49,9 +49,8 @@ walked the prefix tree once per localization, found pivots
 fraction-free, read pd off the frame's shape where no two consecutive
 levels share a degree, read the chord labels from the analysis,
 read row entries from one table of row shapes per analysis, found frozen
-sets by one AND per position, listed =_p classes by `combinations` and
-cancelled roots from the factors of a pairing before multiplying them;
-the differential tests compare the two.
+sets by one AND per position and cancelled roots from the factors of a
+pairing before multiplying them; the differential tests compare the two.
 """
 
 from dataclasses import dataclass
@@ -73,29 +72,10 @@ from bsbimod.polyring import (GradedRank, InvariantError, NotDivisible,
 from bsbimod.strmod import (FreeModElem, FreeModule, ModOrder, _mono_lcm,
                             _mono_sub)
 from bsbimod.subexpr import (Subexpr, SubSet, SubGraph, enumerate_sub,
-                             rel_card, _indices, _prefix_walk, _root)
+                             rel_card, _even_subsets, _all_subsets,
+                             _indices, _positions, _prefix_walk, _root)
 
 Bits = Tuple[int, ...]
-
-
-def _positions(Mp: Sequence[int], S: int) -> Tuple[int, ...]:
-    """The positions of Mp picked by the submask S (bit b picks Mp[b])."""
-    return tuple(x for b, x in enumerate(Mp) if S >> b & 1)
-
-
-def _even_subsets(X: Sequence[int]):
-    X = sorted(X)
-    k = len(X)
-    for mask in range(2 ** k):
-        if bin(mask).count("1") % 2 == 0:
-            yield tuple(X[i] for i in range(k) if (mask >> i) & 1)
-
-
-def _all_subsets(X: Sequence[int]):
-    X = sorted(X)
-    k = len(X)
-    for mask in range(2 ** k):
-        yield tuple(X[i] for i in range(k) if (mask >> i) & 1)
 
 
 def target_members(t: ReflExpr, w) -> Tuple[Bits, ...]:
@@ -336,16 +316,6 @@ def con_component(sub: SubSet, eps: Subexpr, Y: Sequence[int]) -> SubSet:
         if eps.bits in comp:
             return SubSet(sub.expr, sub.target, comp)
     raise AssertionError("eps not found in its own frozen set")
-
-
-def equiv_class(eps: Subexpr, p: Reflection, target_restricted: bool
-                ) -> SubSet:
-    """The =._p class of eps from the subsets of M_p(eps) by mask."""
-    Mp = eps.M(p)
-    gen = _even_subsets(Mp) if target_restricted else _all_subsets(Mp)
-    seen = sorted({eps.fold(X).bits for X in gen})
-    tgt = eps.target() if target_restricted else None
-    return SubSet(eps.expr, tgt, tuple(seen))
 
 
 def frozen_mask(an, i: int, X: int) -> int:

@@ -19,7 +19,7 @@ from bsbimod.locmod import FnOnSub, membership, res_tensor, sigma
 from bsbimod.polyring import Polynomial
 from bsbimod.subexpr import (Subexpr, enumerate_sub, graph, components,
                              frozen_set, unfrozen_set, con_component,
-                             equiv_class, _indices)
+                             _indices)
 from bsbimod import orderalg
 from bsbimod.orderalg import (closeness, algorithm1, algorithm2,
                               acyclic_rank, residual_constraints)
@@ -329,16 +329,6 @@ class TestAgainstOracle:
         assert frozen_set(sub, eps, X) == oracle.frozen_set(sub, eps, X)
         assert unfrozen_set(sub, eps, X) == oracle.unfrozen_set(sub, eps, X)
         assert con_component(sub, eps, X) == oracle.con_component(sub, eps, X)
-
-    @settings(max_examples=100, deadline=None)
-    @given(sub_sets(), st.data())
-    def test_equiv_classes(self, sub, data):
-        eps = Subexpr(sub.expr, data.draw(st.sampled_from(sub.members)))
-        p = data.draw(st.sampled_from(sorted(eps.all_M(),
-                                             key=lambda q: (q.i, q.j))))
-        for restricted in (True, False):
-            assert equiv_class(eps, p, restricted) == \
-                oracle.equiv_class(eps, p, restricted)
 
     @settings(max_examples=150, deadline=None)
     @given(sub_sets(), st.data())

@@ -260,12 +260,13 @@ class TestSt:
         assert got["pd"] == 3 and got["degrees"][-1] == [10]
 
     @pytest.mark.parametrize("action", ["pd", "resolve"])
-    def test_frame_past_the_cap_is_refused_up_front(self, action):
+    @pytest.mark.parametrize("nroots", ["21", "1000000000"])
+    def test_frame_past_the_cap_is_refused_up_front(self, action, nroots):
         # 21 roots give a frame of 2^21 - 22 generators, more than ALL_CAP:
         # one line and exit 2, before anything is resolved
         src = os.path.dirname(os.path.dirname(bsbimod.__file__))
         proc = subprocess.run(
-            [sys.executable, "-m", "bsbimod", "st", action, "--nroots", "21"],
+            [sys.executable, "-m", "bsbimod", "st", action, "--nroots", nroots],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
             text=True, timeout=30)
         assert proc.returncode == 2 and proc.stdout == ""

@@ -706,3 +706,17 @@ class TestCertifiedPd:
                 strmod.certified_pd(gens, order)
         else:
             assert strmod.certified_pd(gens, order)[0] == 3
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_st_frame_count(self, monkeypatch, n):
+        # check_st_frame counts 2^n - 1 - n generators without building
+        # the frame: the count `_frame_shape` finds, refused one above it
+        gens = st_generators(n)
+        _, order = st_ambient(n, 0)
+        size = sum(map(len, strmod._frame_shape(gens, order)[0]))
+        assert size == 2 ** n - 1 - n
+        monkeypatch.setattr(strmod, "ALL_CAP", size)
+        strmod.check_st_frame(n)
+        monkeypatch.setattr(strmod, "ALL_CAP", size - 1)
+        with pytest.raises(ValueError, match=f"ALL_CAP = {size - 1} gen"):
+            strmod.check_st_frame(n)

@@ -12,17 +12,15 @@ closeness.  The file also records the provenance of the measurement
 
 With --parent-src DIR, another checkout of the package, whose `bsbimod`
 lies in DIR (the parent commit's `src`, say), is timed alongside: a child
-process runs this script with DIR first on PYTHONPATH and times the same
+process runs this script with PYTHONPATH set to DIR and times the same
 instance right before or after this checkout does, the order alternating
 from one repeat to the next, so that a drift in machine speed touches
 both alike.  Its medians and provenance go under "parent" in each row and
 in the file; every run of the child must give the same traces,
-increments, last additions and outcomes as this checkout, or the script
-stops.  With --parent, a result file written by this script for another
-checkout is embedded under "parent" instead.
+increments, last additions and outcomes as this checkout, and its
+`bsbimod` must be DIR's, or the script stops.
 
-    PYTHONPATH=src python3 tools/growth_scale.py [OUT]
-        [--parent-src DIR | --parent PARENT_JSON]
+    PYTHONPATH=src python3 tools/growth_scale.py [OUT] [--parent-src DIR]
 
 OUT defaults to BENCH_growth.json.
 """
@@ -94,10 +92,12 @@ def time_growth(t, w) -> tuple:
 
 
 def serve() -> None:
-    """The child of --parent-src: its provenance as one JSON line, then,
-    per size read from stdin, one line of {label: [seconds, digest]}."""
+    """The child of --parent-src: its provenance, with the directory of the
+    `bsbimod` it imported as "package", as one JSON line, then, per size
+    read from stdin, one line of {label: [seconds, digest]}."""
     cases = instances()
-    print(json.dumps(provenance()), flush=True)
+    package = os.path.dirname(os.path.abspath(orderalg.__file__))
+    print(json.dumps(dict(provenance(), package=package)), flush=True)
     for line in sys.stdin:
         times, results = time_growth(*cases[int(line)])
         print(json.dumps({label: [times[label], digest(res)]
@@ -105,7 +105,7 @@ def serve() -> None:
               flush=True)
 
 
-def main(out_path: str, parent_src, parent_path) -> None:
+def main(out_path: str, parent_src) -> None:
     # imported here, not at the top, so that the --serve child, which runs
     # another checkout's bsbimod, never imports this checkout's oracle
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -116,12 +116,17 @@ def main(out_path: str, parent_src, parent_path) -> None:
     results = {}
     child = None
     if parent_src:
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [parent_src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         child = subprocess.Popen(
-            [sys.executable, os.path.abspath(__file__), "--serve"], env=env,
+            [sys.executable, os.path.abspath(__file__), "--serve"],
+            env=dict(os.environ, PYTHONPATH=parent_src),
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-        parent_provenance = json.loads(child.stdout.readline())
+        parent_provenance = json.loads(child.stdout.readline() or "{}")
+        package = parent_provenance.pop("package", None)
+        if not package or os.path.realpath(package) != os.path.realpath(
+                os.path.join(parent_src, "bsbimod")):
+            child.kill()
+            raise SystemExit(f"--parent-src {parent_src}: the child's "
+                             f"bsbimod is {package}, not the one in DIR")
     runs = [0]
 
     def parent_run(size: int) -> dict:
@@ -190,9 +195,6 @@ def main(out_path: str, parent_src, parent_path) -> None:
     }
     if child is not None:
         result["parent"] = parent_provenance
-    elif parent_path:
-        with open(parent_path) as fh:
-            result["parent"] = json.load(fh)
     with open(out_path, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
@@ -204,9 +206,7 @@ if __name__ == "__main__":
         sys.exit()
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", nargs="?", default="BENCH_growth.json")
-    src = ap.add_mutually_exclusive_group()
-    src.add_argument("--parent-src", metavar="DIR",
-                     help="time the package in DIR alongside, interleaved")
-    src.add_argument("--parent", help="a result of this script to embed")
+    ap.add_argument("--parent-src", metavar="DIR",
+                    help="time the package in DIR alongside, interleaved")
     args = ap.parse_args()
-    main(args.out, args.parent_src, args.parent)
+    main(args.out, args.parent_src)
