@@ -176,6 +176,9 @@ def cmd_membership(args) -> int:
                          f"{'Sub(t)' if full else 'Sub(t, w)'}")
     if args.variant == "XwPhi" and not args.phi:
         raise UsageError("--variant XwPhi needs --phi")
+    if args.phi is not None and args.variant != "XwPhi":
+        raise UsageError(f"--phi applies to --variant XwPhi, not "
+                         f"{args.variant}")
     Phi = None
     if args.phi:
         names = [b.strip() for b in args.phi.split(",")]
@@ -280,7 +283,12 @@ def cmd_acyclic(args) -> int:
 
 
 def cmd_st(args) -> int:
+    if args.dual and args.action != "resolve":
+        raise UsageError("--dual applies to st resolve only")
     if args.roots:
+        if args.nroots is not None or args.extra is not None:
+            raise UsageError("--nroots and --extra do not apply with --roots, "
+                             "which fix both")
         amb_n = args.ambient
         if amb_n is None:
             # infer the ambient variable count from the roots
@@ -296,12 +304,17 @@ def cmd_st(args) -> int:
             raise UsageError(f"--roots {args.roots!r}: {exc}") from exc
         extra = amb_n - n_roots
     else:
+        if args.ambient is not None:
+            raise UsageError("--ambient applies with --roots only")
         n_roots = 4 if args.nroots is None else args.nroots
-        extra = args.extra
+        extra = 1 if args.extra is None else args.extra
         if n_roots < 2:
             raise UsageError(f"--nroots {n_roots}: need at least two roots")
         if extra < 0:
             raise UsageError(f"--extra {extra}: must not be negative")
+    if args.dual and n_roots < 3:
+        raise UsageError(f"--dual: {n_roots} roots; the dual Groebner basis "
+                         "needs at least 3")
     try:
         strmod.check_st_frame(n_roots)
     except ValueError as exc:
@@ -498,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated linear forms, e.g. 'e1-e2,e2-e3'")
     p.add_argument("--ambient", type=int, default=None)
     p.add_argument("--nroots", type=int, default=None)
-    p.add_argument("--extra", type=int, default=1)
+    p.add_argument("--extra", type=int, default=None)   # 1 with --nroots
     p.add_argument("--dual", action="store_true")
     _add_common(p)
     p.set_defaults(handler=cmd_st)

@@ -69,9 +69,9 @@ def all_chords(n: int) -> List[Chord]:
     return sorted(seen.values(), key=lambda c: min(c.members()))
 
 
-def _shift_bits(bits: Bits, k: int) -> Bits:
-    m = len(bits)
-    return tuple(bits[(k + i) % m] for i in range(m))
+def _seq_shift(i: Tuple[int, ...], k: int) -> Tuple[int, ...]:
+    m = len(i)
+    return tuple(i[(k + j) % m] for j in range(m))
 
 
 def e_base_bits(n: int, l: int) -> Bits:
@@ -123,7 +123,7 @@ def e_table(n: int, k: int = 0, i: Optional[Sequence[int]] = None) -> SolutionTa
     # everything is (2n-1)-periodic in k; use the window 1-n <= k <= n-1
     k = (k + n - 1) % (2 * n - 1) - (n - 1)
     t = shift(make_sequence("D", i, n), k)
-    rows = {l: Subexpr(t, _shift_bits(e_base_bits(n, l), k))
+    rows = {l: Subexpr(t, _seq_shift(e_base_bits(n, l), k))
             for l in range(2 * n - 1)}
     return SolutionTable(n, k, i, t, rows,
                          enumerate_sub(t, Permutation.identity(t.n)))
@@ -186,11 +186,6 @@ def chord_label(table: SolutionTable) -> SolutionTable:
 def _cyc(x: int, m: int) -> int:
     """Map an integer to the position range 1..m cyclically."""
     return (x - 1) % m + 1
-
-
-def _seq_shift(i: Tuple[int, ...], k: int) -> Tuple[int, ...]:
-    m = len(i)
-    return tuple(i[(k + j) % m] for j in range(m))
 
 
 def _seq_shift1(i: Tuple[int, ...], k: int) -> Tuple[int, ...]:

@@ -67,7 +67,7 @@ def _candidates_plain(F: List[int], np: int) -> List[int]:
 
 def _row_entry(shapes: dict, p, Mp: Tuple[int, ...], reach, allowed: int,
                mode: str) -> tuple:
-    """(id, (p, M_p, n_p, candidates)) of one M_p row, given `allowed`, the
+    """(p, M_p, n_p, candidates) of one M_p row, given `allowed`, the
     members Phi u {eps} may fold into.  n_p and the candidates as submasks
     depend only on |M_p|, the mode and the mask F of the S with reach[S]
     inside `allowed`; they come from `shapes` (`SubAnalysis.row_shapes`),
@@ -78,41 +78,54 @@ def _row_entry(shapes: dict, p, Mp: Tuple[int, ...], reach, allowed: int,
     if shape is None:
         subs = list(_indices(F))
         np = max(S.bit_count() for S in subs)
-        cands = tuple(_candidates_plain(subs, np) if mode == "plain" else
-                      (sum(1 << b for b in c)
-                       for c in combinations(range(len(Mp)), np - 1)))
-        shape = shapes[F, len(Mp), mode] = shapes.setdefault(
-            (np, cands), (np, cands, len(shapes)))
-    np, cands, sid = shape
+        shape = shapes[F, len(Mp), mode] = np, tuple(
+            _candidates_plain(subs, np) if mode == "plain" else
+            (sum(1 << b for b in c)
+             for c in combinations(range(len(Mp)), np - 1)))
+    np, cands = shape
     pos = shapes.get(Mp)
     if pos is None:     # pos[S]: the position mask of the submask S
         pos = shapes[Mp] = [0]
         for x in Mp:
             pos += [q | 1 << (x - 1) for q in pos]
-    return sid, (p, Mp, np, tuple([pos[S] for S in cands]))
+    return p, Mp, np, tuple([pos[S] for S in cands])
 
 
 def _closeness_memo(an: SubAnalysis, i: int, mode: str) -> tuple:
     """The memo of member i in `mode`, stored in `an.closeness_memo`:
 
     - U, the members that the even folds of i reach;
-    - per row of `an.reach(i)`, (U_row, p, M_p, reach, entries): U_row is
-      the part of U that row reaches, and entries maps a row mask
-      allowed & U_row to its `_row_entry`;
-    - the table per key allowed & U;
-    - the table per tuple of the rows' entry ids, shared by the keys
-      that give it.
+    - per M_p row of `an.per_p[i]`, (U_row, p, M_p, reach, entries):
+      reach[S] is the mask of the members f_Y eps over even Y inside S, or
+      None when one of them leaves the set, U_row is the part of U that row
+      reaches, and entries maps a row mask allowed & U_row to its
+      `_row_entry`;
+    - the `_closeness_table` per key allowed & U.
+
+    `an.row_shapes` maps (F, |M_p|, mode), F a row's admissible submasks,
+    to (n_p, candidates as submasks), and M_p to the position masks of its
+    submasks.
     """
+    outside = 1 << len(an.members)     # marks a fold leaving the set
     rows = []
     U = 0
-    for p, Mp, reach in an.reach(i):
+    for p, Mp, folds in an.per_p[i]:
+        reach = [0 if S.bit_count() % 2 else outside if j < 0 else 1 << j
+                 for S, j in enumerate(folds)]
+        for b in range(len(Mp)):       # OR over the subsets of S
+            bit = 1 << b
+            for S in range(len(reach)):
+                if S & bit:
+                    reach[S] |= reach[S ^ bit]
         U_row = 0
-        for r in reach:
-            if r is not None:
+        for S, r in enumerate(reach):
+            if r & outside:
+                reach[S] = None
+            else:
                 U_row |= r
-        rows.append((U_row, p, Mp, reach, {}))
+        rows.append((U_row, p, Mp, tuple(reach), {}))
         U |= U_row
-    memo = an.closeness_memo[(i, mode)] = (U, tuple(rows), {}, {})
+    memo = an.closeness_memo[(i, mode)] = (U, tuple(rows), {})
     return memo
 
 
@@ -122,21 +135,16 @@ def _closeness_table(shapes: dict, memo: tuple, key: int, mode: str) -> tuple:
     tried holds the candidate products taken from the iterator `source` so
     far as `_closeness` entries, the mask being the frozen set of the
     product, or its connected component through the member in con mode."""
-    _, rows, tables, shared = memo
-    picked = []
+    _, rows, tables = memo
+    choices = []
     for U_row, p, Mp, reach, entries in rows:
         rk = key & U_row
         entry = entries.get(rk)
         if entry is None:
             entry = entries[rk] = _row_entry(shapes, p, Mp, reach, rk, mode)
-        picked.append(entry)
-    shared_key = tuple(sid for sid, _ in picked)
-    table = shared.get(shared_key)
-    if table is None:
-        choices = [entry for _, entry in picked]
-        table = shared[shared_key] = (
-            choices, [], product(*(entry[3] for entry in choices)))
-    tables[key] = table
+        choices.append(entry)
+    table = tables[key] = (choices, [],
+                           product(*(entry[3] for entry in choices)))
     return table
 
 
@@ -177,10 +185,11 @@ def _closeness(an: SubAnalysis, i: int, phi: int, mode: str
     An M_p row's candidates depend on Phi only through the members that
     row's folds reach, so they are looked up once per intersection with
     those, and computed once per row shape of the analysis; the candidate
-    products, with the entries tried so far, are kept once per tuple of
-    distinct row entries."""
+    products, with the entries tried so far, are kept once per
+    intersection of Phi u {eps} with the members that i's folds reach
+    (`_closeness_memo`)."""
     memo = an.closeness_memo.get((i, mode)) or _closeness_memo(an, i, mode)
-    U, _, tables, _ = memo
+    U, _, tables = memo
     key = (phi | 1 << i) & U
     choices, tried, source = (tables.get(key) or _closeness_table(
         an.row_shapes, memo, key, mode))

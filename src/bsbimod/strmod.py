@@ -742,16 +742,18 @@ def dual_toolkit(n: int, extra: int = 0) -> dict:
     pairs, idx = _pair_index(n)
     report = {"n": n, "extra": extra}
 
-    # triple relations x_k th_{i,j} + x_i th_{j,k} = x_j th_{i,k}
+    # triple relations x_k th_{i,j} + x_i th_{j,k} = x_j th_{i,k}; theta^(h)
+    # is zero on the pairs without h, so a triple without h reads 0 = 0
     ok = True
     zero = Polynomial.zero(nv)
-    for th in thetas:
+    x = [None] + [Polynomial.var(nv, v) for v in range(1, n + 1)]
+    for h, th in enumerate(thetas, start=1):
         coords = th.coords
         entry = {p: coords.get(idx[p], zero) for p in pairs}
-        for i, j, k in combinations(range(1, n + 1), 3):
-            lhs = (Polynomial.var(nv, k) * entry[(i, j)]
-                   + Polynomial.var(nv, i) * entry[(j, k)])
-            if lhs != Polynomial.var(nv, j) * entry[(i, k)]:
+        for a, b in combinations([v for v in range(1, n + 1) if v != h], 2):
+            i, j, k = sorted((a, b, h))
+            if (x[k] * entry[(i, j)] + x[i] * entry[(j, k)]
+                    != x[j] * entry[(i, k)]):
                 ok = False
     report["triple_relations"] = ok
 

@@ -15,14 +15,14 @@ equivalence classes, frozen sets and components) skip the order check of
 the public `SubSet` constructor (`SubSet._of`).
 
 A `SubSet` is analysed once, on first use (`SubSet.analysis`): member
-indices and bit masks, each member's M_p sets, the members reached by its
-folds, and the adjacency of its full graph.  The graph, frozen-set and
-connected-component functions, closeness in `orderalg`, and the divisibility
-conditions that membership and the residual constraints check, read from
-that analysis as integer bitmasks over member indices.  The roots
-eps^{->k} of every member have their own cached table (`SubSet.roots`),
-which does not build the analysis; both read one walk of the one-line
-prefix products per member (`_prefix_walk`).
+indices and bit masks, each member's M_p sets and their folds, and the
+adjacency of its full graph.  The graph, frozen-set and connected-component
+functions, closeness in `orderalg`, and the divisibility conditions that
+membership and the residual constraints check, read from that analysis as
+integer bitmasks over member indices.  The roots eps^{->k} of every
+member have their own cached table (`SubSet.roots`), which does not build
+the analysis; both read one walk of the one-line prefix products per
+member (`_prefix_walk`).
 
 A subexpression is a 0/1 sequence bound to its reflection expression; two
 subexpressions over different expressions are never equal.
@@ -303,13 +303,11 @@ def _fold_members(folds: Sequence[int], Ys: Sequence[int]) -> list:
 
 
 def _generate_conditions(per_p, even: bool, full: bool):
-    """The stream behind `SubAnalysis.conditions`.  It reads `per_p` alone,
-    so the analysis that caches it is not kept alive by a cycle.  The folds
-    by subsets of X keep M_p, so the members they reach share the (p, X)
-    condition: it is emitted at the least of them.  In the full variant on
-    a full Sub(t) every such fold stays in the set, and the least member
-    has a 0 at every position of X: f_S eps = i ^ bits(X) must not share a
-    set bit with i."""
+    """The stream behind `SubAnalysis.conditions`.  The folds by subsets of
+    X keep M_p, so the members they reach share the (p, X) condition: it is
+    emitted at the least of them.  In the full variant on a full Sub(t)
+    every such fold stays in the set, and the least member has a 0 at every
+    position of X: f_S eps = i ^ bits(X) must not share a set bit with i."""
     closed = full and not even
     for i, rows in enumerate(per_p):
         for p, Mp, folds in rows:
@@ -342,21 +340,14 @@ class SubAnalysis:
     `adj[i]`, built on first use, is the mask of the neighbours of member
     i in the graph of the whole set, whose edges are the even folds.  The
     graph on a subset Phi is the subgraph induced on Phi, since whether
-    two members are joined depends on them alone.  `reach` and `graph`
-    read even folds only.
+    two members are joined depends on them alone.  The graph reads even
+    folds only.
 
     The M_p sets come from one walk of the prefix products per member
     (`_prefix_walk`, shared with `SubSet.roots`): the k-th pair (x, y) of
     member eps gives eps^k = (x y), one `Reflection` per pair.
-    `closeness_memo` holds, per (member, mode), what `orderalg.closeness`
-    has computed for that member: each M_p row's entry (n_p and the
-    candidates as position masks) per intersection of Phi u {eps} with the
-    members that row's folds reach, and the candidate products, once per
-    tuple of the rows' entry ids, with the entries (frozen mask or con
-    component, dist, product) tried so far.  `row_shapes` maps (F, |M_p|,
-    mode), F a row's admissible submasks, and (n_p, candidates) to (n_p,
-    candidates as submasks, id numbering the pairs), and M_p to the position
-    masks of its submasks.  Neither refers back to the analysis.
+    `closeness_memo` and `row_shapes` are `orderalg.closeness`'s, which
+    documents them; neither refers back to the analysis.
     """
 
     def __init__(self, sub: SubSet):
@@ -405,8 +396,6 @@ class SubAnalysis:
         self.per_p = tuple(per_p)
         self._adj: Optional[Tuple[int, ...]] = None
         self._at: Optional[Tuple[Tuple[int, int], ...]] = None  # `frozen`
-        self._reach: Dict[int, tuple] = {}
-        self._conditions: Dict[bool, list] = {}  # [listed, source or None]
         self._tables: Dict[bool, Optional[tuple]] = {}  # condition_table
         self.closeness_memo: Dict[Tuple[int, str], tuple] = {}
         self.row_shapes: Dict[tuple, tuple] = {}
@@ -427,71 +416,38 @@ class SubAnalysis:
             self._adj = tuple(adj)
         return self._adj
 
-    def reach(self, i: int) -> tuple:
-        """(p, M_p, reach) over the rows of `per_p[i]`, built on first use:
-        reach[S] is the mask of the members f_Y eps over even Y inside S, or
-        None when one of them leaves the set."""
-        rows = self._reach.get(i)
-        if rows is None:
-            outside = 1 << len(self.members)   # marks a fold leaving the set
-            rows = []
-            for p, Mp, folds in self.per_p[i]:
-                reach = [0 if S.bit_count() % 2 else
-                         outside if j < 0 else 1 << j
-                         for S, j in enumerate(folds)]
-                for b in range(len(Mp)):       # OR over the subsets of S
-                    bit = 1 << b
-                    for S in range(len(reach)):
-                        if S & bit:
-                            reach[S] |= reach[S ^ bit]
-                rows.append((p, Mp, tuple(None if r & outside else r
-                                          for r in reach)))
-            rows = self._reach[i] = tuple(rows)
-        return rows
-
     def conditions(self, even: bool):
         """(i, p, X, terms) for the conditions Sigma_X^eps, eps = member i,
         X a nonempty subset of M_p(eps): members in order, then p, then X as
         increasing submasks.  Only the first (eps, X) of those whose folds
-        by subsets of X give the same members is kept.  Each variant's list
-        is generated once, as far as it is consumed: a later or interleaved
-        call replays what is listed, then draws on the same generator, or
-        iterates over the finished list.  A fold leaving the set is a
-        ValueError, listed too, so every call raises it at the same place."""
-        listed, source = state = self._conditions.setdefault(
-            even, [[], _generate_conditions(self.per_p, even, self.full)])
+        by subsets of X give the same members is kept.  Once
+        `condition_table` holds the variant's list, a call iterates over
+        it; until then each call reads a fresh stream, which stores that
+        table if it is read to its end.  A fold leaving the set is a
+        ValueError where the stream meets it."""
+        table = self._tables.get(even)
+        return iter(table[0]) if table else self._listing(even)
 
-        def replay():
-            for k in itertools.count():
-                if k == len(listed):
-                    try:
-                        item = next(source, None)
-                    except ValueError as exc:
-                        item = exc
-                    if item is None:
-                        state[1] = None
-                        return
-                    listed.append(item)
-                item = listed[k]
-                if isinstance(item, ValueError):
-                    raise item
-                yield item
-        return iter(listed) if source is None else replay()
+    def _listing(self, even: bool):
+        listed = []
+        for item in _generate_conditions(self.per_p, even, self.full):
+            listed.append(item)
+            yield item
+        touching = [[] for _ in self.members]
+        for k, (_, _, _, terms) in enumerate(listed):
+            for j, _ in terms:
+                touching[j].append(k)
+        self._tables[even] = listed, touching
 
     def condition_table(self, even: bool) -> Optional[tuple]:
         """(all of `conditions(even)`, per member j the indices of those that
         read j), built once; None if a fold leaves the set."""
         if even not in self._tables:
-            self._tables[even] = None
             try:
-                listed = list(self.conditions(even))
+                for _ in self.conditions(even):
+                    pass
             except ValueError:
-                return None
-            touching = [[] for _ in self.members]
-            for k, (_, _, _, terms) in enumerate(listed):
-                for j, _ in terms:
-                    touching[j].append(k)
-            self._tables[even] = listed, touching
+                self._tables[even] = None
         return self._tables[even]
 
     def require(self, eps: Subexpr) -> int:

@@ -30,8 +30,9 @@ frame with every S-pair reduced and then minimised, the chord labels
 of a D-sequence table from each row's `Subexpr.all_M`, the closeness
 entry (n_p and candidates) of an M_p row computed afresh for each row and
 allowed mask, the frozen mask of `SubAnalysis.frozen` by a loop over every
-member, and the pairing that multiplies g(eps) h(eps) before `RationalFn`
-cancels the roots.
+member, the pairing that multiplies g(eps) h(eps) before `RationalFn`
+cancels the roots, and the triple relations of the dual toolkit checked on
+every triple.
 They scan every prefix, fold `Subexpr` objects, rebuild graphs and
 edge-list adjacencies, divide polynomials, build a `Polynomial` per
 division step, enumerate a prefix domain per ladder step and reduce every
@@ -49,8 +50,9 @@ walked the prefix tree once per localization, found pivots
 fraction-free, read pd off the frame's shape where no two consecutive
 levels share a degree, read the chord labels from the analysis,
 read row entries from one table of row shapes per analysis, found frozen
-sets by one AND per position and cancelled roots from the factors of a
-pairing before multiplying them; the differential tests compare the two.
+sets by one AND per position, cancelled roots from the factors of a
+pairing before multiplying them and skipped the triples that a theta^(h)
+without h cannot break; the differential tests compare the two.
 """
 
 from dataclasses import dataclass
@@ -1171,6 +1173,25 @@ def pd(gens: Sequence[FreeModElem], order: ModOrder):
     resolution = strmod.free_resolution(gens, order)
     degrees, _ = strmod.minimize_resolution(*resolution)
     return len(degrees) - 1, [sorted(level) for level in degrees]
+
+
+def triple_relations(thetas: Sequence[FreeModElem], n: int) -> bool:
+    """Whether x_k th_{i,j} + x_i th_{j,k} = x_j th_{i,k} holds for every
+    theta of `strmod.dual_toolkit` and every triple i < j < k, with each x_v
+    built anew for each use."""
+    nv = thetas[0].ambient.n_vars
+    pairs = list(combinations(range(1, n + 1), 2))
+    zero = Polynomial.zero(nv)
+    ok = True
+    for th in thetas:
+        coords = th.coords
+        entry = {p: coords.get(k, zero) for k, p in enumerate(pairs)}
+        for i, j, k in combinations(range(1, n + 1), 3):
+            lhs = (Polynomial.var(nv, k) * entry[(i, j)]
+                   + Polynomial.var(nv, i) * entry[(j, k)])
+            if lhs != Polynomial.var(nv, j) * entry[(i, k)]:
+                ok = False
+    return ok
 
 
 def chord_labels(table):

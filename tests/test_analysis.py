@@ -75,10 +75,16 @@ def analysed_sets(draw):
     return sub
 
 
+def memo(an, i, mode="plain"):
+    """The closeness memo of member i in mode, built if no call built it."""
+    return (an.closeness_memo.get((i, mode)) or
+            orderalg._closeness_memo(an, i, mode))
+
+
 def fold_reach(an, i):
     """The members that the even folds of member i reach."""
     out = 0
-    for _, _, reach in an.reach(i):
+    for _, _, _, reach, _ in memo(an, i)[1]:
         for r in reach:
             if r is not None:
                 out |= r
@@ -177,7 +183,6 @@ class TestAgainstOracle:
         # calls sometimes pass the same object
         rng = random.Random(20261019)
         sizes = []
-        shared = 0
         while len(sizes) < 3:
             t = random_expr(rng, 4, rng.randint(5, 7))
             bits = tuple(rng.randint(0, 1) for _ in range(len(t)))
@@ -195,32 +200,23 @@ class TestAgainstOracle:
                 eps = Subexpr(t, sub.members[i])
                 assert closeness(sub, phis[m], eps, mode) == \
                     oracle.closeness(sub, phis[m], eps, mode)
-            for memo in an.closeness_memo.values():
-                tables = memo[2].values()
-                shared += len(tables) - len({id(tab) for tab in tables})
-        assert shared > 0    # some table serves two distinct keys
 
     @staticmethod
     def check_row_entries(an, calls):
         """Each (i, allowed, mode) of calls, entry by entry against the
         oracle, on the one row-shape table of `an`; returns the (i, p,
-        |M_p|, mode, n_p, candidates) seen.  Equal entry ids must mean
-        equal (n_p, candidates as submasks) and the other way round."""
-        ids, seen = {}, set()
+        |M_p|, mode, n_p, candidates) seen."""
+        seen = set()
         for i, allowed, mode in calls:
-            for p, Mp, reach in an.reach(i):
-                sid, entry = orderalg._row_entry(an.row_shapes, p, Mp, reach,
-                                                 allowed | 1 << i, mode)
+            for _, p, Mp, reach, _ in memo(an, i, mode)[1]:
+                entry = orderalg._row_entry(an.row_shapes, p, Mp, reach,
+                                            allowed | 1 << i, mode)
                 # candidates come as position masks: bit x - 1 for x
                 cands = tuple(tuple(b + 1 for b in _indices(c))
                               for c in entry[3])
                 assert entry[:3] + (cands,) == oracle.row_entry(
                     p, Mp, reach, allowed | 1 << i, mode)
-                pair = (entry[2], tuple(sum(1 << Mp.index(x) for x in c)
-                                        for c in cands))
-                assert ids.setdefault(sid, pair) == pair
                 seen.add((i, p, len(Mp), mode, entry[2], cands))
-        assert len(set(ids.values())) == len(ids)
         return seen
 
     @settings(max_examples=150, deadline=None)
@@ -465,8 +461,10 @@ class TestConditionsAgainstOracle:
 
 
 class TestCachedConditions:
-    """`SubAnalysis.conditions` lists each variant once per domain, as far
-    as it is consumed, and replays that list."""
+    """`SubAnalysis.conditions` iterates over the variant's finished list
+    once `condition_table` holds it, and otherwise starts a fresh stream;
+    a stream read to its end stores that table, one abandoned part way or
+    ended by a fold leaving the set stores nothing."""
 
     @staticmethod
     def fresh(sub, even):
@@ -533,6 +531,35 @@ class TestCachedConditions:
         finally:
             gc.enable()
 
+    def test_table_filled_only_by_a_finished_stream(self):
+        t = ReflExpr(3, (Reflection(1, 2, 3), Reflection(2, 3, 3),
+                         Reflection(1, 2, 3)))
+        want = listed(oracle.generate_conditions(
+            enumerate_sub(t, "all").analysis().per_p, False))
+        # read to its end: the table holds the list, and later calls read it
+        an = enumerate_sub(t, "all").analysis()
+        assert list(an.conditions(False)) == want
+        assert an._tables[False][0] == want
+        assert list(an.conditions(False)) == want
+        # abandoned part way: no table, and the next call starts afresh
+        an = enumerate_sub(t, "all").analysis()
+        stream = an.conditions(False)
+        assert next(stream) == want[0]
+        del stream
+        assert False not in an._tables
+        assert list(an.conditions(False)) == want
+        # ended by a fold leaving the set: no table, and the next call
+        # raises after the same items
+        sub = enumerate_sub(t, "all")
+        an = sub.restrict(sub.members[:5]).analysis()
+        want = listed(oracle.generate_conditions(an.per_p, False))
+        assert want[-1] == "a fold of the subexpression leaves the set"
+        for _ in range(2):
+            assert listed(an.conditions(False)) == want
+            assert False not in an._tables
+        assert an.condition_table(False) is None
+        assert listed(an.conditions(False)) == want
+
     def test_fold_leaving_the_set_raises_every_time(self):
         # on the subset {00, 01} of Sub((1,2)(1,2)) the odd fold of 00 at
         # position 1 leaves the set
@@ -580,7 +607,7 @@ class TestAnalysis:
         an = sub.analysis()
         i, j = an.index[(0, 0)], an.index[(1, 1)]
         (p, Mp, folds), = an.per_p[i]
-        (_, _, reach), = an.reach(i)
+        (_, _, _, reach, _), = memo(an, i)[1]
         assert Mp == (1, 2) and folds[0b11] == j
         # odd folds stay in Sub(t) and are recorded, but reach skips them
         assert folds[0b01] == an.index[(1, 0)]
@@ -589,7 +616,7 @@ class TestAnalysis:
         part = sub.restrict([(0, 0), (0, 1)]).analysis()
         k = part.index[(0, 0)]
         (_, _, folds), = part.per_p[k]
-        (_, _, reach), = part.reach(k)
+        (_, _, _, reach, _), = memo(part, k)[1]
         assert folds[0b11] == -1 and reach[0b11] is None
         assert reach[0b01] == 1 << k
 

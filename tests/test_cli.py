@@ -123,6 +123,22 @@ class TestMembershipExpress:
         assert rc == 2 and out == ""
         assert err.startswith(f"error: --variant {variant} needs ")
 
+    @pytest.mark.parametrize("variant, on_all", [
+        ("X(t)", True), ("Xw", False), ("X^w", False)])
+    def test_phi_outside_XwPhi_is_usage_error(self, capsys, tmp_path,
+                                              variant, on_all):
+        # --phi is read by XwPhi alone; elsewhere it is refused, not dropped
+        t = cli.parse_expr("(1,2)(2,3)(1,2)(1,3)(1,2)(2,3)")
+        sub = enumerate_sub(t, "all" if on_all else Permutation.identity(3))
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(indicator(sub, ()).to_json()))
+        rc = cli.main(["membership", "--fn", str(path), "--variant", variant,
+                       "--phi", "000000"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == f"error: --phi applies to --variant XwPhi, not " \
+            f"{variant}\n"
+
     def test_divisibility_witness(self, capsys, tmp_path):
         # 1 at 00 only, on Sub((1,2)(1,2)): Sigma_{1}^00 = 1 is not
         # divisible by the root of (1,2)
@@ -284,6 +300,30 @@ class TestSt:
         monkeypatch.setattr(cli.strmod, "certified_pd", stub)
         rc, out = run(capsys, ["st", "pd", "--nroots", "20"])
         assert rc == 0 and calls == [190] and "pd = 0" in out
+
+    @pytest.mark.parametrize("args, flag", [
+        (["pd", "--roots", "e1-e2,e2-e3", "--nroots", "7"], "--nroots"),
+        (["pd", "--roots", "e1-e2,e2-e3", "--extra", "5"], "--extra"),
+        (["pd", "--nroots", "4", "--ambient", "9"], "--ambient"),
+        (["pd", "--nroots", "4", "--dual"], "--dual"),
+    ])
+    def test_flag_that_does_not_apply_is_refused(self, capsys, args, flag):
+        # each of these used to run with the flag ignored
+        rc = cli.main(["st"] + args)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err
+
+    @pytest.mark.parametrize("args", [["--nroots", "2"],
+                                      ["--roots", "e1-e2,e2-e3"]])
+    def test_dual_needs_three_roots(self, capsys, args):
+        # a usage error up front, not the library's ValueError (exit 1)
+        rc = cli.main(["st", "resolve", "--dual"] + args)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == "error: --dual: 2 roots; the dual Groebner basis " \
+            "needs at least 3\n"
 
     def test_resolve_with_roots_and_dual(self, capsys):
         rc, out = run(capsys, ["st", "resolve",

@@ -240,6 +240,27 @@ class TestDual:
                        "kernel_is_w": True, "resolution_degrees":
                        [[-2] * n, [0]], "pd": 1, "shape_ok": True}
 
+    @pytest.mark.parametrize("extra", range(3))
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_triple_relations_against_every_triple(self, n, extra,
+                                                   monkeypatch):
+        # the toolkit checks only the triples that contain h; every triple
+        # gives the same verdict, on the thetas as built and with one entry
+        # of theta^(n) doubled
+        thetas, amb, order = theta_generators(n, extra)
+        assert dual_toolkit(n, extra) == {
+            "n": n, "extra": extra, "triple_relations": True,
+            "sum_zero": True, "theta_groebner": True, "kernel_is_w": True,
+            "resolution_degrees": [[-2] * n, [0]], "pd": 1, "shape_ok": True}
+        assert oracle.triple_relations(thetas, n) is True
+        coords = dict(thetas[-1].coords)
+        coords[n - 2] = coords[n - 2].scale(2)   # the pair (1, n)
+        bad = thetas[:-1] + [FreeModElem(amb, coords)]
+        monkeypatch.setattr(strmod, "theta_generators",
+                            lambda *_: (bad, amb, order))
+        assert oracle.triple_relations(bad, n) is False
+        assert dual_toolkit(n, extra)["triple_relations"] is False
+
     def test_theta_requires_three_roots(self):
         with pytest.raises(ValueError):
             theta_generators(2, 0)
