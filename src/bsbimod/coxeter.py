@@ -58,9 +58,6 @@ class Permutation:
             inv[v - 1] = i + 1
         return Permutation(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(self.images[i] == i + 1 for i in range(self.n))
-
     def length(self) -> int:
         """Coxeter length = number of inversions."""
         im = self.images

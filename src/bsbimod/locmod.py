@@ -22,7 +22,8 @@ from .polyring import (Polynomial, RationalFn, exact_div, try_exact_div,
                        _clean, _pack, _power_divides)
 from .coxeter import Permutation, ReflExpr
 from .subexpr import (ALL_CAP, Subexpr, SubSet, enumerate_sub,
-                      _fold_members, _fold_template, _prefix_walk, _root)
+                      _fold_members, _fold_template, _indices, _prefix_walk,
+                      _root)
 
 Bits = Tuple[int, ...]
 
@@ -224,7 +225,11 @@ def _signed_sum(g: FnOnSub, terms) -> Polynomial:
 def sigma(g: FnOnSub, eps: Subexpr, X: Sequence[int], variant: str = "full"
           ) -> Polynomial:
     """Sigma_X^eps(g) = sum over Y subset X of (-1)^{|Y|_X} g(f_Y eps),
-    over all subsets ("full") or only even ones ("even")."""
+    over all subsets ("full") or only even ones ("even").  ValueError for
+    any other variant, for eps outside the domain, or for X not inside a
+    single M_p(eps)."""
+    if variant not in ("full", "even"):
+        raise ValueError(f"unknown variant {variant!r}: 'full' or 'even'")
     an = g.domain.analysis()
     i, X = an.require(eps), set(X)
     if not X:
@@ -237,15 +242,18 @@ def sigma(g: FnOnSub, eps: Subexpr, X: Sequence[int], variant: str = "full"
     raise ValueError("X must lie inside a single M_p(eps)")
 
 
-def membership(g: FnOnSub, kind: str, Phi: Optional[SubSet] = None):
+def membership(g: FnOnSub, kind: str, Phi=None):
     """
     Membership with certificate.  Kinds:
       "X(t)" : full-variant divisibility by alpha_p^{|X|} over Sub(t);
       "Xw"   : even-variant divisibility by alpha_p^{|X|-1} over Sub(t,w);
       "X^w"  : even-variant divisibility by alpha_p^{|X|} over Sub(t,w);
-      "XwPhi": "Xw" plus vanishing on Phi.
+      "XwPhi": "Xw" plus vanishing on Phi, a `SubSet` or bit tuples.
     Returns (True, None) or (False, (eps, p, X)) with the lexicographically
-    least violation ((eps, "vanish", None) for a Phi violation).  The nonzero
+    least violation ((eps, "vanish", None) for a Phi violation).
+    ValueError for an unknown kind, a domain the kind does not apply to,
+    Phi missing for "XwPhi" or given for another kind, a Phi over another
+    expression, or a member of Phi outside the domain.  The nonzero
     values are scaled to int coefficients and packed once per call
     (`polyring._pack`), and each condition is one `_power_divides` call on
     the packed values its signed sum reads, skipping those on zero values
@@ -266,16 +274,24 @@ def membership(g: FnOnSub, kind: str, Phi: Optional[SubSet] = None):
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    if kind == "XwPhi":
-        if Phi is None:
-            raise ValueError("XwPhi needs Phi")
-        for bits in Phi.members:
-            if not g.values[tuple(bits)].is_zero():
-                return False, (Subexpr(g.domain.expr, bits), "vanish", None)
+    if kind == "XwPhi" and Phi is None:
+        raise ValueError("XwPhi needs Phi")
+    if kind != "XwPhi" and Phi is not None:
+        raise ValueError(f"Phi applies to XwPhi, not {kind}")
+    an, even = g.domain.analysis(), variant == "even"
+    if Phi is not None:
+        if isinstance(Phi, SubSet):
+            if Phi.expr != g.domain.expr:
+                raise ValueError("Phi is a set of subexpressions of another "
+                                 "expression")
+            Phi = Phi.members
+        for i in _indices(an.mask_of(Phi)):
+            if not g.values[an.members[i]].is_zero():
+                return False, (Subexpr(g.domain.expr, an.members[i]),
+                               "vanish", None)
 
     # one common denominator for the nonzero values: a nonzero scalar does
     # not change divisibility
-    an, even = g.domain.analysis(), variant == "even"
     polys = list(g.values.values())
     table = None if all(f.terms for f in polys) else an.condition_table(even)
     if table is None:   # no zero value, or a fold leaves the set
@@ -391,12 +407,8 @@ def mu(eps: Subexpr, sub: Optional[SubSet] = None) -> FnOnSub:
     """mu_eps: nabla at every position, on Sub(t, target(eps)) unless sub is
     given; nonzero only at eps (when eps lies in the domain), with value
     o(eps)."""
-    if sub is None:   # eps^max in one walk of its images
-        w = list(range(1, eps.expr.n + 1))
-        for r, bit in zip(eps.expr.entries, eps.bits):
-            if bit:
-                w[r.i - 1], w[r.j - 1] = w[r.j - 1], w[r.i - 1]
-        sub = enumerate_sub(eps.expr, Permutation(tuple(w)))
+    if sub is None:
+        sub = enumerate_sub(eps.expr, eps.target())
     elif sub.expr != eps.expr:
         raise ValueError("sub is a set of subexpressions of another expression")
     zero = Polynomial.zero(eps.expr.n)

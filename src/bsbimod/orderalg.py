@@ -12,6 +12,7 @@ __all__ = [
 ]
 
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 from itertools import combinations, product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -155,15 +156,22 @@ def closeness(sub: SubSet, Phi, eps: Subexpr, mode: str = "plain"
     ("con") to Phi.  Condition (a): |Y cap M_p(eps)| = n_p(Phi,eps) - 1 for
     every p with M_p nonempty; condition (b)/(b'): the frozen set (or its
     connected component through eps) avoids Phi.  Returns the first valid
-    certificate in canonical order, or None.  ValueError if eps or a member
-    of Phi is not in Sub(t, w); `_closeness` decides on member indices.
+    certificate in canonical order, or None.  ValueError if mode is neither
+    "plain" nor "con", or if eps or a member of Phi is not in Sub(t, w);
+    `_closeness` decides on member indices.
     """
+    _check_mode(mode)
     an = sub.analysis()
     i = an.require(eps)
     phi = an.mask_of(Phi.members if isinstance(Phi, SubSet) else Phi)
     if phi >> i & 1:
         raise ValueError("eps must not lie in Phi")
     return _cert(_closeness(an, i, phi, mode), mode)
+
+
+def _check_mode(mode: str):
+    if mode not in ("plain", "con"):
+        raise ValueError(f"unknown mode {mode!r}: 'plain' or 'con'")
 
 
 def _cert(entry: Optional[tuple], mode: str) -> Optional[ClosenessCert]:
@@ -310,9 +318,11 @@ def chain_run(t: ReflExpr, w: Permutation, order: Sequence[Subexpr],
     """
     Run a single chain of the family algorithm along a prescribed order of
     all of Sub(t, w).  Returns (certs, P); raises if some step is not
-    (con-)close to its predecessors.  A successful chain run is a
-    completing execution of the corresponding algorithm.
+    (con-)close to its predecessors, and ValueError if mode is neither
+    "plain" nor "con".  A successful chain run is a completing execution of
+    the corresponding algorithm.
     """
+    _check_mode(mode)
     sub = enumerate_sub(t, w)
     if sorted(eps.bits for eps in order) != sorted(sub.members):
         raise ValueError("order must list Sub(t, w) exactly")
@@ -343,15 +353,13 @@ def balanced_order(t: ReflExpr, w: Permutation):
     sub = enumerate_sub(t, w)
     if len(sub) == 0:
         raise ValueError("empty Sub(t, w)")
-    infos = {}
+    subexprs, infos = {}, {}
     for bits in sub.members:
-        eps = Subexpr(t, bits)
-        pos, neg, bal = balance(eps)
+        eps = subexprs[bits] = Subexpr(t, bits)
+        pos, _, bal = balance(eps)
         if not bal:
             return "NotBalanced", eps
         infos[bits] = set(pos)
-
-    import functools
 
     def cmp(a: Bits, b: Bits) -> int:
         if a == b:
@@ -360,8 +368,7 @@ def balanced_order(t: ReflExpr, w: Permutation):
         # b <<< a iff i is positive for a
         return 1 if i in infos[a] else -1
 
-    ordered_bits = sorted(sub.members, key=functools.cmp_to_key(cmp))
-    ordered = [Subexpr(t, b) for b in ordered_bits]
+    ordered = [subexprs[b] for b in sorted(sub.members, key=cmp_to_key(cmp))]
     an = sub.analysis()
     dists = []
     phi = 0

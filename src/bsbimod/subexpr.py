@@ -22,7 +22,10 @@ membership and the residual constraints check, read from that analysis as
 integer bitmasks over member indices.  The roots eps^{->k} of every
 member have their own cached table (`SubSet.roots`), which does not build
 the analysis; both read one walk of the one-line prefix products per
-member (`_prefix_walk`).
+member (`_prefix_walk`).  A `Subexpr` reads eps^i, its roots, M_p sets,
+dotted expression and `balance` signs from that walk too, and `prefix` and
+`target` (`locmod.mu`'s) swap one-line images per set bit; the chain of
+`Permutation` products is only the tests' reference (`tests/oracle.py`).
 
 A subexpression is a 0/1 sequence bound to its reflection expression; two
 subexpressions over different expressions are never equal.
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .polyring import Polynomial, act
+from .polyring import Polynomial
 from .coxeter import Permutation, Reflection, ReflExpr
 
 ENUM_IMPLEMENTATION = "python"
@@ -72,41 +75,41 @@ class Subexpr:
 
     # -- prefix data -------------------------------------------------------
 
-    def _prefixes(self) -> Tuple[Permutation, ...]:
-        """Cached (eps^{<1}, ..., eps^{<m+1})."""
-        cached = getattr(self, "_prefix_cache", None)
+    def _pair(self, i: int) -> Tuple[int, int]:
+        """The i-th pair (x, y) of `_prefix_walk`, walked once and cached:
+        eps^i = (x y) and eps^{->i} = e_x - e_y, 0-based."""
+        if not 1 <= i <= len(self.bits):
+            raise IndexError(i)
+        cached = getattr(self, "_pair_cache", None)
         if cached is None:
-            out = [Permutation.identity(self.expr.n)]
-            for k in range(1, len(self.bits) + 1):
-                cur = out[-1]
-                if self.bits[k - 1]:
-                    cur = cur * self.expr[k].as_permutation()
-                out.append(cur)
-            cached = tuple(out)
-            object.__setattr__(self, "_prefix_cache", cached)
-        return cached
+            cached = next(_prefix_walk(self.expr, [self.bits]))
+            object.__setattr__(self, "_pair_cache", cached)
+        return cached[i - 1]
 
     def prefix(self, i: int) -> Permutation:
-        """eps^{<i} = t_1^{eps_1} ... t_{i-1}^{eps_{i-1}}."""
+        """eps^{<i} = t_1^{eps_1} ... t_{i-1}^{eps_{i-1}}: one swap of the
+        one-line images per set bit before i."""
         if not 1 <= i <= len(self.bits) + 1:
             raise IndexError(i)
-        return self._prefixes()[i - 1]
-
-    def prefix_le(self, i: int) -> Permutation:
-        """eps^{<=i}."""
-        return self.prefix(i + 1)
+        w = list(range(1, self.expr.n + 1))
+        for r, bit in zip(self.expr.entries[:i - 1], self.bits):
+            if bit:
+                w[r.i - 1], w[r.j - 1] = w[r.j - 1], w[r.i - 1]
+        return Permutation(tuple(w))
 
     def refl_at(self, i: int) -> Reflection:
         """eps^i = eps^{<i} t_i (eps^{<i})^{-1}."""
-        return self.prefix(i).conjugate_reflection(self.expr[i])
+        x, y = self._pair(i)
+        return Reflection(min(x, y) + 1, max(x, y) + 1, self.expr.n)
 
     def root_before(self, i: int) -> Polynomial:
         """eps^{->i} = eps^{<i}(alpha_{t_i})."""
-        return act(self.prefix(i).images, self.expr[i].root())
+        return _root(self.expr.n, *self._pair(i))
 
     def root_after(self, i: int) -> Polynomial:
-        """eps^{<-i} = eps^{<=i}(alpha_{t_i})."""
-        return act(self.prefix_le(i).images, self.expr[i].root())
+        """eps^{<-i} = eps^{<=i}(alpha_{t_i}): -eps^{->i} where eps_i = 1."""
+        x, y = self._pair(i)
+        return _root(self.expr.n, *((y, x) if self.bits[i - 1] else (x, y)))
 
     def target(self) -> Permutation:
         """eps^max: the full product."""
@@ -118,14 +121,10 @@ class Subexpr:
 
     def all_M(self) -> Dict[Reflection, Tuple[int, ...]]:
         """All nonempty M_p(eps), keyed by reflection."""
-        cached = getattr(self, "_allM_cache", None)
-        if cached is None:
-            out: Dict[Reflection, list] = {}
-            for i in range(1, len(self) + 1):
-                out.setdefault(self.refl_at(i), []).append(i)
-            cached = {p: tuple(v) for p, v in out.items()}
-            object.__setattr__(self, "_allM_cache", cached)
-        return dict(cached)
+        out: Dict[Reflection, list] = {}
+        for i in range(1, len(self) + 1):
+            out.setdefault(self.refl_at(i), []).append(i)
+        return {p: tuple(v) for p, v in out.items()}
 
     def fold(self, X: Sequence[int]) -> "Subexpr":
         """f_X eps: flip the bits at X."""
@@ -141,12 +140,10 @@ class Subexpr:
             self.refl_at(i) for i in range(1, len(self) + 1)))
 
     def weight(self) -> Polynomial:
-        """o(eps) = prod_i eps^{->i}, the product of the roots read from one
-        prefix walk (`_prefix_walk`), from the first root on."""
-        n = self.expr.n
-        roots = [_root(n, x, y)
-                 for x, y in next(_prefix_walk(self.expr, [self.bits]))]
-        return reduce(Polynomial.__mul__, roots) if roots else Polynomial.one(n)
+        """o(eps) = prod_i eps^{->i}, from the first root on."""
+        roots = [self.root_before(i) for i in range(1, len(self) + 1)]
+        return (reduce(Polynomial.__mul__, roots) if roots
+                else Polynomial.one(self.expr.n))
 
 
 @dataclass(frozen=True)
@@ -616,27 +613,12 @@ def enumerate_sub(t: ReflExpr, w: Union[Permutation, str, None] = "all"
     return SubSet._of(t, w, tuple(_target_members(t.n, trans, target)))
 
 
-def _even_subsets(X: Sequence[int]):
-    X = sorted(X)
-    k = len(X)
-    for mask in range(2 ** k):
-        if bin(mask).count("1") % 2 == 0:
-            yield tuple(X[i] for i in range(k) if (mask >> i) & 1)
-
-
-def _all_subsets(X: Sequence[int]):
-    X = sorted(X)
-    k = len(X)
-    for mask in range(2 ** k):
-        yield tuple(X[i] for i in range(k) if (mask >> i) & 1)
-
-
 def equiv_class(eps: Subexpr, p: Reflection, target_restricted: bool) -> SubSet:
     """The =._p class of eps: all f_X eps over X subset of M_p(eps), with X
     even when restricted to Sub(t, target)."""
     Mp = eps.M(p)
-    gen = _even_subsets(Mp) if target_restricted else _all_subsets(Mp)
-    seen = sorted({eps.fold(X).bits for X in gen})
+    Ys = _fold_template((1 << len(Mp)) - 1, target_restricted)[1]
+    seen = sorted({eps.fold(_positions(Mp, Y)).bits for Y in Ys})
     tgt = eps.target() if target_restricted else None
     return SubSet._of(eps.expr, tgt, tuple(seen))
 
@@ -709,14 +691,12 @@ def con_component(sub: SubSet, eps: Subexpr, Y: Sequence[int]) -> SubSet:
 
 def balance(eps: Subexpr):
     """(positive indices, negative indices, balanced?).  Index i is positive
-    iff eps^{<i} t_i is shorter than eps^{<i} (a Bruhat drop)."""
+    iff eps^{<i} t_i is shorter than eps^{<i} (a Bruhat drop): iff x > y for
+    the i-th pair (x, y) = (eps^{<i}(a), eps^{<i}(b)), t_i = (a b), a < b."""
     positive, negative = [], []
     for i in range(1, len(eps) + 1):
-        u = eps.prefix(i)
-        if (u * eps.expr[i].as_permutation()).length() < u.length():
-            positive.append(i)
-        else:
-            negative.append(i)
+        x, y = eps._pair(i)
+        (positive if x > y else negative).append(i)
     pos = tuple(positive)
     balanced = all(min(Mp) not in pos for Mp in eps.all_M().values())
     return pos, tuple(negative), balanced

@@ -1,6 +1,9 @@
 """
-Reference implementations: the depth-first enumerator of Sub(t, w) pruned
-by suffix reachability, and the meet in the middle on tuples that builds
+Reference implementations: the prefix data of a `Subexpr` (its prefixes,
+reflections eps^i, roots, M_p sets, positive indices and =._p classes) from
+a chain of `Permutation` products, with positivity tested by Coxeter
+length; the depth-first enumerator of Sub(t, w) pruned by suffix
+reachability, and the meet in the middle on tuples that builds
 every head product and inverts it; the M_p and fold tables of `SubAnalysis`
 built from one `Subexpr` per member; brute-force versions of the
 subexpression graph, frozen sets, connected components, closeness and the
@@ -27,16 +30,17 @@ after every pivot; and the Hilbert-series numerator of a leading-term
 module by the colon-ideal recursion, which any resolution's graded Euler
 characteristic must equal, however it was built; pd from the library's
 frame with every S-pair reduced and then minimised, the chord labels
-of a D-sequence table from each row's `Subexpr.all_M`, the closeness
+of a D-sequence table from each row's `all_M`, the closeness
 entry (n_p and candidates) of an M_p row computed afresh for each row and
 allowed mask, the frozen mask of `SubAnalysis.frozen` by a loop over every
 member, the pairing that multiplies g(eps) h(eps) before `RationalFn`
 cancels the roots, and the triple relations of the dual toolkit checked on
 every triple.
-They scan every prefix, fold `Subexpr` objects, rebuild graphs and
-edge-list adjacencies, divide polynomials, build a `Polynomial` per
-division step, enumerate a prefix domain per ladder step and reduce every
-S-pair twice on every call, as the library did before it enumerated by meet
+They multiply `Permutation`s, scan every prefix, fold `Subexpr` objects,
+rebuild graphs and edge-list adjacencies, divide polynomials, build a
+`Polynomial` per division step, enumerate a prefix domain per ladder step
+and reduce every S-pair twice on every call, as the library did before it
+read prefix data from one walk of one-line images, enumerated by meet
 in the middle, keyed the heads by left action on `bytes` words, found M_p
 by one prefix walk per member, grew families on member masks, paired and
 checked membership on supports, read these from the cached
@@ -64,7 +68,7 @@ from operator import add
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from bsbimod import strmod
-from bsbimod.coxeter import Reflection, ReflExpr, truncate
+from bsbimod.coxeter import Permutation, Reflection, ReflExpr, truncate
 from bsbimod.dseq import all_chords
 from bsbimod.locmod import DecoTree, FnOnSub, unit
 from bsbimod.orderalg import (AlgoResult, ClosenessCert, Congruence,
@@ -74,10 +78,84 @@ from bsbimod.polyring import (GradedRank, InvariantError, NotDivisible,
 from bsbimod.strmod import (FreeModElem, FreeModule, ModOrder, _mono_lcm,
                             _mono_sub)
 from bsbimod.subexpr import (Subexpr, SubSet, SubGraph, enumerate_sub,
-                             rel_card, _even_subsets, _all_subsets,
-                             _indices, _positions, _prefix_walk, _root)
+                             rel_card, _indices, _positions, _prefix_walk,
+                             _root)
 
 Bits = Tuple[int, ...]
+
+
+def prefixes(eps: Subexpr) -> Tuple[Permutation, ...]:
+    """(eps^{<1}, ..., eps^{<m+1}) as a chain of `Permutation` products."""
+    out = [Permutation.identity(eps.expr.n)]
+    for r, bit in zip(eps.expr.entries, eps.bits):
+        out.append(out[-1] * r.as_permutation() if bit else out[-1])
+    return tuple(out)
+
+
+def refls(eps: Subexpr) -> Tuple[Reflection, ...]:
+    """(eps^1, ..., eps^m), eps^i = eps^{<i} t_i (eps^{<i})^{-1}."""
+    return tuple(u.conjugate_reflection(r)
+                 for u, r in zip(prefixes(eps), eps.expr.entries))
+
+
+def roots_before(eps: Subexpr) -> Tuple[Polynomial, ...]:
+    """(eps^{->1}, ..., eps^{->m}), eps^{->i} = eps^{<i}(alpha_{t_i})."""
+    return tuple(act(u.images, r.root())
+                 for u, r in zip(prefixes(eps), eps.expr.entries))
+
+
+def roots_after(eps: Subexpr) -> Tuple[Polynomial, ...]:
+    """(eps^{<-1}, ..., eps^{<-m}), eps^{<-i} = eps^{<=i}(alpha_{t_i})."""
+    return tuple(act(u.images, r.root())
+                 for u, r in zip(prefixes(eps)[1:], eps.expr.entries))
+
+
+def all_M(eps: Subexpr) -> Dict[Reflection, Tuple[int, ...]]:
+    """Every nonempty M_p(eps), keyed by p in the order p first occurs."""
+    out: Dict[Reflection, Tuple[int, ...]] = {}
+    for i, p in enumerate(refls(eps), 1):
+        out[p] = out.get(p, ()) + (i,)
+    return out
+
+
+def sorted_M(eps: Subexpr) -> List[Tuple[Reflection, Tuple[int, ...]]]:
+    """The items of `all_M`, sorted by p."""
+    return sorted(all_M(eps).items(), key=lambda kv: (kv[0].i, kv[0].j))
+
+
+def balance(eps: Subexpr):
+    """`subexpr.balance` with each index tested by the definition: i is
+    positive iff (eps^{<i} t_i).length() < eps^{<i}.length()."""
+    pos, neg = [], []
+    for i, (u, r) in enumerate(zip(prefixes(eps), eps.expr.entries), 1):
+        drop = (u * r.as_permutation()).length() < u.length()
+        (pos if drop else neg).append(i)
+    balanced = all(min(Mp) not in pos for Mp in all_M(eps).values())
+    return tuple(pos), tuple(neg), balanced
+
+
+def _even_subsets(X: Sequence[int]):
+    X = sorted(X)
+    k = len(X)
+    for mask in range(2 ** k):
+        if bin(mask).count("1") % 2 == 0:
+            yield tuple(X[i] for i in range(k) if (mask >> i) & 1)
+
+
+def _all_subsets(X: Sequence[int]):
+    X = sorted(X)
+    k = len(X)
+    for mask in range(2 ** k):
+        yield tuple(X[i] for i in range(k) if (mask >> i) & 1)
+
+
+def equiv_class(eps: Subexpr, p: Reflection, target_restricted: bool
+                ) -> SubSet:
+    """`subexpr.equiv_class` from the subsets of M_p listed one by one."""
+    Mp = all_M(eps).get(p, ())
+    gen = _even_subsets(Mp) if target_restricted else _all_subsets(Mp)
+    tgt = prefixes(eps)[-1] if target_restricted else None
+    return SubSet(eps.expr, tgt, sorted({eps.fold(X).bits for X in gen}))
 
 
 def target_members(t: ReflExpr, w) -> Tuple[Bits, ...]:
@@ -176,7 +254,7 @@ def meet_in_the_middle(n: int, trans, target) -> list:
 
 def analysis_tables(sub: SubSet):
     """(per_p, adj) of `SubAnalysis`: one `Subexpr` per member, its M_p
-    sets from `Subexpr.all_M` through `Permutation` products and
+    sets from `all_M` through `Permutation` products and
     conjugated reflections, and the folds looked up by position mask."""
     masks = tuple(sum(1 << k for k, b in enumerate(bits) if b)
                   for bits in sub.members)
@@ -185,8 +263,7 @@ def analysis_tables(sub: SubSet):
     per_p = []
     for i, bits in enumerate(sub.members):
         rows = []
-        allM = Subexpr(sub.expr, bits).all_M()
-        for p, Mp in sorted(allM.items(), key=lambda kv: (kv[0].i, kv[0].j)):
+        for p, Mp in sorted_M(Subexpr(sub.expr, bits)):
             size = 1 << len(Mp)
             pos = [0] * size
             folds = [-1] * size
@@ -208,7 +285,7 @@ def graph(Phi: SubSet) -> SubGraph:
     edges: Dict[Tuple[Bits, Bits], Tuple[Reflection, Tuple[int, ...]]] = {}
     for bits in Phi.members:
         eps = Subexpr(Phi.expr, bits)
-        for p, Mp in sorted(eps.all_M().items(), key=lambda kv: (kv[0].i, kv[0].j)):
+        for p, Mp in sorted_M(eps):
             if len(Mp) < 2:
                 continue
             for Y in _even_subsets(Mp):
@@ -398,7 +475,7 @@ def closeness(sub: SubSet, Phi, eps: Subexpr, mode: str = "plain"):
                          (Phi.members if isinstance(Phi, SubSet) else Phi))
     if eps.bits in phi_bits:
         raise ValueError("eps must not lie in Phi")
-    allM = sorted(eps.all_M().items(), key=lambda kv: (kv[0].i, kv[0].j))
+    allM = sorted_M(eps)
     per_p_choices = []
     for p, Mp in allM:
         F = phi_p(sub, phi_bits, eps, Mp)
@@ -473,7 +550,8 @@ def sigma(g: FnOnSub, eps: Subexpr, X: Sequence[int], variant: str = "full"
           ) -> Polynomial:
     X = sorted(set(X))
     if X:
-        ps = {eps.refl_at(x) for x in X}
+        at = refls(eps)
+        ps = {at[x - 1] for x in X}
         if len(ps) > 1:
             raise ValueError("X must lie inside a single M_p(eps)")
     gen = _all_subsets(X) if variant == "full" else _even_subsets(X)
@@ -493,7 +571,7 @@ def condition_stream(g: FnOnSub, variant: str):
     seen = set()
     for bits in g.domain.members:
         eps = Subexpr(g.domain.expr, bits)
-        for p, Mp in sorted(eps.all_M().items(), key=lambda kv: (kv[0].i, kv[0].j)):
+        for p, Mp in sorted_M(eps):
             for X in _all_subsets(Mp):
                 if not X:
                     continue
@@ -637,7 +715,7 @@ def residual_constraints(t, w, Phi) -> ResidualReport:
     congs: List[Congruence] = []
     for bits in sub.members:
         eps = Subexpr(t, bits)
-        for p, Mp in sorted(eps.all_M().items(), key=lambda kv: (kv[0].i, kv[0].j)):
+        for p, Mp in sorted_M(eps):
             for X in _all_subsets(Mp):
                 if len(X) < 2:
                     continue
@@ -693,16 +771,15 @@ def restrict_down(g: FnOnSub, e: int) -> FnOnSub:
 
 def divdiff_down(g: FnOnSub, e: int) -> FnOnSub:
     """g down_e(eps') = (g(eps' u e) - g(eps' u ebar)) / (eps' u e)^{->m},
-    by long division (`exact_div`), with the root from a `Subexpr`."""
+    by long division (`exact_div`), with the root from `roots_before`."""
     t = g.domain.expr
     if g.domain.target is not None:
         raise ValueError("divided difference acts on full domains Sub(t)")
-    m = len(t)
     dom = enumerate_sub(truncate(t), "all")
     values = {}
     for b in dom.members:
         diff = g.values[b + (e,)] - g.values[b + (1 - e,)]
-        values[b] = exact_div(diff, Subexpr(t, b + (e,)).root_before(m))
+        values[b] = exact_div(diff, roots_before(Subexpr(t, b + (e,)))[-1])
     return FnOnSub(dom, values)
 
 
@@ -738,12 +815,10 @@ def express_in_basis(g: FnOnSub, tree: Optional[DecoTree] = None
 def conc_up(g: FnOnSub, t: ReflExpr, e: int) -> FnOnSub:
     """(g nabla_e)(eps) = eps^{->m} g(eps') if eps_m = e, else 0."""
     dom = _extend_domain(g, t)
-    m = len(t)
     values = {}
     for b in dom.members:
         if b[-1] == e:
-            eps = Subexpr(t, b)
-            values[b] = eps.root_before(m) * g.values[b[:-1]]
+            values[b] = roots_before(Subexpr(t, b))[-1] * g.values[b[:-1]]
     return FnOnSub(dom, values)
 
 
@@ -787,20 +862,19 @@ def nabla_X(eps: Subexpr, X: Sequence[int]) -> FnOnSub:
 def mu(eps: Subexpr, sub: Optional[SubSet] = None) -> FnOnSub:
     """nabla at every position, restricted to Sub(t, target(eps))."""
     if sub is None:
-        sub = enumerate_sub(eps.expr, eps.target())
+        sub = enumerate_sub(eps.expr, prefixes(eps)[-1])
     return nabla_X(eps, range(1, len(eps) + 1)).restrict_to(sub)
 
 
 def inner(g: FnOnSub, h: FnOnSub) -> RationalFn:
     """<g|h> summed over every member: g(eps) h(eps) / o(eps), with the
-    roots of o(eps) read off one `Subexpr` per member."""
+    roots of o(eps) from `roots_before` of one `Subexpr` per member."""
     total = RationalFn(Polynomial.zero(g.domain.expr.n))
     for bits in g.domain.members:
         num = g.values[bits] * h.values[bits]
         if not num.is_zero():
             eps = Subexpr(g.domain.expr, bits)
-            total = total + RationalFn(num, [eps.root_before(k)
-                                             for k in range(1, len(eps) + 1)])
+            total = total + RationalFn(num, list(roots_before(eps)))
     return total
 
 
@@ -819,18 +893,17 @@ def inner_by_product(g: FnOnSub, h: FnOnSub) -> RationalFn:
 
 
 def res_tensor(t: ReflExpr, a: Sequence[Polynomial]) -> FnOnSub:
-    """prod_i eps^{<i}(a_i), one `Subexpr` and m + 1 `Permutation` prefixes
-    per member, the whole product again for each member."""
+    """prod_i eps^{<i}(a_i), one `Subexpr` and its m + 1 `prefixes` per
+    member, the whole product again for each member."""
     m = len(t)
     if len(a) != m + 1:
         raise ValueError(f"need {m + 1} tensor factors, got {len(a)}")
     dom = enumerate_sub(t, "all")
     values = {}
     for bits in dom.members:
-        eps = Subexpr(t, bits)
         val = Polynomial.one(t.n)
-        for i in range(1, m + 2):
-            val = val * act(eps.prefix(i).images, a[i - 1])
+        for u, f in zip(prefixes(Subexpr(t, bits)), a):
+            val = val * act(u.images, f)
         values[bits] = val
     return FnOnSub(dom, values)
 
@@ -1197,13 +1270,13 @@ def triple_relations(thetas: Sequence[FreeModElem], n: int) -> bool:
 def chord_labels(table):
     """(label_first, label_second, t_of, alpha) of `dseq.chord_label` on
     the solution table `table`, with each row's two doubled reflections
-    found through `Subexpr.all_M`."""
+    found through `all_M`."""
     N = 2 * table.n - 1
     chords = {c.members(): c for c in all_chords(table.n)}
     first, second, t_of = {}, {}, {}
     for l, eps in table.rows.items():
         (A, p), (B, q) = [(chords[frozenset(x % N for x in M)], p)
-                          for p, M in eps.all_M().items() if len(M) == 2]
+                          for p, M in all_M(eps).items() if len(M) == 2]
         if (A + 1).members() != B.members():
             (A, p), (B, q) = (B, q), (A, p)
         first[A], second[B], t_of[A], t_of[B] = l, l, p, q

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from bsbimod.coxeter import Permutation, Reflection, ReflExpr, make_sequence
 from bsbimod import locmod, subexpr
 from bsbimod.polyring import NotDivisible, Polynomial, RationalFn, act
-from bsbimod.subexpr import Subexpr, enumerate_sub, con_component
+from bsbimod.subexpr import Subexpr, SubSet, enumerate_sub, con_component
 from bsbimod.locmod import (FnOnSub, unit, indicator, res_tensor, sigma,
                             membership, DecoTree, basis, nabla_X, mu,
                             express_in_basis, inner, pairing_matrix)
@@ -248,8 +248,45 @@ class TestMembership:
         Phi = subw.restrict([(0, 0)])
         ok, cert = membership(h, "XwPhi", Phi)
         assert not ok and cert[1] == "vanish"
+        # bit tuples, as closeness takes them, read as that SubSet
+        assert membership(h, "XwPhi", [[0, 0]]) == (ok, cert)
         h2 = FnOnSub(subw, {(1, 1): e(1) - e(2)})
         assert membership(h2, "XwPhi", Phi)[0]
+
+    def test_bad_Phi_is_refused(self):
+        # Phi is read by XwPhi alone, over the domain's own expression and
+        # as members of the domain; anything else is a ValueError
+        t = ReflExpr(3, (s12(), s12()))
+        w = Permutation.identity(3)
+        subw = enumerate_sub(t, w)
+        h = FnOnSub(subw, {(0, 0): e(1) - e(2)})
+        Phi = subw.restrict([(0, 0)])
+        for kind in ("Xw", "X^w"):
+            with pytest.raises(ValueError, match="Phi applies to XwPhi"):
+                membership(h, kind, Phi)
+        full = enumerate_sub(t, "all")
+        with pytest.raises(ValueError, match="Phi applies to XwPhi"):
+            membership(indicator(full, [(0, 0)]), "X(t)",
+                       full.restrict([(0, 0)]))
+        with pytest.raises(ValueError, match="XwPhi needs Phi"):
+            membership(h, "XwPhi")
+        # the same bit tuples over another expression
+        s23 = Reflection(2, 3, 3)
+        other = enumerate_sub(ReflExpr(3, (s23, s23)), w)
+        assert other.members == subw.members
+        with pytest.raises(ValueError, match="another expression"):
+            membership(h, "XwPhi", other.restrict([(0, 0)]))
+        # a bit tuple of the right length that is not a member
+        for outside in (SubSet(t, w, [(0, 1)]), {(0, 1)}):
+            with pytest.raises(ValueError, match="01 is not in the set"):
+                membership(h, "XwPhi", outside)
+
+    @pytest.mark.parametrize("variant", ["fulll", "Even", ""])
+    def test_sigma_unknown_variant_is_refused(self, variant):
+        t = ReflExpr(3, (s12(), s12()))
+        g = indicator(enumerate_sub(t, "all"), [(0, 0)])
+        with pytest.raises(ValueError, match="unknown variant"):
+            sigma(g, Subexpr(t, (0, 0)), (1, 2), variant)
 
 
 class TestLadder:

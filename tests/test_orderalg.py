@@ -63,6 +63,19 @@ class TestCloseness:
                                              r"Sub\(t, w\)"):
             closeness(sub, frozenset(), outside)
 
+    @pytest.mark.parametrize("mode", ["bogus", "Con", ""])
+    def test_unknown_mode_is_refused(self, mode):
+        # a mode other than "plain" or "con" is an error, not a certificate
+        # mixing the two
+        t = make_sequence("D", (1, 2, 3), 3)
+        w = Permutation.identity(3)
+        sub = enumerate_sub(t, w)
+        eps = Subexpr(t, sub.members[0])
+        with pytest.raises(ValueError, match="unknown mode"):
+            closeness(sub, frozenset(), eps, mode)
+        with pytest.raises(ValueError, match="unknown mode"):
+            chain_run(t, w, sub.subexprs(), mode)
+
     def test_step_generator_membership(self):
         t = two_solution_expr()
         w = Permutation.identity(4)

@@ -229,6 +229,74 @@ class TestSubexpr:
         assert dot.entries == tuple(self.eps.refl_at(i) for i in range(1, 6))
 
 
+@st.composite
+def subexprs(draw, max_n=6, max_len=10):
+    """A subexpression of an S_2..S_{max_n} expression of length
+    0..max_len."""
+    n = draw(st.integers(2, max_n))
+    m = draw(st.integers(0, max_len))
+    pairs = draw(st.lists(st.lists(st.integers(1, n), min_size=2,
+                                   max_size=2, unique=True),
+                          min_size=m, max_size=m))
+    t = ReflExpr.from_pairs(n, pairs)
+    return Subexpr(t, draw(st.lists(st.integers(0, 1), min_size=m,
+                                    max_size=m)))
+
+
+class TestPrefixWalkAgainstOracle:
+    """The prefix data of a `Subexpr`, read from one walk of one-line
+    images, against the oracle's chain of `Permutation` products."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(subexprs())
+    def test_prefix_data(self, eps):
+        t, m, n = eps.expr, len(eps), eps.expr.n
+        prefixes = oracle.prefixes(eps)
+        assert tuple(eps.prefix(i) for i in range(1, m + 2)) == prefixes
+        assert eps.target() == prefixes[-1]
+        refls = oracle.refls(eps)
+        assert tuple(eps.refl_at(i) for i in range(1, m + 1)) == refls
+        assert eps.dotted() == ReflExpr(n, refls)
+        assert tuple(eps.root_before(i) for i in range(1, m + 1)) \
+            == oracle.roots_before(eps)
+        assert tuple(eps.root_after(i) for i in range(1, m + 1)) \
+            == oracle.roots_after(eps)
+        allM = oracle.all_M(eps)
+        assert list(eps.all_M().items()) == list(allM.items())
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            p = Reflection(i, j, n)
+            assert eps.M(p) == allM.get(p, ())
+        for bad in (0, m + 1):
+            with pytest.raises(IndexError):
+                eps.refl_at(bad)
+            with pytest.raises(IndexError):
+                eps.root_before(bad)
+        with pytest.raises(IndexError):
+            eps.prefix(m + 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(subexprs())
+    def test_balance(self, eps):
+        pos, neg, balanced = balance(eps)
+        assert (pos, neg, balanced) == oracle.balance(eps)
+        # positive means a Bruhat drop, by the definition
+        for i, u in enumerate(oracle.prefixes(eps)[:-1], 1):
+            drop = (u * eps.expr[i].as_permutation()).length() < u.length()
+            assert (i in pos) == drop != (i in neg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(subexprs(max_len=8), st.data())
+    def test_equiv_class(self, eps, data):
+        # mostly a reflection with M_p nonempty, sometimes (1 2) with
+        # M_p possibly empty
+        p = data.draw(st.sampled_from(list(oracle.all_M(eps))
+                                      + [Reflection(1, 2, eps.expr.n)]))
+        for restricted in (True, False):
+            got = equiv_class(eps, p, restricted)
+            assert got == oracle.equiv_class(eps, p, restricted)
+            assert eps.bits in got.members
+
+
 class TestFold:
     def test_flip_bits(self):
         t = make_sequence("D", (1, 2, 3), 3)
