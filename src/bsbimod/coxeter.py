@@ -20,6 +20,7 @@ __all__ = [
 ]
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence, Tuple
 
 from .polyring import Polynomial
@@ -94,6 +95,14 @@ class Permutation:
         return f"Permutation{self.images}"
 
 
+@cache
+def _root(n: int, x: int, y: int) -> Polynomial:
+    """e_x - e_y, 0-based: one shared, immutable object per (n, x, y), so
+    at most n(n - 1) per rank are ever built."""
+    return Polynomial._of(n, {tuple(int(k == x) for k in range(n)): 1,
+                              tuple(int(k == y) for k in range(n)): -1})
+
+
 @dataclass(frozen=True)
 class Reflection:
     """The transposition (i j), i < j, in S_n."""
@@ -112,7 +121,7 @@ class Reflection:
 
     def root(self) -> Polynomial:
         """The root alpha_{ij} = e_i - e_j."""
-        return Polynomial.var(self.n, self.i) - Polynomial.var(self.n, self.j)
+        return _root(self.n, self.i - 1, self.j - 1)
 
     def is_simple(self) -> bool:
         return self.j == self.i + 1
@@ -272,13 +281,6 @@ def make_sequence(kind: str, i: Sequence[int], n: int) -> ReflExpr:
 def positions_of(t: ReflExpr, p: Reflection) -> tuple:
     """Positions i with t_i = p (the M_p of the all-zero subexpression)."""
     return tuple(i for i in range(1, len(t) + 1) if t[i] == p)
-
-
-def product(t: ReflExpr) -> Permutation:
-    out = Permutation.identity(t.n)
-    for r in t.entries:
-        out = out * r.as_permutation()
-    return out
 
 
 if __name__ == "__main__":

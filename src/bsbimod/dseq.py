@@ -330,27 +330,15 @@ def dichotomy_report(n: int, k: int = 0, i: Optional[Sequence[int]] = None) -> d
 
     # residual constraints: string pattern on n-1 independent roots, and the
     # roots are alpha^A, ..., alpha^{n-2+A} for some chord A
-    alpha_sets = []
-    for A in table.label_first:
-        alpha_sets.append((A, sorted(str(table.alpha[A + j])
-                                     for j in range(0, n - 1))))
-    pattern_ok = True
-    matched_chords = []
+    alpha_sets = {frozenset(table.alpha[A + j] for j in range(n - 1))
+                  for A in table.label_first}
     for phi in survivors:
         rr = residual_constraints(table.sub, phi)
         if not (rr.is_string_pattern and rr.independent
-                and len(rr.roots) == n - 1):
-            pattern_ok = False
-            continue
-        got = sorted(str(r) for r in rr.roots)
-        match = next((A for A, s in alpha_sets if s == got), None)
-        if match is None:
-            pattern_ok = False
-        else:
-            matched_chords.append(match)
-        last_roots = list(rr.roots)
-    if not pattern_ok:
-        raise InvariantError("residual is not the expected string pattern")
+                and len(rr.roots) == n - 1
+                and frozenset(rr.roots) in alpha_sets):
+            raise InvariantError("residual is not the expected string pattern")
+    last_roots = list(rr.roots)
     report["residual_roots"] = last_roots
 
     # string module on those roots: pd = n-3; dual resolution two-term

@@ -494,10 +494,12 @@ def _refl_pair(t) -> tuple:
 
 def demazure(t, f: Polynomial) -> Polynomial:
     """Demazure operator: f -> (f - tf)/alpha_t; lowers degree by 2."""
+    from .coxeter import _root   # imported here: coxeter imports this module
     i, j = _refl_pair(t)
+    if not 1 <= i < j <= f.n:
+        raise ValueError(f"bad reflection ({i},{j}) for n={f.n}")
     tf = act(_transposition_images(f.n, i, j), f)
-    alpha = Polynomial.var(f.n, i) - Polynomial.var(f.n, j)
-    return exact_div(f - tf, alpha)
+    return exact_div(f - tf, _root(f.n, i - 1, j - 1))
 
 
 def wp(t, f: Polynomial) -> Polynomial:

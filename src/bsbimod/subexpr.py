@@ -44,7 +44,7 @@ from functools import cache, reduce
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .polyring import Polynomial
-from .coxeter import Permutation, Reflection, ReflExpr
+from .coxeter import Permutation, Reflection, ReflExpr, _root
 
 ENUM_IMPLEMENTATION = "python"
 
@@ -240,14 +240,6 @@ def _prefix_walk(expr: ReflExpr, members: Sequence[Bits]):
             if bit:
                 prefix[a], prefix[b] = y, x
         yield pairs
-
-
-@cache
-def _root(n: int, x: int, y: int) -> Polynomial:
-    """e_x - e_y, 0-based: one shared, immutable object per (n, x, y), so
-    at most n(n - 1) per rank are ever built."""
-    return Polynomial._of(n, {tuple(int(k == x) for k in range(n)): 1,
-                              tuple(int(k == y) for k in range(n)): -1})
 
 
 def _mask(positions: Sequence[int]) -> int:

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from bsbimod.coxeter import (Permutation, Reflection, ReflExpr, shift,
-                             reverse, make_sequence, positions_of, product)
+                             reverse, make_sequence, positions_of)
 from bsbimod.polyring import (Polynomial, GradedRank, NotDivisible, act,
                               demazure, wp, exact_div)
 from bsbimod.subexpr import (Subexpr, enumerate_sub, graph, components,

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from bsbimod.coxeter import (Permutation, Reflection, ReflExpr, shift, reverse,
                              truncate, concat, shift1, ddot, fold_expr,
-                             make_sequence, positions_of, product)
+                             make_sequence, positions_of)
+from bsbimod.polyring import Polynomial
 from conftest import random_expr
 
 
@@ -39,6 +40,16 @@ class TestReflection:
         assert t.as_permutation().images == (3, 2, 1, 4)
         assert str(t.root()) == "e1 - e3"
         assert not t.is_simple() and Reflection(2, 3, 4).is_simple()
+
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    def test_root_terms_in_order(self, n):
+        # the cached root has e_i - e_j's term dict, in the same order
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                want = Polynomial.var(n, i) - Polynomial.var(n, j)
+                got = Reflection(i, j, n).root()
+                assert list(got.terms.items()) == list(want.terms.items())
+                assert got is Reflection(i, j, n).root()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -158,9 +169,3 @@ class TestMakeSequence:
             for p in set(D.entries):
                 count = len(positions_of(D, p))
                 assert count == (2 if p in special else 1)
-
-
-class TestProduct:
-    def test_product(self):
-        t = ReflExpr(3, (Reflection(1, 2, 3), Reflection(2, 3, 3)))
-        assert product(t).images == (2, 3, 1)

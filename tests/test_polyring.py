@@ -478,6 +478,11 @@ class TestDemazure:
         alpha = e(t[0]) - e(t[1])
         assert wp(t, f) + (demazure(t, f) * alpha).scale(Fraction(1, 2)) == f
 
+    @pytest.mark.parametrize("t", [(1, 1), (0, 2), (1, 5)])
+    def test_refuses_a_non_reflection(self, t):
+        with pytest.raises(ValueError, match="bad reflection"):
+            demazure(t, e(1) * e(2))
+
 
 def _images(t):
     images = list(range(1, 5))

@@ -5,8 +5,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bsbimod.coxeter import (Permutation, Reflection, ReflExpr, make_sequence,
-                             product)
+from bsbimod.coxeter import Permutation, Reflection, ReflExpr, make_sequence
 from bsbimod.polyring import Polynomial
 from bsbimod.subexpr import (Subexpr, SubSet, enumerate_sub, graph, components,
                              frozen_set, unfrozen_set, con_component, balance,
