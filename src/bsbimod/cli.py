@@ -285,7 +285,7 @@ def cmd_acyclic(args) -> int:
 def cmd_st(args) -> int:
     if args.dual and args.action != "resolve":
         raise UsageError("--dual applies to st resolve only")
-    if args.roots:
+    if args.roots is not None:
         if args.nroots is not None or args.extra is not None:
             raise UsageError("--nroots and --extra do not apply with --roots, "
                              "which fix both")

@@ -484,27 +484,26 @@ def _transposition_images(n: int, i: int, j: int) -> tuple:
     return tuple(images)
 
 
-def _refl_pair(t) -> tuple:
-    """Accept a Reflection-like object or a plain (i, j) pair."""
-    if hasattr(t, "i") and hasattr(t, "j"):
-        return t.i, t.j
-    i, j = t
-    return (i, j) if i < j else (j, i)
+def _refl_pair(t, n: int) -> tuple:
+    """(i, j) of a Reflection-like object or a plain pair in either order;
+    ValueError unless 1 <= i < j <= n."""
+    i, j = (t.i, t.j) if hasattr(t, "i") and hasattr(t, "j") else sorted(t)
+    if not 1 <= i < j <= n:
+        raise ValueError(f"bad reflection ({i},{j}) for n={n}")
+    return i, j
 
 
 def demazure(t, f: Polynomial) -> Polynomial:
     """Demazure operator: f -> (f - tf)/alpha_t; lowers degree by 2."""
     from .coxeter import _root   # imported here: coxeter imports this module
-    i, j = _refl_pair(t)
-    if not 1 <= i < j <= f.n:
-        raise ValueError(f"bad reflection ({i},{j}) for n={f.n}")
+    i, j = _refl_pair(t, f.n)
     tf = act(_transposition_images(f.n, i, j), f)
     return exact_div(f - tf, _root(f.n, i - 1, j - 1))
 
 
 def wp(t, f: Polynomial) -> Polynomial:
     """The averaging operator: f -> (f + tf)/2; lands in the t-invariants."""
-    i, j = _refl_pair(t)
+    i, j = _refl_pair(t, f.n)
     tf = act(_transposition_images(f.n, i, j), f)
     return (f + tf).scale(Fraction(1, 2))
 

@@ -7,15 +7,15 @@ each S-pair once and keeps no relation.
 
 A resolution completes once, for F_0; every level above is Schreyer's,
 ordered as the level below induces, with at most as many levels as
-variables.  Its shape (which S-pairs each level reduces, their leading
-terms and degrees) comes from leading monomials alone.  Its columns, those
-S-pairs reduced once each, are already a Groebner basis of the next
-syzygies; they are the sparse differentials, and minimization cancels
-units on them.  A unit joins two generators of one degree at consecutive
-levels, so where no two consecutive levels share a degree, `pd` reads the
-minimal degrees off the shape and reduces no S-pair above F_0.  The first
-level is the one place where syzygies are built: `syzygies` of a Groebner
-basis reads it, mapped back to input order.
+variables.  Its columns, the minimal S-pairs reduced once each, are
+already a Groebner basis of the next syzygies; they are the sparse
+differentials, and minimization cancels units on them.  `pd` has two
+paths.  Where F_0 has linear quotients the frame's degrees have a closed
+form, and as a unit joins two generators of one degree at consecutive
+levels, no degree shared by consecutive levels certifies them minimal,
+with no S-pair reduced above F_0; otherwise the frame is minimized.  The
+first level is the one place where syzygies are built: `syzygies` of a
+Groebner basis reads it, mapped back to input order.
 
 A module element is immutable and stored as one coefficient dict
 {(generator index, exponent): coefficient}, with `Polynomial` coordinate
@@ -45,17 +45,18 @@ __all__ = [
     "minimize_resolution", "resolution_ranks",
 ]
 
-from collections import abc
+from collections import Counter, abc
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from bisect import insort
 from itertools import combinations
+from math import comb
 from operator import add, le, sub
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .polyring import (Polynomial, GradedRank, InvariantError, Scalar, _exact,
-                       _linear_rows, _ratio)
+                       _linear_rows, _ratio, try_exact_div)
 from .subexpr import ALL_CAP
 
 Mono = Tuple[int, ...]
@@ -411,7 +412,7 @@ def free_resolution(gens: Sequence[FreeModElem], order: ModOrder):
 
     F_0 is free on the Groebner basis that `buchberger` completes `gens`
     to, the one completion; every level above is one `_schreyer_level` on
-    the pairs of `_frame_shape`.  In the order of that step level k's
+    the pairs of `_frame_pairs`.  In the order of that step level k's
     leading monomials miss the top k variables, so there are at most n_vars
     levels after F_0 (Eisenbud, Commutative Algebra, Cor. 15.11).
     """
@@ -466,22 +467,6 @@ def _frame_cap(size: int) -> None:
         raise ValueError(f"the frame tops ALL_CAP = {ALL_CAP} generators")
 
 
-def _frame_shape(elems: Sequence[FreeModElem], order: ModOrder):
-    """(degrees, levels): the degrees of every F_k of `_schreyer_frame`
-    over `elems`, and the `_frame_pairs` of every F_k above F_0, with no
-    column built: the column of (a, ua, b, ub) leads with ub E_b.
-    ValueError before a level takes the frame past ALL_CAP generators."""
-    degrees = [[f.homogeneous_degree() for f in elems]] if elems else []
-    levels = []
-    pairs = _frame_pairs([f.leading(order)[:2] for f in elems])
-    while pairs:
-        _frame_cap(len(pairs) + sum(map(len, degrees)))
-        levels.append(pairs)
-        degrees.append([2 * sum(ub) + degrees[-1][b] for _, _, b, ub in pairs])
-        pairs = _frame_pairs([(b, ub) for _, _, b, ub in pairs])
-    return degrees, levels
-
-
 def _schreyer_level(elems: Sequence[FreeModElem], order: ModOrder, pairs):
     """
     (cols, upper): the columns of one level of Schreyer's frame over the
@@ -518,16 +503,20 @@ def _schreyer_level(elems: Sequence[FreeModElem], order: ModOrder, pairs):
     return cols, upper
 
 
-def _schreyer_frame(elems: Sequence[FreeModElem], order: ModOrder, shape=None):
+def _schreyer_frame(elems: Sequence[FreeModElem], order: ModOrder):
     """The resolution of `free_resolution` over its basis `elems`, listed
-    by `_position_first`, on `shape` (`_frame_shape` when None)."""
+    by `_position_first`; ValueError before a level tops ALL_CAP."""
     if not elems:
         return [[]], []
-    degrees, levels = shape or _frame_shape(elems, order)
+    degrees = [[f.homogeneous_degree() for f in elems]]
     diffs: List[List[Dict[int, Polynomial]]] = []
-    for pairs in levels:
+    pairs = _frame_pairs([f.leading(order)[:2] for f in elems])
+    while pairs:
+        _frame_cap(len(pairs) + sum(map(len, degrees)))
+        degrees.append([2 * sum(ub) + degrees[-1][b] for _, _, b, ub in pairs])
         elems, order = _schreyer_level(elems, order, pairs)
         diffs.append([f.coords for f in elems])
+        pairs = _frame_pairs([(b, ub) for _, _, b, ub in pairs])
     return degrees, diffs
 
 
@@ -585,13 +574,7 @@ def minimize_resolution(degrees, diffs):
 def resolution_ranks(degrees) -> List[GradedRank]:
     """One GradedRank per homological degree: a generator of degree d
     contributes v^{-d}."""
-    out = []
-    for level in degrees:
-        gr = GradedRank.constant(0)
-        for d in level:
-            gr = gr + GradedRank.v_power(-d)
-        out.append(gr)
-    return out
+    return [GradedRank(Counter(-d for d in level)) for level in degrees]
 
 
 def pd(gens: Sequence[FreeModElem], order: ModOrder):
@@ -601,15 +584,39 @@ def pd(gens: Sequence[FreeModElem], order: ModOrder):
 
 
 def certified_pd(gens: Sequence[FreeModElem], order: ModOrder):
-    """(pd, degrees, certified): certified when no two consecutive levels
-    of the frame's shape share a degree, so the frame is minimal and no
-    column is built; otherwise the shape's columns are minimized."""
-    gb = buchberger(gens, order)
-    elems = [gb.elements[k] for k in _position_first(gb.elements, order)]
-    shape = degrees, _ = _frame_shape(elems, order)
-    certified = not any(set(a) & set(b) for a, b in zip(degrees, degrees[1:]))
+    """(pd, degrees, certified) of the module `gens` generate: certified
+    when F_0 has linear quotients and no two consecutive levels of the
+    frame's closed-form degrees share a degree, so the frame is minimal and
+    no column is built; otherwise the frame is built and minimized."""
+    return _basis_pd(buchberger(gens, order))
+
+
+def _linear_degrees(elems: Sequence[FreeModElem], order: ModOrder):
+    """The sorted degrees of each level of `_schreyer_frame` over `elems`
+    if every ub of its first level is one variable (linear quotients), else
+    None: then b's q_b pairs give C(q_b, k) generators of degree deg(b) + 2k
+    at level k (Herzog and Takayama, Resolutions by mapping cones, 2002).
+    ValueError, with nothing listed, if sum_b 2^q_b tops ALL_CAP."""
+    q = [0] * len(elems)
+    for _, _, b, ub in _frame_pairs([f.leading(order)[:2] for f in elems]):
+        if sum(ub) != 1:
+            return None
+        q[b] += 1
+    _frame_cap(sum(2 ** qb for qb in q))
+    degs = [f.homogeneous_degree() for f in elems]
+    return [sorted(d + 2 * k for d, qb in zip(degs, q)
+                   for _ in range(comb(qb, k)))
+            for k in range(max(q, default=-1) + 1)]
+
+
+def _basis_pd(gb: GroebnerBasis):
+    """`certified_pd` of the module with the Groebner basis `gb`."""
+    elems = [gb.elements[k] for k in _position_first(gb.elements, gb.order)]
+    degrees = _linear_degrees(elems, gb.order)
+    certified = degrees is not None and not any(
+        set(a) & set(b) for a, b in zip(degrees, degrees[1:]))
     if not certified:
-        degrees = minimize_resolution(*_schreyer_frame(elems, order, shape))[0]
+        degrees = minimize_resolution(*_schreyer_frame(elems, gb.order))[0]
     return len(degrees) - 1, [sorted(level) for level in degrees], certified
 
 
@@ -654,8 +661,8 @@ def st_generators(n: int, extra: int = 0) -> List[FreeModElem]:
 
 def check_st_frame(n: int) -> None:
     """`_frame_cap` on the frame of `st_generators(n)`, with nothing built:
-    it has 2^n - 1 - n generators, as `_frame_shape` counts them.  An n
-    two past the cap's bit length is refused without forming 2^n."""
+    it has 2^n - 1 - n generators, C(n, k + 2) at level k.  An n two past
+    the cap's bit length is refused without forming 2^n."""
     _frame_cap(ALL_CAP + 1 if n > ALL_CAP.bit_length() + 1
                else 2 ** n - 1 - n)
 
@@ -663,7 +670,6 @@ def check_st_frame(n: int) -> None:
 def st_membership(f: FreeModElem, n: int) -> bool:
     """The defining congruences: x_1 | f_1, x_k | (f_k - f_{k-1}) for
     1 < k < n, and x_n | f_{n-1}."""
-    from .polyring import try_exact_div
     nv = f.ambient.n_vars
     if f.ambient.rank != n - 1:
         raise ValueError("rank mismatch")
@@ -767,25 +773,19 @@ def dual_toolkit(n: int, extra: int = 0) -> dict:
     gb = buchberger(thetas, order)
     report["theta_groebner"] = gb.n_new == 0
 
-    # the one resolution, from the one completion gb; when the thetas are
-    # the basis, its first level, read in theta order, generates their
-    # syzygies, and each must reduce to a multiple of w
-    perm = _position_first(gb.elements, order)
-    resolution = _schreyer_frame([gb.elements[k] for k in perm], order)
+    # when the thetas are the basis, each syzygy of theta^(1..n) must
+    # reduce to a multiple of w; and w is itself one (sum_zero says so)
     eps_amb = FreeModule(nv, (-2,) * n)
-    eps_order = ModOrder.standard(n, nv)
     w = FreeModElem(eps_amb, {h: Polynomial.var(nv, h + 1) for h in range(n)})
-    all_in_w = report["theta_groebner"] and all(
-        reduce_elem(FreeModElem(eps_amb, {perm[i]: p for i, p in col.items()}),
-                    [w], eps_order)[1].is_zero()
-        for level in resolution[1][:1] for col in level)
-    # and w is itself a syzygy (sum_zero already says so)
-    report["kernel_is_w"] = all_in_w and report["sum_zero"]
+    report["kernel_is_w"] = report["sum_zero"] and report["theta_groebner"] \
+        and all(reduce_elem(FreeModElem(eps_amb, dict(enumerate(row))), [w],
+                            ModOrder.standard(n, nv))[1].is_zero()
+                for row in syzygies(gb, n))
 
     # minimal resolution shape 0 -> R -> R(2)^n -> dual -> 0
-    degrees = [sorted(level) for level in minimize_resolution(*resolution)[0]]
+    p, degrees, _ = _basis_pd(gb)
     report["resolution_degrees"] = degrees
-    report["pd"] = len(degrees) - 1
+    report["pd"] = p
     report["shape_ok"] = (degrees[0] == [-2] * n
                           and len(degrees) == 2 and degrees[1] == [0])
     return report

@@ -315,6 +315,15 @@ class TestSt:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert flag in err
 
+    @pytest.mark.parametrize("args", [["--roots", ""],
+                                      ["--roots", "", "--nroots", "5"]])
+    def test_empty_roots_is_a_usage_error(self, capsys, args):
+        # an empty --roots is given, not absent: it used to resolve the
+        # default roots, or --nroots of them
+        rc = cli.main(["st", "pd"] + args)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "" and err.startswith("error: ")
+
     @pytest.mark.parametrize("args", [["--nroots", "2"],
                                       ["--roots", "e1-e2,e2-e3"]])
     def test_dual_needs_three_roots(self, capsys, args):

@@ -483,6 +483,13 @@ class TestDemazure:
         with pytest.raises(ValueError, match="bad reflection"):
             demazure(t, e(1) * e(2))
 
+    @pytest.mark.parametrize("t", [(1, 1), (0, 2), (1, 5)])
+    def test_wp_refuses_a_non_reflection(self, t):
+        # (0, 2) used to wrap to the last variable, (1, 1) to return f and
+        # (1, 5) to raise IndexError
+        with pytest.raises(ValueError, match="bad reflection"):
+            wp(t, e(1) * e(2))
+
 
 def _images(t):
     images = list(range(1, 5))

@@ -668,9 +668,10 @@ class TestSchreyer:
 
 
 class TestCertifiedPd:
-    """Where no two consecutive levels of the frame's shape share a degree,
-    `pd` reads the minimal degrees off the shape; elsewhere it minimises
-    the shape's columns.  Both against the reduce-and-minimise path."""
+    """Where F_0 has linear quotients and no two consecutive levels of the
+    frame share a degree, `pd` reads the minimal degrees off the closed
+    form; elsewhere it minimises the frame's columns.  Both against the
+    reduce-and-minimise path."""
 
     @settings(max_examples=100, deadline=None)
     @given(modules())
@@ -731,13 +732,44 @@ class TestCertifiedPd:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_st_frame_count(self, monkeypatch, n):
         # check_st_frame counts 2^n - 1 - n generators without building
-        # the frame: the count `_frame_shape` finds, refused one above it
+        # the frame: the count `free_resolution` lists, refused one above it
         gens = st_generators(n)
         _, order = st_ambient(n, 0)
-        size = sum(map(len, strmod._frame_shape(gens, order)[0]))
+        size = sum(map(len, free_resolution(gens, order)[0]))
         assert size == 2 ** n - 1 - n
         monkeypatch.setattr(strmod, "ALL_CAP", size)
         strmod.check_st_frame(n)
         monkeypatch.setattr(strmod, "ALL_CAP", size - 1)
         with pytest.raises(ValueError, match=f"ALL_CAP = {size - 1} gen"):
             strmod.check_st_frame(n)
+
+
+@st.composite
+def st_subsets(draw):
+    """A nonempty subset of the p_{i,j} of St on 3..6 roots, with 0 or 1
+    spare variables, and its order."""
+    r, extra = draw(st.integers(3, 6)), draw(st.integers(0, 1))
+    gens = st_generators(r, extra)
+    keep = draw(st.sets(st.integers(0, len(gens) - 1), min_size=1))
+    return [gens[k] for k in sorted(keep)], st_ambient(r, extra)[1]
+
+
+class TestLinearQuotients:
+    """Where every kept multiplier of the first level is one variable, the
+    frame's degrees follow in closed form; they are the degrees of the
+    frame itself, and `certified_pd` agrees with reduce-and-minimise
+    whichever path it takes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st_subsets())
+    def test_closed_form_is_the_frame(self, case):
+        gens, order = case
+        gb = buchberger(gens, order)
+        elems = [gb.elements[k]
+                 for k in strmod._position_first(gb.elements, order)]
+        closed = strmod._linear_degrees(elems, order)
+        if closed is None:
+            return
+        frame, _ = free_resolution(gens, order)
+        assert closed == [sorted(level) for level in frame]
+        assert strmod.certified_pd(gens, order)[:2] == oracle.pd(gens, order)
