@@ -86,8 +86,7 @@ _TERM = re.compile(r"([+-]?)\s*(\d+)?\s*\*?\s*e(\d+)")
 
 def parse_root(text: str, n: int) -> Polynomial:
     """A degree-2 linear form like "e1-e2" or "2*e1-e3"."""
-    pos = 0
-    out = Polynomial.zero(n)
+    pos, terms = 0, []
     for m in _TERM.finditer(text.replace(" ", "")):
         if m.start() != pos:
             raise UsageError(f"cannot parse root {text!r}")
@@ -99,10 +98,10 @@ def parse_root(text: str, n: int) -> Polynomial:
         if not 1 <= var <= n:
             raise UsageError(f"root {text!r}: e{var} is not a variable of "
                              f"the rank-{n} ambient ring")
-        out = out + Polynomial.var(n, var).scale(coeff)
+        terms.append(Polynomial.var(n, var).scale(coeff))
     if pos != len(text.replace(" ", "")):
         raise UsageError(f"cannot parse root {text!r}")
-    return out
+    return sum(terms, Polynomial.zero(n))
 
 
 def parse_roots(text: str, n: int) -> List[Polynomial]:

@@ -99,8 +99,7 @@ class Permutation:
 def _root(n: int, x: int, y: int) -> Polynomial:
     """e_x - e_y, 0-based: one shared, immutable object per (n, x, y), so
     at most n(n - 1) per rank are ever built."""
-    return Polynomial._of(n, {tuple(int(k == x) for k in range(n)): 1,
-                              tuple(int(k == y) for k in range(n)): -1})
+    return Polynomial.var(n, x + 1) - Polynomial.var(n, y + 1)
 
 
 @dataclass(frozen=True)
@@ -132,11 +131,14 @@ class Reflection:
 
 @dataclass(frozen=True)
 class ReflExpr:
-    """A finite sequence of reflections in a fixed S_n."""
+    """A finite sequence of reflections in a fixed S_n, n >= 1 (ValueError
+    otherwise)."""
     n: int
     entries: Tuple[Reflection, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"S_n needs n >= 1, got n = {self.n}")
         object.__setattr__(self, "entries", tuple(self.entries))
         for t in self.entries:
             if t.n != self.n:

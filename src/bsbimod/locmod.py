@@ -19,7 +19,7 @@ from operator import add
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .polyring import (Polynomial, RationalFn, exact_div, try_exact_div,
-                       _clean, _pack, _power_divides)
+                       _clean, _layout, _pack, _power_divides, _refit)
 from .coxeter import Permutation, ReflExpr
 from .subexpr import (ALL_CAP, Subexpr, SubSet, enumerate_sub,
                       _fold_members, _fold_template, _indices, _prefix_walk,
@@ -156,13 +156,13 @@ def res_tensor(t: ReflExpr, a: Sequence[Polynomial]) -> FnOnSub:
     depth-first walk of the prefix tree of Sub(t), bit 0 before bit 1: a
     node at depth i holds the one-line prefix eps^{<i+1}, updated by one
     swap, and the partial product over l <= i+1, shared by every member
-    below it.  A partial product is a dict on exponents packed as
-    `polyring._pack` packs them, with w the bit length of the sum D of
-    the factors' top total degrees: D bounds every exponent, so nothing
-    carries, and the image of a factor under the prefix shifts each of its
-    exponents into the permuted field.  Each distinct packed monomial of
-    the leaves is unpacked once, into one exponent tuple that every leaf
-    shares."""
+    below it.  A partial product is a dict on packed monomial keys, and the
+    image of a factor under the prefix shifts each of its exponents into
+    the permuted field.  The keys are those of `Polynomial`, so each leaf
+    is a value's terms with no unpacking, its key objects shared with the
+    other leaves: at the base width when the sum D of the factors' top
+    total degrees, which bounds every exponent, fits below the guard bit,
+    else at a width that holds D, refitted per leaf."""
     m, n = len(t), t.n
     if len(a) != m + 1:
         raise ValueError(f"need {m + 1} tensor factors, got {len(a)}")
@@ -170,18 +170,20 @@ def res_tensor(t: ReflExpr, a: Sequence[Polynomial]) -> FnOnSub:
         if f.n != n:
             raise ValueError(f"rank mismatch: {n} != {f.n}")
     dom = enumerate_sub(t, "all")
-    w = sum(max(map(sum, f.terms), default=0) for f in a).bit_length() or 1
-    one = {(0,) * n: 1}
+    exps = [f.exp_terms() for f in a]
+    top = sum(max(map(sum, x), default=0) for x in exps)
+    base = _layout(n)[0]
+    w = base if top.bit_length() < base else top.bit_length() + 1
     # per factor: None for the constant 1, else its terms as
     # ((variable, exponent) pairs, coefficient)
-    factors = [None if f.terms == one else
+    factors = [None if f.terms == {0: 1} else
                [(tuple((j, k) for j, k in enumerate(x) if k), c)
-                for x, c in f.terms.items()] for f in a]
+                for x, c in terms.items()] for f, terms in zip(a, exps)]
     fractional = any(type(c) is not int for f in a for c in f.terms.values())
     trans = [(r.i - 1, r.j - 1) for r in t.entries]
-    shifts = range(0, w * n, w)
-    pos = list(shifts)   # pos[j]: the field of eps^{<i+1}(e_j)
+    pos = list(range(0, w * n, w))   # pos[j]: the field of eps^{<i+1}(e_j)
     leaves = []
+    intern = {}.setdefault   # one int object per distinct key of the leaves
 
     def walk(i: int, val: dict):
         if factors[i] is not None:
@@ -195,7 +197,7 @@ def res_tensor(t: ReflExpr, a: Sequence[Polynomial]) -> FnOnSub:
                     out[z] = get(z, 0) + c1 * c2
             val = _clean(out) if fractional or 0 in out.values() else out
         if i == m:
-            leaves.append(val)
+            leaves.append({intern(x, x): c for x, c in val.items()})
             return
         walk(i + 1, val)
         x, y = trans[i]
@@ -204,12 +206,8 @@ def res_tensor(t: ReflExpr, a: Sequence[Polynomial]) -> FnOnSub:
         pos[x], pos[y] = pos[y], pos[x]
 
     walk(0, {0: 1})
-    mask = (1 << w) - 1
-    exps = {x: tuple(x >> s & mask for s in shifts)
-            for x in set().union(*leaves)}
     return FnOnSub._of(dom, {
-        b: Polynomial._of(n, {exps[x]: c for x, c in leaf.items()})
-        for b, leaf in zip(dom.members, leaves)})
+        b: _refit(n, leaf, w) for b, leaf in zip(dom.members, leaves)})
 
 
 def _signed_sum(g: FnOnSub, terms) -> Polynomial:
@@ -254,10 +252,11 @@ def membership(g: FnOnSub, kind: str, Phi=None):
     ValueError for an unknown kind, a domain the kind does not apply to,
     Phi missing for "XwPhi" or given for another kind, a Phi over another
     expression, or a member of Phi outside the domain.  The nonzero
-    values are scaled to int coefficients and packed once per call
+    values are scaled to int coefficients once per call
     (`polyring._pack`), and each condition is one `_power_divides` call on
     the packed values its signed sum reads, skipping those on zero values
-    alone when some value is zero (`SubAnalysis.condition_table`).
+    alone when some value is zero (`SubAnalysis.condition_table`) and
+    those with a power k = |X| + excess <= 0, which always hold.
     """
     if kind == "X(t)":
         if g.domain.target is not None:
@@ -305,8 +304,9 @@ def membership(g: FnOnSub, kind: str, Phi=None):
         conds = [listed[k] for k in sorted(set().union(
             *[touching[j] for j, f in enumerate(polys) if f.terms]))]
     for i, p, X, terms in conds:
-        if not _power_divides(values, terms, w, p.i - 1, p.j - 1,
-                              len(X) + excess):
+        k = len(X) + excess
+        if k > 0 and not _power_divides(values, terms, w, p.i - 1, p.j - 1,
+                                        k):
             return False, (Subexpr(g.domain.expr, an.members[i]), p, X)
     return True, None
 

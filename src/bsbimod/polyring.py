@@ -8,6 +8,13 @@ as an `int` and any other as a `Fraction` (a float is refused), every
 coefficient division goes through `Fraction`, and polynomial division only
 succeeds when it is exact in the polynomial ring.
 
+A monomial is one int key, the exponent of e_{i+1} in field i of a width
+fixed by the polynomial's content (`Polynomial`), so a product adds keys,
+the constant term has key 0, and a product by a root, a division by one
+and the root-power test shift keys between two fields.  Exponent tuples
+are read and written only at the edges: the constructor, `from_json`,
+`exp_terms`, `leading`, `degree`, `__str__` and `to_json`.
+
 >>> n = 3
 >>> e1, e2 = Polynomial.var(n, 1), Polynomial.var(n, 2)
 >>> print((e1 - e2) * (e1 + e2))
@@ -22,8 +29,10 @@ __all__ = [
 ]
 
 from fractions import Fraction
+from functools import cache, reduce
+from itertools import chain
 from math import comb, gcd, lcm
-from operator import add, lshift
+from operator import lshift, or_
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -76,14 +85,129 @@ def _glex_key(item):
     return (sum(exp), exp)
 
 
+# -- packed monomials -------------------------------------------------------
+
+@cache
+def _layout(n: int) -> Tuple[int, int, dict]:
+    """(W(n), guards, linear): the base field width of the ring in n
+    variables, 30 // n bits and at least 4, so that a key in n <= 6
+    variables stays below 2^30 (one CPython digit); the guard bit of each
+    field at that width; and {key of e_{i+1}: i}.  ValueError for n < 1."""
+    if n < 1:
+        raise ValueError(f"a polynomial ring needs n >= 1 variables, got {n}")
+    w = max(30 // n, 4)
+    return w, _guards(n, w), {1 << w * i: i for i in range(n)}
+
+
+@cache
+def _guards(n: int, w: int) -> int:
+    """The top bit of each of the n fields of width w."""
+    return sum(1 << s for s in range(w - 1, w * n, w))
+
+
+_MEMO_CAP = 1 << 14
+
+
+class _Memo(dict):
+    """A bounded memo of one conversion: `memo[x]` converts x on first use,
+    and the memo is emptied when it holds _MEMO_CAP entries."""
+
+    def __init__(self, convert):
+        self.convert = convert
+
+    def __missing__(self, x):
+        if len(self) >= _MEMO_CAP:
+            self.clear()
+        y = self[x] = self.convert(x)
+        return y
+
+
+@cache
+def _codec(n: int, w: int) -> Tuple[_Memo, _Memo]:
+    """(keys, exps): memos from exponent tuples of length n to packed keys
+    of width w, and back.  The edges convert the same few monomials over
+    and over, and a memo hit is one dict lookup."""
+    shifts, mask = range(0, w * n, w), (1 << w) - 1
+    return (_Memo(lambda x: sum(map(lshift, x, shifts))),
+            _Memo(lambda x: tuple([x >> s & mask for s in shifts])))
+
+
+def _encode(n: int, terms: dict) -> Tuple[dict, int]:
+    """(packed terms, w): the coefficient dict `terms` on exponent tuples
+    of length n, keyed by packed ints at the width their content fixes
+    (`_fit`); the coefficients are taken as they are."""
+    base = _layout(n)[0]
+    if not terms:
+        return terms, base
+    top = max(chain(*terms))
+    w = base if top >> base - 1 == 0 else top.bit_length() + 1
+    return dict(zip(map(_codec(n, w)[0].__getitem__, terms),
+                    terms.values())), w
+
+
+def _repack(terms: dict, n: int, w: int, new: int) -> dict:
+    """The packed `terms` of width w at width `new`."""
+    exps, keys = _codec(n, w)[1], _codec(n, new)[0]
+    return {keys[exps[x]]: c for x, c in terms.items()}
+
+
+def _fit(n: int, terms: dict, w: int) -> "Polynomial":
+    """The polynomial of the packed `terms` of width w (guard bits may be
+    set), repacked at the width its content fixes: W(n), or one bit more
+    than its largest exponent has, whichever is wider."""
+    orr, mask = reduce(or_, terms, 0), (1 << w) - 1
+    fit = max(_layout(n)[0], 1 + max((orr >> s & mask).bit_length()
+                                     for s in range(0, w * n, w)))
+    if fit != w:
+        terms, w = _repack(terms, n, w, fit), fit
+    return Polynomial._of(n, terms, w)
+
+
+def _refit(n: int, terms: dict, w: int) -> "Polynomial":
+    """The polynomial of the packed `terms` of width w, none of whose
+    exponents reaches a guard bit: taken as it is at the base width, else
+    refitted (`_fit`), since a cancellation or a division may have left
+    the content narrower than w."""
+    if w == _layout(n)[0]:
+        return Polynomial._of(n, terms, w)
+    return _fit(n, terms, w)
+
+
+def _degrees(terms: dict, n: int, w: int) -> int:
+    """The degree of the packed `terms` of width w in each variable, as one
+    packed key."""
+    exps = _codec(n, w)[1]
+    return sum(map(lshift, map(max, zip(*map(exps.__getitem__, terms))),
+                   range(0, w * n, w)))
+
+
+def _common(f: "Polynomial", g: "Polynomial") -> Tuple[int, dict, dict]:
+    """(w, f's terms, g's terms), both at the wider of their widths."""
+    w = max(f.w, g.w)
+    return w, *(p.terms if p.w == w else _repack(p.terms, p.n, p.w, w)
+                for p in (f, g))
+
+
 class Polynomial:
     """Immutable multivariate polynomial over Q in e_1..e_n.  `terms` maps
-    exponent tuples to nonzero coefficients: `int`s, and `Fraction`s with
-    denominator above 1."""
+    packed monomial keys to nonzero coefficients: `int`s, and `Fraction`s
+    with denominator above 1.  The key of e_1^x_1 ... e_n^x_n is the int
+    sum of x_i * 2^{w(i-1)}: field i - 1 of w bits holds x_i, with its top
+    bit, the guard bit, clear.  The width w is W(n) = max(30 // n, 4)
+    unless some exponent needs more, and then one bit more than the largest
+    exponent has, so it depends on the content alone and equal polynomials
+    have equal keys.  A product adds keys; a field never carries into the
+    next, as the guard bit takes a sum of two exponents, and a product that
+    sets a guard bit is repacked wider.  `exp_terms` reads the terms keyed
+    by exponent tuples."""
 
-    __slots__ = ("n", "terms", "_hash")
+    __slots__ = ("n", "w", "terms", "_hash")
 
     def __init__(self, n: int, terms: Mapping[tuple, Scalar]):
+        """The polynomial with the coefficients `terms` {exponent tuple:
+        coefficient}; ValueError for n < 1, an exponent tuple of another
+        length or a negative exponent, TypeError for a float."""
+        _layout(n)
         clean = {}
         for exp, c in terms.items():
             if type(c) is not int and (type(c) is not Fraction
@@ -91,17 +215,22 @@ class Polynomial:
                 c = _exact(c)
             if c:
                 clean[tuple(exp)] = c
+        if not {n}.issuperset(map(len, clean)) or clean and min(
+                chain(*clean)) < 0:
+            raise ValueError(f"need {n} nonnegative exponents per term")
         self.n = n
-        self.terms = clean
+        self.terms, self.w = _encode(n, clean)
         self._hash = None
 
     @classmethod
-    def _of(cls, n: int, terms: dict) -> "Polynomial":
-        """`terms`, exponent tuples to nonzero ints and non-integral
+    def _of(cls, n: int, terms: dict, w: int) -> "Polynomial":
+        """`terms`, packed keys of width w to nonzero ints and non-integral
         `Fraction`s, taken unchecked and uncopied: the constructor of every
-        ring result, clean by construction or by `_clean`."""
+        ring result, clean by construction or by `_clean`, at the width its
+        content fixes (`_fit`)."""
         out = object.__new__(cls)
         out.n = n
+        out.w = w
         out.terms = terms
         out._hash = None
         return out
@@ -110,11 +239,12 @@ class Polynomial:
 
     @staticmethod
     def zero(n: int) -> "Polynomial":
-        return Polynomial(n, {})
+        return Polynomial._of(n, {}, _layout(n)[0])
 
     @staticmethod
     def const(n: int, c: Scalar) -> "Polynomial":
-        return Polynomial(n, {(0,) * n: c})
+        c = _exact(c)
+        return Polynomial._of(n, {0: c} if c else {}, _layout(n)[0])
 
     @staticmethod
     def one(n: int) -> "Polynomial":
@@ -124,40 +254,48 @@ class Polynomial:
     def var(n: int, i: int) -> "Polynomial":
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} out of range 1..{n}")
-        exp = [0] * n
-        exp[i - 1] = 1
-        return Polynomial(n, {tuple(exp): 1})
+        w = _layout(n)[0]
+        return Polynomial._of(n, {1 << w * (i - 1): 1}, w)
 
     # -- basic queries -----------------------------------------------------
+
+    def exp_terms(self) -> dict:
+        """The terms keyed by exponent tuples (x_1, ..., x_n), in the order
+        of `terms`."""
+        exps = _codec(self.n, self.w)[1]
+        return dict(zip(map(exps.__getitem__, self.terms),
+                        self.terms.values()))
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return len(self.terms) < 2 and not any(next(iter(self.terms), ()))
+        t = self.terms
+        return not t or len(t) == 1 and 0 in t
 
     def constant_value(self) -> Scalar:
-        if not self.terms:
-            return 0
         if not self.is_constant():
             raise ValueError("not a constant")
-        return next(iter(self.terms.values()))
+        return self.terms.get(0, 0)
+
+    def _total_degrees(self) -> set:
+        return set(map(sum, map(_codec(self.n, self.w)[1].__getitem__,
+                                self.terms)))
 
     def degree(self) -> Optional[int]:
         """Top degree (deg e_i = 2), or None for the zero polynomial."""
         if not self.terms:
             return None
-        return 2 * max(sum(exp) for exp in self.terms)
+        return 2 * max(self._total_degrees())
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(exp) for exp in self.terms}
-        return len(degs) <= 1
+        return len(self._total_degrees()) <= 1
 
     def homogeneous_degree(self) -> Optional[int]:
         """Degree if homogeneous and nonzero, None if zero; error otherwise."""
         if not self.terms:
             return None
-        degs = {sum(exp) for exp in self.terms}
+        degs = self._total_degrees()
         if len(degs) != 1:
             raise ValueError("not homogeneous")
         return 2 * degs.pop()
@@ -166,8 +304,7 @@ class Polynomial:
         """(exponent, coefficient) of the graded-lex leading term."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=lambda e: (sum(e), e))
-        return exp, self.terms[exp]
+        return max(self.exp_terms().items(), key=_glex_key)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -175,46 +312,78 @@ class Polynomial:
         if self.n != other.n:
             raise ValueError(f"rank mismatch: {self.n} != {other.n}")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other: the sums of equal keys, in self's order."""
         self._check(other)
+        n, w, a, b = self.n, self.w, self.terms, other.terms
+        if w != other.w:
+            w, a, b = _common(self, other)
+        terms = dict(a)
+        get = terms.get
+        if sign > 0:
+            for x, c in b.items():
+                terms[x] = get(x, 0) + c
+        else:
+            for x, c in b.items():
+                terms[x] = get(x, 0) - c
+        return _refit(n, _clean(terms), w)
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
         if not self.terms or not other.terms:
+            self._check(other)
             return self if self.terms else other
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, 0) + c
-        return Polynomial._of(self.n, _clean(terms))
+        return self._plus(other, 1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._of(self.n, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.n, {e: -c for e, c in self.terms.items()},
+                              self.w)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, 0) - c
-        return Polynomial._of(self.n, _clean(terms))
+        return self._plus(other, -1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        if other.is_constant():
-            return self.scale(other.constant_value())
-        if self.is_constant():
-            return other.scale(self.constant_value())
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return other if a else self
+        if len(b) == 1 and 0 in b:
+            return self.scale(b[0])
+        if len(a) == 1 and 0 in a:
+            return other.scale(a[0])
+        n, w = self.n, self.w
+        if w != other.w:
+            w, a, b = _common(self, other)
         terms: dict = {}
-        items = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in items:
-                exp = tuple(map(add, e1, e2))
-                terms[exp] = terms.get(exp, 0) + c1 * c2
-        return Polynomial._of(self.n, _clean(terms))
+        get = terms.get
+        if len(b) == 2:
+            # a binomial, a root say: each key of a shifts by both of b's
+            (y1, d1), (y2, d2) = b.items()
+            for x, c in a.items():
+                z = x + y1
+                terms[z] = get(z, 0) + c * d1
+                z = x + y2
+                terms[z] = get(z, 0) + c * d2
+        else:
+            items = b.items()
+            for x, c1 in a.items():
+                for y, c2 in items:
+                    z = x + y
+                    terms[z] = get(z, 0) + c1 * c2
+        terms = _clean(terms)
+        base, guards, _ = _layout(n)
+        if w == base and not reduce(or_, terms, 0) & guards:
+            return Polynomial._of(n, terms, w)
+        return _fit(n, terms, w)
 
     def scale(self, c: Scalar) -> "Polynomial":
         if type(c) is not int:
             c = _exact(c)
         if c == 1:
             return self
+        if not c:
+            return Polynomial._of(self.n, {}, _layout(self.n)[0])
         return Polynomial._of(self.n, _clean(
-            {e: c * v for e, v in self.terms.items()}) if c else {})
+            {e: c * v for e, v in self.terms.items()}), self.w)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polynomial)
@@ -230,9 +399,10 @@ class Polynomial:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        terms = self.exp_terms()
         parts = []
-        for exp in sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
-            c = self.terms[exp]
+        for exp in sorted(terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
+            c = terms[exp]
             mono = "*".join(
                 f"e{i+1}" + (f"^{k}" if k > 1 else "")
                 for i, k in enumerate(exp) if k
@@ -255,7 +425,7 @@ class Polynomial:
         return f"Polynomial({self.n}, {self})"
 
     def to_json(self) -> dict:
-        items = sorted(self.terms.items(), key=_glex_key, reverse=True)
+        items = sorted(self.exp_terms().items(), key=_glex_key, reverse=True)
         return {"n": self.n,
                 "terms": [{"exp": list(e),
                            "num": str(c.numerator),
@@ -263,9 +433,9 @@ class Polynomial:
 
     @staticmethod
     def from_json(obj: dict) -> "Polynomial":
-        """The inverse of `to_json`; ValueError on an exponent list whose
-        length is not n, an exponent that is not a nonnegative int, or a
-        zero denominator."""
+        """The inverse of `to_json`; ValueError on n < 1, an exponent list
+        whose length is not n, an exponent that is not a nonnegative int,
+        or a zero denominator."""
         n = obj["n"]
         terms = {}
         for t in obj["terms"]:
@@ -279,79 +449,96 @@ class Polynomial:
 
 
 def act(images: Sequence[int], f: Polynomial) -> Polynomial:
-    """Apply the permutation with the given 1-based images: e_i -> e_{w(i)}."""
-    if len(images) != f.n:
-        raise ValueError(f"rank mismatch: {len(images)} != {f.n}")
-    terms = {}
-    for exp, c in f.terms.items():
-        new = [0] * f.n
-        for i, k in enumerate(exp):
-            new[images[i] - 1] = k
-        terms[tuple(new)] = c
-    return Polynomial._of(f.n, terms)
+    """Apply the permutation with the given 1-based images: e_i -> e_{w(i)}.
+    Field i - 1 of each key moves to field w(i) - 1.  ValueError if images
+    is not a permutation of 1..n."""
+    n, w = f.n, f.w
+    if sorted(images) != list(range(1, n + 1)):
+        raise ValueError(f"{tuple(images)} is not a permutation of 1..{n}")
+    mask = (1 << w) - 1
+    moves = [(w * i, w * (k - 1)) for i, k in enumerate(images)]
+    return Polynomial._of(n, {sum((x >> s & mask) << d for s, d in moves): c
+                              for x, c in f.terms.items()}, w)
 
 
 def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     """Exact quotient f/g in the polynomial ring; raises NotDivisible.  A
     root is divided by `_root_quotient`, any other g by long division on
-    one coefficient dict: the graded-lex leading term of the remainder is
-    popped, divided by that of g, and the quotient term times the rest of
-    g is subtracted term by term."""
+    one coefficient dict, in the lex order of the packed keys (e_n first),
+    a monomial order since a product adds keys: the greatest key of the
+    remainder is popped, divided by that of g, and the quotient term times
+    the rest of g is subtracted term by term.  A field of the divided key
+    below g's, or a quotient term that would take some e_i past its degree
+    in f, proves f not divisible."""
     f._check(g)
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if len(g.terms) == 2:
-        (xe, xc), (ye, yc) = g.terms.items()
-        if xc == -yc and sum(xe) == 1 and sum(ye) == 1:
-            return _root_quotient(f, g, xe.index(1), ye.index(1), xc)
-    gexp, gc = g.leading()
-    rest = [(e, c) for e, c in g.terms.items() if e != gexp]
-    rem = dict(f.terms)
+        (xk, xc), (yk, yc) = g.terms.items()
+        linear = _layout(g.n)[2]
+        if xc == -yc and xk in linear and yk in linear:
+            return _root_quotient(f, g, linear[xk], linear[yk], xc)
+    n, w, a, b = f.n, f.w, f.terms, g.terms
+    if w != g.w:
+        w, a, b = _common(f, g)
+    guards = _guards(n, w)
+    room, need = _degrees(a, n, w) | guards, _degrees(b, n, w)
+    gkey = max(b)
+    gc = b[gkey]
+    rest = [(x, c) for x, c in b.items() if x != gkey]
+    rem = dict(a)
     quo: dict = {}
     while rem:
-        rexp = max(rem, key=lambda e: (sum(e), e))
-        diff = tuple(a - b for a, b in zip(rexp, gexp))
-        if any(d < 0 for d in diff):
-            # single-divisor division: any term escaping the leading monomial
-            # certifies non-membership in the principal ideal (g)
+        rkey = max(rem)
+        # (rkey | guards) - gkey keeps every guard bit iff no field borrows
+        diff = (rkey | guards) - gkey
+        if diff & guards != guards:
+            raise NotDivisible(f"{f} is not divisible by {g}")
+        diff ^= guards
+        # a term of f/g times g stays within f's degree in each variable
+        top = diff + need
+        if top & guards or (room - top) & guards != guards:
             raise NotDivisible(f"{f} is not divisible by {g}")
         # the leading terms strictly decrease, so each diff comes up once
-        c = quo[diff] = _ratio(rem.pop(rexp), gc)
-        for e, ce in rest:
-            x = tuple(a + b for a, b in zip(diff, e))
-            v = rem.get(x, 0) - c * ce
+        c = quo[diff] = _ratio(rem.pop(rkey), gc)
+        for x, cx in rest:
+            x += diff
+            v = rem.get(x, 0) - c * cx
             if v:
                 rem[x] = v
             else:
                 del rem[x]
-    return Polynomial._of(f.n, quo)
+    return _refit(n, quo, w)
 
 
 def _root_quotient(f: Polynomial, g: Polynomial, x: int, y: int,
                    c: Scalar) -> Polynomial:
-    """f/g for g = c(e_x - e_y), in one pass: the group of f's terms
-    sum_a c_a e_x^a e_y^{d-a} (equal in the other exponents) divides
-    exactly when its c_a sum to 0, with quotient coefficient
-    (1/c) sum_{b>a} c_b at e_x^a e_y^{d-1-a}."""
+    """f/g for g = c(e_x - e_y) (0-based x, y), in one pass: the group of
+    f's terms sum_a c_a e_x^a e_y^{d-a} (equal in the other exponents)
+    divides exactly when its c_a sum to 0, with quotient coefficient
+    (1/c) sum_{b>a} c_b at e_x^a e_y^{d-1-a}.  A key moves to its group
+    by adding a * (2^{w*y} - 2^{w*x}), which empties field x into field y
+    (the guard bit takes d), and back to a quotient key by the inverse
+    shift."""
+    n, w = f.n, f.w
+    sx, mask = w * x, (1 << w) - 1
+    step, unit = (1 << w * y) - (1 << sx), 1 << sx
     groups: dict = {}
-    for exp, v in f.terms.items():
-        key = list(exp)
-        a, key[x], key[y] = key[x], 0, key[x] + key[y]
-        groups.setdefault(tuple(key), {})[a] = v
+    for key, v in f.terms.items():
+        a = key >> sx & mask
+        groups.setdefault(key + a * step, {})[a] = v
     quo: dict = {}
     for key, col in groups.items():
-        exp, d = list(key), key[y]
         low = min(col)
         s = 0  # sum of c_b over b >= a, the quotient coefficient at a - 1
         for a in range(max(col), low, -1):
             s += col.get(a, 0)
             if s:
-                exp[x], exp[y] = a - 1, d - a
-                quo[tuple(exp)] = (s if c == 1 and type(s) is int
-                                   else _ratio(s, c))
+                quo[key - a * step - unit] = (s if c == 1 and type(s) is int
+                                              else _ratio(s, c))
         if s + col[low]:
             raise NotDivisible(f"{f} is not divisible by {g}")
-    return Polynomial._of(f.n, quo)
+    return _refit(n, quo, w)
 
 
 def try_exact_div(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
@@ -364,20 +551,27 @@ def try_exact_div(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
 def _linear_rows(forms: Sequence[Polynomial], error: str):
     """The degree-2 linear forms as rows of `Fraction` coefficients, and the
     pivot columns of their row reduction over Q (one per independent form);
-    raises ValueError(error) on a form that is not linear.  The pivots come
-    from fraction-free forward elimination on the rows scaled to integers:
-    scaling a row by a nonzero integer moves no pivot."""
+    raises ValueError(error) on a form that is not linear.  The variable of
+    a linear term is the bit position of its key over the field width.
+    The pivots come from fraction-free forward elimination on the rows
+    scaled to integers: scaling a row by a nonzero integer moves no
+    pivot."""
     n = forms[0].n if forms else 0
+    linear = _layout(n)[2] if forms else {}
     rows, mat = [], []
     for f in forms:
-        row = [Fraction(0)] * n
-        for exp, c in f.terms.items():
-            if sum(exp) != 1:
+        row, irow = [Fraction(0)] * n, [0] * n
+        den = lcm(*[c.denominator for c in f.terms.values()
+                    if type(c) is not int])
+        for x, c in f.terms.items():
+            if x not in linear:
                 raise ValueError(error)
-            row[exp.index(1)] = Fraction(c)
+            i = linear[x]
+            row[i] = Fraction(c)
+            irow[i] = (c * den if type(c) is int
+                       else c.numerator * (den // c.denominator))
         rows.append(row)
-        den = lcm(*(c.denominator for c in row))
-        mat.append([c.numerator * (den // c.denominator) for c in row])
+        mat.append(irow)
     pivots = []
     for col in range(n):
         rank = len(pivots)
@@ -398,23 +592,24 @@ def _linear_rows(forms: Sequence[Polynomial], error: str):
 
 
 def _pack(polys: Sequence[Polynomial]) -> Tuple[int, list]:
-    """(w, dicts): the terms of `polys` scaled by the lcm of all their
-    denominators to int coefficients, each exponent vector x packed as the
-    int sum of x_i * 2^{w*i}, so that field i of w bits holds x_i.  The
-    field width w is the bit length of the largest total degree: a field
-    then holds x_a + x_b with no carry.  (A byte per field packs faster,
-    but its wider keys slow `_power_divides` down.)  Each distinct exponent
-    vector is packed once, by one `map` over the field shifts."""
-    monos = set().union(*[f.terms for f in polys])
-    w = max(map(sum, monos), default=0).bit_length() or 1
-    shifts = range(0, w * len(next(iter(monos), ())), w)
-    code = {x: sum(map(lshift, x, shifts)) for x in monos}
-    den = lcm(*{c.denominator for f in polys for c in f.terms.values()})
-    return w, [dict(zip(map(code.__getitem__, f.terms),
-                        f.terms.values() if den == 1 else
-                        [c.numerator * (den // c.denominator)
-                         for c in f.terms.values()]))
-               for f in polys]
+    """(w, dicts): the packed terms of `polys` at w, the widest of their
+    widths, scaled by the lcm of all their denominators to int
+    coefficients.  A term dict that is already at width w with int
+    coefficients, as every dict is when all of them are, is passed through
+    uncopied."""
+    w = max((f.w for f in polys), default=1)
+    den = 1
+    for f in polys:
+        vals = f.terms.values()
+        if Fraction in map(type, vals):
+            den = lcm(den, *{c.denominator for c in vals})
+    out = []
+    for f in polys:
+        terms = f.terms if f.w == w else _repack(f.terms, f.n, f.w, w)
+        out.append(terms if den == 1 else
+                   {x: c.numerator * (den // c.denominator)
+                    for x, c in terms.items()})
+    return w, out
 
 
 def _power_divides(values: Sequence[dict], terms, w: int, a: int, b: int,
@@ -426,7 +621,7 @@ def _power_divides(values: Sequence[dict], terms, w: int, a: int, b: int,
     comb(x_a, r)*c times e^x with x_a -> 0, x_b -> x_b + x_a - r.  Every
     r < k is accumulated in one dict: the key
     x + (x_a - r)*(2^{w*b} - 2^{w*a}) moves x_a - r into field b and leaves
-    r in field a, and the field width keeps both from carrying.  For k = 1
+    r in field a, and the guard bit of field b takes x_a + x_b.  For k = 1
     the parts are substituted and summed in one pass; for k >= 2 they are
     summed first, so that each monomial left in the sum is expanded once
     rather than once per part."""
@@ -464,18 +659,18 @@ def _power_divides(values: Sequence[dict], terms, w: int, a: int, b: int,
 
 def divisible_by_power(f: Polynomial, alpha: Polynomial, k: int) -> bool:
     """Whether alpha^k divides f, for alpha = c*(e_a - e_b) with c a nonzero
-    rational: f is scaled to int coefficients and packed (`_pack`), and one
-    pass of `_power_divides` checks the coefficients of s^0..s^{k-1} after
+    rational: f is scaled to int coefficients (`_pack`), and one pass of
+    `_power_divides` checks the coefficients of s^0..s^{k-1} after
     e_a = e_b + s.  Always true for k <= 0 or f = 0; ValueError for any
     other alpha or a rank mismatch."""
     f._check(alpha)
-    items = list(alpha.terms.items())
-    if not (len(items) == 2 and items[0][1] == -items[1][1]
-            and all(sum(x) == 1 for x, _ in items)):
+    linear = _layout(f.n)[2]
+    roots = [linear.get(x) for x in alpha.terms]
+    coeffs = list(alpha.terms.values())
+    if len(roots) != 2 or None in roots or coeffs[0] != -coeffs[1]:
         raise ValueError(f"{alpha} is not a multiple of a root e_a - e_b")
-    (xa, _), (xb, _) = items
     w, values = _pack([f])
-    return _power_divides(values, ((0, 1),), w, xa.index(1), xb.index(1), k)
+    return _power_divides(values, ((0, 1),), w, *roots, k)
 
 
 def _transposition_images(n: int, i: int, j: int) -> tuple:

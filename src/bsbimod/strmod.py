@@ -50,13 +50,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from bisect import insort
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import comb
 from operator import add, le, sub
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .polyring import (Polynomial, GradedRank, InvariantError, Scalar, _exact,
-                       _linear_rows, _ratio, try_exact_div)
+from .polyring import (Polynomial, GradedRank, InvariantError, Scalar, _encode,
+                       _exact, _linear_rows, _ratio, try_exact_div)
 from .subexpr import ALL_CAP
 
 Mono = Tuple[int, ...]
@@ -118,8 +118,11 @@ class FreeModElem:
     """Immutable element of a graded free module, stored as one coefficient
     dict `terms` {(generator index, exponent): coefficient} with no zero
     entries; coefficients are `int`s, and `Fraction`s with denominator
-    above 1, as `Polynomial` stores them.  The leading term is cached per
-    order."""
+    above 1, as `Polynomial` stores them.  The exponents are tuples: a
+    `Polynomial` coordinate is read through `exp_terms` when an element is
+    built, and packed (`polyring._encode`) when `coords`, `coord` or a
+    quotient of `reduce_elem` hands one out.  The leading term is cached
+    per order."""
 
     __slots__ = ("ambient", "terms", "_leads")
 
@@ -130,8 +133,9 @@ class FreeModElem:
                 raise ValueError(f"generator index {g} out of range")
             if p.n != ambient.n_vars:
                 raise ValueError("coordinate rank mismatch")
-            for exp, c in p.terms.items():
-                terms[(g, exp)] = c
+            if p.terms:
+                for exp, c in p.exp_terms().items():
+                    terms[(g, exp)] = c
         self.ambient = ambient
         self.terms = terms
         self._leads = {}
@@ -154,15 +158,16 @@ class FreeModElem:
         for (g, exp), c in self.terms.items():
             by_gen.setdefault(g, {})[exp] = c
         n = self.ambient.n_vars
-        return {g: Polynomial(n, by_gen[g]) for g in sorted(by_gen)}
+        return {g: Polynomial._of(n, *_encode(n, by_gen[g]))
+                for g in sorted(by_gen)}
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def coord(self, g: int) -> Polynomial:
-        return Polynomial(self.ambient.n_vars,
-                          {exp: c for (h, exp), c in self.terms.items()
-                           if h == g})
+        n = self.ambient.n_vars
+        return Polynomial._of(n, *_encode(n, {
+            exp: c for (h, exp), c in self.terms.items() if h == g}))
 
     def _plus(self, other: "FreeModElem", sign: int) -> "FreeModElem":
         if self.ambient != other.ambient:
@@ -182,8 +187,9 @@ class FreeModElem:
         if p.n != self.ambient.n_vars:
             raise ValueError("coordinate rank mismatch")
         terms: Dict[Tuple[int, Mono], Scalar] = {}
+        pterms = p.exp_terms().items()
         for (g, exp), c in self.terms.items():
-            for pexp, pc in p.terms.items():
+            for pexp, pc in pterms:
                 _accumulate(terms, (g, tuple(map(add, exp, pexp))), c * pc)
         return FreeModElem._raw(self.ambient, terms)
 
@@ -283,14 +289,17 @@ class _LeadIndex(abc.Sequence):
         self.elems.append(g)
 
 
-def reduce_elem(f: FreeModElem, G: Sequence[FreeModElem], order: ModOrder):
+def reduce_elem(f: FreeModElem, G: Sequence[FreeModElem], order: ModOrder,
+                raw: bool = False):
     """
     Full division: f = sum q_k G_k + r with no term of r divisible by any
     leading monomial of G.  Returns ({k: q_k} for the nonzero quotients,
-    r).  Division runs on one coefficient dict: its leading term is popped
-    from a sorted list of its terms and divided by the first G_k, in index
-    order, whose leading term divides it, and the quotient term times G_k
-    is subtracted term by term; a term no G_k divides goes to r.
+    r); with `raw`, each q_k is left as its coefficient dict on exponent
+    tuples, which the frame and Buchberger read, not packed into a
+    `Polynomial`.  Division runs on one coefficient dict: its leading term
+    is popped from a sorted list of its terms and divided by the first G_k,
+    in index order, whose leading term divides it, and the quotient term
+    times G_k is subtracted term by term; a term no G_k divides goes to r.
     `buchberger` passes its growing basis as a `_LeadIndex`, so the leading
     terms are bucketed once per basis rather than once per call.
     """
@@ -329,9 +338,11 @@ def reduce_elem(f: FreeModElem, G: Sequence[FreeModElem], order: ModOrder):
             else:
                 cur[x] = v - coef * c
         del cur[x0]   # cancelled by the leading term of G_k
+    rem = FreeModElem._raw(f.ambient, rem)
+    if raw:
+        return qs, rem
     n = f.ambient.n_vars
-    quotients = {k: Polynomial(n, q) for k, q in qs.items()}
-    return quotients, FreeModElem._raw(f.ambient, rem)
+    return {k: Polynomial._of(n, *_encode(n, q)) for k, q in qs.items()}, rem
 
 
 @dataclass
@@ -364,7 +375,7 @@ def buchberger(gens: Sequence[FreeModElem], order: ModOrder) -> GroebnerBasis:
         lcm = _mono_lcm(ei, ej)
         _, rem = reduce_elem(_spair(G[i], _mono_sub(lcm, ei), _ratio(1, ci),
                                     G[j], _mono_sub(lcm, ej), _ratio(-1, cj)),
-                             G, order)
+                             G, order, raw=True)
         if rem.is_zero():
             continue
         new = rem.mono_mul((0,) * rem.ambient.n_vars,
@@ -487,15 +498,15 @@ def _schreyer_level(elems: Sequence[FreeModElem], order: ModOrder, pairs):
     cols = []
     for a, ua, b, ub in pairs:
         xa, xb = _ratio(1, leads[a][2]), _ratio(-1, leads[b][2])
-        quots, rem = reduce_elem(
-            _spair(elems[a], ua, xa, elems[b], ub, xb), index, order)
+        quots, rem = reduce_elem(_spair(elems[a], ua, xa, elems[b], ub, xb),
+                                 index, order, raw=True)
         if rem.terms:
             raise InvariantError("an S-pair of a Groebner basis left a "
                                  "remainder")
         # every q_k E_k is below both pair terms: no key repeats
         terms = {(a, ua): xa, (b, ub): xb}
         for k, q in quots.items():
-            for e, c in q.terms.items():
+            for e, c in q.items():
                 terms[(k, e)] = -c
         col = FreeModElem._raw(amb, terms)
         col._leads[upper] = (b, ub, xb)
@@ -596,6 +607,7 @@ def _linear_degrees(elems: Sequence[FreeModElem], order: ModOrder):
     if every ub of its first level is one variable (linear quotients), else
     None: then b's q_b pairs give C(q_b, k) generators of degree deg(b) + 2k
     at level k (Herzog and Takayama, Resolutions by mapping cones, 2002).
+    A level is counted per degree and listed in ascending order of degree.
     ValueError, with nothing listed, if sum_b 2^q_b tops ALL_CAP."""
     q = [0] * len(elems)
     for _, _, b, ub in _frame_pairs([f.leading(order)[:2] for f in elems]):
@@ -604,9 +616,15 @@ def _linear_degrees(elems: Sequence[FreeModElem], order: ModOrder):
         q[b] += 1
     _frame_cap(sum(2 ** qb for qb in q))
     degs = [f.homogeneous_degree() for f in elems]
-    return [sorted(d + 2 * k for d, qb in zip(degs, q)
-                   for _ in range(comb(qb, k)))
-            for k in range(max(q, default=-1) + 1)]
+    levels = []
+    for k in range(max(q, default=-1) + 1):
+        counts = Counter()
+        for d, qb in zip(degs, q):
+            if qb >= k:
+                counts[d + 2 * k] += comb(qb, k)
+        levels.append(list(chain.from_iterable(
+            repeat(d, counts[d]) for d in sorted(counts))))
+    return levels
 
 
 def _basis_pd(gb: GroebnerBasis):
@@ -616,8 +634,9 @@ def _basis_pd(gb: GroebnerBasis):
     certified = degrees is not None and not any(
         set(a) & set(b) for a, b in zip(degrees, degrees[1:]))
     if not certified:
-        degrees = minimize_resolution(*_schreyer_frame(elems, gb.order))[0]
-    return len(degrees) - 1, [sorted(level) for level in degrees], certified
+        degrees = [sorted(level) for level in minimize_resolution(
+            *_schreyer_frame(elems, gb.order))[0]]
+    return len(degrees) - 1, degrees, certified
 
 
 # -- string modules ----------------------------------------------------------
@@ -779,7 +798,7 @@ def dual_toolkit(n: int, extra: int = 0) -> dict:
     w = FreeModElem(eps_amb, {h: Polynomial.var(nv, h + 1) for h in range(n)})
     report["kernel_is_w"] = report["sum_zero"] and report["theta_groebner"] \
         and all(reduce_elem(FreeModElem(eps_amb, dict(enumerate(row))), [w],
-                            ModOrder.standard(n, nv))[1].is_zero()
+                            ModOrder.standard(n, nv), raw=True)[1].is_zero()
                 for row in syzygies(gb, n))
 
     # minimal resolution shape 0 -> R -> R(2)^n -> dual -> 0

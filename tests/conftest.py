@@ -32,7 +32,7 @@ def exact_coefficients(f) -> bool:
     """Every coefficient of the Polynomial f is an int or a Fraction with
     denominator above 1."""
     return all(type(c) is int or type(c) is Fraction and c.denominator != 1
-               for c in f.terms.values())
+               for c in f.exp_terms().values())
 
 
 # int and Fraction coefficients, zero included
@@ -44,7 +44,7 @@ scalars = st.one_of(
 def typed_terms(f) -> list:
     """The terms of the Polynomial f in dict order, each coefficient with
     its type, so that equal lists mean identical term dicts."""
-    return [(exp, c, type(c)) for exp, c in f.terms.items()]
+    return [(exp, c, type(c)) for exp, c in f.exp_terms().items()]
 
 
 @pytest.fixture

@@ -21,7 +21,8 @@ the basis coefficients found by descending the
 copy/restriction/divided-difference ladder; the pairing summed over every
 member, with the roots of one `Subexpr` each; the localization of a pure
 tensor member by member, the polynomial product with exponents summed by a
-generator, the row reduction of linear forms on `Fraction` rows; and
+generator, the whole polynomial ring on exponent tuples (`TuplePoly`), the
+row reduction of linear forms on `Fraction` rows; and
 Buchberger completion with dense representation tracking followed by a
 second pass that reduces every S-pair of the finished basis again for its
 syzygies, and the free resolution on those dense syzygies, minimised by
@@ -40,7 +41,8 @@ They multiply `Permutation`s, scan every prefix, fold `Subexpr` objects,
 rebuild graphs and edge-list adjacencies, divide polynomials, build a
 `Polynomial` per division step, enumerate a prefix domain per ladder step
 and reduce every S-pair twice on every call, as the library did before it
-read prefix data from one walk of one-line images, enumerated by meet
+keyed polynomials by packed monomials, read prefix data from one walk of
+one-line images, enumerated by meet
 in the middle, keyed the heads by left action on `bytes` words, found M_p
 by one prefix walk per member, grew families on member masks, paired and
 checked membership on supports, read these from the cached
@@ -74,7 +76,8 @@ from bsbimod.locmod import DecoTree, FnOnSub, unit
 from bsbimod.orderalg import (AlgoResult, ClosenessCert, Congruence,
                               ResidualReport, _detect_string)
 from bsbimod.polyring import (GradedRank, InvariantError, NotDivisible,
-                              Polynomial, RationalFn, act)
+                              Polynomial, RationalFn, act, _clean, _exact,
+                              _ratio)
 from bsbimod.strmod import (FreeModElem, FreeModule, ModOrder, _mono_lcm,
                             _mono_sub)
 from bsbimod.subexpr import (Subexpr, SubSet, SubGraph, enumerate_sub,
@@ -668,7 +671,7 @@ def integer_terms(polys: Sequence[Polynomial]) -> list:
     denominators, so that every coefficient is an int."""
     den = lcm(*(c.denominator for f in polys for c in f.terms.values()))
     return [{x: c.numerator * (den // c.denominator)
-             for x, c in f.terms.items()} for f in polys]
+             for x, c in f.exp_terms().items()} for f in polys]
 
 
 def root_power_divides(terms: Dict[tuple, int], a: int, b: int,
@@ -908,12 +911,152 @@ def res_tensor(t: ReflExpr, a: Sequence[Polynomial]) -> FnOnSub:
     return FnOnSub(dom, values)
 
 
+class TuplePoly:
+    """The polynomial ring on exponent tuples, as `polyring.Polynomial` kept
+    it before its keys were packed: `terms` maps exponent tuples to nonzero
+    ints and non-integral `Fraction`s, a product sums exponents over zip,
+    and `exact_div` divides by a root in one pass over groups of terms and
+    by anything else with the graded-lex long division."""
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms):
+        self.n = n
+        self.terms = {tuple(e): _exact(c) for e, c in terms.items()
+                      if _exact(c)}
+
+    @staticmethod
+    def _of(n: int, terms: dict) -> "TuplePoly":
+        return TuplePoly(n, _clean(terms))
+
+    def is_constant(self) -> bool:
+        return len(self.terms) < 2 and not any(next(iter(self.terms), ()))
+
+    def leading(self) -> tuple:
+        exp = max(self.terms, key=lambda e: (sum(e), e))
+        return exp, self.terms[exp]
+
+    def __add__(self, other: "TuplePoly") -> "TuplePoly":
+        terms = dict(self.terms)
+        for exp, c in other.terms.items():
+            terms[exp] = terms.get(exp, 0) + c
+        return TuplePoly._of(self.n, terms)
+
+    def __neg__(self) -> "TuplePoly":
+        return TuplePoly(self.n, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other: "TuplePoly") -> "TuplePoly":
+        return self + -other
+
+    def __mul__(self, other: "TuplePoly") -> "TuplePoly":
+        terms: dict = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exp = tuple(map(add, e1, e2))
+                terms[exp] = terms.get(exp, 0) + c1 * c2
+        return TuplePoly._of(self.n, terms)
+
+    def scale(self, c) -> "TuplePoly":
+        return TuplePoly(self.n, {e: c * v for e, v in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return self.n == other.n and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.terms.items())))
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for exp in sorted(self.terms,
+                          key=lambda e: (-sum(e), tuple(-x for x in e))):
+            c = self.terms[exp]
+            mono = "*".join(f"e{i+1}" + (f"^{k}" if k > 1 else "")
+                            for i, k in enumerate(exp) if k)
+            body = (str(abs(c)) if not mono else mono if abs(c) == 1
+                    else f"{abs(c)}*{mono}")
+            parts.append(("-" if c < 0 else "+", body))
+        out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+        return out + "".join(f" {sign} {body}" for sign, body in parts[1:])
+
+    def to_json(self) -> dict:
+        items = sorted(self.terms.items(), key=lambda i: (sum(i[0]), i[0]),
+                       reverse=True)
+        return {"n": self.n,
+                "terms": [{"exp": list(e), "num": str(c.numerator),
+                           "den": str(c.denominator)} for e, c in items]}
+
+
+def tuple_act(images: Sequence[int], f: TuplePoly) -> TuplePoly:
+    terms = {}
+    for exp, c in f.terms.items():
+        new = [0] * f.n
+        for i, k in enumerate(exp):
+            new[images[i] - 1] = k
+        terms[tuple(new)] = c
+    return TuplePoly(f.n, terms)
+
+
+def tuple_exact_div(f: TuplePoly, g: TuplePoly) -> TuplePoly:
+    """f/g on exponent tuples: a root by groups of terms (the sum over a
+    group e_x^a e_y^{d-a} must vanish), anything else by the graded-lex
+    long division; NotDivisible otherwise."""
+    if len(g.terms) == 2:
+        (xe, xc), (ye, yc) = g.terms.items()
+        if xc == -yc and sum(xe) == 1 and sum(ye) == 1:
+            x, y = xe.index(1), ye.index(1)
+            groups: dict = {}
+            for exp, v in f.terms.items():
+                key = list(exp)
+                a, key[x], key[y] = key[x], 0, key[x] + key[y]
+                groups.setdefault(tuple(key), {})[a] = v
+            quo: dict = {}
+            for key, col in groups.items():
+                exp, d, low, s = list(key), key[y], min(col), 0
+                for a in range(max(col), low, -1):
+                    s += col.get(a, 0)
+                    if s:
+                        exp[x], exp[y] = a - 1, d - a
+                        quo[tuple(exp)] = _ratio(s, xc)
+                if s + col[low]:
+                    raise NotDivisible(f"{f} is not divisible by {g}")
+            return TuplePoly(f.n, quo)
+    gexp, gc = g.leading()
+    rest = [(e, c) for e, c in g.terms.items() if e != gexp]
+    rem, quo = dict(f.terms), {}
+    while rem:
+        rexp = max(rem, key=lambda e: (sum(e), e))
+        diff = tuple(a - b for a, b in zip(rexp, gexp))
+        if any(d < 0 for d in diff):
+            raise NotDivisible(f"{f} is not divisible by {g}")
+        c = quo[diff] = _ratio(rem.pop(rexp), gc)
+        for e, ce in rest:
+            x = tuple(a + b for a, b in zip(diff, e))
+            v = rem.get(x, 0) - c * ce
+            if v:
+                rem[x] = v
+            else:
+                del rem[x]
+    return TuplePoly(f.n, quo)
+
+
+def tuple_divisible_by_power(f: TuplePoly, alpha: TuplePoly, k: int) -> bool:
+    """Whether alpha^k divides f, by `root_power_divides` on f's terms
+    scaled to ints."""
+    (xa, _), (xb, _) = alpha.terms.items()
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    ints = {x: c.numerator * (den // c.denominator)
+            for x, c in f.terms.items()}
+    return k <= 0 or root_power_divides(ints, xa.index(1), xb.index(1), k)
+
+
 def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     """The product term by term, exponents summed by a generator over zip."""
     f._check(g)
     terms: dict = {}
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
+    for e1, c1 in f.exp_terms().items():
+        for e2, c2 in g.exp_terms().items():
             exp = tuple(a + b for a, b in zip(e1, e2))
             terms[exp] = terms.get(exp, 0) + c1 * c2
     return Polynomial(f.n, terms)
@@ -926,7 +1069,7 @@ def linear_rows(forms: Sequence[Polynomial], error: str):
     rows = []
     for f in forms:
         row = [Fraction(0)] * n
-        for exp, c in f.terms.items():
+        for exp, c in f.exp_terms().items():
             if sum(exp) != 1:
                 raise ValueError(error)
             row[exp.index(1)] = Fraction(c)

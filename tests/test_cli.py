@@ -496,6 +496,15 @@ class TestUsage:
         rc, out = run(capsys, ["enumerate", "--expr", str(good), "--n", "3"])
         assert rc == 0 and out.split() == ["0", "1"]
 
+    @pytest.mark.parametrize("n", [-2, 0])
+    def test_expression_file_needs_n_at_least_1(self, capsys, tmp_path, n):
+        # an empty expression over S_n, n < 1, used to enumerate with exit 0
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"n": n, "entries": []}))
+        assert cli.main(["enumerate", "--expr", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --expr {path}") and "n >= 1" in err
+
     def test_python_m(self):
         # `python -m bsbimod` runs the command line from a plain checkout
         src = os.path.dirname(os.path.dirname(bsbimod.__file__))

@@ -48,12 +48,20 @@ class TestReflection:
             for j in range(i + 1, n + 1):
                 want = Polynomial.var(n, i) - Polynomial.var(n, j)
                 got = Reflection(i, j, n).root()
-                assert list(got.terms.items()) == list(want.terms.items())
+                assert list(got.exp_terms().items()) == \
+                    list(want.exp_terms().items())
                 assert got is Reflection(i, j, n).root()
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Reflection(3, 1, 4)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_expression_needs_n_at_least_1(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            ReflExpr(n, ())
+        with pytest.raises(ValueError, match="n >= 1"):
+            ReflExpr.from_json({"n": n, "entries": []})
 
 
 class TestSeqCalculus:

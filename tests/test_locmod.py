@@ -281,6 +281,23 @@ class TestMembership:
             with pytest.raises(ValueError, match="01 is not in the set"):
                 membership(h, "XwPhi", outside)
 
+    def test_trivial_conditions_are_not_tested(self, monkeypatch):
+        # an Xw condition on a singleton X asks alpha^0, which always
+        # divides: the kernel never sees a power below 1
+        powers = []
+        kernel = locmod._power_divides
+
+        def recording(values, terms, w, a, b, k):
+            powers.append(k)
+            return kernel(values, terms, w, a, b, k)
+
+        monkeypatch.setattr(locmod, "_power_divides", recording)
+        t = ReflExpr(3, (s12(), s12(), Reflection(2, 3, 3), s12()))
+        subw = enumerate_sub(t, Permutation.identity(3))
+        g = FnOnSub(subw, {b: e(1) * e(3) for b in subw.members})
+        assert membership(g, "Xw") == (True, None)
+        assert powers and min(powers) >= 1
+
     @pytest.mark.parametrize("variant", ["fulll", "Even", ""])
     def test_sigma_unknown_variant_is_refused(self, variant):
         t = ReflExpr(3, (s12(), s12()))

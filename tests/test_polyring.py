@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bsbimod.polyring import (Polynomial, RationalFn, GradedRank, NotDivisible,
                               act, exact_div, try_exact_div,
                               divisible_by_power, demazure, wp,
-                              _linear_rows, _pack, _power_divides)
+                              _layout, _linear_rows, _pack, _power_divides)
 from bsbimod.coxeter import Reflection, ReflExpr
 from bsbimod.locmod import res_tensor
 import oracle
@@ -164,7 +165,7 @@ class TestArithmetic:
     def test_mul_against_oracle(self, data):
         # the same term dict, in the same order and with the same
         # coefficient types, as the product summing exponents over zip
-        n = data.draw(st.integers(0, 4))
+        n = data.draw(st.integers(1, 4))
         f, g = polys(data.draw, n), polys(data.draw, n)
         assert typed_terms(f * g) == typed_terms(oracle.poly_mul(f, g))
 
@@ -173,7 +174,7 @@ class TestArithmetic:
     def test_sub_is_adding_the_negation(self, data):
         # one copy of f's terms, in the same order and with the same
         # coefficient types as f + (-g)
-        n = data.draw(st.integers(0, 4))
+        n = data.draw(st.integers(1, 4))
         f, g = polys(data.draw, n), polys(data.draw, n)
         assert typed_terms(f - g) == typed_terms(f + (-g))
         with pytest.raises(ValueError):
@@ -210,6 +211,26 @@ class TestArithmetic:
     def test_from_json_refuses_malformed_terms(self, term):
         with pytest.raises(ValueError):
             Polynomial.from_json({"n": 4, "terms": [term]})
+
+    @pytest.mark.parametrize("make", [
+        lambda n: Polynomial(n, {}), Polynomial.zero, Polynomial.one,
+        lambda n: Polynomial.const(n, 3),
+        lambda n: Polynomial.from_json({"n": n, "terms": []})])
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_needs_a_variable(self, make, n):
+        # a packed key needs a field per variable
+        with pytest.raises(ValueError, match="n >= 1"):
+            make(n)
+
+    @pytest.mark.parametrize("terms", [{(1, 0): 1}, {(1, 0, 0, 0, 0): 1},
+                                       {(-1, 1, 0, 0): 1}])
+    def test_constructor_refuses_malformed_exponents(self, terms):
+        with pytest.raises(ValueError):
+            Polynomial(4, terms)
+
+    def test_act_needs_a_permutation(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            act((1, 1, 3, 4), e(1) * e(2))
 
 
 class TestFloatCoefficients:
@@ -261,7 +282,7 @@ class TestCoefficientTypes:
         c = data.draw(scalars)
         const = Polynomial.const(n, c)
         half = Polynomial(n, {exp: Fraction(1, 2) * v
-                              for exp, v in f.terms.items()})
+                              for exp, v in f.exp_terms().items()})
         pairs = data.draw(st.lists(st.lists(st.integers(1, n), min_size=2,
                                             max_size=2, unique=True),
                                    max_size=3))
@@ -281,8 +302,9 @@ class TestCoefficientTypes:
                    *loc.left_mul(Polynomial.const(n, Fraction(1, 2)))
                    .values.values()]
         for h in results:
-            assert exact_coefficients(h) and all(h.terms.values()), h.terms
-            assert typed_terms(h) == typed_terms(Polynomial(n, h.terms))
+            terms = h.exp_terms()
+            assert exact_coefficients(h) and all(terms.values()), terms
+            assert typed_terms(h) == typed_terms(Polynomial(n, terms))
         assert (half + half) == f and f.scale(1) == f
 
     @settings(max_examples=150, deadline=None)
@@ -350,6 +372,96 @@ class TestAction:
         f = random_poly(random.Random(seed))
         uv = tuple(u[v[i] - 1] for i in range(4))
         assert act(uv, f) == act(tuple(u), act(tuple(v), f))
+
+
+@st.composite
+def tuple_ring_cases(draw):
+    """(n, f, g): two term dicts on exponent tuples for n = 1..6, up to
+    four terms each, with int and Fraction coefficients (zeros too).  For
+    n >= 3 an exponent may sit at the guard bit of the base width W(n):
+    2^(W-1) - 1, 2^(W-1) or 2^(W-1) + 1, so that a sum of two widens a
+    product, the constructor widens, and a cancellation narrows."""
+    n = draw(st.integers(1, 6))
+    half = 1 << _layout(n)[0] - 1
+    exps = st.sampled_from([0, 0, 1, 2, 3]
+                           + ([half - 1, half, half + 1] if n >= 3 else []))
+    f, g = (draw(st.dictionaries(st.tuples(*[exps] * n), scalars,
+                                 max_size=4)) for _ in range(2))
+    return n, f, g
+
+
+def _typed(terms: dict) -> dict:
+    return {e: (c, type(c)) for e, c in terms.items()}
+
+
+class TestPackedAgainstTupleRing:
+    """The packed ring against the tuple-keyed ring it replaced
+    (`oracle.TuplePoly`): the same terms and coefficient types, text and
+    JSON, at the width the content fixes."""
+
+    def check(self, P, T):
+        terms = P.exp_terms()
+        assert _typed(terms) == _typed(T.terms)
+        top = max((max(e) for e in terms), default=0)
+        assert P.w == max(_layout(P.n)[0], top.bit_length() + 1)
+        assert str(P) == str(T)
+        assert P.to_json() == T.to_json()
+        back = Polynomial.from_json(T.to_json())
+        assert back == P and hash(back) == hash(P)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tuple_ring_cases(), st.data())
+    def test_ring_operations(self, case, data):
+        n, f, g = case
+        F, G = Polynomial(n, f), Polynomial(n, g)
+        Tf, Tg = oracle.TuplePoly(n, f), oracle.TuplePoly(n, g)
+        c = data.draw(scalars)
+        images = tuple(data.draw(st.permutations(range(1, n + 1))))
+        for P, T in [(F, Tf), (F + G, Tf + Tg), (F - G, Tf - Tg),
+                     (F * G, Tf * Tg), (F * G * G, Tf * Tg * Tg),
+                     (F.scale(c), Tf.scale(c)), (-F, -Tf),
+                     ((F * G) - (G * F), (Tf * Tg) - (Tg * Tf)),
+                     ((F + G) - G, (Tf + Tg) - Tg),
+                     (act(images, F), oracle.tuple_act(images, Tf))]:
+            self.check(P, T)
+        # equality and hashing do not see a width the content has left
+        assert (F + G) - G == F and hash((F + G) - G) == hash(F)
+        assert (F * G == G * F) and hash(F * G) == hash(G * F)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tuple_ring_cases(), st.data())
+    def test_division(self, case, data):
+        n, f, g = case
+        if n < 2:
+            return
+        x, y = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2,
+                                  unique=True))
+        c = data.draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+        F, G = Polynomial(n, f), Polynomial(n, g)
+        Tf, Tg = oracle.TuplePoly(n, f), oracle.TuplePoly(n, g)
+        root = (e(x, n) - e(y, n)).scale(c)
+        Troot = oracle.TuplePoly(n, root.exp_terms())
+        cases = [(F * root, Tf * Troot, root, Troot),
+                 (F * root * root + G, Tf * Troot * Troot + Tg, root, Troot),
+                 (F, Tf, root, Troot)]
+        if not G.is_zero():
+            cases.append((F * G, Tf * Tg, G, Tg))
+            if max(chain(*f, *g), default=0) <= 3:
+                # long division of an indivisible f may visit every
+                # monomial below f's degrees: only on small ones
+                cases.append((F * G + F, Tf * Tg + Tf, G, Tg))
+        for P, T, D, TD in cases:
+            try:
+                want = oracle.tuple_exact_div(T, TD)
+            except NotDivisible:
+                with pytest.raises(NotDivisible):
+                    exact_div(P, D)
+            else:
+                self.check(exact_div(P, D), want)
+            if D is root:
+                for k in range(4):
+                    assert divisible_by_power(P, root, k) == \
+                        oracle.tuple_divisible_by_power(T, Troot, k)
 
 
 class TestDivision:
