@@ -92,7 +92,8 @@ def _layout(n: int) -> Tuple[int, int, dict]:
     """(W(n), guards, linear): the base field width of the ring in n
     variables, 30 // n bits and at least 4, so that a key in n <= 6
     variables stays below 2^30 (one CPython digit); the guard bit of each
-    field at that width; and {key of e_{i+1}: i}.  ValueError for n < 1."""
+    field at that width; and {key of e_{i+1} at that width: i}, which
+    reads only keys of that width.  ValueError for n < 1."""
     if n < 1:
         raise ValueError(f"a polynomial ring needs n >= 1 variables, got {n}")
     w = max(30 // n, 4)
@@ -105,31 +106,13 @@ def _guards(n: int, w: int) -> int:
     return sum(1 << s for s in range(w - 1, w * n, w))
 
 
-_MEMO_CAP = 1 << 14
-
-
-class _Memo(dict):
-    """A bounded memo of one conversion: `memo[x]` converts x on first use,
-    and the memo is emptied when it holds _MEMO_CAP entries."""
-
-    def __init__(self, convert):
-        self.convert = convert
-
-    def __missing__(self, x):
-        if len(self) >= _MEMO_CAP:
-            self.clear()
-        y = self[x] = self.convert(x)
-        return y
-
-
 @cache
-def _codec(n: int, w: int) -> Tuple[_Memo, _Memo]:
-    """(keys, exps): memos from exponent tuples of length n to packed keys
-    of width w, and back.  The edges convert the same few monomials over
-    and over, and a memo hit is one dict lookup."""
+def _codec(n: int, w: int):
+    """(key, exps): the functions from an exponent tuple of length n to its
+    packed key of width w, and back."""
     shifts, mask = range(0, w * n, w), (1 << w) - 1
-    return (_Memo(lambda x: sum(map(lshift, x, shifts))),
-            _Memo(lambda x: tuple([x >> s & mask for s in shifts])))
+    return (lambda x: sum(map(lshift, x, shifts)),
+            lambda x: tuple([x >> s & mask for s in shifts]))
 
 
 def _encode(n: int, terms: dict) -> Tuple[dict, int]:
@@ -141,14 +124,13 @@ def _encode(n: int, terms: dict) -> Tuple[dict, int]:
         return terms, base
     top = max(chain(*terms))
     w = base if top >> base - 1 == 0 else top.bit_length() + 1
-    return dict(zip(map(_codec(n, w)[0].__getitem__, terms),
-                    terms.values())), w
+    return dict(zip(map(_codec(n, w)[0], terms), terms.values())), w
 
 
 def _repack(terms: dict, n: int, w: int, new: int) -> dict:
     """The packed `terms` of width w at width `new`."""
-    exps, keys = _codec(n, w)[1], _codec(n, new)[0]
-    return {keys[exps[x]]: c for x, c in terms.items()}
+    exps, key = _codec(n, w)[1], _codec(n, new)[0]
+    return {key(exps(x)): c for x, c in terms.items()}
 
 
 def _fit(n: int, terms: dict, w: int) -> "Polynomial":
@@ -177,7 +159,7 @@ def _degrees(terms: dict, n: int, w: int) -> int:
     """The degree of the packed `terms` of width w in each variable, as one
     packed key."""
     exps = _codec(n, w)[1]
-    return sum(map(lshift, map(max, zip(*map(exps.__getitem__, terms))),
+    return sum(map(lshift, map(max, zip(*map(exps, terms))),
                    range(0, w * n, w)))
 
 
@@ -196,10 +178,11 @@ class Polynomial:
     bit, the guard bit, clear.  The width w is W(n) = max(30 // n, 4)
     unless some exponent needs more, and then one bit more than the largest
     exponent has, so it depends on the content alone and equal polynomials
-    have equal keys.  A product adds keys; a field never carries into the
-    next, as the guard bit takes a sum of two exponents, and a product that
-    sets a guard bit is repacked wider.  `exp_terms` reads the terms keyed
-    by exponent tuples."""
+    have equal widths and keys; one key stands for other monomials at other
+    widths, so equality and hashing compare widths too.  A product adds
+    keys; a field never carries into the next, as the guard bit takes a
+    sum of two exponents, and a product that sets a guard bit is repacked
+    wider.  `exp_terms` reads the terms keyed by exponent tuples."""
 
     __slots__ = ("n", "w", "terms", "_hash")
 
@@ -263,8 +246,7 @@ class Polynomial:
         """The terms keyed by exponent tuples (x_1, ..., x_n), in the order
         of `terms`."""
         exps = _codec(self.n, self.w)[1]
-        return dict(zip(map(exps.__getitem__, self.terms),
-                        self.terms.values()))
+        return dict(zip(map(exps, self.terms), self.terms.values()))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -279,8 +261,7 @@ class Polynomial:
         return self.terms.get(0, 0)
 
     def _total_degrees(self) -> set:
-        return set(map(sum, map(_codec(self.n, self.w)[1].__getitem__,
-                                self.terms)))
+        return set(map(sum, map(_codec(self.n, self.w)[1], self.terms)))
 
     def degree(self) -> Optional[int]:
         """Top degree (deg e_i = 2), or None for the zero polynomial."""
@@ -386,12 +367,15 @@ class Polynomial:
             {e: c * v for e, v in self.terms.items()}), self.w)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Polynomial)
-                and self.n == other.n and self.terms == other.terms)
+        """Equal ranks, widths and terms: a key means a monomial only at its
+        width (e_2^16 at width 6 and e_3 at width 5 share one key), and
+        equal polynomials have equal widths, which their content fixes."""
+        return (isinstance(other, Polynomial) and self.n == other.n
+                and self.w == other.w and self.terms == other.terms)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.n, frozenset(self.terms.items())))
+            self._hash = hash((self.n, self.w, frozenset(self.terms.items())))
         return self._hash
 
     # -- display / serialization ------------------------------------------
@@ -473,9 +457,9 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     f._check(g)
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if len(g.terms) == 2:
+    base, _, linear = _layout(g.n)
+    if len(g.terms) == 2 and g.w == base:
         (xk, xc), (yk, yc) = g.terms.items()
-        linear = _layout(g.n)[2]
         if xc == -yc and xk in linear and yk in linear:
             return _root_quotient(f, g, linear[xk], linear[yk], xc)
     n, w, a, b = f.n, f.w, f.terms, g.terms
@@ -557,9 +541,11 @@ def _linear_rows(forms: Sequence[Polynomial], error: str):
     scaled to integers: scaling a row by a nonzero integer moves no
     pivot."""
     n = forms[0].n if forms else 0
-    linear = _layout(n)[2] if forms else {}
+    base, _, linear = _layout(n) if forms else (0, 0, {})
     rows, mat = [], []
     for f in forms:
+        if f.w != base:   # a linear form is at the base width
+            raise ValueError(error)
         row, irow = [Fraction(0)] * n, [0] * n
         den = lcm(*[c.denominator for c in f.terms.values()
                     if type(c) is not int])
@@ -664,10 +650,11 @@ def divisible_by_power(f: Polynomial, alpha: Polynomial, k: int) -> bool:
     e_a = e_b + s.  Always true for k <= 0 or f = 0; ValueError for any
     other alpha or a rank mismatch."""
     f._check(alpha)
-    linear = _layout(f.n)[2]
+    base, _, linear = _layout(f.n)
     roots = [linear.get(x) for x in alpha.terms]
     coeffs = list(alpha.terms.values())
-    if len(roots) != 2 or None in roots or coeffs[0] != -coeffs[1]:
+    if (alpha.w != base or len(roots) != 2 or None in roots
+            or coeffs[0] != -coeffs[1]):
         raise ValueError(f"{alpha} is not a multiple of a root e_a - e_b")
     w, values = _pack([f])
     return _power_divides(values, ((0, 1),), w, *roots, k)

@@ -120,9 +120,8 @@ class FreeModElem:
     entries; coefficients are `int`s, and `Fraction`s with denominator
     above 1, as `Polynomial` stores them.  The exponents are tuples: a
     `Polynomial` coordinate is read through `exp_terms` when an element is
-    built, and packed (`polyring._encode`) when `coords`, `coord` or a
-    quotient of `reduce_elem` hands one out.  The leading term is cached
-    per order."""
+    built, and packed (`polyring._encode`) when `coords` or `coord` hands
+    one out.  The leading term is cached per order."""
 
     __slots__ = ("ambient", "terms", "_leads")
 
@@ -289,17 +288,17 @@ class _LeadIndex(abc.Sequence):
         self.elems.append(g)
 
 
-def reduce_elem(f: FreeModElem, G: Sequence[FreeModElem], order: ModOrder,
-                raw: bool = False):
+def reduce_elem(f: FreeModElem, G: Sequence[FreeModElem], order: ModOrder):
     """
     Full division: f = sum q_k G_k + r with no term of r divisible by any
     leading monomial of G.  Returns ({k: q_k} for the nonzero quotients,
-    r); with `raw`, each q_k is left as its coefficient dict on exponent
-    tuples, which the frame and Buchberger read, not packed into a
-    `Polynomial`.  Division runs on one coefficient dict: its leading term
-    is popped from a sorted list of its terms and divided by the first G_k,
-    in index order, whose leading term divides it, and the quotient term
-    times G_k is subtracted term by term; a term no G_k divides goes to r.
+    r), each q_k a coefficient dict {exponent tuple: coefficient}, stored
+    as `Polynomial` stores coefficients; `Polynomial(n, q_k)` is the
+    quotient as a polynomial.  Division runs on one coefficient dict: its
+    leading term is popped from a sorted list of its terms and divided by
+    the first G_k, in index order, whose leading term divides it, and the
+    quotient term times G_k is subtracted term by term; a term no G_k
+    divides goes to r.
     `buchberger` passes its growing basis as a `_LeadIndex`, so the leading
     terms are bucketed once per basis rather than once per call.
     """
@@ -338,11 +337,7 @@ def reduce_elem(f: FreeModElem, G: Sequence[FreeModElem], order: ModOrder,
             else:
                 cur[x] = v - coef * c
         del cur[x0]   # cancelled by the leading term of G_k
-    rem = FreeModElem._raw(f.ambient, rem)
-    if raw:
-        return qs, rem
-    n = f.ambient.n_vars
-    return {k: Polynomial._of(n, *_encode(n, q)) for k, q in qs.items()}, rem
+    return qs, FreeModElem._raw(f.ambient, rem)
 
 
 @dataclass
@@ -375,7 +370,7 @@ def buchberger(gens: Sequence[FreeModElem], order: ModOrder) -> GroebnerBasis:
         lcm = _mono_lcm(ei, ej)
         _, rem = reduce_elem(_spair(G[i], _mono_sub(lcm, ei), _ratio(1, ci),
                                     G[j], _mono_sub(lcm, ej), _ratio(-1, cj)),
-                             G, order, raw=True)
+                             G, order)
         if rem.is_zero():
             continue
         new = rem.mono_mul((0,) * rem.ambient.n_vars,
@@ -499,7 +494,7 @@ def _schreyer_level(elems: Sequence[FreeModElem], order: ModOrder, pairs):
     for a, ua, b, ub in pairs:
         xa, xb = _ratio(1, leads[a][2]), _ratio(-1, leads[b][2])
         quots, rem = reduce_elem(_spair(elems[a], ua, xa, elems[b], ub, xb),
-                                 index, order, raw=True)
+                                 index, order)
         if rem.terms:
             raise InvariantError("an S-pair of a Groebner basis left a "
                                  "remainder")
@@ -798,7 +793,7 @@ def dual_toolkit(n: int, extra: int = 0) -> dict:
     w = FreeModElem(eps_amb, {h: Polynomial.var(nv, h + 1) for h in range(n)})
     report["kernel_is_w"] = report["sum_zero"] and report["theta_groebner"] \
         and all(reduce_elem(FreeModElem(eps_amb, dict(enumerate(row))), [w],
-                            ModOrder.standard(n, nv), raw=True)[1].is_zero()
+                            ModOrder.standard(n, nv))[1].is_zero()
                 for row in syzygies(gb, n))
 
     # minimal resolution shape 0 -> R -> R(2)^n -> dual -> 0

@@ -29,10 +29,11 @@ def reachable_targets(t: ReflExpr):
 
 
 def exact_coefficients(f) -> bool:
-    """Every coefficient of the Polynomial f is an int or a Fraction with
-    denominator above 1."""
+    """Every coefficient of f, a Polynomial or a coefficient dict on
+    exponent tuples, is an int or a Fraction with denominator above 1."""
+    terms = f if isinstance(f, dict) else f.exp_terms()
     return all(type(c) is int or type(c) is Fraction and c.denominator != 1
-               for c in f.exp_terms().values())
+               for c in terms.values())
 
 
 # int and Fraction coefficients, zero included

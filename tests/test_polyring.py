@@ -427,6 +427,33 @@ class TestPackedAgainstTupleRing:
         # equality and hashing do not see a width the content has left
         assert (F + G) - G == F and hash((F + G) - G) == hash(F)
         assert (F * G == G * F) and hash(F * G) == hash(G * F)
+        # distinct polynomials, at the same width or at two, are unequal
+        for (P, T), (Q, U) in [((F, Tf), (G, Tg)), ((F * G, Tf * Tg), (F, Tf)),
+                               ((F * F, Tf * Tf), (G, Tg))]:
+            assert (P == Q) == (T == U)
+            assert (P == Q) <= (hash(P) == hash(Q))
+
+    def test_keys_shared_across_widths(self):
+        # n = 6: W = 5, and e2^16 at width 6 has the key of e3 at width 5;
+        # n = 7: W = 4, and e2^8 at width 5 has the key of e3 at width 4
+        for n, half in [(6, 16), (7, 8)]:
+            wide = Polynomial(n, {(0, half) + (0,) * (n - 2): 1})
+            e3 = Polynomial.var(n, 3)
+            assert wide.terms == e3.terms and wide.w == e3.w + 1
+            assert wide != e3 and hash(wide) != hash(e3)
+            g, root = e(1, n) - wide, e(1, n) - e3
+            assert g != root and hash(g) != hash(root)
+            # g is no root: long division, as the tuple ring divides
+            with pytest.raises(NotDivisible):
+                exact_div(root, g)
+            assert exact_div(g, g) == Polynomial.one(n)
+            assert exact_div(g * root, g) == root
+            assert exact_div(g * root, root) == g
+            with pytest.raises(ValueError):
+                divisible_by_power(root, g, 1)
+            with pytest.raises(ValueError):
+                _linear_rows([root, g], "not linear")
+            assert _linear_rows([root], "not linear")[1] == [0]
 
     @settings(max_examples=300, deadline=None)
     @given(tuple_ring_cases(), st.data())
@@ -441,9 +468,18 @@ class TestPackedAgainstTupleRing:
         Tf, Tg = oracle.TuplePoly(n, f), oracle.TuplePoly(n, g)
         root = (e(x, n) - e(y, n)).scale(c)
         Troot = oracle.TuplePoly(n, root.exp_terms())
+        # a binomial at a wider width, no root: for (x, y) = (1, 2) and
+        # n >= 3 its keys are those of the root e1 - e3 at the base width
+        half = 1 << _layout(n)[0] - 1
+        wide = (e(x, n) - Polynomial(n, {tuple(half * (k == y) for k in
+                                                range(1, n + 1)): 1})).scale(c)
+        Twide = oracle.TuplePoly(n, wide.exp_terms())
         cases = [(F * root, Tf * Troot, root, Troot),
                  (F * root * root + G, Tf * Troot * Troot + Tg, root, Troot),
-                 (F, Tf, root, Troot)]
+                 (F, Tf, root, Troot),
+                 (F * wide, Tf * Twide, wide, Twide),
+                 (F * wide + root, Tf * Twide + Troot, wide, Twide),
+                 (wide, Twide, wide, Twide)]
         if not G.is_zero():
             cases.append((F * G, Tf * Tg, G, Tg))
             if max(chain(*f, *g), default=0) <= 3:
@@ -462,6 +498,9 @@ class TestPackedAgainstTupleRing:
                 for k in range(4):
                     assert divisible_by_power(P, root, k) == \
                         oracle.tuple_divisible_by_power(T, Troot, k)
+            elif D is wide:
+                with pytest.raises(ValueError):
+                    divisible_by_power(P, wide, 1)
 
 
 class TestDivision:
